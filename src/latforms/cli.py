@@ -19,10 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from . import criteria as _criteria
-from . import exponents as _exponents
-from . import minkowski as _minkowski
-from . import numerics as _numerics
 from .corpus import (
     GENERATORS,
     GeneratorSpec,
@@ -44,11 +40,16 @@ from .exponents import profile
 from .minkowski import Refusal, SearchFailed, construct_dual_witness, \
     construct_primal_form
 from .model import Basis, MissingRecord, ValidationError
-from .numerics import BallReal, TriBool, UncertifiedComparison, parse_real
+from .numerics import (
+    PREC_CAP,
+    BallReal,
+    TriBool,
+    UncertifiedComparison,
+    parse_real,
+)
 
 __all__ = ["build_parser", "run", "main"]
 
-_HARD_CAP = 1 << 16
 _EXIT = {"holds": 0, "success": 0, "violated": 2, "refused": 2, "unknown": 3}
 
 
@@ -80,6 +81,14 @@ def _posint(text: str) -> int:
     return v
 
 
+def _bits(text: str) -> int:
+    v = _posint(text)
+    if v > PREC_CAP:
+        raise argparse.ArgumentTypeError(
+            f"precision {v} exceeds the cap of {PREC_CAP} bits")
+    return v
+
+
 def _default_prec() -> int:
     raw = os.environ.get("LATFORMS_PREC")
     if raw is None:
@@ -88,15 +97,9 @@ def _default_prec() -> int:
         v = int(raw)
     except ValueError:
         raise _UsageError(f"LATFORMS_PREC must be an integer, got {raw!r}")
-    if v < 8:
-        raise _UsageError(f"LATFORMS_PREC must be >= 8, got {v}")
+    if not 8 <= v <= PREC_CAP:
+        raise _UsageError(f"LATFORMS_PREC must be in 8..{PREC_CAP}, got {v}")
     return v
-
-
-def _apply_prec_cap(bits: int) -> None:
-    # escalation loops read their module's PREC_CAP; rebind all of them
-    for mod in (_numerics, _exponents, _criteria, _minkowski):
-        mod.PREC_CAP = bits
 
 
 def _jsonable(x):
@@ -122,15 +125,12 @@ def _jsonable(x):
 
 
 def _add_common(sp, *, budget: bool = False) -> None:
-    sp.add_argument("--prec", type=_posint, default=_default_prec(),
+    sp.add_argument("--prec", type=_bits, default=_default_prec(),
                     metavar="BITS",
                     help="working precision (default 64 or $LATFORMS_PREC)")
-    sp.add_argument("--prec-cap", type=_posint, default=_HARD_CAP,
+    sp.add_argument("--prec-cap", type=_bits, default=PREC_CAP,
                     dest="prec_cap", metavar="BITS",
-                    help=f"precision-escalation ceiling (default {_HARD_CAP})")
-    sp.add_argument("--jobs", type=_posint, default=1,
-                    help="parallelism cap; any value yields the same "
-                         "first-found-wins result order")
+                    help=f"precision-escalation ceiling (default {PREC_CAP})")
     if budget:
         sp.add_argument("--budget", type=_posint, default=10 ** 7,
                         help="candidate budget for scans (default 10^7)")
@@ -193,13 +193,6 @@ def _basis_for(args, seq) -> Basis:
                       "generator provenance")
 
 
-def _explicit_basis(args) -> Basis:
-    try:
-        return Basis(tuple(parse_real(x, args.prec) for x in args.xi))
-    except ValueError as e:
-        raise _UsageError(str(e))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -240,7 +233,7 @@ def _cmd_roundtrip(args):
 def _cmd_estimate(args):
     seq = _load_sequence(args)
     basis = _basis_for(args, seq)
-    prof = profile(seq, basis, args.prec, args.tol)
+    prof = profile(seq, basis, args.prec, args.tol, cap=args.prec_cap)
     decided = (all(b is not None for b in prof.tau)
                and all(b is not None for b in prof.gamma)
                and prof.growth is not None)
@@ -251,7 +244,7 @@ def _cmd_estimate(args):
 def _cmd_check_nesterenko(args):
     seq = _load_sequence(args)
     basis = _basis_for(args, seq)
-    rep = check_nesterenko(seq, basis, args.prec, args.tol)
+    rep = check_nesterenko(seq, basis, args.prec, args.tol, cap=args.prec_cap)
     status = {TriBool.TRUE: "holds", TriBool.FALSE: "violated",
               TriBool.UNKNOWN: "unknown"}[rep.consistent]
     return status, rep.to_json()
@@ -270,7 +263,7 @@ def _cmd_verify(args):
     seq = _load_sequence(args)
     basis = _basis_for(args, seq)
     verdicts = [verify_conclusion(seq, basis, args.tau, Q, args.eps,
-                                  args.prec, args.budget)
+                                  args.prec, args.budget, cap=args.prec_cap)
                 for Q in args.Q]
     statuses = [v.status for v in verdicts]
     if "violated" in statuses:
@@ -283,18 +276,19 @@ def _cmd_verify(args):
 
 
 def _cmd_construct_primal(args):
-    basis = _explicit_basis(args)
+    basis = _basis_for(args, None)
     out = construct_primal_form(basis, args.tau, args.delta, args.Q,
                                 slack=args.slack, prec=args.prec,
-                                budget=args.budget, gamma=args.gamma)
+                                budget=args.budget, gamma=args.gamma,
+                                cap=args.prec_cap)
     return "success", out.to_json()
 
 
 def _cmd_construct_dual(args):
-    basis = _explicit_basis(args)
+    basis = _basis_for(args, None)
     out = construct_dual_witness(basis, args.tau, args.gamma, args.delta,
                                  args.Q, args.eps, prec=args.prec,
-                                 budget=args.budget)
+                                 budget=args.budget, cap=args.prec_cap)
     return "success", out.to_json()
 
 
@@ -314,7 +308,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--gen", choices=GENERATORS, required=True)
     sp.add_argument("--n-max", dest="n_max", type=_posint, required=True)
     sp.add_argument("--params", metavar="JSON")
-    sp.add_argument("--prec", type=_posint, default=_default_prec())
+    sp.add_argument("--prec", type=_bits, default=_default_prec())
     sp.add_argument("--output", metavar="PATH")
     sp.set_defaults(handler=_cmd_generate, data_output=True)
 
@@ -414,7 +408,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except _UsageError as e:
         print(f"latforms: error: {e}", file=sys.stderr)
         return 1
-    _apply_prec_cap(getattr(args, "prec_cap", _HARD_CAP))
     # for data-path commands --output names the JSONL, so reports go to stdout
     report_out = None if getattr(args, "data_output", False) \
         else getattr(args, "output", None)
@@ -460,3 +453,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -28,7 +28,9 @@ from .numerics import (
     BallReal,
     PREC_CAP,
     TriBool,
+    cmp_abs_le,
     cmp_abs_vs_power,
+    escalate,
     floor_scaled_power,
     nth_root_floor,
     tri_compare,
@@ -203,25 +205,31 @@ class RecurrenceFit:
     non_unique: bool              # singular-but-consistent system
 
 
-def _gauss_reduced(rows: list[list[Fraction]], ncols: int):
-    """In-place fraction Gauss over the leading ncols columns; returns the
-    pivot column list.  Rows keep any trailing augmented entries."""
-    pivots = []
-    r = 0
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form, in place, over the leading
+    ncols columns; trailing augmented entries ride along.  Every division is
+    exact (Sylvester's identity), so rows stay integral.  Returns the pivot
+    columns and the determinant of the leading square block (0 unless it
+    has full rank)."""
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for c in range(ncols):
-        piv = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        for k in range(r + 1, len(rows)):
+            f = rows[k][c]
+            rows[k] = [(top[c] * x - f * y) // prev
+                       for x, y in zip(rows[k], top)]
+        prev = top[c]
         pivots.append(c)
-        r += 1
-    return pivots
+    full = len(pivots) == ncols == len(rows)
+    return pivots, sign * prev if full else 0
 
 
 def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
@@ -233,47 +241,23 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     """
     p = seq.p
     recs = [seq.record(n + j) for j in range(p + 1)]
-    # unknowns alpha_j; columns reversed so Gauss pivots prefer high lags
-    rows = [[Fraction(recs[j].ell[i]) for j in range(p - 1, -1, -1)]
-            + [Fraction(recs[p].ell[i])] for i in range(p)]
-    pivots = _gauss_reduced(rows, p)
+    # unknowns alpha_j; columns reversed so pivots prefer high lags
+    rows = [[recs[j].ell[i] for j in range(p - 1, -1, -1)] + [recs[p].ell[i]]
+            for i in range(p)]
+    pivots, _ = _echelon(rows, p)
     rank = len(pivots)
-    for row in rows[rank:]:
-        if row[p] != 0:
-            return None
-    rev = [Fraction(0)] * p
-    for r, c in enumerate(pivots):
-        rev[c] = rows[r][p]
+    if any(row[p] for row in rows[rank:]):
+        return None
+    rev = [Fraction(0)] * p           # free unknowns stay 0
+    for row, c in reversed(list(zip(rows, pivots))):
+        rest = sum(row[k] * rev[k] for k in range(c + 1, p))
+        rev[c] = Fraction(row[p] - rest) / row[c]
     alpha = tuple(reversed(rev))
     ok = all(recs[p].ell[i] == sum(alpha[j] * recs[j].ell[i] for j in range(p))
              for i in range(p))
     return RecurrenceFit(n=n, alpha=alpha, residual=ok,
                          alpha0_zero=alpha[0] == 0,
                          non_unique=rank < p)
-
-
-def _int_matrix_det_rank(M: list[list[int]]) -> tuple[Fraction, int]:
-    rows = [[Fraction(x) for x in row] for row in M]
-    n = len(rows)
-    det = Fraction(1)
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if rows[k][c] != 0), None)
-        if piv is None:
-            det = Fraction(0)
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det *= rows[r][c]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for k in range(r + 1, n):
-            if rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        r += 1
-    return (det if r == n else Fraction(0)), r
 
 
 def _delta_matrix(seq: FormSequence, n: int) -> list[list[int]]:
@@ -346,13 +330,9 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
         fits[n] = f
         if f is None or f.alpha0_zero or not f.residual:
             bad.append(n)
-    det2, _ = _int_matrix_det_rank(_delta_matrix(seq, n2))
-    assert det2.denominator == 1
-    det2_int = det2.numerator
-    ranks = []
-    for n in range(n1, last - p + 2):
-        _, r = _int_matrix_det_rank(_delta_matrix(seq, n))
-        ranks.append((n, r))
+    _, det2_int = _echelon(_delta_matrix(seq, n2), p)
+    ranks = [(n, len(_echelon(_delta_matrix(seq, n), p)[0]))
+             for n in range(n1, last - p + 2)]
     rank_prop = all(a[1] == b[1] for a, b in zip(ranks, ranks[1:]))
     # det of the evaluated window equals (1 + sum xi_i^2) * det(Delta_n2)
     V = [[eval_at_basis(seq, basis, n2 + j, i, prec) for j in range(p)]
@@ -397,12 +377,14 @@ class NesterenkoReport:
 
 
 def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
-                     tol: Fraction = Fraction(1, 20)) -> NesterenkoReport:
+                     tol: Fraction = Fraction(1, 20),
+                     cap: int = PREC_CAP) -> NesterenkoReport:
     """Finite-n consistency report for the three hypotheses: divisor chains,
     |L_n(e_i)| = Q_n^(-tau_i+o(1)) (trace oscillation below tol), and
     sup-norm growth ||L_n|| = Q_n^(1+o(1))."""
     violations = divisor_chain_check(seq)
-    taus = [estimate_tau(seq, basis, i, prec, tol) for i in range(1, seq.p)]
+    taus = [estimate_tau(seq, basis, i, prec, tol, cap)
+            for i in range(1, seq.p)]
     norm_trace: list[tuple[int, Optional[BallReal]]] = []
     for rec in seq:
         s = rec.sup_norm()
@@ -455,11 +437,50 @@ class Verdict:
         }
 
 
-def _signed_order(R: int):
+def _signed(R: int):
+    """0, 1, -1, ..., R, -R: smallest absolute value first."""
+    if R < 0:          # empty axis (e.g. strict zero bound): no valid entry
+        return
     yield 0
     for k in range(1, R + 1):
         yield k
         yield -k
+
+
+def _odometer(ranges: Sequence[int], budget: int, per_prefix: int = 1):
+    """The prefix odometer over |m_i| <= R_i in _signed order, keeping the
+    prefixes whose first nonzero entry is positive (negating a whole point
+    maps the others onto these).  Returns the candidate estimate
+    per_prefix * prod(2 R_i + 1), checked against the budget up front, and
+    the prefix iterator."""
+    estimate = per_prefix
+    for R in ranges:
+        estimate *= 2 * R + 1
+    if estimate > budget:
+        raise BudgetExceeded(estimate, budget)
+    every = itertools.product(*map(_signed, ranges))
+    return estimate, (pre for pre in every if next(filter(None, pre), 0) >= 0)
+
+
+def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
+    """The dual point with a_j = m_j/delta_j on the labels, a_p = kp/delta_p
+    and 0 elsewhere."""
+    a = [Fraction(0)] * p
+    for m, j in zip(prefix, labels):
+        a[j - 1] = Fraction(m, delta[j - 1])
+    a[p - 1] = Fraction(kp, delta[p - 1])
+    return DualPoint(tuple(a))
+
+
+def _prefix_ball(basis: Basis, prefix: Sequence[int], labels: Sequence[int],
+                 delta: Sequence[int], prec: int) -> BallReal:
+    """Enclosure of sum_k (m_k / delta_{j_k}) xi_{j_k} over the labels j_k."""
+    xb = basis.xi_balls(prec)
+    s = BallReal.exact(0, prec)
+    for m, j in zip(prefix, labels):
+        if m:
+            s = s + xb[j - 1] * Fraction(m, delta[j - 1])
+    return s
 
 
 def _power_bracket(Q: int, expo: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -470,7 +491,7 @@ def _power_bracket(Q: int, expo: Fraction, bits: int) -> tuple[Fraction, Fractio
 
 def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                       Q: int, eps: Rat, prec: int = 64,
-                      budget: int = 10 ** 7) -> Verdict:
+                      budget: int = 10 ** 7, cap: int = PREC_CAP) -> Verdict:
     """Exhaustively test |a_1 xi_1 + ... + a_{p-1} xi_{p-1} + a_p| > Q^(-1-eps)
     over nonzero a with delta_{i,Phi(Q)} a_i integral and |a_i| <= Q^(tau_i-eps).
 
@@ -494,11 +515,7 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
 
     ranges = [floor_scaled_power(Fraction(delta[i]), Q, taus[i] - eps)
               for i in range(p - 1)]
-    estimate = 1
-    for R in ranges:
-        estimate *= 2 * R + 1
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+    estimate, odometer = _odometer(ranges, budget)
 
     # threshold t = Q^-(1+eps): exact when Q^(1+eps) is rational
     one_eps = 1 + eps
@@ -530,50 +547,41 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     unknowns: list[tuple] = []
     escalations = 0
 
-    def decide_exact(val: Fraction) -> str:
-        sign = cmp_abs_vs_power(val, Q, -one_eps)
-        return "holds" if sign > 0 else "violated"
-
-    def decide_slow(prefix: tuple, kp: int) -> str:
-        """Ball-arithmetic fallback with escalation for one candidate."""
-        nonlocal escalations
-        w2, out = work, ""
-        while out == "" and w2 < PREC_CAP:
-            w2 = min(2 * w2, PREC_CAP)
+    def decide_slow(prefix: tuple, kp: int) -> TriBool:
+        """Certified |value| <= t by balls, escalating past `work`."""
+        def at(w):
+            nonlocal escalations
+            if w == work:
+                return TriBool.UNKNOWN   # the integer brackets left it open
             escalations += 1
-            s2 = BallReal.exact(0, w2)
-            for k, d, x in zip(prefix, delta, basis.xi_balls(w2)):
-                if k:
-                    s2 = s2 + x * Fraction(k, d)
             if t_exact is None:
-                q_lo2, q_hi2 = _power_bracket(Q, one_eps, w2 + 32)
-                tl, th = 1 / q_hi2, 1 / q_lo2
+                q_lo, q_hi = _power_bracket(Q, one_eps, w + 32)
+                tl, th = 1 / q_hi, 1 / q_lo
             else:
                 tl = th = t_exact
-            out = _decide_ball(s2 + Fraction(kp, dp), tl, th)
-        return out
+            val = _prefix_ball(basis, prefix, range(1, p), delta, w)
+            return cmp_abs_le(val + Fraction(kp, dp), tl, th)
+        return escalate(at, work, cap)[0]
 
-    for prefix in itertools.product(*[_signed_order(R) for R in ranges]):
-        nz = next((k for k in prefix if k != 0), None)
-        if nz is not None and nz < 0:
-            continue  # sign symmetry: mirror covered with a_p negated
+    def violated(prefix: tuple, kp: int, **diag) -> Verdict:
+        wit = _dual_point(p, range(1, p), prefix, delta, kp)
+        return Verdict("violated", wit, Q, eps,
+                       {"candidates_checked": checked, "prefixes": prefixes,
+                        "budget_estimate": estimate, **diag})
+
+    for prefix in odometer:
+        zero = not any(prefix)
         prefixes += 1
         if exact_xi is not None:
             s = sum((Fraction(k, d) * x for k, d, x in
                      zip(prefix, delta, exact_xi)), Fraction(0))
             kmin = math.ceil((-s - t_hi) * dp)
             kmax = math.floor((-s + t_hi) * dp)
-            start = max(kmin, 1) if nz is None else kmin
+            start = max(kmin, 1) if zero else kmin
             for kp in range(start, kmax + 1):
-                val = s + Fraction(kp, dp)
                 checked += 1
-                if decide_exact(val) == "violated":
-                    a = tuple(Fraction(k, d) for k, d in zip(prefix, delta))
-                    wit = DualPoint(a + (Fraction(kp, dp),))
-                    return Verdict("violated", wit, Q, eps,
-                                   {"candidates_checked": checked,
-                                    "prefixes": prefixes,
-                                    "budget_estimate": estimate})
+                if cmp_abs_vs_power(s + Fraction(kp, dp), Q, -one_eps) <= 0:
+                    return violated(prefix, kp)
         else:
             # integer brackets of v * D * 2^work for the whole prefix
             s_lo = s_hi = 0
@@ -586,7 +594,7 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                     s_hi += k * m * xl
             kmin = -((s_hi + T_hi) // step)
             kmax = (T_hi - s_lo) // step
-            start = max(kmin, 1) if nz is None else kmin
+            start = max(kmin, 1) if zero else kmin
             for kp in range(start, kmax + 1):
                 checked += 1
                 v_lo = s_lo + kp * step
@@ -597,16 +605,11 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                     alo, ahi = 0, max(-v_lo, v_hi)
                 if alo > T_hi:
                     continue                       # certified holds
-                outcome = "violated" if ahi <= T_lo else decide_slow(prefix, kp)
-                if outcome == "violated":
-                    a = tuple(Fraction(k, d) for k, d in zip(prefix, delta))
-                    wit = DualPoint(a + (Fraction(kp, dp),))
-                    return Verdict("violated", wit, Q, eps,
-                                   {"candidates_checked": checked,
-                                    "prefixes": prefixes,
-                                    "budget_estimate": estimate,
-                                    "escalations": escalations})
-                if outcome == "":
+                outcome = TriBool.TRUE if ahi <= T_lo \
+                    else decide_slow(prefix, kp)
+                if outcome is TriBool.TRUE:
+                    return violated(prefix, kp, escalations=escalations)
+                if outcome is TriBool.UNKNOWN:
                     unknowns.append(prefix + (kp,))
     diag = {"candidates_checked": checked, "prefixes": prefixes,
             "budget_estimate": estimate, "escalations": escalations,
@@ -614,20 +617,6 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     if unknowns:
         return Verdict("unknown", None, Q, eps, diag)
     return Verdict("holds", None, Q, eps, diag)
-
-
-def _decide_ball(val: BallReal, t_lo: Fraction, t_hi: Fraction) -> str:
-    """Certified comparison of |val| against t in [t_lo, t_hi]; '' if open."""
-    lo, hi = val.lower, val.upper
-    if lo > 0 or hi < 0:
-        alo, ahi = min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
-    else:
-        alo, ahi = Fraction(0), max(abs(lo), abs(hi))
-    if alo > t_hi:
-        return "holds"
-    if ahi <= t_lo:
-        return "violated"
-    return ""
 
 
 def reduce_scale(Q: int, eps: Rat, basis: Basis,

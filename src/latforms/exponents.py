@@ -25,6 +25,7 @@ from .numerics import (
     PREC_CAP,
     TriBool,
     UncertifiedComparison,
+    escalate,
     tri_compare,
 )
 from .model import Basis, FormSequence, ValidationError, eval_at_basis
@@ -99,22 +100,21 @@ class MeasureBound:
 
 
 def _certified_nonzero_eval(seq: FormSequence, basis: Basis, n: int, i: int,
-                            prec: int) -> tuple[Optional[BallReal], int]:
-    """|L_n(e_i)| with precision doubling until 0 is excluded (or cap)."""
-    cur = prec
-    while True:
-        ball = abs(eval_at_basis(seq, basis, n, i, cur))
-        if ball.is_exact and ball.mid == 0:
-            return None, cur  # exactly zero form: no escalation will help
-        if ball.lower > 0:
-            return ball, cur
-        if cur >= PREC_CAP:
-            return None, cur
-        cur = min(2 * cur, PREC_CAP)
+                            prec: int, cap: int = PREC_CAP
+                            ) -> tuple[Optional[BallReal], int]:
+    """|L_n(e_i)| with precision doubling until 0 is excluded (or cap); None
+    when it is not, or when the form is exactly zero (no escalation helps)."""
+    def at(w):
+        ball = abs(eval_at_basis(seq, basis, n, i, w))
+        return ball if ball.lower > 0 or ball.is_exact else TriBool.UNKNOWN
+    ball, used = escalate(at, prec, cap)
+    return (ball if ball is not TriBool.UNKNOWN and ball.lower > 0
+            else None), used
 
 
 def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
-                 tol: Fraction = Fraction(1, 20)) -> TauEstimate:
+                 tol: Fraction = Fraction(1, 20),
+                 cap: int = PREC_CAP) -> TauEstimate:
     """Trace of tau-hat_i(n) = -log|L_n(e_i)| / log Q_n, plus diagnostics."""
     if not 1 <= i <= seq.p - 1:
         raise ValidationError(f"i={i} must be in 1..{seq.p - 1}")
@@ -126,7 +126,7 @@ def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
         if rec.Q == 1:
             trace.append(TraceEntry(rec.n, None, "Q=1: log scale vanishes"))
             continue
-        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec)
+        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec, cap)
         max_prec = max(max_prec, used)
         if ball is None:
             trace.append(TraceEntry(rec.n, None,
@@ -264,9 +264,11 @@ def irrationality_bound(alpha: BallReal, beta: BallReal) -> MeasureBound:
 
 
 def profile(seq: FormSequence, basis: Basis, prec: int = 64,
-            tol: Fraction = Fraction(1, 20)) -> ExponentProfile:
+            tol: Fraction = Fraction(1, 20),
+            cap: int = PREC_CAP) -> ExponentProfile:
     """Full exponent profile: every tau trace, gamma traces, growth."""
-    taus = [estimate_tau(seq, basis, i, prec, tol) for i in range(1, seq.p)]
+    taus = [estimate_tau(seq, basis, i, prec, tol, cap)
+            for i in range(1, seq.p)]
     gg = estimate_gamma_growth(seq, prec, tol)
     return ExponentProfile(
         tau=[t.final for t in taus],

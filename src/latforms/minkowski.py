@@ -30,7 +30,9 @@ from .numerics import (
     BallReal,
     PREC_CAP,
     TriBool,
+    cmp_abs_le,
     cmp_abs_vs_power,
+    escalate,
     floor_scaled_power,
     tri_compare,
 )
@@ -43,7 +45,14 @@ from .model import (
     FormSequence,
     ValidationError,
 )
-from .criteria import BudgetExceeded, _power_bracket
+from .criteria import (
+    BudgetExceeded,
+    _dual_point,
+    _odometer,
+    _power_bracket,
+    _prefix_ball,
+    _signed,
+)
 
 __all__ = [
     "ConditionReport",
@@ -168,35 +177,12 @@ class SearchOutcome:
                 "diagnostics": self.diagnostics}
 
 
-def _nearest_multiple(mid: Fraction, d: int) -> int:
-    """Multiple of d nearest to mid, half-ties toward zero."""
-    q = mid / d
+def _round_half_to_zero(q: Fraction) -> int:
+    """Integer nearest to q, half-ties toward zero."""
     m = math.floor(q + Fraction(1, 2))
     if q + Fraction(1, 2) == m and q > 0:
         m -= 1
-    return m * d
-
-
-def _cmp_abs_le(val: BallReal, b_lo: Fraction, b_hi: Fraction,
-                strict: bool) -> TriBool:
-    """Certified |val| <= b (or < b when strict) for b in [b_lo, b_hi]."""
-    lo, hi = val.lower, val.upper
-    alo = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    ahi = max(abs(lo), abs(hi))
-    if (ahi < b_lo) or (not strict and ahi <= b_lo):
-        return TriBool.TRUE
-    if (alo > b_hi) or (strict and alo >= b_hi):
-        return TriBool.FALSE
-    return TriBool.UNKNOWN
-
-
-def _signed(R: int):
-    if R < 0:          # empty axis (e.g. strict zero bound): no valid entry
-        return
-    yield 0
-    for k in range(1, R + 1):
-        yield k
-        yield -k
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +191,7 @@ def _signed(R: int):
 
 def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
                             basis: Basis, prec: int = 64,
-                            budget: int = 10 ** 7
+                            budget: int = 10 ** 7, cap: int = PREC_CAP
                             ) -> tuple[Optional[tuple[int, ...]], dict]:
     """First nonzero primal point of the diagonal lattice in a sheared-frame
     box, scanning x_p = 0, d_p, 2 d_p, ... and taking the nearest multiple of
@@ -229,7 +215,7 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     for step in range(0, xp_cap // dp + 1):
         xp = step * dp
         scanned += 1
-        okp = _cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
+        okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
         if okp is TriBool.FALSE:
             break
         if okp is TriBool.UNKNOWN:
@@ -242,7 +228,7 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
                 ok = TriBool.TRUE
                 for k2 in range(len(labels)):
                     val = delta[j - 1] if k2 == k else 0
-                    c = _cmp_abs_le(BallReal.exact(val, prec), *brackets[k2])
+                    c = cmp_abs_le(BallReal.exact(val, prec), *brackets[k2])
                     if c is TriBool.FALSE:
                         ok = TriBool.FALSE
                         break
@@ -260,14 +246,13 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
         point[p - 1] = xp
         good = True
         for k, j in enumerate(labels):
-            w = prec
-            target = basis.xi_balls(w)[j - 1] * xp
-            xj = _nearest_multiple(target.mid, delta[j - 1])
-            ok = _cmp_abs_le(target - xj, *brackets[k])
-            while ok is TriBool.UNKNOWN and w < PREC_CAP:
-                w = min(2 * w, PREC_CAP)
-                target = basis.xi_balls(w)[j - 1] * xp
-                ok = _cmp_abs_le(target - xj, *brackets[k])
+            # x_j is the multiple of delta_j nearest x_p xi_j at prec; only
+            # the check of |x_p xi_j - x_j| escalates
+            target = basis.xi_balls(prec)[j - 1] * xp
+            xj = _round_half_to_zero(target.mid / delta[j - 1]) * delta[j - 1]
+            ok, _ = escalate(lambda w: cmp_abs_le(
+                (target if w == prec else basis.xi_balls(w)[j - 1] * xp) - xj,
+                *brackets[k]), prec, cap)
             if ok is TriBool.TRUE:
                 point[j - 1] = xj
             else:
@@ -305,51 +290,34 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
         if b.strict and b.value.is_exact and Fraction(R, delta[j - 1]) >= b.value.mid:
             R -= 1
         ranges.append(R)
-    estimate = 2
-    for R in ranges:
-        estimate *= 2 * R + 1
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+    _, odometer = _odometer(ranges, budget, per_prefix=2)
 
     exact_xi = basis.exact_xi
     work = max(prec, 96)
     checked = 0
     unknowns = 0
-    for prefix in itertools.product(*[_signed(R) for R in ranges]):
-        nz = next((m for m in prefix if m != 0), None)
-        if nz is not None and nz < 0:
-            continue
+    for prefix in odometer:
+        zero = not any(prefix)
         if exact_xi is not None:
             s = sum((Fraction(m, delta[j - 1]) * exact_xi[j - 1]
                      for m, j in zip(prefix, labels)), Fraction(0))
-            for kp in _two_nearest(-s, dp, nz is None):
+            for kp in _two_nearest(-s, dp, zero):
                 checked += 1
                 val = BallReal.exact(s + Fraction(kp, dp), work)
-                ok = _cmp_abs_le(val, t_lo, t_hi, t_strict)
+                ok = cmp_abs_le(val, t_lo, t_hi, t_strict)
                 if ok is TriBool.TRUE:
                     return _dual_point(p, labels, prefix, delta, kp), \
                         {"checked": checked, "unknowns": unknowns}
                 if ok is TriBool.UNKNOWN:
                     unknowns += 1
         else:
-            w = work
-            xb = basis.xi_balls(w)
-            s = BallReal.exact(0, w)
-            for m, j in zip(prefix, labels):
-                if m:
-                    s = s + xb[j - 1] * Fraction(m, delta[j - 1])
-            for kp in _two_nearest(-s.mid, dp, nz is None):
+            s = _prefix_ball(basis, prefix, labels, delta, work)
+            for kp in _two_nearest(-s.mid, dp, zero):
                 checked += 1
-                ok = _cmp_abs_le(s + Fraction(kp, dp), t_lo, t_hi, t_strict)
-                while ok is TriBool.UNKNOWN and w < PREC_CAP:
-                    w = min(2 * w, PREC_CAP)
-                    xb = basis.xi_balls(w)
-                    s2 = BallReal.exact(0, w)
-                    for m, j in zip(prefix, labels):
-                        if m:
-                            s2 = s2 + xb[j - 1] * Fraction(m, delta[j - 1])
-                    ok = _cmp_abs_le(s2 + Fraction(kp, dp), t_lo, t_hi,
-                                     t_strict)
+                ok, _ = escalate(lambda w: cmp_abs_le(
+                    (s if w == work
+                     else _prefix_ball(basis, prefix, labels, delta, w))
+                    + Fraction(kp, dp), t_lo, t_hi, t_strict), work)
                 if ok is TriBool.TRUE:
                     return _dual_point(p, labels, prefix, delta, kp), \
                         {"checked": checked, "unknowns": unknowns}
@@ -365,19 +333,9 @@ def _two_nearest(target: Fraction, dp: int, zero_prefix: bool) -> list[int]:
     if zero_prefix:
         return [1]
     q = target * dp
-    k0 = math.floor(q + Fraction(1, 2))
-    if q + Fraction(1, 2) == k0 and q > 0:
-        k0 -= 1
+    k0 = _round_half_to_zero(q)
     k1 = k0 + 1 if q >= k0 else k0 - 1
     return [k0, k1]
-
-
-def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
-    a = [Fraction(0)] * p
-    for m, j in zip(prefix, labels):
-        a[j - 1] = Fraction(m, delta[j - 1])
-    a[p - 1] = Fraction(kp, delta[p - 1])
-    return DualPoint(tuple(a))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +345,8 @@ def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
 def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
                           Q_n: int, slack: Fraction = Fraction(1, 20),
                           prec: int = 64, budget: int = 10 ** 7,
-                          gamma: Optional[Sequence[Num]] = None) -> SearchOutcome:
+                          gamma: Optional[Sequence[Num]] = None,
+                          cap: int = PREC_CAP) -> SearchOutcome:
     """Nonzero (ell_1..ell_p) in the diagonal lattice with
     |ell_p xi_j - ell_j| <= Q^(-tau_j+slack) for all j and
     |ell_p| <= Q^(1+slack), provided the condition certifies <= 1.
@@ -428,9 +387,9 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
             gates[f"gate_j{j}"] = tri_compare(BallReal.exact(1, wp), g)
     expo = 1 - tau_J + (len(J) + 1) * slack
     vol = BallReal.exact(1 << (len(J) + 1), wp) * Qb.pow(expo)
-    margin = _exact_power_ge(Q_n, expo, det)
+    margin = cmp_abs_vs_power(det, Q_n, expo) <= 0      # Q_n^expo >= det
     body = _primal_body(xi, taus, Q_n, slack, wp)
-    point, diag = directed_search_sheared(body, delta_n, xi, prec, budget)
+    point, diag = directed_search_sheared(body, delta_n, xi, prec, budget, cap)
     if point is None:
         raise SearchFailed("no certified point in the K_n scan",
                            diag.get("unknowns", 0))
@@ -463,21 +422,14 @@ def _primal_body(xi: Basis, taus: Sequence[Fraction], Q: int,
                       bounds=tuple(bounds))
 
 
-def _exact_power_ge(Q: int, expo: Fraction, rhs: int) -> bool:
-    """Q^expo >= rhs, exactly (Q >= 2, rhs >= 1)."""
-    u, v = expo.numerator, expo.denominator
-    if u >= 0:
-        return Q ** u >= rhs ** v
-    return 1 >= rhs ** v * Q ** (-u)
-
-
 # ---------------------------------------------------------------------------
 # dual construction (condition > 1 with eps-margin)
 
 
 def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
                            delta_PhiQ: Sequence[int], Q: int, eps: Rat,
-                           prec: int = 64, budget: int = 10 ** 7) -> SearchOutcome:
+                           prec: int = 64, budget: int = 10 ** 7,
+                           cap: int = PREC_CAP) -> SearchOutcome:
     """Nonzero dual point with |a_j| <= Q^(tau_j-eps) on J, a_j = 0 off
     J u {p}, and |a_1 xi_1 + ... + a_p| <= Q^(-1-eps).
 
@@ -511,14 +463,15 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     wp = max(prec, 96)
     Qb = BallReal.exact(Q, wp)
     vol = BallReal.exact(1 << (len(J) + 1), wp) * Qb.pow(expo)
-    if not _exact_power_gt_inv(Q, expo, det):
+    if cmp_abs_vs_power(Fraction(1, det), Q, expo) >= 0:  # Q^expo det <= 1
         raise Refusal("volume certificate fails: Q too small", report,
                       {"volume": str(vol.round_to(53)),
                        "needed": str(1 << (len(J) + 1)),
                        "lattice_det": f"1/{det}"})
     cert = {"volume": vol, "lattice_det": BallReal.exact(Fraction(1, det), wp),
             "margin": TriBool.TRUE}
-    point, diag = _dual_scan(xi, taus, J, delta_PhiQ, Q, eps, prec, budget)
+    point, diag = _dual_scan(xi, taus, J, delta_PhiQ, Q, eps, prec, budget,
+                             cap)
     if point is None:
         raise SearchFailed("no certified witness in the K_Q scan",
                            diag.get("unknowns", 0))
@@ -533,67 +486,43 @@ def _margin_above(lhs: BallReal, need: Fraction) -> bool:
     return tri_compare(lhs, need) is TriBool.TRUE
 
 
-def _exact_power_gt_inv(Q: int, expo: Fraction, det: int) -> bool:
-    """Q^expo * det > 1, exactly."""
-    u, v = expo.numerator, expo.denominator
-    if u >= 0:
-        return Q ** u * det ** v > 1
-    return det ** v > Q ** (-u)
-
-
 def _dual_scan(xi: Basis, taus: Sequence[Fraction], J: Sequence[int],
                delta: Sequence[int], Q: int, eps: Fraction, prec: int,
-               budget: int) -> tuple[Optional[DualPoint], dict]:
+               budget: int, cap: int) -> tuple[Optional[DualPoint], dict]:
     """Prefix odometer over J with exact ranges R_j = floor(delta_j
     Q^(tau_j-eps)); per prefix the <= 2 nearest multiples of 1/delta_p,
     decided exactly against Q^(-1-eps) when xi is rational, else by balls
-    with escalation.
+    with escalation (the bracket of Q^(-1-eps) is refined alongside).
     """
     p = xi.p
     dp = delta[p - 1]
     ranges = [floor_scaled_power(Fraction(delta[j - 1]), Q, taus[j - 1] - eps)
               for j in J]
-    estimate = 2
-    for R in ranges:
-        estimate *= 2 * R + 1
-    if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+    _, odometer = _odometer(ranges, budget, per_prefix=2)
     exact_xi = xi.exact_xi
     work = max(prec, 96)
-    t_lo, t_hi = _power_bracket(Q, -1 - eps, work)
+    t_work = _power_bracket(Q, -1 - eps, work)
     checked = 0
     unknowns = 0
-    for prefix in itertools.product(*[_signed(R) for R in ranges]):
-        nz = next((m for m in prefix if m != 0), None)
-        if nz is not None and nz < 0:
-            continue
+    for prefix in odometer:
+        zero = not any(prefix)
         if exact_xi is not None:
             s = sum((Fraction(m, delta[j - 1]) * exact_xi[j - 1]
                      for m, j in zip(prefix, J)), Fraction(0))
-            for kp in _two_nearest(-s, dp, nz is None):
+            for kp in _two_nearest(-s, dp, zero):
                 checked += 1
                 if cmp_abs_vs_power(s + Fraction(kp, dp), Q, -1 - eps) <= 0:
                     return _dual_point(p, J, prefix, delta, kp), \
                         {"checked": checked, "unknowns": unknowns}
         else:
-            w = work
-            xb = xi.xi_balls(w)
-            s = BallReal.exact(0, w)
-            for m, j in zip(prefix, J):
-                if m:
-                    s = s + xb[j - 1] * Fraction(m, delta[j - 1])
-            for kp in _two_nearest(-s.mid, dp, nz is None):
+            s = _prefix_ball(xi, prefix, J, delta, work)
+            for kp in _two_nearest(-s.mid, dp, zero):
                 checked += 1
-                ok = _cmp_abs_le(s + Fraction(kp, dp), t_lo, t_hi, False)
-                while ok is TriBool.UNKNOWN and w < PREC_CAP:
-                    w = min(2 * w, PREC_CAP)
-                    tl, th = _power_bracket(Q, -1 - eps, w)
-                    xb = xi.xi_balls(w)
-                    s2 = BallReal.exact(0, w)
-                    for m, j in zip(prefix, J):
-                        if m:
-                            s2 = s2 + xb[j - 1] * Fraction(m, delta[j - 1])
-                    ok = _cmp_abs_le(s2 + Fraction(kp, dp), tl, th, False)
+                ok, _ = escalate(lambda w: cmp_abs_le(
+                    (s if w == work else _prefix_ball(xi, prefix, J, delta, w))
+                    + Fraction(kp, dp),
+                    *(t_work if w == work else _power_bracket(Q, -1 - eps, w))),
+                    work, cap)
                 if ok is TriBool.TRUE:
                     return _dual_point(p, J, prefix, delta, kp), \
                         {"checked": checked, "unknowns": unknowns}

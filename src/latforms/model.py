@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numerics import (
-    BallReal,
-    RealConstant,
-    TriBool,
-    tri_compare,
-)
+from .numerics import BallReal, RealConstant, TriBool, cmp_abs_le
 
 __all__ = [
     "Basis",
@@ -271,22 +266,6 @@ def eval_at_basis(seq: FormSequence, basis: Basis, n: int, i: int,
 # convex bodies
 # ---------------------------------------------------------------------------
 
-def _tri_less(val: BallReal, bound: BallReal, strict: bool) -> TriBool:
-    """Certified 'val < bound' (strict) or 'val <= bound' (non-strict)."""
-    if strict:
-        if val.upper < bound.lower:
-            return TriBool.TRUE
-        if val.lower >= bound.upper:
-            return TriBool.FALSE
-        return TriBool.UNKNOWN
-    gt = tri_compare(val, bound)  # val > bound?
-    if gt is TriBool.TRUE:
-        return TriBool.FALSE
-    if gt is TriBool.FALSE:
-        return TriBool.TRUE
-    return TriBool.UNKNOWN
-
-
 @dataclass(frozen=True)
 class Bound:
     value: BallReal
@@ -365,7 +344,8 @@ class ConvexBody:
         unknown = False
         for k, bound in enumerate(self.bounds):
             val = self.constraint_value(k, point, basis, prec)
-            inside = _tri_less(val, bound.value, bound.strict)
+            inside = cmp_abs_le(val, bound.value.lower, bound.value.upper,
+                                bound.strict)
             if inside is TriBool.FALSE:
                 return TriBool.FALSE
             if inside is TriBool.UNKNOWN:

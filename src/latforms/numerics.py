@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 __all__ = [
     "TriBool",
@@ -41,6 +41,8 @@ __all__ = [
     "floor_root_rational",
     "floor_scaled_power",
     "cmp_abs_vs_power",
+    "cmp_abs_le",
+    "escalate",
     "PREC_CAP",
     "MIN_PREC",
 ]
@@ -497,8 +499,13 @@ class BallReal:
 
     @staticmethod
     def from_json(obj: dict) -> "BallReal":
-        return BallReal(decimal_to_fraction(obj["mid"]),
-                        decimal_to_fraction(obj["rad"]), int(obj["prec"]))
+        mid = decimal_to_fraction(obj["mid"])
+        rad = decimal_to_fraction(obj["rad"])
+        if not (_is_dyadic(mid) and _is_dyadic(rad)):
+            # to_json writes only dyadic values, so anything else is corrupt
+            raise NumericsError(f"ball mid {obj['mid']!r} and rad "
+                                f"{obj['rad']!r} must be dyadic")
+        return BallReal(mid, rad, int(obj["prec"]))
 
     def __repr__(self):
         if self.is_exact:
@@ -530,6 +537,32 @@ def tri_compare(x: BallReal, y: Union[BallReal, int, Fraction]) -> TriBool:
     if x.upper <= y.lower:
         return TriBool.FALSE
     return TriBool.UNKNOWN
+
+
+def cmp_abs_le(val: BallReal, b_lo: Fraction, b_hi: Fraction,
+               strict: bool = False) -> TriBool:
+    """Certified |val| <= b (or < b when strict) for b in [b_lo, b_hi]."""
+    lo, hi = val.lower, val.upper
+    alo = _ZERO if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    ahi = max(abs(lo), abs(hi))
+    if (ahi < b_lo) or (not strict and ahi <= b_lo):
+        return TriBool.TRUE
+    if (alo > b_hi) or (strict and alo >= b_hi):
+        return TriBool.FALSE
+    return TriBool.UNKNOWN
+
+
+def escalate(decide: Callable[[int], Any], prec: int,
+             cap: int = PREC_CAP) -> tuple[Any, int]:
+    """The precision-escalation loop: decide(w) at w = prec, min(2w, cap),
+    ... until it returns something other than TriBool.UNKNOWN or w has
+    reached cap.  Returns the last answer and the precision that gave it."""
+    w = prec
+    while True:
+        out = decide(w)
+        if out is not TriBool.UNKNOWN or w >= cap:
+            return out, w
+        w = min(2 * w, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from latforms.corpus import (
     loads_jsonl,
 )
 from latforms.criteria import (
-    _int_matrix_det_rank,
+    _echelon,
     check_siegel,
     fit_recurrence,
     matrix_condition_check,
@@ -217,8 +217,8 @@ def test_factorial_condition_implies_nonzero_det_bulk():
             M = _condition_matrix(rng, p)
             balls = [[BallReal.exact(x, 96) for x in row] for row in M]
             assert matrix_condition_check(balls) is TriBool.TRUE, (p, k)
-            det, rank = _int_matrix_det_rank(_cleared(M))
-            assert det != 0 and rank == p, (p, k)
+            pivots, det = _echelon(_cleared(M), p)
+            assert det != 0 and len(pivots) == p, (p, k)
 
 
 # -- 4. Minkowski soundness on a (tau, gamma) grid ---------------------------

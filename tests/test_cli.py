@@ -1,5 +1,9 @@
 """CLI contract tests: exit codes, report determinism, pinned examples."""
 
+import contextlib
+import functools
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -7,9 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-import latforms.numerics as numerics
 from latforms.cli import run
 from latforms.corpus import dumps_jsonl, gen_apery_zeta3, gen_fibonacci
+from latforms.criteria import verify_conclusion
+from latforms.model import Basis
+from latforms.numerics import parse_real
 
 F = Fraction
 
@@ -189,15 +195,70 @@ def test_reports_identical_modulo_timestamp(capsys):
     assert '"timestamp"' in out1
 
 
-def test_verify_report_identical_and_jobs_neutral(capsys):
+def test_verify_report_identical(capsys):
     base = ("verify", "--gen", "fibonacci-golden", "--n-max", "30",
             "--tau", "1", "--Q", "50", "200", "--eps", "0.25")
     rc1, out1, _ = invoke(capsys, *base)
-    rc2, out2, _ = invoke(capsys, *base, "--jobs", "4")
+    rc2, out2, _ = invoke(capsys, *base)
     assert rc1 == rc2 == 0
-    r1, r2 = report_of(out1), report_of(out2)
-    assert r1["result"] == r2["result"]
-    assert r2["config"]["jobs"] == 4
+    assert report_of(out1)["result"] == report_of(out2)["result"]
+
+
+# sha256 of json.dumps(report["result"], sort_keys=True,
+# separators=(",", ":")), recorded before the certified-decision code was
+# merged into one routine per kind; any change of verdict, witness,
+# diagnostic or enclosure changes the digest.
+UNDECIDED_VERIFY = ("verify", "--gen", "fibonacci-golden", "--xi", "0.5±0.01",
+                    "--n-max", "30", "--tau", "1", "--Q", "50", "--eps", "1/4")
+PINNED_RESULTS = {
+    "verify-golden": (
+        ("verify", "--gen", "fibonacci-golden", "--n-max", "60", "--tau", "1",
+         "--Q", "100000", "--eps", "1/5"),
+        "03382f171dc970a4d9f99534ac6a21452ff7b50e83fa360821e998dc562e523a"),
+    "verify-undecided": (
+        UNDECIDED_VERIFY,
+        "e6af3ea57434b7ed869a5a99be614d52a332bac82e023134aefce800e7ca6ace"),
+    "primal-golden": (
+        ("construct-primal", "--xi", "golden", "--tau", "1", "--delta", "1",
+         "1", "--Q", "987"),
+        "0291a950dc231e546dd7fc1ab7c9685c0916129851a5476da43aab2f26944a79"),
+    "dual-golden": (
+        ("construct-dual", "--xi", "golden", "--tau", "3/2", "--gamma", "0",
+         "0", "--delta", "1", "1", "--Q", "1000", "--eps", "1/20"),
+        "13583368ec0630a341ca2b3bdaf894feaed3b88735a3a47d4d1fc0ffe940b0e3"),
+    "dual-half": (
+        ("construct-dual", "--xi", "1/2", "--tau", "3/2", "--gamma", "0", "0",
+         "--delta", "2", "3", "--Q", "1000", "--eps", "1/20"),
+        "418fd74d4e73e86c76f447c817f5464cbb72bdad401bc11e46b1c4e0286d2076"),
+    "estimate-apery": (
+        ("estimate", "--gen", "apery-zeta3", "--n-max", "20"),
+        "e208b988b6e69956533d0168fef48a832ed97793e96b4ac53ec8b29fad76accf"),
+    "nesterenko-fib": (
+        ("check-nesterenko", "--gen", "fibonacci-golden", "--n-max", "40"),
+        "363afffd905ed941cc48c1b2f1b137cf0cd2319a8a3f55444ac79bf2da6c5596"),
+    "siegel-apery": (
+        ("check-siegel", "--gen", "apery-zeta3", "--n-max", "30", "--n1", "2",
+         "--n2", "5"),
+        "6f187c493d5dc2f514c806916a1cc8852a3f71920baffa40f38174da92e61a6d"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cli_report(argv):
+    """Report of one CLI run, shared by the tests that pin it (the undecided
+    verify escalates nine candidates to the cap, about 10 s)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(list(argv))
+    return rc, report_of(out.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
+def test_result_digest_pinned(name):
+    argv, digest = PINNED_RESULTS[name]
+    _, rep = cli_report(argv)
+    text = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_report_to_file_leaves_stdout_empty(tmp_path, capsys):
@@ -220,13 +281,37 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
     assert rc == 1 and "LATFORMS_PREC" in err
 
 
-def test_prec_cap_flag_rebinds_escalation_ceiling(capsys):
-    rc, _, _ = invoke(capsys, "estimate", "--gen", "fibonacci-golden",
-                      "--n-max", "12", "--prec-cap", "4096")
-    assert rc == 0 and numerics.PREC_CAP == 4096
-    rc, _, _ = invoke(capsys, "estimate", "--gen", "fibonacci-golden",
-                      "--n-max", "12")
-    assert rc == 0 and numerics.PREC_CAP == 1 << 16
+def test_prec_cap_flag_bounds_escalation_without_leaking(capsys):
+    """--prec-cap bounds the doubling from 96 bits (9 candidates x 6 steps
+    to 4096 against 9 x 10 to 65536), and a capped run leaves the library
+    default untouched for later callers in the same process."""
+    rc, out, _ = invoke(capsys, *UNDECIDED_VERIFY, "--prec-cap", "4096")
+    assert rc == 3
+    assert report_of(out)["result"]["verdicts"][0]["diagnostics"][
+        "escalations"] == 9 * 6
+    rc, rep = cli_report(UNDECIDED_VERIFY)
+    assert rc == 3
+    assert rep["result"]["verdicts"][0]["diagnostics"]["escalations"] == 9 * 10
+    # Q^(1+eps) = 32 is exact, so each open candidate escalates cheaply
+    basis = Basis((parse_real("0.5±0.1"),))
+    v = verify_conclusion(gen_fibonacci(30), basis, [F(1)], 16, F(1, 4))
+    assert v.status == "unknown"
+    assert v.diagnostics["unknown_candidates"] == 8
+    assert v.diagnostics["escalations"] == 8 * 10
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("estimate", "--gen", "fibonacci-golden", "--n-max", "12",
+      "--prec", "70000"), None),
+    (UNDECIDED_VERIFY + ("--prec-cap", "131072"), None),
+    (("estimate", "--gen", "fibonacci-golden", "--n-max", "12"), "70000"),
+])
+def test_precision_above_cap_is_a_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("LATFORMS_PREC", env)
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "65536" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +380,11 @@ def test_console_entry_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == dumps_jsonl(gen_fibonacci(8))
+
+
+@pytest.mark.parametrize("module", ["latforms", "latforms.cli"])
+def test_python_m_entry_points(module):
+    proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("latforms ")

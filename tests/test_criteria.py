@@ -1,11 +1,13 @@
 """Criteria-module tests: Phi, eps1, iterate matrices, the factorial matrix
 condition, recurrence fits, Siegel reports, and the finite-Q verifier."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latforms.numerics import BallReal, TriBool, cmp_abs_vs_power, parse_real, tri_compare
 from latforms.model import (
@@ -19,6 +21,7 @@ from latforms.model import (
 )
 from latforms.criteria import (
     BudgetExceeded,
+    _echelon,
     RecordsExhausted,
     build_iterate_matrix,
     check_nesterenko,
@@ -216,6 +219,73 @@ def test_fit_recurrence_inconsistent_none():
         FormRecord(n=2, Q=4, ell=(5, 11), delta=(1, 1)),
     ])
     assert fit_recurrence(seq, 0) is None
+
+
+def _leibniz_det(M):
+    n = len(M)
+    return sum((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+               * prod(M[i][perm[i]] for i in range(n))
+               for perm in itertools.permutations(range(n)))
+
+
+def _minor_rank(M):
+    """Largest k with a nonzero k x k minor."""
+    rows, cols = range(len(M)), range(len(M[0]))
+    return max([0] + [k for k in range(1, min(len(M), len(M[0])) + 1)
+                      for R in itertools.combinations(rows, k)
+                      for C in itertools.combinations(cols, k)
+                      if _leibniz_det([[M[i][j] for j in C] for i in R])])
+
+
+@st.composite
+def _int_matrix(draw, rows, cols):
+    """Small integer matrix; some rows are combinations of earlier ones, so
+    rank-deficient and zero-column cases are common."""
+    ints = st.integers(-6, 6)
+    M = []
+    for _ in range(rows):
+        if M and draw(st.booleans()):
+            c = draw(st.lists(st.integers(-2, 2), min_size=len(M),
+                              max_size=len(M)))
+            M.append([sum(ci * r[j] for ci, r in zip(c, M))
+                      for j in range(cols)])
+        else:
+            M.append(draw(st.lists(ints, min_size=cols, max_size=cols)))
+    return M
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda p: st.tuples(st.just(p),
+                                                     _int_matrix(p, p))))
+def test_echelon_det_and_rank_against_leibniz(pM):
+    p, M = pM
+    pivots, det = _echelon([row[:] for row in M], p)
+    assert det == _leibniz_det(M)
+    assert len(pivots) == _minor_rank(M)
+    assert pivots == sorted(set(pivots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda p: st.tuples(st.just(p),
+                                                     _int_matrix(p, p + 1))))
+def test_fit_recurrence_solutions_substitute_back(pM):
+    """Row i of M is ell_i at n = 0..p; the fit must solve the system
+    ell_{i,p} = sum_j alpha_j ell_{i,j} exactly whenever it is consistent,
+    and return None exactly when it is not."""
+    p, M = pM
+    seq = FormSequence([FormRecord(n=n, Q=n + 2,
+                                   ell=tuple(M[i][n] for i in range(p)),
+                                   delta=(1,) * p) for n in range(p + 1)])
+    fit = fit_recurrence(seq, 0)
+    A = [row[:p] for row in M]
+    if _minor_rank(M) > _minor_rank(A):
+        assert fit is None
+        return
+    assert fit is not None and fit.residual
+    for row in M:
+        assert sum(a * x for a, x in zip(fit.alpha, row[:p])) == row[p]
+    assert fit.non_unique == (_minor_rank(A) < p)
+    assert fit.alpha0_zero == (fit.alpha[0] == 0)
 
 
 def test_fit_recurrence_missing_records():

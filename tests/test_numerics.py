@@ -305,6 +305,16 @@ def test_ball_json_roundtrip():
     assert back.mid == ball.mid and back.rad == ball.rad and back.prec == ball.prec
 
 
+@pytest.mark.parametrize("obj", [
+    {"mid": "0.1", "rad": "0", "prec": 64},
+    {"mid": "0.5", "rad": "0.3", "prec": 64},
+])
+def test_ball_json_rejects_non_dyadic(obj):
+    # to_json could not write such a ball back out
+    with pytest.raises(NumericsError, match="dyadic"):
+        BallReal.from_json(obj)
+
+
 def test_dyadic_decimal_exactness():
     for q in [Fraction(3, 4), Fraction(-7, 32), Fraction(5), Fraction(0),
               Fraction(1, 2**40), Fraction(-123456789, 2**10)]:
