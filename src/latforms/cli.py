@@ -41,6 +41,7 @@ from .minkowski import Refusal, SearchFailed, construct_dual_witness, \
     construct_primal_form
 from .model import Basis, MissingRecord, ValidationError
 from .numerics import (
+    MIN_PREC,
     PREC_CAP,
     BallReal,
     TriBool,
@@ -81,12 +82,22 @@ def _posint(text: str) -> int:
     return v
 
 
-def _bits(text: str) -> int:
-    v = _posint(text)
-    if v > PREC_CAP:
-        raise argparse.ArgumentTypeError(
-            f"precision {v} exceeds the cap of {PREC_CAP} bits")
+def _prec(text: str) -> int:
+    """A precision in bits: an integer in MIN_PREC..PREC_CAP."""
+    try:
+        v = int(text, 10)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}")
+    if not MIN_PREC <= v <= PREC_CAP:
+        raise ValueError(f"precision {v} is outside {MIN_PREC}..{PREC_CAP} bits")
     return v
+
+
+def _bits(text: str) -> int:
+    try:
+        return _prec(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _default_prec() -> int:
@@ -94,12 +105,9 @@ def _default_prec() -> int:
     if raw is None:
         return 64
     try:
-        v = int(raw)
-    except ValueError:
-        raise _UsageError(f"LATFORMS_PREC must be an integer, got {raw!r}")
-    if not 8 <= v <= PREC_CAP:
-        raise _UsageError(f"LATFORMS_PREC must be in 8..{PREC_CAP}, got {v}")
-    return v
+        return _prec(raw)
+    except ValueError as e:
+        raise _UsageError(f"LATFORMS_PREC: {e}")
 
 
 def _jsonable(x):

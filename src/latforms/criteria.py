@@ -437,14 +437,31 @@ class Verdict:
         }
 
 
-def _signed(R: int):
-    """0, 1, -1, ..., R, -R: smallest absolute value first."""
+def _signed(R: int, negative: bool = True):
+    """0, 1, -1, ..., R, -R: smallest absolute value first (without the -k
+    when not `negative`)."""
     if R < 0:          # empty axis (e.g. strict zero bound): no valid entry
         return
     yield 0
     for k in range(1, R + 1):
         yield k
-        yield -k
+        if negative:
+            yield -k
+
+
+def _prefixes(ranges: Sequence[int], free: bool = False):
+    """The prefixes over |m_i| <= R_i in _signed order, lazily; until `free`
+    the first nonzero entry is positive (the axis skips its negatives)."""
+    if not ranges:
+        yield ()
+        return
+    rest = ranges[1:]
+    for m in _signed(ranges[0], free):
+        if not rest:
+            yield (m,)
+            continue
+        for tail in _prefixes(rest, free or m > 0):
+            yield (m, *tail)
 
 
 def _odometer(ranges: Sequence[int], budget: int, per_prefix: int = 1):
@@ -458,8 +475,9 @@ def _odometer(ranges: Sequence[int], budget: int, per_prefix: int = 1):
         estimate *= 2 * R + 1
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
-    every = itertools.product(*map(_signed, ranges))
-    return estimate, (pre for pre in every if next(filter(None, pre), 0) >= 0)
+    if any(R < 0 for R in ranges):     # empty box: do not walk the axes
+        return estimate, iter(())
+    return estimate, _prefixes(ranges)
 
 
 def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:

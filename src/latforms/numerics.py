@@ -1,11 +1,14 @@
 """Certified real arithmetic on dyadic balls.
 
 Every real quantity in this package is either an exact rational (Fraction)
-or a ball ``mid +/- rad`` whose midpoint and radius are dyadic rationals
-(denominator a power of two).  Ring operations compute exact rational
-interval endpoints first and only then round the midpoint to the working
-precision, so the enclosure property "the true value lies inside the ball"
-is an invariant of construction, not a hope.
+or a ball ``mid +/- rad`` whose midpoint and radius are dyadic rationals,
+stored as integers at one power-of-two scale (mid = m 2^e, rad = r 2^e).
+Ring operations compute the exact interval endpoints as integers at a common
+scale, division, ln, exp, sqrt and powers as exact rationals, and only then
+round, all through one routine: the midpoint to the working precision
+(halves up), the radius plus that rounding error up to 32 bits.  So the
+enclosure property "the true value lies inside the ball" is an invariant
+of construction, not a hope.  Fractions appear only at the API edge.
 
 Comparisons are three-valued: a ball comparison is True only when the
 intervals are disjoint in the right order, False only when disjoint the
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
@@ -50,9 +52,6 @@ __all__ = [
 MIN_PREC = 16
 PREC_CAP = 1 << 16  # hard ceiling for precision escalation, in bits
 _RAD_BITS = 32      # radii are rounded up to this many significant bits
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NumericsError(Exception):
@@ -94,36 +93,26 @@ def _is_dyadic(q: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-def _round_frac(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Round x to ``prec`` significant bits (nearest). Returns (value, |error| bound)."""
-    if not x:
-        return _ZERO, _ZERO
-    n, d = x.numerator, x.denominator
-    s = prec - (abs(n).bit_length() - d.bit_length())
-    if s >= 0:
-        q, r = divmod(n << s, d)
-        den = d
-    else:
-        den = d << -s
-        q, r = divmod(n, den)
-    if 2 * r >= den:
+def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]:
+    """n/d (d >= 1) rounded to ``prec`` significant bits: (q, k, inexact),
+    q * 2**k the nearest such value with halves rounded up, or with ``up``
+    the least one >= n/d.  The bit count is taken from n/d in lowest terms,
+    which a power-of-two d needs no reduction for."""
+    if d & (d - 1):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    k = abs(n).bit_length() - d.bit_length() - prec
+    if not d & (d - 1):     # n / 2**t: shift by k + t
+        sh = k + d.bit_length() - 1
+        if sh <= 0:
+            return n, k - sh, False
+        q = -(-n >> sh) if up else ((n >> (sh - 1)) + 1) >> 1
+        return q, k, n & ((1 << sh) - 1) != 0
+    num, den = (n, d << k) if k >= 0 else (n << -k, d)
+    q, rem = divmod(num, den)
+    if (up and rem) or (not up and 2 * rem >= den):
         q += 1
-    err = _ZERO if r == 0 else _pow2(-s - 1)
-    val = Fraction(q, 1 << s) if s >= 0 else Fraction(q << -s)
-    return val, err
-
-
-def _round_up(x: Fraction, bits: int = _RAD_BITS) -> Fraction:
-    """Smallest dyadic with <= bits significant bits that is >= x (x >= 0)."""
-    if not x:
-        return _ZERO
-    n, d = x.numerator, x.denominator
-    s = bits - (n.bit_length() - d.bit_length())
-    if s >= 0:
-        q = -((-n << s) // d)
-        return Fraction(q, 1 << s)
-    q = -(-n // (d << -s))
-    return Fraction(q << -s)
+    return q, k, rem != 0
 
 
 def nth_root_floor(x: int, n: int) -> int:
@@ -309,154 +298,162 @@ def _exp_bracket(x: Fraction, wp: int) -> tuple[Fraction, Fraction]:
 # BallReal
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BallReal:
-    """Dyadic midpoint-radius enclosure of a real number."""
+    """Dyadic midpoint-radius enclosure of a real number.
 
-    mid: Fraction
-    rad: Fraction
-    prec: int
+    Stored as integers at one power-of-two scale: mid = m * 2**e and
+    rad = r * 2**e, r >= 0, with m and r not both even (e = 0 when both are
+    0), so equal balls have equal fields.  ``mid``, ``rad``, ``lower`` and
+    ``upper`` are exact Fractions, and balls compare and hash as the triple
+    (mid, rad, prec).  Immutable.
+    """
 
-    def __post_init__(self):
-        if self.rad < 0:
-            raise NumericsError("negative radius")
+    __slots__ = ("_m", "_r", "_e", "prec")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BallReal is immutable: cannot set {name!r}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def exact(q: Union[int, Fraction], prec: int = 64) -> "BallReal":
         """Exact ball if q is dyadic; tight rounded enclosure otherwise."""
-        q = Fraction(q)
-        if _is_dyadic(q):
-            return BallReal(q, _ZERO, prec)
-        m, e = _round_frac(q, prec)
-        return BallReal(m, _round_up(e), prec)
+        if q.__class__ is not int:
+            q = Fraction(q)
+        return _enclose(q.numerator, 0, q.denominator, prec)
 
     @staticmethod
     def from_endpoints(lo: Fraction, hi: Fraction, prec: int) -> "BallReal":
-        if lo > hi:
+        nl, dl, nh, dh = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        r = nh * dl - nl * dh
+        if r < 0:
             raise NumericsError("inverted endpoints")
-        if lo == hi and _is_dyadic(lo):
-            return BallReal(lo, _ZERO, prec)
-        mid = (lo + hi) / 2
-        rad = (hi - lo) / 2
-        m, e = _round_frac(mid, prec)
-        return BallReal(m, _round_up(rad + e), prec)
+        return _enclose(nh * dl + nl * dh, r, dl * dh, prec, -1)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
+    def mid(self) -> Fraction:
+        return _frac(self._m, self._e)
+
+    @property
+    def rad(self) -> Fraction:
+        return _frac(self._r, self._e)
+
+    @property
     def lower(self) -> Fraction:
-        return self.mid - self.rad
+        return _frac(self._m - self._r, self._e)
 
     @property
     def upper(self) -> Fraction:
-        return self.mid + self.rad
+        return _frac(self._m + self._r, self._e)
 
     @property
     def is_exact(self) -> bool:
-        return self.rad == 0
+        return not self._r
 
     def contains(self, q: Union[int, Fraction, "BallReal"]) -> bool:
+        m, r, e = self._m, self._r, self._e
         if isinstance(q, BallReal):
-            return self.lower <= q.lower and q.upper <= self.upper
-        return self.lower <= q <= self.upper
+            return (_cmp(m - r, e, q._m - q._r, q._e) <= 0
+                    and _cmp(q._m + q._r, q._e, m + r, e) <= 0)
+        return _cmp_q(m - r, e, q) <= 0 <= _cmp_q(m + r, e, q)
 
     def contains_zero(self) -> bool:
-        return self.lower <= 0 <= self.upper
+        return self._r >= abs(self._m)
 
     def sign(self) -> Optional[int]:
         """Certified sign, or None if the enclosure straddles zero."""
-        if self.lower > 0:
+        m, r = self._m, self._r
+        if m - r > 0:
             return 1
-        if self.upper < 0:
+        if m + r < 0:
             return -1
-        if self.is_exact and self.mid == 0:
+        if not m and not r:
             return 0
         return None
 
     def round_to(self, prec: int) -> "BallReal":
-        if self.is_exact:
-            return BallReal(self.mid, _ZERO, prec)
-        return BallReal.from_endpoints(self.lower, self.upper, prec)
+        return _enclose(self._m, self._r, 1, prec, self._e)
 
-    # -- ring ops (exact endpoints, then round) ----------------------------
-
-    def _wp(self, other: "BallReal") -> int:
-        return max(self.prec, other.prec)
+    # -- ring ops (exact integer endpoints, then round) --------------------
 
     def __add__(self, other) -> "BallReal":
-        other = _coerce(other, self.prec)
-        return BallReal.from_endpoints(self.lower + other.lower,
-                                       self.upper + other.upper, self._wp(other))
+        return _sum(self, _coerce(other, self.prec), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BallReal":
-        return BallReal(-self.mid, self.rad, self.prec)
+        return _ball(-self._m, self._r, self._e, self.prec)
 
     def __sub__(self, other) -> "BallReal":
-        return self + (-_coerce(other, self.prec))
+        return _sum(self, _coerce(other, self.prec), -1)
 
     def __rsub__(self, other) -> "BallReal":
-        return _coerce(other, self.prec) + (-self)
+        return _sum(_coerce(other, self.prec), self, -1)
 
     def __mul__(self, other) -> "BallReal":
         other = _coerce(other, self.prec)
-        cands = (self.lower * other.lower, self.lower * other.upper,
-                 self.upper * other.lower, self.upper * other.upper)
-        return BallReal.from_endpoints(min(cands), max(cands), self._wp(other))
+        m, r, m2, r2 = self._m, self._r, other._m, other._r
+        a, b, c, d = m - r, m + r, m2 - r2, m2 + r2
+        cands = (a * c, a * d, b * c, b * d)
+        return _span(min(cands), max(cands), self._e + other._e,
+                     max(self.prec, other.prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "BallReal":
         other = _coerce(other, self.prec)
-        if other.lower <= 0 <= other.upper:
+        if other.contains_zero():
             raise NumericsError("division by an enclosure containing zero")
-        cands = (self.lower / other.lower, self.lower / other.upper,
-                 self.upper / other.lower, self.upper / other.upper)
-        return BallReal.from_endpoints(min(cands), max(cands), self._wp(other))
+        lo, hi, olo, ohi = self.lower, self.upper, other.lower, other.upper
+        cands = (lo / olo, lo / ohi, hi / olo, hi / ohi)
+        return BallReal.from_endpoints(min(cands), max(cands),
+                                       max(self.prec, other.prec))
 
     def __rtruediv__(self, other) -> "BallReal":
         return _coerce(other, self.prec) / self
 
     def __abs__(self) -> "BallReal":
-        lo, hi = self.lower, self.upper
-        if lo >= 0:
+        m, r = self._m, self._r
+        if m - r >= 0:
             return self
-        if hi <= 0:
+        if m + r <= 0:
             return -self
-        return BallReal.from_endpoints(_ZERO, max(-lo, hi), self.prec)
+        return _span(0, abs(m) + r, self._e, self.prec)
 
     # -- certified transcendental maps -------------------------------------
 
     def log(self) -> "BallReal":
-        if self.lower <= 0:
+        if self._m - self._r <= 0:
             raise NumericsError("log needs a certified-positive enclosure")
-        if self.is_exact and self.mid == 1:
-            return BallReal(_ZERO, _ZERO, self.prec)
+        if self.is_exact and self._m == 1 and self._e == 0:
+            return _ball(0, 0, 0, self.prec)
         wp = self.prec + 8
-        lo_l, _ = _ln_bracket(_shrink(self.lower, wp, up=False), wp)
-        _, hi_h = _ln_bracket(_shrink(self.upper, wp, up=True), wp)
-        return BallReal.from_endpoints(lo_l, hi_h, self.prec)
+        lo, hi = _shrink(self.lower, wp, up=False), _shrink(self.upper, wp, up=True)
+        lo_l, hi_l = _ln_bracket(lo, wp)
+        if hi != lo:
+            hi_l = _ln_bracket(hi, wp)[1]
+        return BallReal.from_endpoints(lo_l, hi_l, self.prec)
 
     def exp(self) -> "BallReal":
-        if self.is_exact and self.mid == 0:
-            return BallReal(_ONE, _ZERO, self.prec)
+        if self.is_exact and not self._m:
+            return _ball(1, 0, 0, self.prec)
         wp = self.prec + 8
-        lo_l, _ = _exp_bracket(_shrink(self.lower, wp, up=False), wp)
-        _, hi_h = _exp_bracket(_shrink(self.upper, wp, up=True), wp)
-        return BallReal.from_endpoints(lo_l, hi_h, self.prec)
+        lo, hi = _shrink(self.lower, wp, up=False), _shrink(self.upper, wp, up=True)
+        lo_l, hi_l = _exp_bracket(lo, wp)
+        if hi != lo:
+            hi_l = _exp_bracket(hi, wp)[1]
+        return BallReal.from_endpoints(lo_l, hi_l, self.prec)
 
     def sqrt(self) -> "BallReal":
-        if self.lower < 0:
+        if self._m - self._r < 0:
             raise NumericsError("sqrt of an enclosure with negative part")
         wp = self.prec + 4
         lo, hi = self.lower, self.upper
-        lo_r = Fraction(math.isqrt((lo.numerator << (2 * wp)) // lo.denominator), 1 << wp) if lo else _ZERO
-        num = hi.numerator << (2 * wp)
-        hi_r = Fraction(math.isqrt(-(-num // hi.denominator)) + 1, 1 << wp) if hi else _ZERO
-        return BallReal.from_endpoints(lo_r, hi_r, self.prec)
+        lo_r = math.isqrt((lo.numerator << (2 * wp)) // lo.denominator)
+        hi_r = math.isqrt(-(-(hi.numerator << (2 * wp)) // hi.denominator)) + 1 if hi else 0
+        return _span(lo_r, hi_r, -wp, self.prec)
 
     def pow(self, expo: Union[int, Fraction, "BallReal"]) -> "BallReal":
         """self**expo.  Integer/rational exponents get root-based brackets."""
@@ -465,32 +462,41 @@ class BallReal:
         expo = Fraction(expo)
         if expo.denominator == 1:
             return self._int_pow(expo.numerator)
-        if self.lower < 0:
+        if self._m - self._r < 0:
             raise NumericsError("rational power of an enclosure with negative part")
         u, v = expo.numerator, expo.denominator
         base = self._int_pow(abs(u))
         wp = self.prec + 4
         lo, hi = base.lower, base.upper
-        lo_r = Fraction(floor_root_rational(lo.numerator << (v * wp), lo.denominator, v), 1 << wp) if lo > 0 else _ZERO
-        hi_r = Fraction(floor_root_rational(hi.numerator << (v * wp), hi.denominator, v) + 1, 1 << wp)
-        out = BallReal.from_endpoints(lo_r, hi_r, self.prec)
+        lo_r = floor_root_rational(lo.numerator << (v * wp), lo.denominator, v) if lo > 0 else 0
+        hi_r = floor_root_rational(hi.numerator << (v * wp), hi.denominator, v) + 1
+        out = _span(lo_r, hi_r, -wp, self.prec)
         if u < 0:
             out = BallReal.exact(1, self.prec) / out
         return out
 
     def _int_pow(self, k: int) -> "BallReal":
         if k == 0:
-            return BallReal(_ONE, _ZERO, self.prec)
+            return _ball(1, 0, 0, self.prec)
         if k < 0:
             return BallReal.exact(1, self.prec) / self._int_pow(-k)
-        lo, hi = self.lower, self.upper
+        lo, hi, e = self._m - self._r, self._m + self._r, self._e * k
         if k % 2 == 1 or lo >= 0:
-            return BallReal.from_endpoints(lo ** k, hi ** k, self.prec)
+            return _span(lo ** k, hi ** k, e, self.prec)
         if hi <= 0:
-            return BallReal.from_endpoints(hi ** k, lo ** k, self.prec)
-        return BallReal.from_endpoints(_ZERO, max(lo ** k, hi ** k), self.prec)
+            return _span(hi ** k, lo ** k, e, self.prec)
+        return _span(0, max(lo ** k, hi ** k), e, self.prec)
 
-    # -- serialization ------------------------------------------------------
+    # -- equality and serialization ------------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is not BallReal:
+            return NotImplemented
+        return (self._m == other._m and self._r == other._r
+                and self._e == other._e and self.prec == other.prec)
+
+    def __hash__(self):
+        return hash((self.mid, self.rad, self.prec))
 
     def to_json(self) -> dict:
         return {"mid": dyadic_to_decimal(self.mid),
@@ -505,12 +511,93 @@ class BallReal:
             # to_json writes only dyadic values, so anything else is corrupt
             raise NumericsError(f"ball mid {obj['mid']!r} and rad "
                                 f"{obj['rad']!r} must be dyadic")
-        return BallReal(mid, rad, int(obj["prec"]))
+        if rad < 0:
+            raise NumericsError("negative radius")
+        a = mid.denominator.bit_length() - 1
+        b = rad.denominator.bit_length() - 1
+        t = max(a, b)
+        return _ball(mid.numerator << (t - a), rad.numerator << (t - b), -t,
+                     int(obj["prec"]))
 
     def __repr__(self):
         if self.is_exact:
             return f"BallReal({self.mid!s} exact, prec={self.prec})"
         return f"BallReal({float(self.mid):.6g} ± {float(self.rad):.3g}, prec={self.prec})"
+
+
+_new = object.__new__
+_set_m, _set_r, _set_e, _set_prec = (BallReal.__dict__[a].__set__ for a in BallReal.__slots__)
+
+
+def _ball(m: int, r: int, e: int, prec: int) -> BallReal:
+    """The ball (m +/- r) * 2**e, with common factors of two moved into e."""
+    x = m | r
+    if x:
+        t = (x & -x).bit_length() - 1
+        if t:
+            m, r, e = m >> t, r >> t, e + t
+    else:
+        e = 0
+    b = _new(BallReal)
+    _set_m(b, m)
+    _set_r(b, r)
+    _set_e(b, e)
+    _set_prec(b, prec)
+    return b
+
+
+def _enclose(n: int, r: int, d: int, prec: int, e: int = 0) -> BallReal:
+    """The ball of the exact interval (n +/- r)/d * 2**e, d >= 1, r >= 0:
+    the midpoint rounded to ``prec`` bits, the radius plus the rounding
+    error rounded up to _RAD_BITS bits.  A dyadic point stays exact."""
+    if not r and not d & (d - 1):
+        return _ball(n, 0, e + 1 - d.bit_length(), prec)
+    q, k, inexact = _round(n, d, prec)
+    if inexact:             # the rounding error is at most 2**(k-1)
+        if k > 0:
+            r += d << (k - 1)
+        else:
+            r, d = (r << (1 - k)) + d, d << (1 - k)
+    rr, kr, _ = _round(r, d, _RAD_BITS, up=True)
+    if k > kr:
+        q, k = q << (k - kr), kr
+    else:
+        rr <<= kr - k
+    return _ball(q, rr, k + e, prec)
+
+
+def _span(lo: int, hi: int, e: int, prec: int) -> BallReal:
+    """The ball of [lo, hi] * 2**e, lo <= hi."""
+    return _enclose(lo + hi, hi - lo, 1, prec, e - 1)
+
+
+def _sum(x: BallReal, y: BallReal, sign: int) -> BallReal:
+    """x + y (sign 1) or x - y (sign -1)."""
+    m, r, e, m2, r2, e2 = x._m, x._r, x._e, sign * y._m, y._r, y._e
+    if e > e2:
+        m, r, e = m << (e - e2), r << (e - e2), e2
+    elif e2 > e:
+        m2, r2 = m2 << (e2 - e), r2 << (e2 - e)
+    return _enclose(m + m2, r + r2, 1, max(x.prec, y.prec), e)
+
+
+def _frac(n: int, e: int) -> Fraction:
+    """n * 2**e as a Fraction."""
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+
+
+def _cmp(a: int, ea: int, b: int, eb: int) -> int:
+    """Sign of a * 2**ea - b * 2**eb."""
+    if ea > eb:
+        a <<= ea - eb
+    else:
+        b <<= eb - ea
+    return (a > b) - (a < b)
+
+
+def _cmp_q(a: int, e: int, q: Union[int, Fraction]) -> int:
+    """Sign of a * 2**e - q."""
+    return _cmp(a * q.denominator, e, q.numerator, 0)
 
 
 def _coerce(x, prec: int) -> BallReal:
@@ -523,18 +610,18 @@ def _coerce(x, prec: int) -> BallReal:
 
 def _shrink(x: Fraction, wp: int, up: bool) -> Fraction:
     """Round a rational outward to ~wp bits so series cost ignores operand size."""
-    m, e = _round_frac(x, wp)
-    if e == 0:
-        return m
-    return m + e if up else m - e
+    q, k, inexact = _round(x.numerator, x.denominator, wp)
+    if inexact:
+        q, k = 2 * q + (1 if up else -1), k - 1
+    return _frac(q, k)
 
 
 def tri_compare(x: BallReal, y: Union[BallReal, int, Fraction]) -> TriBool:
     """Certified 'x > y': True iff inf x > sup y, False iff sup x <= inf y."""
     y = _coerce(y, x.prec)
-    if x.lower > y.upper:
+    if _cmp(x._m - x._r, x._e, y._m + y._r, y._e) > 0:
         return TriBool.TRUE
-    if x.upper <= y.lower:
+    if _cmp(x._m + x._r, x._e, y._m - y._r, y._e) <= 0:
         return TriBool.FALSE
     return TriBool.UNKNOWN
 
@@ -542,12 +629,12 @@ def tri_compare(x: BallReal, y: Union[BallReal, int, Fraction]) -> TriBool:
 def cmp_abs_le(val: BallReal, b_lo: Fraction, b_hi: Fraction,
                strict: bool = False) -> TriBool:
     """Certified |val| <= b (or < b when strict) for b in [b_lo, b_hi]."""
-    lo, hi = val.lower, val.upper
-    alo = _ZERO if lo <= 0 <= hi else min(abs(lo), abs(hi))
-    ahi = max(abs(lo), abs(hi))
-    if (ahi < b_lo) or (not strict and ahi <= b_lo):
+    m, r, e = abs(val._m), val._r, val._e
+    hi = _cmp_q(m + r, e, b_lo)           # sup |val| against b_lo
+    if hi < 0 or (not strict and hi == 0):
         return TriBool.TRUE
-    if (alo > b_hi) or (strict and alo >= b_hi):
+    lo = _cmp_q(max(m - r, 0), e, b_hi)   # inf |val| against b_hi
+    if lo > 0 or (strict and lo == 0):
         return TriBool.FALSE
     return TriBool.UNKNOWN
 
@@ -573,7 +660,7 @@ def _sqrt_const(k: int) -> Callable[[int], BallReal]:
     def compute(prec: int) -> BallReal:
         wp = prec + 4
         r = math.isqrt(k << (2 * wp))
-        return BallReal.from_endpoints(Fraction(r, 1 << wp), Fraction(r + 1, 1 << wp), prec)
+        return _span(r, r + 1, -wp, prec)
     return compute
 
 
@@ -606,7 +693,7 @@ def _zeta3(prec: int) -> BallReal:
             s_hi += 1
             break
         sign = -sign
-    return BallReal.from_endpoints(Fraction(s_lo, 1 << wp), Fraction(s_hi, 1 << wp), prec)
+    return _span(s_lo, s_hi, -wp, prec)
 
 
 def _zeta2(prec: int) -> BallReal:
@@ -625,7 +712,7 @@ def _zeta2(prec: int) -> BallReal:
         if t_lo <= 1:
             s_hi += 2
             break
-    return BallReal.from_endpoints(Fraction(s_lo, 1 << wp), Fraction(s_hi, 1 << wp), prec)
+    return _span(s_lo, s_hi, -wp, prec)
 
 
 def _euler_e(prec: int) -> BallReal:
@@ -641,7 +728,7 @@ def _euler_e(prec: int) -> BallReal:
         if term <= 1:
             s_hi += 2  # tail < 2/(k+1)!
             break
-    return BallReal.from_endpoints(Fraction(s_lo, 1 << wp), Fraction(s_hi, 1 << wp), prec)
+    return _span(s_lo, s_hi, -wp, prec)
 
 
 class RealConstant:

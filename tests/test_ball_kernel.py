@@ -1,0 +1,411 @@
+"""The integer BallReal kernel against the Fraction formulas it replaced.
+
+``Oracle`` below keeps the rational-endpoint ring code that BallReal used
+before its midpoint and radius became integers at a shared power-of-two
+scale: exact endpoints as Fractions, then the midpoint rounded to ``prec``
+significant bits (halves up) and the radius plus the rounding error rounded
+up to 32 bits.  Every op must give the same (mid, rad, prec) as the oracle,
+bit for bit, and ring ops must contain the mpmath result at 4x precision.
+A seeded chain of mixed ops, transcendental ones included, is pinned by the
+sha256 of its ``to_json`` output, recorded with the Fraction kernel.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latforms.numerics import (
+    BallReal,
+    NumericsError,
+    TriBool,
+    cmp_abs_le,
+    dyadic_to_decimal,
+    parse_real,
+    tri_compare,
+)
+
+_ZERO = Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction formulas, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def _pow2(k):
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+
+
+def _is_dyadic(q):
+    d = q.denominator
+    return d & (d - 1) == 0
+
+
+def _round_frac(x, prec):
+    if not x:
+        return _ZERO, _ZERO
+    n, d = x.numerator, x.denominator
+    s = prec - (abs(n).bit_length() - d.bit_length())
+    if s >= 0:
+        q, r = divmod(n << s, d)
+        den = d
+    else:
+        den = d << -s
+        q, r = divmod(n, den)
+    if 2 * r >= den:
+        q += 1
+    err = _ZERO if r == 0 else _pow2(-s - 1)
+    val = Fraction(q, 1 << s) if s >= 0 else Fraction(q << -s)
+    return val, err
+
+
+def _round_up(x, bits=32):
+    if not x:
+        return _ZERO
+    n, d = x.numerator, x.denominator
+    s = bits - (n.bit_length() - d.bit_length())
+    if s >= 0:
+        return Fraction(-((-n << s) // d), 1 << s)
+    return Fraction(-(-n // (d << -s)) << -s)
+
+
+class Oracle:
+    __slots__ = ("mid", "rad", "prec")
+
+    def __init__(self, mid, rad, prec):
+        self.mid, self.rad, self.prec = Fraction(mid), Fraction(rad), prec
+
+    @property
+    def key(self):
+        return (self.mid, self.rad, self.prec)
+
+    @staticmethod
+    def exact(q, prec):
+        q = Fraction(q)
+        if _is_dyadic(q):
+            return Oracle(q, 0, prec)
+        m, e = _round_frac(q, prec)
+        return Oracle(m, _round_up(e), prec)
+
+    @staticmethod
+    def from_endpoints(lo, hi, prec):
+        if lo > hi:
+            raise NumericsError("inverted endpoints")
+        if lo == hi and _is_dyadic(lo):
+            return Oracle(lo, 0, prec)
+        m, e = _round_frac((lo + hi) / 2, prec)
+        return Oracle(m, _round_up((hi - lo) / 2 + e), prec)
+
+    @property
+    def lower(self):
+        return self.mid - self.rad
+
+    @property
+    def upper(self):
+        return self.mid + self.rad
+
+    def round_to(self, prec):
+        if not self.rad:
+            return Oracle(self.mid, 0, prec)
+        return Oracle.from_endpoints(self.lower, self.upper, prec)
+
+    def __add__(self, o):
+        return Oracle.from_endpoints(self.lower + o.lower, self.upper + o.upper,
+                                     max(self.prec, o.prec))
+
+    def __neg__(self):
+        return Oracle(-self.mid, self.rad, self.prec)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        c = (self.lower * o.lower, self.lower * o.upper,
+             self.upper * o.lower, self.upper * o.upper)
+        return Oracle.from_endpoints(min(c), max(c), max(self.prec, o.prec))
+
+    def __truediv__(self, o):
+        if o.lower <= 0 <= o.upper:
+            raise NumericsError("division by an enclosure containing zero")
+        c = (self.lower / o.lower, self.lower / o.upper,
+             self.upper / o.lower, self.upper / o.upper)
+        return Oracle.from_endpoints(min(c), max(c), max(self.prec, o.prec))
+
+    def __abs__(self):
+        lo, hi = self.lower, self.upper
+        if lo >= 0:
+            return self
+        if hi <= 0:
+            return -self
+        return Oracle.from_endpoints(_ZERO, max(-lo, hi), self.prec)
+
+    def contains(self, q):
+        if isinstance(q, Oracle):
+            return self.lower <= q.lower and q.upper <= self.upper
+        return self.lower <= q <= self.upper
+
+    def contains_zero(self):
+        return self.lower <= 0 <= self.upper
+
+    def sign(self):
+        if self.lower > 0:
+            return 1
+        if self.upper < 0:
+            return -1
+        if not self.rad and self.mid == 0:
+            return 0
+        return None
+
+
+def oracle_tri_compare(x, y):
+    if x.lower > y.upper:
+        return TriBool.TRUE
+    if x.upper <= y.lower:
+        return TriBool.FALSE
+    return TriBool.UNKNOWN
+
+
+def oracle_cmp_abs_le(val, b_lo, b_hi, strict):
+    lo, hi = val.lower, val.upper
+    alo = _ZERO if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    ahi = max(abs(lo), abs(hi))
+    if (ahi < b_lo) or (not strict and ahi <= b_lo):
+        return TriBool.TRUE
+    if (alo > b_hi) or (strict and alo >= b_hi):
+        return TriBool.FALSE
+    return TriBool.UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# inputs: the same dyadic (mid, rad, prec) for both implementations
+# ---------------------------------------------------------------------------
+
+def _key(b):
+    return (b.mid, b.rad, b.prec)
+
+
+def _ball(mid, rad, prec):
+    return BallReal.from_json({"mid": dyadic_to_decimal(mid),
+                               "rad": dyadic_to_decimal(rad), "prec": prec})
+
+
+@st.composite
+def ball_pairs(draw):
+    """(BallReal, Oracle) with the same dyadic mid, rad and prec."""
+    prec = draw(st.integers(16, 2000))
+    bits = draw(st.integers(0, prec + 8))
+    a = draw(st.integers(-(1 << bits), 1 << bits))
+    e = draw(st.integers(-prec - 40, 40))
+    mid = Fraction(a) * _pow2(e)
+    if draw(st.integers(0, 3)) == 0:
+        rad = _ZERO
+    else:
+        b = draw(st.integers(1, (1 << 32) - 1))
+        rad = Fraction(b) * _pow2(e + draw(st.integers(-40, bits + 8)))
+    return _ball(mid, rad, prec), Oracle(mid, rad, prec)
+
+
+rationals = st.builds(Fraction, st.integers(-(10 ** 40), 10 ** 40),
+                      st.integers(1, 10 ** 40))
+
+
+def _same(new, old):
+    assert type(new.mid) is Fraction and type(new.rad) is Fraction
+    assert type(new.prec) is int
+    assert _key(new) == old.key
+    assert (new.lower, new.upper) == (old.lower, old.upper)
+
+
+def _same_outcome(f_new, f_old):
+    """Both raise NumericsError, or both return the same ball."""
+    try:
+        old = f_old()
+    except NumericsError:
+        with pytest.raises(NumericsError):
+            f_new()
+        return
+    _same(f_new(), old)
+
+
+# ---------------------------------------------------------------------------
+# bit-identical to the oracle
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(ball_pairs(), ball_pairs())
+def test_ring_ops_identical_to_fraction_oracle(x, y):
+    (a, oa), (b, ob) = x, y
+    _same(a + b, oa + ob)
+    _same(a - b, oa - ob)
+    _same(a * b, oa * ob)
+    _same(-a, -oa)
+    _same(abs(a), abs(oa))
+    _same_outcome(lambda: a / b, lambda: oa / ob)
+    assert tri_compare(a, b) is oracle_tri_compare(oa, ob)
+    assert a.contains(b) == oa.contains(ob)
+    assert a.contains(b.mid) == oa.contains(ob.mid)
+    assert a.contains_zero() == oa.contains_zero()
+    assert a.sign() == oa.sign()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_pairs(), rationals, st.integers(-(10 ** 12), 10 ** 12))
+def test_mixed_operands_identical_to_fraction_oracle(x, q, n):
+    a, oa = x
+    for v in (q, n):
+        ov = Oracle.exact(v, oa.prec)
+        _same(a + v, oa + ov)
+        _same(v - a, ov - oa)
+        _same(a * v, oa * ov)
+        _same_outcome(lambda: a / v, lambda: oa / ov)
+        assert tri_compare(a, v) is oracle_tri_compare(oa, ov)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_pairs(), st.integers(16, 2000), rationals, rationals, st.booleans())
+def test_rounding_and_comparisons_identical_to_fraction_oracle(x, prec, p, q, strict):
+    a, oa = x
+    _same(a.round_to(prec), oa.round_to(prec))
+    lo, hi = abs(min(p, q)), abs(max(p, q))
+    b_lo, b_hi = min(lo, hi), max(lo, hi)
+    for bounds in ((b_lo, b_hi), (a.rad, a.rad), (abs(a.upper), abs(a.upper))):
+        assert cmp_abs_le(a, *bounds, strict=strict) is \
+            oracle_cmp_abs_le(oa, *bounds, strict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rationals, st.integers(-(10 ** 600), 10 ** 600)),
+       st.integers(16, 2000), rationals)
+def test_constructors_identical_to_fraction_oracle(q, prec, w):
+    _same(BallReal.exact(q, prec), Oracle.exact(q, prec))
+    q = Fraction(q)
+    lo, hi = min(q, q + w), max(q, q + w)
+    _same(BallReal.from_endpoints(lo, hi, prec), Oracle.from_endpoints(lo, hi, prec))
+    _same(BallReal.from_endpoints(lo, lo, prec), Oracle.from_endpoints(lo, lo, prec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_pairs(), ball_pairs(), st.integers(0, 3))
+def test_eq_and_hash_agree_with_fraction_oracle(x, y, how):
+    (a, oa), (b, ob) = x, y
+    if how == 0:        # the same ball built twice
+        b, ob = _ball(oa.mid, oa.rad, oa.prec), oa
+    elif how == 1:      # same value and radius, other precision
+        b, ob = _ball(oa.mid, oa.rad, oa.prec + 1), Oracle(oa.mid, oa.rad, oa.prec + 1)
+    assert (a == b) == (oa.key == ob.key)
+    assert hash(a) == hash(oa.key)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# enclosure against mpmath at 4x precision
+# ---------------------------------------------------------------------------
+
+def _mpf_fraction(v):
+    sign, man, exp, _ = v._mpf_
+    return Fraction(-man if sign else man) * _pow2(exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ball_pairs(), ball_pairs())
+def test_ring_ops_contain_mpmath_at_four_times_precision(x, y):
+    (a, _), (b, _) = x, y
+    wp = 4 * max(a.prec, b.prec)
+    u, v = a.mid, b.mid
+    with mpmath.workprec(wp):
+        mu = mpmath.mpf(u.numerator) / u.denominator
+        mv = mpmath.mpf(v.numerator) / v.denominator
+        cases = [(a + b, mu + mv), (a - b, mu - mv), (a * b, mu * mv),
+                 (abs(a), abs(mu)), (-a, -mu)]
+        if not b.contains_zero():
+            cases.append((a / b, mu / mv))
+        for ball, ref in cases:
+            r = _mpf_fraction(ref)
+            tol = abs(r) / (1 << (wp - 2))      # mpmath's own rounding
+            assert ball.lower - tol <= r <= ball.upper + tol
+
+
+# ---------------------------------------------------------------------------
+# a seeded chain of mixed ops, pinned by the digest of its output
+# ---------------------------------------------------------------------------
+
+CHAIN_SHA256 = "10e9b2d0c46e9f7054f5a3cce65ee0ed3f29cac3a1c1d59b1d01ca7f07ebb11e"
+
+
+def _op_chain(steps, seed=20261018):
+    """to_json of every result (or the error's class name) of a seeded chain."""
+    rng = random.Random(seed)
+    names = ("golden", "zeta3", "zeta2", "e", "sqrt(2)", "sqrt(7)")
+
+    def fresh():
+        prec = rng.randint(16, 2000)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return BallReal.exact(rng.randint(-10 ** 6, 10 ** 6), prec)
+        if kind == 1:
+            return BallReal.exact(Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                           rng.randint(1, 10 ** 9)), prec)
+        if kind == 2:
+            lo = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 1000))
+            hi = lo + Fraction(rng.randint(0, 100), rng.randint(1, 10 ** 6))
+            return BallReal.from_endpoints(lo, hi, prec)
+        return parse_real(rng.choice(names), prec).at(prec)
+
+    def sane(b):
+        m = abs(b.mid)
+        return (b.rad < 1 << 20 and m < 1 << 40
+                and (m == 0 or m > Fraction(1, 1 << 40)))
+
+    ops = (["add", "sub", "mul", "div", "neg", "abs", "round"] * 4
+           + ["log", "exp", "sqrt", "pow"])
+    pool = [fresh() for _ in range(16)]
+    for _ in range(steps):
+        op = rng.choice(ops)
+        a, b = rng.choice(pool), rng.choice(pool)
+        try:
+            if op == "add":
+                out = a + b
+            elif op == "sub":
+                out = a - b
+            elif op == "mul":
+                out = a * b
+            elif op == "div":
+                out = a / b
+            elif op == "neg":
+                out = -a
+            elif op == "abs":
+                out = abs(a)
+            elif op == "round":
+                out = a.round_to(rng.randint(16, 2000))
+            elif op == "log":
+                out = abs(a).log()
+            elif op == "exp":
+                small = abs(a.mid) + a.rad < 40
+                out = (a if small else a * Fraction(1, 1 << 36)).exp()
+            elif op == "sqrt":
+                out = abs(a).sqrt()
+            else:
+                expo = rng.choice([-3, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3),
+                                   Fraction(3, 2), None])
+                if expo is None and abs(b.mid) + b.rad < 8:
+                    expo = b
+                out = abs(a).pow(2 if expo is None else expo)
+        except NumericsError as exc:
+            yield type(exc).__name__
+            pool[rng.randrange(len(pool))] = fresh()
+            continue
+        yield out.to_json()
+        pool[rng.randrange(len(pool))] = out if sane(out) else fresh()
+
+
+def test_mixed_op_chain_digest_pinned():
+    h = hashlib.sha256()
+    for item in _op_chain(10_000):
+        h.update(json.dumps(item, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == CHAIN_SHA256

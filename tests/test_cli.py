@@ -314,6 +314,38 @@ def test_precision_above_cap_is_a_usage_error(capsys, monkeypatch, argv, env):
     assert "65536" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, env, named", [
+    (("estimate", "--gen", "fibonacci-golden", "--n-max", "12",
+      "--prec", "8"), None, "--prec"),
+    (("estimate", "--gen", "fibonacci-golden", "--n-max", "12",
+      "--prec", "15"), None, "--prec"),
+    (UNDECIDED_VERIFY + ("--prec-cap", "8"), None, "--prec-cap"),
+    (("generate", "--gen", "fibonacci-golden", "--n-max", "5",
+      "--prec", "8"), None, "--prec"),
+    (("estimate", "--gen", "fibonacci-golden", "--n-max", "12"), "10",
+     "LATFORMS_PREC"),
+    (("estimate", "--gen", "fibonacci-golden", "--n-max", "12"), "15",
+     "LATFORMS_PREC"),
+])
+def test_precision_below_minimum_is_a_usage_error(capsys, monkeypatch, argv,
+                                                  env, named):
+    if env is not None:
+        monkeypatch.setenv("LATFORMS_PREC", env)
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert named in err and "16..65536" in err and "Traceback" not in err
+
+
+def test_minimum_precision_is_accepted(capsys, monkeypatch):
+    rc, out, _ = invoke(capsys, "estimate", "--gen", "fibonacci-golden",
+                        "--n-max", "12", "--prec", "16")
+    assert rc in (0, 3) and report_of(out)["config"]["prec"] == 16
+    monkeypatch.setenv("LATFORMS_PREC", "16")
+    rc, out, _ = invoke(capsys, "estimate", "--gen", "fibonacci-golden",
+                        "--n-max", "12")
+    assert rc in (0, 3) and report_of(out)["config"]["prec"] == 16
+
+
 # ---------------------------------------------------------------------------
 # usage errors -> exit 1
 

@@ -19,9 +19,11 @@ from latforms.model import (
     ValidationError,
     dual_membership,
 )
+import latforms.criteria as criteria
 from latforms.criteria import (
     BudgetExceeded,
     _echelon,
+    _odometer,
     RecordsExhausted,
     build_iterate_matrix,
     check_nesterenko,
@@ -421,3 +423,41 @@ def test_reduce_scale_preconditions():
         reduce_scale(1, Fraction(1, 5), GOLDEN)
     with pytest.raises(ValidationError):
         reduce_scale(10, 0, GOLDEN)
+
+
+# ---------------------------------------------------------------------------
+# the prefix odometer
+# ---------------------------------------------------------------------------
+
+def _eager_odometer(ranges):
+    """The odometer as itertools.product over whole axes plus a filter."""
+    def signed(R):
+        return [] if R < 0 else [0] + [s * k for k in range(1, R + 1) for s in (1, -1)]
+    every = itertools.product(*map(signed, ranges))
+    return [pre for pre in every if next(filter(None, pre), 0) >= 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1, 4), min_size=0, max_size=4))
+def test_odometer_matches_product_and_filter(ranges):
+    estimate, prefixes = _odometer(ranges, 10 ** 9)
+    assert list(prefixes) == _eager_odometer(ranges)
+    assert estimate == prod(2 * R + 1 for R in ranges)
+
+
+def test_odometer_is_lazy(monkeypatch):
+    """The first 10 prefixes of a 10^6 x 10^6 box draw a handful of axis
+    values, not the 4 * 10^6 that materialising both axes would."""
+    drawn = []
+    signed = criteria._signed
+
+    def counting(R, negative=True):
+        for m in signed(R, negative):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(criteria, "_signed", counting)
+    _, prefixes = _odometer([10 ** 6, 10 ** 6], 10 ** 13)
+    first = list(itertools.islice(prefixes, 10))
+    assert first == [(0, k) for k in range(10)]
+    assert len(drawn) <= 12

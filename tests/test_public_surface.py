@@ -1,10 +1,14 @@
 """The names other code resolves on latforms by string: every module's
-__all__, and the boundary functions perfbench/tracer.py wraps.  A deleted or
-renamed public name otherwise only shows up when the benchmark runs traced."""
+__all__, and the boundary functions perfbench/tracer.py wraps; and the
+BallReal fields perfbench reads.  A deleted or renamed public name, or a
+field that stops being a Fraction, otherwise only shows up when the
+benchmark runs."""
 
 import importlib
 import importlib.util
 import pathlib
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +17,15 @@ MODULES = ("numerics", "model", "exponents", "criteria", "minkowski",
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _boundaries():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.BOUNDARIES
+    return tracer
+
+
+def _boundaries():
+    return _tracer().BOUNDARIES
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -40,3 +48,19 @@ def test_tracer_boundaries_resolve():
         if not found:
             missing.append(f"{modname}.{path}")
     assert missing == []
+
+
+def test_tracer_ring_names_are_ballreal_attributes():
+    from latforms.numerics import BallReal
+    assert [a for a in _tracer()._RING if a not in vars(BallReal)] == []
+
+
+def test_ballreal_fields_perfbench_reads():
+    """perfbench/workloads.interval and make_reference.py read these."""
+    from latforms.numerics import BallReal, parse_real
+    balls = [BallReal.exact(3, 64), BallReal.exact(Fraction(1, 3), 96),
+             parse_real("golden", 128).at(128), BallReal.exact(0, 16)]
+    for ball in balls:
+        for name in ("mid", "rad", "lower", "upper"):
+            assert type(getattr(ball, name)) is Fraction, name
+        assert type(ball.prec) is int
