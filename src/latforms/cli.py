@@ -44,6 +44,7 @@ from .numerics import (
     MIN_PREC,
     PREC_CAP,
     BallReal,
+    NumericsError,
     TriBool,
     UncertifiedComparison,
     parse_real,
@@ -442,7 +443,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         status = "unknown"
         result = {"why": str(e)}
     except (ValidationError, MissingRecord, RecordsExhausted, OSError,
-            ValueError) as e:
+            ValueError, NumericsError) as e:
         print(f"latforms: error: {e}", file=sys.stderr)
         return 1
     if status is None:

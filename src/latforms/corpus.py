@@ -27,7 +27,7 @@ from typing import IO, Callable, Optional, Sequence, Union
 
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError
-from .numerics import BallReal, parse_real
+from .numerics import BallReal, decimal_to_int, int_to_decimal, parse_real
 
 __all__ = [
     "GENERATORS",
@@ -348,9 +348,9 @@ def dumps_jsonl(seq: FormSequence) -> str:
     for r in seq.records:
         lines.append(_canon({
             "n": r.n,
-            "Q": str(r.Q),
-            "ell": [str(x) for x in r.ell],
-            "delta": [str(x) for x in r.delta],
+            "Q": int_to_decimal(r.Q),
+            "ell": [int_to_decimal(x) for x in r.ell],
+            "delta": [int_to_decimal(x) for x in r.delta],
         }))
     return "\n".join(lines) + "\n"
 
@@ -365,7 +365,7 @@ def _line_int(v, lineno: int, what: str) -> int:
         return v
     if isinstance(v, str):
         try:
-            return int(v, 10)
+            return decimal_to_int(v)
         except ValueError:
             pass
     raise ValidationError(
@@ -416,7 +416,7 @@ def loads_jsonl(text: str) -> FormSequence:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, parse_int=decimal_to_int)
         except json.JSONDecodeError as e:
             raise ValidationError(f"line {lineno}: invalid JSON: {e.msg}") \
                 from None
@@ -436,8 +436,8 @@ def loads_jsonl(text: str) -> FormSequence:
                     f"n={prev.n}")
             if rec.Q <= prev.Q:
                 raise ValidationError(
-                    f"line {lineno}: Q={rec.Q} not greater than previous "
-                    f"Q={prev.Q}")
+                    f"line {lineno}: Q={int_to_decimal(rec.Q)} not greater "
+                    f"than previous Q={int_to_decimal(prev.Q)}")
             if rec.p != prev.p:
                 raise ValidationError(
                     f"line {lineno}: p={rec.p} differs from previous "

@@ -32,6 +32,8 @@ from .numerics import (
     cmp_abs_vs_power,
     escalate,
     floor_scaled_power,
+    fraction_to_str,
+    int_to_decimal,
     nth_root_floor,
     tri_compare,
 )
@@ -43,7 +45,7 @@ from .model import (
     divisor_chain_check,
     eval_at_basis,
 )
-from .exponents import TauEstimate, estimate_tau
+from .exponents import TauEstimate, estimate_tau, _near_one
 
 __all__ = [
     "PhiIndex",
@@ -304,12 +306,12 @@ class SiegelReport:
             "n1": self.n1, "n2": self.n2, "p": self.p,
             "alpha0_ok": self.alpha0_ok,
             "bad_ns": self.bad_ns,
-            "det_n2": str(self.det_n2),
+            "det_n2": int_to_decimal(self.det_n2),
             "det_nonzero": self.det_nonzero,
             "rank_propagates": self.rank_propagates,
             "ranks": [[n, r] for n, r in self.ranks],
             "det_consistent": self.det_consistent.name,
-            "alpha": {str(n): [str(a) for a in f.alpha]
+            "alpha": {str(n): [fraction_to_str(a) for a in f.alpha]
                       for n, f in self.fits.items() if f is not None},
         }
 
@@ -337,12 +339,7 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
     # det of the evaluated window equals (1 + sum xi_i^2) * det(Delta_n2)
     V = [[eval_at_basis(seq, basis, n2 + j, i, prec) for j in range(p)]
          for i in range(1, p + 1)]
-    dV = _ball_det(V)
-    xb = basis.xi_balls(prec)
-    fac = BallReal.exact(1, prec)
-    for x in xb:
-        fac = fac + x * x
-    diff = dV - fac * Fraction(det2_int)
+    diff = _ball_det(V) - _one_plus_sq(basis, prec) * Fraction(det2_int)
     consistent = TriBool.TRUE if diff.contains_zero() else TriBool.FALSE
     return SiegelReport(n1=n1, n2=n2, p=p, fits=fits,
                         alpha0_ok=not bad, bad_ns=bad,
@@ -368,7 +365,8 @@ class NesterenkoReport:
             "divisor_violations": [list(v) for v in self.divisor_violations],
             "tau": [{"i": t.i,
                      "final": None if t.final is None else t.final.round_to(64).to_json(),
-                     "oscillation": None if t.oscillation is None else str(t.oscillation),
+                     "oscillation": None if t.oscillation is None
+                     else fraction_to_str(t.oscillation),
                      "consistent": t.consistent.name}
                     for t in self.tau],
             "norm_consistent": self.norm_consistent.name,
@@ -393,13 +391,7 @@ def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
             continue
         val = BallReal.exact(s, prec).log() / BallReal.exact(rec.Q, prec).log()
         norm_trace.append((rec.n, val))
-    k = max(2, (len(norm_trace) + 2) // 3)
-    tail = norm_trace[-k:]
-    if any(v is None for _, v in tail) or not tail:
-        norm_ok = TriBool.UNKNOWN
-    else:
-        dev = max(max(v.upper - 1, 1 - v.lower) for _, v in tail)
-        norm_ok = TriBool.TRUE if dev <= tol else TriBool.FALSE
+    norm_ok = _near_one([v for _, v in norm_trace], tol)
     parts = [t.consistent for t in taus] + [norm_ok]
     if violations:
         overall = TriBool.FALSE
@@ -430,7 +422,7 @@ class Verdict:
         return {
             "status": self.status,
             "witness": None if self.witness is None else self.witness.to_json(),
-            "Q": str(self.Q),
+            "Q": int_to_decimal(self.Q),
             "eps": str(self.eps),
             "candidates_checked": self.diagnostics.get("candidates_checked", 0),
             "diagnostics": {k: v for k, v in self.diagnostics.items()},
@@ -501,6 +493,18 @@ def _prefix_ball(basis: Basis, prefix: Sequence[int], labels: Sequence[int],
     return s
 
 
+def _scan_prec(prec: int) -> int:
+    """Base precision of the lattice scans: prec, but at least 96 bits."""
+    return max(prec, 96)
+
+
+def _box_ranges(delta: Sequence[int], labels: Sequence[int],
+                taus: Sequence[Fraction], Q: int, eps: Fraction) -> list[int]:
+    """R_j = floor(delta_j Q^(tau_j-eps)) over the labels, exactly."""
+    return [floor_scaled_power(Fraction(delta[j - 1]), Q, taus[j - 1] - eps)
+            for j in labels]
+
+
 def _power_bracket(Q: int, expo: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Rational bracket of Q^expo (expo > 0) with ~bits of resolution."""
     M = floor_scaled_power(1 << bits, Q, expo)
@@ -531,8 +535,7 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     delta = seq.records[phi.value].delta
     dp = delta[p - 1]
 
-    ranges = [floor_scaled_power(Fraction(delta[i]), Q, taus[i] - eps)
-              for i in range(p - 1)]
+    ranges = _box_ranges(delta, range(1, p), taus, Q, eps)
     estimate, odometer = _odometer(ranges, budget)
 
     # threshold t = Q^-(1+eps): exact when Q^(1+eps) is rational
@@ -548,7 +551,7 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
         t_lo = t_hi = t_exact
 
     exact_xi = basis.exact_xi
-    work = max(prec, 96)
+    work = _scan_prec(prec)
     if exact_xi is None:
         # rigorous scaled-integer brackets: X_lo <= xi * 2^work <= X_hi
         scale = 1 << work
@@ -637,6 +640,11 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     return Verdict("holds", None, Q, eps, diag)
 
 
+def _one_plus_sq(basis: Basis, prec: int) -> BallReal:
+    """Enclosure of 1 + sum xi_i^2."""
+    return sum((x * x for x in basis.xi_balls(prec)), BallReal.exact(1, prec))
+
+
 def reduce_scale(Q: int, eps: Rat, basis: Basis,
                  prec: int = 64) -> tuple[BallReal, Fraction]:
     """Scale change (Q, eps) -> (Q', eps/2) with
@@ -645,9 +653,5 @@ def reduce_scale(Q: int, eps: Rat, basis: Basis,
     if Q < 2 or eps <= 0:
         raise ValidationError("need Q >= 2 and eps > 0")
     eps2 = eps / 2
-    xb = basis.xi_balls(prec)
-    ssq = BallReal.exact(1, prec)
-    for x in xb:
-        ssq = ssq + x * x
-    inner = ssq * BallReal.exact(Q, prec).pow(1 + eps)
+    inner = _one_plus_sq(basis, prec) * BallReal.exact(Q, prec).pow(1 + eps)
     return inner.pow(1 / (1 + eps2)), eps2

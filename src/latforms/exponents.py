@@ -26,6 +26,7 @@ from .numerics import (
     TriBool,
     UncertifiedComparison,
     escalate,
+    fraction_to_str,
     tri_compare,
 )
 from .model import Basis, FormSequence, ValidationError, eval_at_basis
@@ -87,7 +88,8 @@ class ExponentProfile:
             "tau": [ball(b) for b in self.tau],
             "gamma": [ball(b) for b in self.gamma],
             "growth": ball(self.growth),
-            "oscillation": [None if t.oscillation is None else str(t.oscillation)
+            "oscillation": [None if t.oscillation is None
+                            else fraction_to_str(t.oscillation)
                             for t in self.tau_traces],
         }
 
@@ -141,17 +143,29 @@ def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
                        consistent=consistent, precision_used=max_prec)
 
 
+def _last_third(values: Sequence) -> Optional[Sequence[BallReal]]:
+    """Last third of a trace (>= 2 entries); None if shorter or undecided."""
+    tail = values[-max(2, (len(values) + 2) // 3):]
+    return None if len(tail) < 2 or None in tail else tail
+
+
 def _oscillation(trace: Sequence[TraceEntry],
                  tol: Fraction) -> tuple[Optional[Fraction], TriBool]:
     """Sup bound on pairwise spread over the last third of the trace."""
-    k = max(2, (len(trace) + 2) // 3)
-    tail = trace[-k:]
-    if any(e.value is None for e in tail) or len(tail) < 2:
+    tail = _last_third([e.value for e in trace])
+    if tail is None:
         return None, TriBool.UNKNOWN
-    hi = max(e.value.upper for e in tail)
-    lo = min(e.value.lower for e in tail)
-    spread = hi - lo
+    spread = max(v.upper for v in tail) - min(v.lower for v in tail)
     return spread, TriBool.TRUE if spread <= tol else TriBool.FALSE
+
+
+def _near_one(values: Sequence, tol: Fraction) -> TriBool:
+    """Whether the last third of a trace stays within tol of 1."""
+    tail = _last_third(values)
+    if tail is None:
+        return TriBool.UNKNOWN
+    dev = max(max(v.upper - 1, 1 - v.lower) for v in tail)
+    return TriBool.TRUE if dev <= tol else TriBool.FALSE
 
 
 def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
@@ -189,14 +203,7 @@ def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
         growth.append(TraceEntry(cur.n, lnq(nxt.Q) / lnq(cur.Q)))
     gamma_final = [g[-1].value if g else None for g in gamma]
     growth_final = growth[-1].value if growth else None
-    # growth -> 1 diagnostic over the last third
-    k = max(2, (len(growth) + 2) // 3)
-    tail = [e for e in growth[-k:]]
-    if any(e.value is None for e in tail) or not tail:
-        gc = TriBool.UNKNOWN
-    else:
-        dev = max(max(e.value.upper - 1, 1 - e.value.lower) for e in tail)
-        gc = TriBool.TRUE if dev <= tol else TriBool.FALSE
+    gc = _near_one([e.value for e in growth], tol)
     return GammaGrowth(gamma=gamma, growth=growth, gamma_final=gamma_final,
                        growth_final=growth_final, growth_consistent=gc,
                        skipped=skipped)

@@ -33,7 +33,7 @@ from .numerics import (
     cmp_abs_le,
     cmp_abs_vs_power,
     escalate,
-    floor_scaled_power,
+    int_to_decimal,
     tri_compare,
 )
 from .model import (
@@ -47,10 +47,12 @@ from .model import (
 )
 from .criteria import (
     BudgetExceeded,
+    _box_ranges,
     _dual_point,
     _odometer,
     _power_bracket,
     _prefix_ball,
+    _scan_prec,
     _signed,
 )
 
@@ -164,7 +166,7 @@ class SearchOutcome:
 
     def to_json(self) -> dict:
         pt = (self.point.to_json() if isinstance(self.point, DualPoint)
-              else [str(x) for x in self.point])
+              else [int_to_decimal(x) for x in self.point])
         cert = {}
         for k, v in self.certificate.items():
             if isinstance(v, BallReal):
@@ -269,73 +271,64 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
                                basis: Basis, prec: int = 64,
                                budget: int = 10 ** 7
                                ) -> tuple[Optional[DualPoint], dict]:
-    """First nonzero dual point (a_j in Z/delta_j) in a coordinate-frame box:
-    odometer over the labelled prefix coordinates smallest-first with the
-    first nonzero entry positive, and for each prefix the <= 2 nearest
-    multiples of 1/delta_p to -sum a_j xi_j.  Unlabelled coordinates stay 0.
-    """
+    """First nonzero dual point (a_j in Z/delta_j) in a coordinate-frame box.
+    Prefix ranges come from the certified (lower) end of each bound."""
     if body.frame != "coordinate":
         raise ValidationError("need a coordinate-frame body")
-    p = basis.p
     labels = body.coords[:-1]
-    if body.coords[-1] != p:
+    if body.coords[-1] != basis.p:
         raise ValidationError("last body coordinate must be p")
-    dp = delta[p - 1]
-    t_lo, t_hi = body.bounds[-1].value.lower, body.bounds[-1].value.upper
-    t_strict = body.bounds[-1].strict
     ranges = []
-    for k, j in enumerate(labels):
-        b = body.bounds[k]
-        R = math.floor(b.value.upper * delta[j - 1])
-        if b.strict and b.value.is_exact and Fraction(R, delta[j - 1]) >= b.value.mid:
-            R -= 1
-        ranges.append(R)
-    _, odometer = _odometer(ranges, budget, per_prefix=2)
+    for b, j in zip(body.bounds, labels):
+        lo = b.value.lower * delta[j - 1]
+        R = math.ceil(lo) - 1 if b.strict else math.floor(lo)
+        ranges.append(max(R, -1))      # a bound below 0 empties its axis
+    t = body.bounds[-1]
 
-    exact_xi = basis.exact_xi
-    work = max(prec, 96)
-    checked = 0
-    unknowns = 0
+    def inside(v, w):
+        ball = v if isinstance(v, BallReal) else BallReal.exact(v, w)
+        return cmp_abs_le(ball, t.value.lower, t.value.upper, t.strict)
+    return _coordinate_scan(basis, labels, delta, ranges, budget,
+                            _scan_prec(prec), PREC_CAP, inside)
+
+
+def _coordinate_scan(xi: Basis, labels: Sequence[int], delta: Sequence[int],
+                     ranges: Sequence[int], budget: int, work: int, cap: int,
+                     inside) -> tuple[Optional[DualPoint], dict]:
+    """Odometer over a_j = m_j/delta_j on the labels (|m_j| <= R_j),
+    smallest first with the first nonzero entry positive; unlabelled
+    coordinates stay 0.  inside(v, w) decides each candidate
+    v = sum a_j xi_j + kp/delta_p: exact when xi is rational, else an
+    enclosure at w bits, escalated from work to cap."""
+    p = xi.p
+    dp = delta[p - 1]
+    _, odometer = _odometer(ranges, budget, per_prefix=2)
+    exact_xi = xi.exact_xi
+    top = cap if exact_xi is None else work     # exact sums never escalate
+    checked = unknowns = 0
     for prefix in odometer:
-        zero = not any(prefix)
-        if exact_xi is not None:
+        if exact_xi is None:
+            s = _prefix_ball(xi, prefix, labels, delta, work)
+            q = -s.mid * dp
+        else:
             s = sum((Fraction(m, delta[j - 1]) * exact_xi[j - 1]
                      for m, j in zip(prefix, labels)), Fraction(0))
-            for kp in _two_nearest(-s, dp, zero):
-                checked += 1
-                val = BallReal.exact(s + Fraction(kp, dp), work)
-                ok = cmp_abs_le(val, t_lo, t_hi, t_strict)
-                if ok is TriBool.TRUE:
-                    return _dual_point(p, labels, prefix, delta, kp), \
-                        {"checked": checked, "unknowns": unknowns}
-                if ok is TriBool.UNKNOWN:
-                    unknowns += 1
-        else:
-            s = _prefix_ball(basis, prefix, labels, delta, work)
-            for kp in _two_nearest(-s.mid, dp, zero):
-                checked += 1
-                ok, _ = escalate(lambda w: cmp_abs_le(
-                    (s if w == work
-                     else _prefix_ball(basis, prefix, labels, delta, w))
-                    + Fraction(kp, dp), t_lo, t_hi, t_strict), work)
-                if ok is TriBool.TRUE:
-                    return _dual_point(p, labels, prefix, delta, kp), \
-                        {"checked": checked, "unknowns": unknowns}
-                if ok is TriBool.UNKNOWN:
-                    unknowns += 1
+            q = -s * dp
+        # the <= 2 multiples kp/dp nearest -s, half-ties toward zero; the
+        # zero prefix excludes kp = 0 and by symmetry needs only kp = 1
+        k0 = _round_half_to_zero(q)
+        kps = (k0, k0 + 1 if q >= k0 else k0 - 1) if any(prefix) else (1,)
+        for kp in kps:
+            checked += 1
+            ok, _ = escalate(lambda w: inside(
+                (s if w == work else _prefix_ball(xi, prefix, labels, delta, w))
+                + Fraction(kp, dp), w), work, top)
+            if ok is TriBool.TRUE:
+                return _dual_point(p, labels, prefix, delta, kp), \
+                    {"checked": checked, "unknowns": unknowns}
+            if ok is TriBool.UNKNOWN:
+                unknowns += 1
     return None, {"checked": checked, "unknowns": unknowns}
-
-
-def _two_nearest(target: Fraction, dp: int, zero_prefix: bool) -> list[int]:
-    """Indices k of the <= 2 multiples k/dp nearest to target, nearest first,
-    half-ties toward zero; for the all-zero prefix k = 0 is excluded and by
-    symmetry only k = 1 need be tried."""
-    if zero_prefix:
-        return [1]
-    q = target * dp
-    k0 = _round_half_to_zero(q)
-    k1 = k0 + 1 if q >= k0 else k0 - 1
-    return [k0, k1]
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +368,15 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
         raise Refusal("condition not certified <= 1", report)
     J = list(report.J)
     tau_J = sum((taus[j - 1] for j in J), Fraction(0))
-    det = delta_n[p - 1]
-    for j in J:
-        det *= delta_n[j - 1]
-    wp = max(prec, 96)
+    wp = _scan_prec(prec)
+    expo = 1 - tau_J + (len(J) + 1) * slack
+    det, vol = _volume(delta_n, J, Q_n, expo, wp)
     Qb = BallReal.exact(Q_n, wp)
     gates = {}
     for j in range(1, p):
         if j not in J:
             g = Qb.pow(taus[j - 1]) * delta_n[j - 1] + Qb.pow(-2 * slack)
             gates[f"gate_j{j}"] = tri_compare(BallReal.exact(1, wp), g)
-    expo = 1 - tau_J + (len(J) + 1) * slack
-    vol = BallReal.exact(1 << (len(J) + 1), wp) * Qb.pow(expo)
     margin = cmp_abs_vs_power(det, Q_n, expo) <= 0      # Q_n^expo >= det
     body = _primal_body(xi, taus, Q_n, slack, wp)
     point, diag = directed_search_sheared(body, delta_n, xi, prec, budget, cap)
@@ -398,6 +388,14 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
     diag.update(J=list(J), slack=str(slack))
     return SearchOutcome(kind="primal", point=point, certificate=cert,
                          diagnostics=diag)
+
+
+def _volume(delta: Sequence[int], J: Sequence[int], Q: int, expo: Fraction,
+            wp: int) -> tuple[int, BallReal]:
+    """Minkowski certificate sides: delta_p prod_J delta_j, 2^(|J|+1) Q^expo."""
+    det = delta[-1] * math.prod(delta[j - 1] for j in J)
+    return det, (BallReal.exact(1 << (len(J) + 1), wp)
+                 * BallReal.exact(Q, wp).pow(expo))
 
 
 def surrogate_gamma(delta_n: Sequence[int], Q_n: int,
@@ -456,22 +454,27 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     if not _margin_above(report.lhs, need):
         raise Refusal(f"margin not certified above (|J|+2) eps (need > {need})",
                       report)
-    det = delta_PhiQ[p - 1]
-    for j in J:
-        det *= delta_PhiQ[j - 1]
     expo = sum((taus[j - 1] for j in J), Fraction(0)) - 1 - (len(J) + 1) * eps
-    wp = max(prec, 96)
-    Qb = BallReal.exact(Q, wp)
-    vol = BallReal.exact(1 << (len(J) + 1), wp) * Qb.pow(expo)
+    wp = _scan_prec(prec)
+    det, vol = _volume(delta_PhiQ, J, Q, expo, wp)
     if cmp_abs_vs_power(Fraction(1, det), Q, expo) >= 0:  # Q^expo det <= 1
         raise Refusal("volume certificate fails: Q too small", report,
                       {"volume": str(vol.round_to(53)),
                        "needed": str(1 << (len(J) + 1)),
-                       "lattice_det": f"1/{det}"})
+                       "lattice_det": f"1/{int_to_decimal(det)}"})
     cert = {"volume": vol, "lattice_det": BallReal.exact(Fraction(1, det), wp),
             "margin": TriBool.TRUE}
-    point, diag = _dual_scan(xi, taus, J, delta_PhiQ, Q, eps, prec, budget,
-                             cap)
+    t_work = _power_bracket(Q, -1 - eps, wp)
+
+    def inside(v, w):       # |v| <= Q^(-1-eps), exactly for rational v
+        if isinstance(v, Fraction):
+            return TriBool.TRUE if cmp_abs_vs_power(v, Q, -1 - eps) <= 0 \
+                else TriBool.FALSE
+        return cmp_abs_le(v, *(t_work if w == wp
+                               else _power_bracket(Q, -1 - eps, w)))
+    point, diag = _coordinate_scan(
+        xi, J, delta_PhiQ, _box_ranges(delta_PhiQ, J, taus, Q, eps), budget,
+        wp, cap, inside)
     if point is None:
         raise SearchFailed("no certified witness in the K_Q scan",
                            diag.get("unknowns", 0))
@@ -484,51 +487,6 @@ def _margin_above(lhs: BallReal, need: Fraction) -> bool:
     if lhs.is_exact:
         return lhs.mid > need
     return tri_compare(lhs, need) is TriBool.TRUE
-
-
-def _dual_scan(xi: Basis, taus: Sequence[Fraction], J: Sequence[int],
-               delta: Sequence[int], Q: int, eps: Fraction, prec: int,
-               budget: int, cap: int) -> tuple[Optional[DualPoint], dict]:
-    """Prefix odometer over J with exact ranges R_j = floor(delta_j
-    Q^(tau_j-eps)); per prefix the <= 2 nearest multiples of 1/delta_p,
-    decided exactly against Q^(-1-eps) when xi is rational, else by balls
-    with escalation (the bracket of Q^(-1-eps) is refined alongside).
-    """
-    p = xi.p
-    dp = delta[p - 1]
-    ranges = [floor_scaled_power(Fraction(delta[j - 1]), Q, taus[j - 1] - eps)
-              for j in J]
-    _, odometer = _odometer(ranges, budget, per_prefix=2)
-    exact_xi = xi.exact_xi
-    work = max(prec, 96)
-    t_work = _power_bracket(Q, -1 - eps, work)
-    checked = 0
-    unknowns = 0
-    for prefix in odometer:
-        zero = not any(prefix)
-        if exact_xi is not None:
-            s = sum((Fraction(m, delta[j - 1]) * exact_xi[j - 1]
-                     for m, j in zip(prefix, J)), Fraction(0))
-            for kp in _two_nearest(-s, dp, zero):
-                checked += 1
-                if cmp_abs_vs_power(s + Fraction(kp, dp), Q, -1 - eps) <= 0:
-                    return _dual_point(p, J, prefix, delta, kp), \
-                        {"checked": checked, "unknowns": unknowns}
-        else:
-            s = _prefix_ball(xi, prefix, J, delta, work)
-            for kp in _two_nearest(-s.mid, dp, zero):
-                checked += 1
-                ok, _ = escalate(lambda w: cmp_abs_le(
-                    (s if w == work else _prefix_ball(xi, prefix, J, delta, w))
-                    + Fraction(kp, dp),
-                    *(t_work if w == work else _power_bracket(Q, -1 - eps, w))),
-                    work, cap)
-                if ok is TriBool.TRUE:
-                    return _dual_point(p, J, prefix, delta, kp), \
-                        {"checked": checked, "unknowns": unknowns}
-                if ok is TriBool.UNKNOWN:
-                    unknowns += 1
-    return None, {"checked": checked, "unknowns": unknowns}
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +555,7 @@ def enumerate_lattice_points(body: ConvexBody, delta: Sequence[int],
     p = basis.p
     labels = body.coords[:-1]
     dp = delta[p - 1]
-    wp = max(prec, 96)
+    wp = _scan_prec(prec)
     tested = 0
     unknowns = 0
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numerics import BallReal, RealConstant, TriBool, cmp_abs_le
+from .numerics import (BallReal, RealConstant, TriBool, cmp_abs_le,
+                       fraction_to_str, int_to_decimal)
 
 __all__ = [
     "Basis",
@@ -86,10 +87,12 @@ class FormRecord:
             raise ValidationError(f"record n={self.n}: need p >= 2 coefficients")
         for i, d in enumerate(self.delta, start=1):
             if d < 1:
-                raise ValidationError(f"record n={self.n}: delta_{i} = {d} < 1")
+                raise ValidationError(f"record n={self.n}: delta_{i} = "
+                                      f"{int_to_decimal(d)} < 1")
             if self.ell[i - 1] % d != 0:
                 raise ValidationError(
-                    f"record n={self.n}: delta_{i} = {d} does not divide ell_{i} = {self.ell[i-1]}")
+                    f"record n={self.n}: delta_{i} = {int_to_decimal(d)} does "
+                    f"not divide ell_{i} = {int_to_decimal(self.ell[i - 1])}")
 
     @property
     def p(self) -> int:
@@ -117,7 +120,8 @@ class FormSequence:
                 raise ValidationError(f"duplicate record index n={r.n}")
             if r.Q <= last_q:
                 raise ValidationError(
-                    f"record n={r.n}: Q={r.Q} not strictly greater than previous Q={last_q}")
+                    f"record n={r.n}: Q={int_to_decimal(r.Q)} not strictly "
+                    f"greater than previous Q={int_to_decimal(last_q)}")
             last_n, last_q = r.n, r.Q
         self.records: tuple[FormRecord, ...] = tuple(recs)
         self.p = p
@@ -199,8 +203,7 @@ class DualPoint:
         return all(x == 0 for x in self.a)
 
     def to_json(self) -> list[str]:
-        return [f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-                for x in self.a]
+        return [fraction_to_str(x) for x in self.a]
 
     @staticmethod
     def from_json(items: Sequence[str]) -> "DualPoint":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
@@ -741,19 +742,18 @@ class RealConstant:
 
     def __init__(self, expr: str, *, exact: Optional[Fraction] = None,
                  compute: Optional[Callable[[int], BallReal]] = None,
-                 fixed: Optional[BallReal] = None, cap: int = PREC_CAP):
+                 fixed: Optional[BallReal] = None):
         self.expr = expr
         self.exact = exact
         self._compute = compute
         self._fixed = fixed
-        self.cap = cap
         self._best: Optional[BallReal] = None
 
     def at(self, prec: int) -> BallReal:
         if prec < MIN_PREC:
             raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
-        if prec > self.cap:
-            raise PrecisionCapExceeded(f"{prec} bits exceeds cap {self.cap}")
+        if prec > PREC_CAP:
+            raise PrecisionCapExceeded(f"{prec} bits exceeds cap {PREC_CAP}")
         if self.exact is not None:
             return BallReal.exact(self.exact, prec)
         if self._fixed is not None:
@@ -784,10 +784,36 @@ _NAMED: dict[str, Callable[[int], BallReal]] = {
 _SQRT_RE = re.compile(r"^sqrt\((\d+)\)$")
 _RAT_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _DEC_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_DIGITS_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def int_to_decimal(n: int) -> str:
+    """str(n), through Decimal past Python's int->str digit cap (4300)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def decimal_to_int(s: str) -> int:
+    """int(s, 10), and past the digit cap [+-]?[0-9]+ through Decimal."""
+    try:
+        return int(s, 10)
+    except ValueError:
+        if not _DIGITS_RE.fullmatch(s):
+            raise
+    return int(Decimal(s))
+
+
+def fraction_to_str(q: Fraction) -> str:
+    """str(q) for a rational of any size (see int_to_decimal)."""
+    num = int_to_decimal(q.numerator)
+    if q.denominator == 1:
+        return num
+    return f"{num}/{int_to_decimal(q.denominator)}"
 
 
 def decimal_to_fraction(s: str) -> Fraction:
-    from decimal import Decimal
     return Fraction(Decimal(s))
 
 
@@ -797,9 +823,9 @@ def dyadic_to_decimal(q: Fraction) -> str:
         raise NumericsError("not dyadic")
     k = q.denominator.bit_length() - 1
     if k == 0:
-        return str(q.numerator)
+        return int_to_decimal(q.numerator)
     digits = q.numerator * 5 ** k  # q = digits / 10^k
-    s = str(abs(digits)).rjust(k + 1, "0")
+    s = int_to_decimal(abs(digits)).rjust(k + 1, "0")
     sign = "-" if digits < 0 else ""
     return f"{sign}{s[:-k]}.{s[-k:]}"
 

@@ -15,7 +15,7 @@ from latforms.cli import run
 from latforms.corpus import dumps_jsonl, gen_apery_zeta3, gen_fibonacci
 from latforms.criteria import verify_conclusion
 from latforms.model import Basis
-from latforms.numerics import parse_real
+from latforms.numerics import PrecisionCapExceeded, parse_real
 
 F = Fraction
 
@@ -420,3 +420,29 @@ def test_python_m_entry_points(module):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("latforms ")
+
+
+def test_numerics_error_is_a_one_line_exit_1(capsys, monkeypatch):
+    # apery-zeta3 at n=7000 needs its sanity check above the precision cap;
+    # the error is injected so the test does not spend the generation time
+    def over_cap(spec):
+        raise PrecisionCapExceeded("66066 bits exceeds cap 65536")
+    monkeypatch.setattr("latforms.cli.generate", over_cap)
+    rc, out, err = invoke(capsys, "generate", "--gen", "apery-zeta3",
+                          "--n-max", "7000")
+    assert rc == 1 and out == ""
+    assert err == "latforms: error: 66066 bits exceeds cap 65536\n"
+
+
+def test_generate_past_the_int_str_digit_limit(capsys, tmp_path):
+    # Q_n of apery-zeta3 passes 4300 digits near n=1530
+    path = tmp_path / "apery.jsonl"
+    rc, _, err = invoke(capsys, "generate", "--gen", "apery-zeta3",
+                        "--n-max", "1600", "--output", str(path))
+    assert rc == 0, err
+    text = path.read_text()
+    assert len(json.loads(text.splitlines()[-1])["Q"]) > 4300
+    rc, out, _ = invoke(capsys, "roundtrip", "--input", str(path))
+    res = report_of(out)["result"]
+    assert rc == 0 and res["lossless"] and res["already_canonical"]
+    assert res["records"] == 1600

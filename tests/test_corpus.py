@@ -339,6 +339,23 @@ def test_malformed_lines_report_position():
         loads_jsonl('{"generator": "x", "params": {}}\n')
 
 
+def test_jsonl_past_the_int_str_digit_limit():
+    big = 7 ** 6000                       # 5071 digits
+    seq = FormSequence([FormRecord(n=1, Q=big, ell=(3 * big, big),
+                                   delta=(1, big))])
+    text = dumps_jsonl(seq)
+    assert loads_jsonl(text).records == seq.records
+    # the same record with Q as a bare JSON integer
+    q = json.loads(text)["Q"]
+    bare = text.replace(f'"Q":"{q}"', f'"Q":{q}')
+    assert loads_jsonl(bare).records == seq.records
+    # a bare long integer line, and a long Q int() rejects, keep their lines
+    with pytest.raises(ValidationError, match="line 2: expected an object"):
+        loads_jsonl(text + q + "\n")
+    with pytest.raises(ValidationError, match="line 1: Q = .* not a decimal"):
+        loads_jsonl(text.replace('"Q":"', '"Q":"1_', 1))
+
+
 def test_file_and_stream_io(tmp_path):
     seq = gen_apery_zeta2(6)
     path = tmp_path / "forms.jsonl"

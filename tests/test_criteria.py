@@ -461,3 +461,29 @@ def test_odometer_is_lazy(monkeypatch):
     first = list(itertools.islice(prefixes, 10))
     assert first == [(0, k) for k in range(10)]
     assert len(drawn) <= 12
+
+
+def test_reports_past_the_int_str_digit_limit():
+    """Reports of records with 5000-digit coefficients serialize: the
+    recurrence fits, the window determinant and a dual witness carry
+    integers past Python's 4300-digit int/str limit."""
+    from latforms.numerics import decimal_to_int, int_to_decimal
+    rng = random.Random(3)
+    Q = 10 ** 5000
+    recs = []
+    for n in range(1, 7):
+        Q += rng.getrandbits(16000)
+        recs.append(FormRecord(n=n, Q=Q, ell=(rng.getrandbits(16000), Q),
+                               delta=(1, 1)))
+    rep = check_siegel(FormSequence(recs), Basis((parse_real("golden"),)),
+                       1, 2)
+    out = rep.to_json()
+    assert decimal_to_int(out["det_n2"]) == rep.det_n2
+    for n, fit in rep.fits.items():
+        for text, a in zip(out["alpha"][str(n)], fit.alpha):
+            num, _, den = text.partition("/")
+            assert Fraction(decimal_to_int(num), decimal_to_int(den or "1")) == a
+    assert max(len(t) for ts in out["alpha"].values() for t in ts) > 4300
+    big = Fraction(7 ** 6000, 3)
+    assert DualPoint((big, Fraction(1))).to_json() == \
+        [int_to_decimal(big.numerator) + "/3", "1"]

@@ -233,3 +233,49 @@ def test_profile_and_json():
     doc = prof.to_json()
     assert set(doc) == {"tau", "gamma", "growth", "oscillation"}
     assert doc["tau"][0]["prec"] == 64
+
+
+def test_last_third_rule_shared():
+    """The oscillation, growth and sup-norm diagnostics read the same
+    window: the last third of the trace, at least two entries, and any
+    undecided entry in it makes the answer Unknown."""
+    from latforms.exponents import _last_third, _near_one
+    assert _last_third([1, 2, 3, 4, 5, 6]) == [5, 6]
+    assert _last_third([1, 2, 3, 4, 5, 6, 7]) == [5, 6, 7]
+    assert _last_third([None, 2, 3]) == [2, 3]
+    assert _last_third([1, None, 3]) is None
+    assert _last_third([1]) is None
+    one = BallReal.exact(1, 64)
+    tol = Fraction(1, 16)
+    assert _near_one([None, one, one + tol], tol) is TriBool.TRUE
+    assert _near_one([one, one + 2 * tol], tol) is TriBool.FALSE
+    assert _near_one([one, None], tol) is TriBool.UNKNOWN
+    # the reports use it: a geometric family is near 1, growth and all
+    seq = FormSequence([FormRecord(n=n, Q=2 ** n, ell=(2 ** n, 2 ** n),
+                                   delta=(1, 1)) for n in range(1, 61)])
+    assert estimate_gamma_growth(seq).growth_consistent is TriBool.TRUE
+
+
+def test_report_json_at_high_precision():
+    # at 16384 bits a trace's spread has a denominator of about 4900
+    # digits, past Python's 4300-digit int/str limit
+    from latforms.criteria import NesterenkoReport
+    from latforms.exponents import ExponentProfile, TauEstimate, TraceEntry
+    from latforms.exponents import _oscillation
+    from latforms.numerics import decimal_to_int
+    a = BallReal.exact(1, 16384)
+    b = a + BallReal.exact(Fraction(1, 3), 16384)
+    trace = [TraceEntry(1, a), TraceEntry(2, b)]
+    spread, ok = _oscillation(trace, Fraction(1, 2))
+    est = TauEstimate(i=1, trace=trace, final=b, oscillation=spread,
+                      consistent=ok, precision_used=16384)
+    prof = ExponentProfile(tau=[b], gamma=[None, None], growth=None,
+                           tau_traces=[est], gamma_growth=None)
+    nes = NesterenkoReport(divisor_violations=[], tau=[est], norm_trace=[],
+                           norm_consistent=TriBool.UNKNOWN,
+                           consistent=TriBool.UNKNOWN)
+    for text in (prof.to_json()["oscillation"][0],
+                 nes.to_json()["tau"][0]["oscillation"]):
+        num, den = text.split("/")
+        assert len(den) > 4300
+        assert Fraction(decimal_to_int(num), decimal_to_int(den)) == spread

@@ -179,6 +179,15 @@ def test_dual_golden_scan():
     assert (a1, abs(a2)) == (34, 55)
 
 
+def test_dual_threshold_is_inclusive():
+    # Q=4, eps=1/2: the threshold Q^(-3/2) = 1/8 is met with equality by
+    # a = (1/2, 0) against xi = 1/4, the first candidate of the scan
+    out = construct_dual_witness(Basis((parse_real("1/4"),)), [2],
+                                 [F(1, 2), F(1, 2)], [2, 2], 4, F(1, 2))
+    assert out.point.a == (F(1, 2), F(0))
+    assert out.diagnostics["checked"] == 2
+
+
 def test_dual_refuses_condition_below_one():
     with pytest.raises(Refusal) as info:
         construct_dual_witness(HALF, [F(1, 2)], [0, 0], [1, 1], 100, F(1, 10))
@@ -327,6 +336,59 @@ def test_coordinate_equivalence_sampled():
             assert body.contains(direct.a, basis) is TriBool.TRUE
             assert body.contains(brute, basis) is TriBool.TRUE
     assert 5 <= found < 40
+
+
+def test_coordinate_range_from_certified_end():
+    # |a_1| <= b with b only known to lie in [9/10, 21/10]: no a_1 != 0 is
+    # certified inside, so neither search may return a point
+    b = BallReal.from_endpoints(F(9, 10), F(21, 10), 64)
+    body = ConvexBody(frame="coordinate", coords=(1, 2),
+                      bounds=(Bound(b, strict=False),
+                              Bound(BallReal.exact(F(3, 10), 64), strict=False)))
+    direct, diag = directed_search_coordinate(body, [1, 1], GOLDEN)
+    brute, unknowns, _ = enumerate_lattice_points(body, [1, 1], GOLDEN)
+    assert direct is None and diag["unknowns"] == 0
+    assert brute is None and unknowns == 2
+    # a strict bound excludes its own end: |a_1| < b with b in [1, 3/2]
+    # certifies no a_1 != 0, though a_1 = 1, a_2 = -2 meets the last bound
+    for b in (BallReal.exact(1, 64), BallReal.from_endpoints(1, F(3, 2), 64)):
+        body = ConvexBody(frame="coordinate", coords=(1, 2),
+                          bounds=(Bound(b, strict=True),
+                                  Bound(BallReal.exact(F(2, 5), 64),
+                                        strict=False)))
+        assert directed_search_coordinate(body, [1, 1], GOLDEN)[0] is None
+        assert enumerate_lattice_points(body, [1, 1], GOLDEN)[0] is None
+
+
+def test_coordinate_equivalence_inexact_prefix_bounds():
+    """Prefix bounds known only up to an interval: every returned point is
+    certified, and the directed search finds one exactly when the oracle
+    finds a certified one."""
+    rng = random.Random(303)
+    bases = [HALF, THIRD, GOLDEN, Basis((parse_real("2/7"), parse_real("1/2")))]
+    found = 0
+    for _ in range(80):
+        basis = rng.choice(bases)
+        p = basis.p
+        bounds = []
+        for _ in range(p - 1):
+            lo = F(rng.randrange(0, 24), 8)
+            hi = lo + F(rng.randrange(1, 16), 8)
+            bounds.append(Bound(BallReal.from_endpoints(lo, hi, 64),
+                                strict=rng.random() < 0.3))
+        bounds.append(Bound(BallReal.exact(F(rng.randrange(1, 24), 32), 64),
+                            strict=rng.random() < 0.3))
+        body = ConvexBody(frame="coordinate", coords=tuple(range(1, p + 1)),
+                          bounds=tuple(bounds))
+        delta = [rng.choice([1, 2, 3]) for _ in range(p)]
+        direct, _ = directed_search_coordinate(body, delta, basis)
+        brute, _, _ = enumerate_lattice_points(body, delta, basis,
+                                               limit=20000)
+        assert (direct is None) == (brute is None)
+        if direct is not None:
+            found += 1
+            assert body.contains(direct.a, basis) is TriBool.TRUE
+    assert 5 <= found < 80
 
 
 def test_strict_zero_bound_empties_both_searches():

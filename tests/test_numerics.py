@@ -19,9 +19,12 @@ from latforms.numerics import (
     NumericsError,
     RealConstant,
     TriBool,
+    PREC_CAP,
     cmp_abs_vs_power,
+    decimal_to_int,
     dyadic_to_decimal,
     decimal_to_fraction,
+    int_to_decimal,
     floor_root_rational,
     floor_scaled_power,
     nth_root_floor,
@@ -102,6 +105,45 @@ def test_refine_nesting_and_cap():
         assert narrow.rad < wide.rad
     with pytest.raises(PrecisionCapExceeded):
         refine(h, (1 << 16) + 1)
+
+
+def test_cap_is_fixed_for_every_handle():
+    for h in (parse_real("3/7"), parse_real("0.5±0.01"), parse_real("golden")):
+        with pytest.raises(PrecisionCapExceeded):
+            h.at(PREC_CAP + 1)
+    with pytest.raises(TypeError):
+        RealConstant("1", exact=Fraction(1), cap=PREC_CAP)
+
+
+def test_int_decimal_codec_past_the_digit_limit():
+    """Python refuses int<->str past 4300 digits by default; the codec
+    round-trips any size and agrees with str/int below the limit."""
+    rng = random.Random(17)
+    for digits in (1, 20, 4300, 4301, 10 ** 5):
+        n = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        for v in ((n, -n) if digits < 10 ** 5 else (-n,)):
+            s = int_to_decimal(v)
+            assert len(s) == digits + (v < 0)
+            assert decimal_to_int(s) == v
+            if digits <= 4300:
+                assert s == str(v) and decimal_to_int(s) == int(s)
+    assert decimal_to_int("+" + "7" * 5000) == int("7" * 2500) * (10 ** 2500 + 1)
+    # int(s, 10) stays the reference below the limit ...
+    for text, value in ((" 12 ", 12), ("1_000", 1000), ("١٢", 12)):
+        assert decimal_to_int(text) == int(text) == value
+    for bad in ("", " ", "+", "1e5", "1.0", "0x10", "NaN"):
+        with pytest.raises(ValueError):
+            decimal_to_int(bad)
+    # ... and past it only plain ASCII digits are accepted
+    for bad in ("1_0" * 3000, " " + "1" * 5000, "١" * 5000, "1" * 5000 + "e1"):
+        with pytest.raises(ValueError):
+            decimal_to_int(bad)
+
+
+def test_dyadic_to_decimal_past_the_digit_limit():
+    q = Fraction(3 ** 9100 + 2, 1 << 40)        # 4342 digits over 2^40
+    assert decimal_to_fraction(dyadic_to_decimal(q)) == q
+    assert decimal_to_fraction(dyadic_to_decimal(-q * (1 << 40))) == -q * (1 << 40)
 
 
 def test_golden_satisfies_quadratic():
