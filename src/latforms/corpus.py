@@ -322,6 +322,8 @@ def default_basis(spec: GeneratorSpec) -> Basis:
     xi = spec.params.get("xi")
     if not xi:
         raise ValidationError("synthetic-power spec has no xi")
+    if not isinstance(xi, (list, tuple)):
+        raise ValidationError(f"synthetic-power xi = {xi!r} is not a list")
     return Basis(tuple(parse_real(str(_frac(x, "xi"))) for x in xi))
 
 
@@ -410,8 +412,8 @@ def loads_jsonl(text: str) -> FormSequence:
     provenance = None
     records: list[FormRecord] = []
     prev: Optional[FormRecord] = None
-    first = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -420,14 +422,18 @@ def loads_jsonl(text: str) -> FormSequence:
         except json.JSONDecodeError as e:
             raise ValidationError(f"line {lineno}: invalid JSON: {e.msg}") \
                 from None
+        except RecursionError:
+            raise ValidationError(f"line {lineno}: invalid JSON: nested too "
+                                  "deeply") from None
         if not isinstance(obj, dict):
             raise ValidationError(f"line {lineno}: expected an object")
-        if first and "generator" in obj:
-            provenance = {"generator": obj["generator"],
-                          "params": obj.get("params", {})}
-            first = False
+        if provenance is None and not records and "generator" in obj:
+            params = obj.get("params", {})
+            if not isinstance(params, dict):
+                raise ValidationError(f"line {lineno}: params must be an "
+                                      "object")
+            provenance = {"generator": obj["generator"], "params": params}
             continue
-        first = False
         rec = _line_record(obj, lineno)
         if prev is not None:
             if rec.n <= prev.n:
@@ -445,7 +451,7 @@ def loads_jsonl(text: str) -> FormSequence:
         records.append(rec)
         prev = rec
     if not records:
-        raise ValidationError("no records in input")
+        raise ValidationError(f"line {len(lines) + 1}: no records in input")
     return FormSequence(records, provenance=provenance)
 
 

@@ -7,7 +7,10 @@ at the phi-iterated indices; matrix_condition_check certifies the
 factorial-ratio condition that forces invertibility; fit_recurrence /
 check_siegel handle the recurrence-based variant; verify_conclusion
 exhaustively tests the lower bound |a_1 xi_1 + ... + a_p| > Q^(-1-eps) over
-the admissible dual points at one concrete Q.
+the admissible dual points at one concrete Q.  It runs the one
+coordinate-frame scan (_coordinate_scan, with the threshold test of
+_threshold), which minkowski's dual witness and directed_search_coordinate
+share.
 
 Everything that can be decided in exact integer/rational arithmetic is;
 irrational data goes through certified balls with precision escalation, and
@@ -16,6 +19,7 @@ undecided comparisons surface as Unknown rather than being rounded away.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -511,18 +515,116 @@ def _power_bracket(Q: int, expo: Fraction, bits: int) -> tuple[Fraction, Fractio
     return Fraction(M, 1 << bits), Fraction(M + 1, 1 << bits)
 
 
+def _threshold(Q: int, eps: Fraction, work: int):
+    """The test |v| <= Q^-(1+eps) as inside(v, w), and the upper end of the
+    threshold's bracket at work bits, which bounds the candidates.  Rational
+    v is decided exactly; a ball at w bits against the bracket at w bits,
+    which is exact when Q^(1+eps) is an integer and is otherwise computed
+    once per precision."""
+    expo = 1 + eps
+    u, d = expo.numerator, expo.denominator
+    root = nth_root_floor(Q ** u, d)
+    exact = Fraction(1, root) if root ** d == Q ** u else None
+
+    @functools.cache
+    def bracket(w: int) -> tuple[Fraction, Fraction]:
+        if exact is not None:
+            return exact, exact
+        q_lo, q_hi = _power_bracket(Q, expo, w)
+        return 1 / q_hi, 1 / q_lo
+
+    def inside(v, w: int) -> TriBool:
+        if isinstance(v, Fraction):
+            return TriBool.TRUE if cmp_abs_vs_power(v, Q, -expo) <= 0 \
+                else TriBool.FALSE
+        return cmp_abs_le(v, *bracket(w))
+    return inside, bracket(work)[1]
+
+
+def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
+                     ranges: Sequence[int], budget: int, work: int, cap: int,
+                     t_hi: Fraction, inside, per_prefix: int = 1
+                     ) -> tuple[Optional[DualPoint], dict]:
+    """The coordinate-frame scan: the first point in odometer order with
+    a_j = m_j/delta_j on the labels (|m_j| <= R_j), a_p = kp/delta_p and 0
+    elsewhere for which inside(v, w) certifies v = sum a_j xi_j + a_p.
+
+    Each prefix sum is bracketed by integers at the scale D*S, with D the
+    lcm of the deltas and S = 2^work (for rational xi, the lcm of the
+    denominators, which makes the bracket exact).  Only the kp with |v| <=
+    t_hi possible are candidates, in ascending order, kp > 0 for the zero
+    prefix.  inside decides each on v exactly for rational xi, else on an
+    enclosure at w bits escalated from work to cap.  Returns the point (or
+    None) and the counts: estimate (the budget estimate, per_prefix per
+    prefix), prefixes, checked, escalations (steps past work) and unknowns.
+    """
+    p = basis.p
+    dp = delta[p - 1]
+    estimate, odometer = _odometer(ranges, budget, per_prefix)
+    exact_xi = basis.exact_xi
+    if exact_xi is None:
+        S = 1 << work
+        ends = [(x.lower, x.upper) for x in basis.xi_balls(work)]
+    else:
+        S = math.lcm(*(exact_xi[j - 1].denominator for j in labels))
+        ends = [(x, x) for x in exact_xi]
+    D = math.lcm(dp, *(delta[j - 1] for j in labels))
+    X = []                              # brackets of (D/delta_j) xi_j S
+    for j in labels:
+        lo, hi = ends[j - 1]
+        c = D // delta[j - 1] * S
+        X.append((math.floor(lo * c), math.ceil(hi * c)))
+    step = D // dp * S                  # kp/delta_p at the same scale
+    T = math.floor(t_hi * D * S)
+    prefixes = checked = escalations = unknowns = 0
+
+    def decide(w: int) -> TriBool:     # the loop's current prefix and kp
+        nonlocal escalations
+        escalations += w > work
+        return inside(_prefix_ball(basis, prefix, labels, delta, w)
+                      + Fraction(kp, dp), w)
+
+    def counts() -> dict:
+        return {"estimate": estimate, "prefixes": prefixes,
+                "checked": checked, "escalations": escalations,
+                "unknowns": unknowns}
+
+    for prefixes, prefix in enumerate(odometer, 1):
+        s_lo = s_hi = 0
+        for m, (xl, xh) in zip(prefix, X):
+            if m > 0:
+                s_lo += m * xl
+                s_hi += m * xh
+            elif m < 0:
+                s_lo += m * xh
+                s_hi += m * xl
+        kmin = -((s_hi + T) // step)
+        kmax = (T - s_lo) // step
+        for kp in range(kmin if any(prefix) else max(kmin, 1), kmax + 1):
+            checked += 1
+            if exact_xi is not None:
+                ok = inside(Fraction(s_lo + kp * step, D * S), work)
+            else:
+                ok = escalate(decide, work, cap)[0]
+            if ok is TriBool.TRUE:
+                return _dual_point(p, labels, prefix, delta, kp), counts()
+            if ok is TriBool.UNKNOWN:
+                unknowns += 1
+    return None, counts()
+
+
 def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                       Q: int, eps: Rat, prec: int = 64,
                       budget: int = 10 ** 7, cap: int = PREC_CAP) -> Verdict:
     """Exhaustively test |a_1 xi_1 + ... + a_{p-1} xi_{p-1} + a_p| > Q^(-1-eps)
     over nonzero a with delta_{i,Phi(Q)} a_i integral and |a_i| <= Q^(tau_i-eps).
 
-    The prefix (a_1..a_{p-1}) is enumerated smallest-absolute-value-first; for
-    each prefix only the finitely many a_p within Q^(-1-eps) of -sum a_i xi_i
-    can violate, all others are certified in bulk.  Rational bases are decided
-    exactly; irrational ones via balls with precision escalation, leaving any
-    stubborn candidate as unknown (a certified violation found later still
-    dominates).
+    This is the coordinate-frame scan over that box: prefixes (a_1..a_{p-1})
+    smallest-absolute-value-first, and for each only the finitely many a_p
+    within Q^(-1-eps) of -sum a_i xi_i, all others certified in bulk.
+    Rational bases are decided exactly; irrational ones via balls with
+    precision escalation, leaving any stubborn candidate as unknown (a
+    certified violation found later still dominates).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -531,113 +633,22 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     taus = [Fraction(t) for t in tau]
     if len(taus) != p - 1:
         raise ValidationError(f"tau must have length {p - 1}")
-    phi = phi_of_Q(seq, Q)
-    delta = seq.records[phi.value].delta
-    dp = delta[p - 1]
-
-    ranges = _box_ranges(delta, range(1, p), taus, Q, eps)
-    estimate, odometer = _odometer(ranges, budget)
-
-    # threshold t = Q^-(1+eps): exact when Q^(1+eps) is rational
-    one_eps = 1 + eps
-    u, v = one_eps.numerator, one_eps.denominator
-    root = nth_root_floor(Q ** u, v)
-    t_exact: Optional[Fraction] = Fraction(1, root) if root ** v == Q ** u else None
-    t_bits = 96
-    if t_exact is None:
-        q_lo, q_hi = _power_bracket(Q, one_eps, t_bits)
-        t_lo, t_hi = 1 / q_hi, 1 / q_lo
-    else:
-        t_lo = t_hi = t_exact
-
-    exact_xi = basis.exact_xi
+    delta = seq.records[phi_of_Q(seq, Q).value].delta
+    labels = range(1, p)
+    ranges = _box_ranges(delta, labels, taus, Q, eps)
     work = _scan_prec(prec)
-    if exact_xi is None:
-        # rigorous scaled-integer brackets: X_lo <= xi * 2^work <= X_hi
-        scale = 1 << work
-        X = [(math.floor(x.lower * scale), math.ceil(x.upper * scale))
-             for x in basis.xi_balls(work)]
-        D = math.lcm(*delta)
-        mults = [D // d for d in delta[:p - 1]]
-        step = (D // dp) * scale
-        T_lo = math.floor(t_lo * D * scale)
-        T_hi = math.ceil(t_hi * D * scale)
-
-    checked = 0
-    prefixes = 0
-    unknowns: list[tuple] = []
-    escalations = 0
-
-    def decide_slow(prefix: tuple, kp: int) -> TriBool:
-        """Certified |value| <= t by balls, escalating past `work`."""
-        def at(w):
-            nonlocal escalations
-            if w == work:
-                return TriBool.UNKNOWN   # the integer brackets left it open
-            escalations += 1
-            if t_exact is None:
-                q_lo, q_hi = _power_bracket(Q, one_eps, w + 32)
-                tl, th = 1 / q_hi, 1 / q_lo
-            else:
-                tl = th = t_exact
-            val = _prefix_ball(basis, prefix, range(1, p), delta, w)
-            return cmp_abs_le(val + Fraction(kp, dp), tl, th)
-        return escalate(at, work, cap)[0]
-
-    def violated(prefix: tuple, kp: int, **diag) -> Verdict:
-        wit = _dual_point(p, range(1, p), prefix, delta, kp)
-        return Verdict("violated", wit, Q, eps,
-                       {"candidates_checked": checked, "prefixes": prefixes,
-                        "budget_estimate": estimate, **diag})
-
-    for prefix in odometer:
-        zero = not any(prefix)
-        prefixes += 1
-        if exact_xi is not None:
-            s = sum((Fraction(k, d) * x for k, d, x in
-                     zip(prefix, delta, exact_xi)), Fraction(0))
-            kmin = math.ceil((-s - t_hi) * dp)
-            kmax = math.floor((-s + t_hi) * dp)
-            start = max(kmin, 1) if zero else kmin
-            for kp in range(start, kmax + 1):
-                checked += 1
-                if cmp_abs_vs_power(s + Fraction(kp, dp), Q, -one_eps) <= 0:
-                    return violated(prefix, kp)
-        else:
-            # integer brackets of v * D * 2^work for the whole prefix
-            s_lo = s_hi = 0
-            for k, m, (xl, xh) in zip(prefix, mults, X):
-                if k > 0:
-                    s_lo += k * m * xl
-                    s_hi += k * m * xh
-                elif k < 0:
-                    s_lo += k * m * xh
-                    s_hi += k * m * xl
-            kmin = -((s_hi + T_hi) // step)
-            kmax = (T_hi - s_lo) // step
-            start = max(kmin, 1) if zero else kmin
-            for kp in range(start, kmax + 1):
-                checked += 1
-                v_lo = s_lo + kp * step
-                v_hi = s_hi + kp * step
-                if v_lo > 0 or v_hi < 0:
-                    alo, ahi = min(abs(v_lo), abs(v_hi)), max(abs(v_lo), abs(v_hi))
-                else:
-                    alo, ahi = 0, max(-v_lo, v_hi)
-                if alo > T_hi:
-                    continue                       # certified holds
-                outcome = TriBool.TRUE if ahi <= T_lo \
-                    else decide_slow(prefix, kp)
-                if outcome is TriBool.TRUE:
-                    return violated(prefix, kp, escalations=escalations)
-                if outcome is TriBool.UNKNOWN:
-                    unknowns.append(prefix + (kp,))
-    diag = {"candidates_checked": checked, "prefixes": prefixes,
-            "budget_estimate": estimate, "escalations": escalations,
-            "unknown_candidates": len(unknowns)}
-    if unknowns:
-        return Verdict("unknown", None, Q, eps, diag)
-    return Verdict("holds", None, Q, eps, diag)
+    inside, t_hi = _threshold(Q, eps, work)
+    witness, n = _coordinate_scan(basis, labels, delta, ranges, budget, work,
+                                  cap, t_hi, inside)
+    diag = {"candidates_checked": n["checked"], "prefixes": n["prefixes"],
+            "budget_estimate": n["estimate"]}
+    if witness is not None:
+        if basis.exact_xi is None:      # exact sums report no escalations
+            diag["escalations"] = n["escalations"]
+        return Verdict("violated", witness, Q, eps, diag)
+    diag.update(escalations=n["escalations"],
+                unknown_candidates=n["unknowns"])
+    return Verdict("unknown" if n["unknowns"] else "holds", None, Q, eps, diag)
 
 
 def _one_plus_sq(basis: Basis, prec: int) -> BallReal:

@@ -11,11 +11,12 @@ volume-vs-determinant certificate, and refusals (hypotheses not certified,
 or Q too small for the certificate) are first-class outcomes distinct from
 search failure.
 
-The directed searches exploit the box shape: for a fixed last coordinate
-the optimal choice in each remaining coordinate is the nearest lattice
-multiple, so existence reduces to a scan over the last coordinate (primal)
-or over the bounded prefix coordinates (dual).  A full-enumeration oracle
-cross-checks both at small sizes.
+The directed searches exploit the box shape.  The primal one scans the
+last coordinate and takes the nearest lattice multiple in each remaining
+coordinate.  The dual one is the coordinate-frame scan of criteria, the
+one verify_conclusion runs: it walks the bounded prefix coordinates and
+tries only the last coordinates within the threshold.  A full-enumeration
+oracle cross-checks both at small sizes.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ from .model import (
 from .criteria import (
     BudgetExceeded,
     _box_ranges,
-    _dual_point,
-    _odometer,
+    _coordinate_scan,
     _power_bracket,
-    _prefix_ball,
     _scan_prec,
     _signed,
+    _threshold,
 )
 
 __all__ = [
@@ -288,47 +288,10 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
     def inside(v, w):
         ball = v if isinstance(v, BallReal) else BallReal.exact(v, w)
         return cmp_abs_le(ball, t.value.lower, t.value.upper, t.strict)
-    return _coordinate_scan(basis, labels, delta, ranges, budget,
-                            _scan_prec(prec), PREC_CAP, inside)
-
-
-def _coordinate_scan(xi: Basis, labels: Sequence[int], delta: Sequence[int],
-                     ranges: Sequence[int], budget: int, work: int, cap: int,
-                     inside) -> tuple[Optional[DualPoint], dict]:
-    """Odometer over a_j = m_j/delta_j on the labels (|m_j| <= R_j),
-    smallest first with the first nonzero entry positive; unlabelled
-    coordinates stay 0.  inside(v, w) decides each candidate
-    v = sum a_j xi_j + kp/delta_p: exact when xi is rational, else an
-    enclosure at w bits, escalated from work to cap."""
-    p = xi.p
-    dp = delta[p - 1]
-    _, odometer = _odometer(ranges, budget, per_prefix=2)
-    exact_xi = xi.exact_xi
-    top = cap if exact_xi is None else work     # exact sums never escalate
-    checked = unknowns = 0
-    for prefix in odometer:
-        if exact_xi is None:
-            s = _prefix_ball(xi, prefix, labels, delta, work)
-            q = -s.mid * dp
-        else:
-            s = sum((Fraction(m, delta[j - 1]) * exact_xi[j - 1]
-                     for m, j in zip(prefix, labels)), Fraction(0))
-            q = -s * dp
-        # the <= 2 multiples kp/dp nearest -s, half-ties toward zero; the
-        # zero prefix excludes kp = 0 and by symmetry needs only kp = 1
-        k0 = _round_half_to_zero(q)
-        kps = (k0, k0 + 1 if q >= k0 else k0 - 1) if any(prefix) else (1,)
-        for kp in kps:
-            checked += 1
-            ok, _ = escalate(lambda w: inside(
-                (s if w == work else _prefix_ball(xi, prefix, labels, delta, w))
-                + Fraction(kp, dp), w), work, top)
-            if ok is TriBool.TRUE:
-                return _dual_point(p, labels, prefix, delta, kp), \
-                    {"checked": checked, "unknowns": unknowns}
-            if ok is TriBool.UNKNOWN:
-                unknowns += 1
-    return None, {"checked": checked, "unknowns": unknowns}
+    point, n = _coordinate_scan(basis, labels, delta, ranges, budget,
+                                _scan_prec(prec), PREC_CAP, t.value.upper,
+                                inside, per_prefix=2)
+    return point, {"checked": n["checked"], "unknowns": n["unknowns"]}
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +397,8 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     Requires the condition certified > 1 with margin above (|J|+2) eps and a
     passing exact volume certificate
     Q^(sum_J tau_j - 1 - (|J|+1) eps) * delta_p prod_J delta_j > 1; refusal
-    otherwise.  Enumerates a_j = m_j/delta_j on J smallest-first and tests
-    the <= 2 nearest multiples of 1/delta_p per prefix.
+    otherwise.  The witness is the first point of the coordinate-frame scan
+    that verify_conclusion runs, over the box with a_j = 0 off J u {p}.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -464,21 +427,14 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
                        "lattice_det": f"1/{int_to_decimal(det)}"})
     cert = {"volume": vol, "lattice_det": BallReal.exact(Fraction(1, det), wp),
             "margin": TriBool.TRUE}
-    t_work = _power_bracket(Q, -1 - eps, wp)
-
-    def inside(v, w):       # |v| <= Q^(-1-eps), exactly for rational v
-        if isinstance(v, Fraction):
-            return TriBool.TRUE if cmp_abs_vs_power(v, Q, -1 - eps) <= 0 \
-                else TriBool.FALSE
-        return cmp_abs_le(v, *(t_work if w == wp
-                               else _power_bracket(Q, -1 - eps, w)))
-    point, diag = _coordinate_scan(
+    inside, t_hi = _threshold(Q, eps, wp)
+    point, n = _coordinate_scan(
         xi, J, delta_PhiQ, _box_ranges(delta_PhiQ, J, taus, Q, eps), budget,
-        wp, cap, inside)
+        wp, cap, t_hi, inside, per_prefix=2)
     if point is None:
         raise SearchFailed("no certified witness in the K_Q scan",
-                           diag.get("unknowns", 0))
-    diag["J"] = J
+                           n["unknowns"])
+    diag = {"checked": n["checked"], "unknowns": n["unknowns"], "J": J}
     return SearchOutcome(kind="dual", point=point, certificate=cert,
                          diagnostics=diag)
 

@@ -204,49 +204,90 @@ def test_verify_report_identical(capsys):
     assert report_of(out1)["result"] == report_of(out2)["result"]
 
 
-# sha256 of json.dumps(report["result"], sort_keys=True,
-# separators=(",", ":")), recorded before the certified-decision code was
-# merged into one routine per kind; any change of verdict, witness,
-# diagnostic or enclosure changes the digest.
+# Each pinned CLI result is split into an outcome (what was decided:
+# statuses, verdicts, witnesses, points, certificates, enclosures) and the
+# work it took (the counters under WORK_KEYS, kept at their paths), and each
+# part is pinned by the sha256 of its canonical JSON.  A faster algorithm
+# with the same outcome moves only the work digest.  Both digests were
+# recorded on the parent commit of each change that moved them; print them
+# with `PYTHONPATH=src python tests/test_cli.py`.  The dual work digests
+# moved when the dual witness took verify_conclusion's scan: it checks only
+# the candidates within the threshold, 1 where there were 1974 (golden) and
+# 8 (1/2).
+WORK_KEYS = frozenset({"candidates_checked", "prefixes", "budget_estimate",
+                       "escalations", "unknown_candidates", "checked",
+                       "scanned", "unknowns"})
 UNDECIDED_VERIFY = ("verify", "--gen", "fibonacci-golden", "--xi", "0.5±0.01",
                     "--n-max", "30", "--tau", "1", "--Q", "50", "--eps", "1/4")
-PINNED_RESULTS = {
+PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
     "verify-golden": (
         ("verify", "--gen", "fibonacci-golden", "--n-max", "60", "--tau", "1",
          "--Q", "100000", "--eps", "1/5"),
-        "03382f171dc970a4d9f99534ac6a21452ff7b50e83fa360821e998dc562e523a"),
+        "dc38cc55990dcba87beb1a2ca0f9577f0475b02d6c1bb05906de9297c9c319f3",
+        "51cb32bc3ebd49926cad78d5c13d12eea5444a9d75d09e123905e2979ad443b5"),
     "verify-undecided": (
         UNDECIDED_VERIFY,
-        "e6af3ea57434b7ed869a5a99be614d52a332bac82e023134aefce800e7ca6ace"),
+        "89ac3924008934b24d005025bd2b2c05b88f0a7539985a008708cbfd2ad448c5",
+        "568eb7e060c160b3705ddd2a5728a2513963419c26b0935b09037d74909e94f6"),
     "primal-golden": (
         ("construct-primal", "--xi", "golden", "--tau", "1", "--delta", "1",
          "1", "--Q", "987"),
-        "0291a950dc231e546dd7fc1ab7c9685c0916129851a5476da43aab2f26944a79"),
+        "740a370f9e1c4b2b3c978e6c373c757709bc17037010c11c560c646b0d6b02fd",
+        "90a552f696e319cae5043d919383a52849a1319ede4fe039f42ae5f42d5686a3"),
     "dual-golden": (
         ("construct-dual", "--xi", "golden", "--tau", "3/2", "--gamma", "0",
          "0", "--delta", "1", "1", "--Q", "1000", "--eps", "1/20"),
-        "13583368ec0630a341ca2b3bdaf894feaed3b88735a3a47d4d1fc0ffe940b0e3"),
+        "3d53c4eb6a4ecb7a77ebf530de6509806863abb43c4c81adf074c16e4e313987",
+        "30c9cc6dcc0f0ebb3f286ea5d6ab62bbe7536cf812ff80057d6d3a95da7df8ad"),
     "dual-half": (
         ("construct-dual", "--xi", "1/2", "--tau", "3/2", "--gamma", "0", "0",
          "--delta", "2", "3", "--Q", "1000", "--eps", "1/20"),
-        "418fd74d4e73e86c76f447c817f5464cbb72bdad401bc11e46b1c4e0286d2076"),
+        "c6e151f2421f74de9e414b4a8bc25895e987a6025aed5547a9ce617bea10bfb6",
+        "30c9cc6dcc0f0ebb3f286ea5d6ab62bbe7536cf812ff80057d6d3a95da7df8ad"),
     "estimate-apery": (
         ("estimate", "--gen", "apery-zeta3", "--n-max", "20"),
-        "e208b988b6e69956533d0168fef48a832ed97793e96b4ac53ec8b29fad76accf"),
+        "e208b988b6e69956533d0168fef48a832ed97793e96b4ac53ec8b29fad76accf",
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "nesterenko-fib": (
         ("check-nesterenko", "--gen", "fibonacci-golden", "--n-max", "40"),
-        "363afffd905ed941cc48c1b2f1b137cf0cd2319a8a3f55444ac79bf2da6c5596"),
+        "363afffd905ed941cc48c1b2f1b137cf0cd2319a8a3f55444ac79bf2da6c5596",
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "siegel-apery": (
         ("check-siegel", "--gen", "apery-zeta3", "--n-max", "30", "--n1", "2",
          "--n2", "5"),
-        "6f187c493d5dc2f514c806916a1cc8852a3f71920baffa40f38174da92e61a6d"),
+        "6f187c493d5dc2f514c806916a1cc8852a3f71920baffa40f38174da92e61a6d",
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
 }
+
+
+def split_result(obj):
+    """(outcome, work): obj without the WORK_KEYS entries, and those entries
+    alone under the same keys and list positions (empty parts dropped)."""
+    if isinstance(obj, dict):
+        outcome, work = {}, {}
+        for k, v in obj.items():
+            if k in WORK_KEYS:
+                work[k] = v
+                continue
+            outcome[k], w = split_result(v)
+            if w:
+                work[k] = w
+        return outcome, work
+    if isinstance(obj, list):
+        parts = [split_result(v) for v in obj]
+        works = [w for _, w in parts]
+        return [o for o, _ in parts], works if any(works) else {}
+    return obj, {}
+
+
+def digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
 def cli_report(argv):
-    """Report of one CLI run, shared by the tests that pin it (the undecided
-    verify escalates nine candidates to the cap, about 10 s)."""
+    """Report of one CLI run, shared by the tests that pin it."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = run(list(argv))
@@ -255,10 +296,11 @@ def cli_report(argv):
 
 @pytest.mark.parametrize("name", sorted(PINNED_RESULTS))
 def test_result_digest_pinned(name):
-    argv, digest = PINNED_RESULTS[name]
+    argv, outcome_digest, work_digest = PINNED_RESULTS[name]
     _, rep = cli_report(argv)
-    text = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    outcome, work = split_result(rep["result"])
+    assert digest(outcome) == outcome_digest
+    assert digest(work) == work_digest
 
 
 def test_report_to_file_leaves_stdout_empty(tmp_path, capsys):
@@ -379,6 +421,25 @@ def test_malformed_input_file_exits_1(tmp_path, capsys):
     assert rc == 1 and "line 1" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 1, "Q": "1", "ell": ["1", "1"], "delta": ["1", "1"]}\n'
+     + "[" * 10 ** 5 + "]" * 10 ** 5 + "\n",
+     "line 2: invalid JSON: nested too deeply"),
+    ('{"generator": "fibonacci-golden", "params": 3}\n'
+     '{"n": 1, "Q": "1", "ell": ["1", "1"], "delta": ["1", "1"]}\n',
+     "line 1: params must be an object"),
+], ids=["deep-nesting", "params-not-object"])
+def test_malformed_input_is_one_line_without_traceback(tmp_path, text,
+                                                       message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "latforms", "estimate", "--input", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"latforms: error: {message}\n"
+
+
 def test_exit_code_matches_status_everywhere(capsys):
     """Sampled exit-code/status contract: 0 holds/success, 2 violated/refused,
     3 unknown, across every report-emitting command family."""
@@ -446,3 +507,9 @@ def test_generate_past_the_int_str_digit_limit(capsys, tmp_path):
     res = report_of(out)["result"]
     assert rc == 0 and res["lossless"] and res["already_canonical"]
     assert res["records"] == 1600
+
+
+if __name__ == "__main__":
+    for name, (argv, _, _) in sorted(PINNED_RESULTS.items()):
+        outcome, work = split_result(cli_report(argv)[1]["result"])
+        print(name, digest(outcome), digest(work))

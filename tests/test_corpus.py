@@ -3,11 +3,13 @@
 import io
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
 import pytest
 import mpmath
+from hypothesis import given, settings, strategies as st
 
 from latforms.numerics import TriBool, parse_real
 from latforms.model import (
@@ -337,6 +339,62 @@ def test_malformed_lines_report_position():
                     '"delta": ["1", "1"]}\n')
     with pytest.raises(ValidationError, match="no records"):
         loads_jsonl('{"generator": "x", "params": {}}\n')
+
+
+def test_deep_nesting_and_bad_params_are_located():
+    record = '{"n": 2, "Q": "1", "ell": ["2", "1"], "delta": ["1", "1"]}\n'
+    deep = "[" * 10 ** 5 + "]" * 10 ** 5
+    with pytest.raises(ValidationError, match="line 2: invalid JSON"):
+        loads_jsonl(record + deep + "\n")
+    with pytest.raises(ValidationError, match="line 1: params must be an "
+                                              "object"):
+        loads_jsonl('{"generator": "fibonacci-golden", "params": 3}\n'
+                    + record)
+    with pytest.raises(ValidationError, match="line 2: no records"):
+        loads_jsonl('{"generator": "x", "params": {}}\n')
+    # a header's params reach default_basis, which checks the xi list
+    with pytest.raises(ValidationError, match="xi = 3 is not a list"):
+        default_basis(GeneratorSpec("synthetic-power", 3, {"xi": 3}))
+
+
+_JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6) | st.integers().map(str))
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(
+                       ["n", "Q", "ell", "delta", "generator", "params",
+                        "xi"]) | st.text(max_size=3), inner, max_size=5)),
+    max_leaves=12)
+_INT_ISH = st.integers(-2, 30) | st.integers(-2, 30).map(str) | _JSON_SCALAR
+_RECORDISH = st.fixed_dictionaries(
+    {"n": _INT_ISH, "Q": _INT_ISH,
+     "ell": st.lists(_INT_ISH, max_size=4),
+     "delta": st.lists(_INT_ISH, max_size=4)},
+    optional={"extra": _JSON_SCALAR})
+_RECORD = st.tuples(
+    st.integers(0, 9), st.integers(1, 60),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(-5, 5)), min_size=2,
+             max_size=3)).map(lambda r: {
+                 "n": r[0], "Q": str(r[1]),
+                 "ell": [str(d * k) for d, k in r[2]],
+                 "delta": [str(d) for d, _ in r[2]]})
+_HEADERISH = st.fixed_dictionaries({"generator": _JSON_VALUE},
+                                   optional={"params": _JSON_VALUE})
+_LINE = (st.text(max_size=30) | _JSON_VALUE.map(json.dumps)
+         | _RECORDISH.map(json.dumps) | _RECORD.map(json.dumps)
+         | _HEADERISH.map(json.dumps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINE, max_size=6))
+def test_loads_jsonl_raises_only_located_validation_errors(lines):
+    try:
+        seq = loads_jsonl("\n".join(lines))
+    except ValidationError as e:
+        assert re.match(r"line \d+: ", str(e)), str(e)
+    else:
+        assert dumps_jsonl(loads_jsonl(dumps_jsonl(seq))) == dumps_jsonl(seq)
 
 
 def test_jsonl_past_the_int_str_digit_limit():

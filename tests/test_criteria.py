@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from latforms.numerics import BallReal, TriBool, cmp_abs_vs_power, parse_real, tri_compare
 from latforms.model import (
     Basis,
+    Bound,
+    ConvexBody,
     DualPoint,
     FormRecord,
     FormSequence,
@@ -35,6 +37,7 @@ from latforms.criteria import (
     reduce_scale,
     verify_conclusion,
 )
+from latforms.minkowski import enumerate_lattice_points
 
 GOLDEN = Basis((parse_real("golden"),))
 
@@ -400,6 +403,77 @@ def test_verify_irrational_ball_mode_agrees_with_scan():
     seq = flat_seq([2, 3, 5])
     v = verify_conclusion(seq, GOLDEN, [1], 5, Fraction(1, 5), prec=96)
     assert v.status == "holds"
+
+
+def _power_of_two_box(basis, taus, Q, eps):
+    """The box verify_conclusion searches, as a coordinate-frame body:
+    |a_j| <= Q^(tau_j-eps) and |sum a_j xi_j + a_p| <= Q^(-1-eps), each
+    bound an exact power of two."""
+    k = Q.bit_length() - 1
+    sides = [k * (t - eps) for t in taus] + [-k * (1 + eps)]
+    assert Q == 1 << k and all(e.denominator == 1 for e in sides)
+    return ConvexBody(frame="coordinate",
+                      coords=tuple(range(1, basis.p + 1)),
+                      bounds=tuple(Bound(BallReal.exact(Fraction(2) ** e),
+                                         strict=False) for e in sides))
+
+
+def test_verify_agrees_with_enumeration_oracle():
+    """verify_conclusion against enumerate_lattice_points over the same box.
+    Dyadic xi and delta, with Q^(1+eps) and every Q^(tau_j-eps) a power of
+    two, keep every comparison the oracle makes exact; golden adds
+    irrational instances.  The verdict is violated exactly when the oracle
+    finds a certified point, and the witness is that point (or, from the
+    zero prefix, its negation)."""
+    rng = random.Random(606)
+    dyadic = [Fraction(n, 64) for n in range(-127, 128) if n % 2]
+    instances = []
+    for _ in range(48):
+        p = rng.choice([2, 2, 3])
+        xi = Basis(tuple(parse_real(str(rng.choice(dyadic))) for _ in
+                         range(p - 1)))
+        instances.append((xi, p))
+    instances += [(GOLDEN, 2)] * 12
+    outcomes = set()
+    for k, (basis, p) in enumerate(instances):
+        Q = rng.choice([16, 256] if p == 2 else [16])
+        eps = Fraction(1, 4)
+        tau_pool = [Fraction(i, 4) for i in range(1, 6 if p == 2 else 4)]
+        taus = [rng.choice(tau_pool) for _ in range(p - 1)]
+        delta = tuple(rng.choice([1, 2, 4, 8]) for _ in range(p))
+        seq = FormSequence([FormRecord(n=1, Q=1, ell=delta, delta=delta)])
+        v = verify_conclusion(seq, basis, taus, Q, eps)
+        body = _power_of_two_box(basis, taus, Q, eps)
+        first, unknowns, _ = enumerate_lattice_points(body, delta, basis,
+                                                      limit=10 ** 6)
+        assert unknowns == 0, k
+        assert v.status == ("holds" if first is None else "violated"), k
+        outcomes.add(v.status)
+        if first is not None:
+            assert body.contains(v.witness.a, basis) is TriBool.TRUE, k
+            assert v.witness.a in (first, tuple(-a for a in first)), k
+    assert outcomes == {"holds", "violated"}
+    # a fixed-width ball cannot narrow: the verdict is unknown exactly when
+    # the oracle is left with undecided candidates and no certified one,
+    # and both leave the same candidates undecided (the ball sits where
+    # a_2 takes both signs)
+    for k in range(16):
+        xi = [parse_real(str(rng.choice(dyadic))),
+              parse_real(f"{float(rng.choice(dyadic))}±0.0625")]
+        basis = Basis(tuple(xi))
+        taus = [rng.choice([Fraction(1, 4), Fraction(1, 2)]) for _ in xi]
+        delta = tuple(rng.choice([1, 2, 4]) for _ in range(3))
+        seq = FormSequence([FormRecord(n=1, Q=1, ell=delta, delta=delta)])
+        v = verify_conclusion(seq, basis, taus, 16, Fraction(1, 4), cap=256)
+        first, unknowns, _ = enumerate_lattice_points(
+            _power_of_two_box(basis, taus, 16, Fraction(1, 4)), delta, basis)
+        expect = ("violated" if first is not None
+                  else "unknown" if unknowns else "holds")
+        assert v.status == expect, k
+        if first is None:       # the oracle also walks the negated points
+            assert 2 * v.diagnostics["unknown_candidates"] == unknowns, k
+        outcomes.add(v.status)
+    assert outcomes == {"holds", "violated", "unknown"}
 
 
 # -- scale reduction ---------------------------------------------------------

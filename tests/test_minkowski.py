@@ -181,11 +181,12 @@ def test_dual_golden_scan():
 
 def test_dual_threshold_is_inclusive():
     # Q=4, eps=1/2: the threshold Q^(-3/2) = 1/8 is met with equality by
-    # a = (1/2, 0) against xi = 1/4, the first candidate of the scan
+    # a = (1/2, 0) against xi = 1/4, the first candidate of the scan and
+    # the only one within the threshold of -a_1 xi_1
     out = construct_dual_witness(Basis((parse_real("1/4"),)), [2],
                                  [F(1, 2), F(1, 2)], [2, 2], 4, F(1, 2))
     assert out.point.a == (F(1, 2), F(0))
-    assert out.diagnostics["checked"] == 2
+    assert out.diagnostics["checked"] == 1
 
 
 def test_dual_refuses_condition_below_one():
