@@ -554,9 +554,11 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     denominators, which makes the bracket exact).  Only the kp with |v| <=
     t_hi possible are candidates, in ascending order, kp > 0 for the zero
     prefix.  inside decides each on v exactly for rational xi, else on an
-    enclosure at w bits escalated from work to cap.  Returns the point (or
-    None) and the counts: estimate (the budget estimate, per_prefix per
-    prefix), prefixes, checked, escalations (steps past work) and unknowns.
+    enclosure at w bits escalated from work to cap; it returns None for a
+    candidate no precision can decide, which counts as unknown at once.
+    Returns the point (or None) and the counts: estimate (the budget
+    estimate, per_prefix per prefix), prefixes, checked, escalations
+    (steps past work) and unknowns.
     """
     p = basis.p
     dp = delta[p - 1]
@@ -608,7 +610,7 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
                 ok = escalate(decide, work, cap)[0]
             if ok is TriBool.TRUE:
                 return _dual_point(p, labels, prefix, delta, kp), counts()
-            if ok is TriBool.UNKNOWN:
+            if ok is not TriBool.FALSE:
                 unknowns += 1
     return None, counts()
 

@@ -269,10 +269,12 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
 
 def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
                                basis: Basis, prec: int = 64,
-                               budget: int = 10 ** 7
+                               budget: int = 10 ** 7, cap: int = PREC_CAP
                                ) -> tuple[Optional[DualPoint], dict]:
     """First nonzero dual point (a_j in Z/delta_j) in a coordinate-frame box.
-    Prefix ranges come from the certified (lower) end of each bound."""
+    Prefix ranges come from the certified (lower) end of each bound.  A
+    candidate whose |v| lies strictly inside the last bound's own interval
+    is an unknown at once: no precision can decide it."""
     if body.frame != "coordinate":
         raise ValidationError("need a coordinate-frame body")
     labels = body.coords[:-1]
@@ -284,13 +286,17 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
         R = math.ceil(lo) - 1 if b.strict else math.floor(lo)
         ranges.append(max(R, -1))      # a bound below 0 empties its axis
     t = body.bounds[-1]
+    t_lo, t_hi = t.value.lower, t.value.upper
 
     def inside(v, w):
         ball = v if isinstance(v, BallReal) else BallReal.exact(v, w)
-        return cmp_abs_le(ball, t.value.lower, t.value.upper, t.strict)
+        if (cmp_abs_le(ball, t_lo, t_lo) is TriBool.FALSE
+                and cmp_abs_le(ball, t_hi, t_hi, True) is TriBool.TRUE):
+            return None                 # t_lo < |v| < t_hi
+        return cmp_abs_le(ball, t_lo, t_hi, t.strict)
     point, n = _coordinate_scan(basis, labels, delta, ranges, budget,
-                                _scan_prec(prec), PREC_CAP, t.value.upper,
-                                inside, per_prefix=2)
+                                _scan_prec(prec), cap, t_hi, inside,
+                                per_prefix=2)
     return point, {"checked": n["checked"], "unknowns": n["unknowns"]}
 
 

@@ -4,11 +4,12 @@ Every real quantity in this package is either an exact rational (Fraction)
 or a ball ``mid +/- rad`` whose midpoint and radius are dyadic rationals,
 stored as integers at one power-of-two scale (mid = m 2^e, rad = r 2^e).
 Ring operations compute the exact interval endpoints as integers at a common
-scale, division, ln, exp, sqrt and powers as exact rationals, and only then
-round, all through one routine: the midpoint to the working precision
-(halves up), the radius plus that rounding error up to 32 bits.  So the
-enclosure property "the true value lies inside the ball" is an invariant
-of construction, not a hope.  Fractions appear only at the API edge.
+scale, ln and exp integer brackets of the image of each end, division,
+sqrt and powers exact rationals, and only then round, all through one
+routine: the midpoint to the working precision (halves up), the radius plus
+that rounding error up to 32 bits.  So the enclosure property "the true
+value lies inside the ball" is an invariant of construction, not a hope.
+Fractions appear only at the API edge.
 
 Comparisons are three-valued: a ball comparison is True only when the
 intervals are disjoint in the right order, False only when disjoint the
@@ -18,7 +19,18 @@ hard cap, and must surface Unknown rather than guess.
 
 Transcendental constants (golden ratio, zeta(3), zeta(2), e, square roots)
 and ln/exp are evaluated by scaled-integer series with explicit tail and
-rounding-error bounds; nothing here relies on float semantics.
+rounding-error bounds; nothing here relies on float semantics.  ln and exp
+reduce their argument first (Brent, "Fast multiple-precision evaluation of
+elementary functions", JACM 1976).  With k about sqrt(wp)/4:
+ln x = 2^(k+1) atanh(t) + E ln 2, for t = (y - 1)/(y + 1) and y the 2^k-th
+root of x/2^E, taken by k floor isqrt steps; exp x = exp(r/2^(2k))^(2^(2k))
+2^K for r = x - K ln 2, by 2k squarings.  Each atanh term then gains about
+2k + 4 bits and each exp term at least 2k, where the unreduced series
+gained 4.6.  Each series keeps one chain of floors whose upper end adds an
+error bound that counts its terms; the roots, squarings and reduction add
+theirs in units of the last place, as the kernels' docstrings prove.
+Guard bits keep each bracket at most 2 units in its last place wide
+(2^-wp for ln, 2^(K-wp) for exp).
 """
 
 from __future__ import annotations
@@ -175,124 +187,154 @@ def cmp_abs_vs_power(a: Fraction, base: int, expo: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 def _atanh_bracket(num: int, den: int, wp: int) -> tuple[int, int]:
-    """Bracket of atanh(num/den) * 2**wp for 0 <= num/den <= 1/2."""
+    """Bracket [s, s + 2N + 3] of atanh(q) * 2**wp, q = num/den in [0, 1/2].
+
+    One chain of floors: p_0 = floor(q 2^wp), t2 = floor(q^2 2^wp),
+    p_(i+1) = floor(p_i t2 / 2^wp), and s sums floor(p_i / (2i+1)) over
+    the N indices before the first i with p_i < 2i + 1.
+
+    Proof.  Let P_i = q^(2i+1) 2^wp.  Then p_i <= P_i, and e_i = P_i - p_i
+    has e_0 < 1 and e_(i+1) < q^2 e_i + p_i (q^2 - t2 2^-wp) + 1
+    < e_i/4 + 1/2 + 1 <= 2, since q^2 <= 1/4 and p_i <= 2^(wp-1).  So each
+    summed term falls short of P_i/(2i+1) by less than e_i/(2i+1) + 1 <= 2,
+    which is 2N in all.  The rest of the series, from i = N on, has terms
+    falling by the factor q^2 <= 1/4, so it is below
+    (4/3)(p_N + 2)/(2N + 1) <= (4/3)(2N + 2)/(2N + 1) < 3.
+    """
     if num == 0:
         return 0, 0
-    t_lo = (num << wp) // den
-    t_hi = t_lo + 1
-    # t^2 bracket
-    t2_lo = (t_lo * t_lo) >> wp
-    t2_hi = ((t_hi * t_hi) >> wp) + 1
-    p_lo, p_hi = t_lo, t_hi
-    s_lo = s_hi = 0
-    j = 0
-    while True:
-        s_lo += p_lo // (2 * j + 1)
-        s_hi += p_hi // (2 * j + 1) + 1
-        p_lo = (p_lo * t2_lo) >> wp
-        p_hi = ((p_hi * t2_hi) >> wp) + 1
-        j += 1
-        if p_hi // (2 * j + 1) == 0:
-            # geometric tail with ratio t^2 <= 1/4: total < p_hi * 4/3 < 2
-            s_hi += 2
-            return s_lo, s_hi
+    p = (num << wp) // den
+    t2 = (num * num << wp) // (den * den)
+    s = n = 0
+    while p >= 2 * n + 1:
+        s += p // (2 * n + 1)
+        p = p * t2 >> wp
+        n += 1
+    return s, s + 2 * n + 3
+
+
+def _steps(wp: int) -> int:
+    """k, the number of square roots the reduced ln series takes at wp
+    bits: about sqrt(wp)/4, 0 below 16 bits.  exp, whose terms gain fewer
+    bits each, squares 2k times."""
+    return math.isqrt(wp) // 4
+
+
+def _guard(wp: int) -> int:
+    """Guard bits of the ln and exp kernels: 2^guard > 16 wp, so their
+    error bounds, a few wp units at most once scaled by 2^k, stay below a
+    quarter of a unit of 2^-wp."""
+    return wp.bit_length() + 4
 
 
 _LN2_CACHE: dict[int, tuple[int, int]] = {}
 
 
 def _ln2_bracket(wp: int) -> tuple[int, int]:
-    """Bracket of ln(2) * 2**wp.  ln 2 = 2 atanh(1/3)."""
-    br = _LN2_CACHE.get(wp)
+    """Bracket of ln(2) * 2**wp, at most 2 wide.  ln 2 = 2 atanh(1/3),
+    summed at the next multiple of 64 bits plus guard bits, memoised
+    there, and floored and ceiled down to wp."""
+    top = -(-wp // 64) * 64
+    br = _LN2_CACHE.get(top)
     if br is None:
-        lo, hi = _atanh_bracket(1, 3, wp + 4)
-        br = (2 * lo) >> 4, ((2 * hi) >> 4) + 1
-        _LN2_CACHE[wp] = br
-    return br
+        g = top.bit_length() + 2
+        lo, hi = _atanh_bracket(1, 3, top + g)
+        br = _LN2_CACHE[top] = 2 * lo >> g, -(-2 * hi >> g)
+    s = top - wp
+    return br[0] >> s, -(-br[1] >> s)
 
 
-def _ln_bracket(x: Fraction, wp: int) -> tuple[Fraction, Fraction]:
-    """Rigorous dyadic bracket [lo, hi] of ln(x), x > 0 rational."""
-    if x <= 0:
-        raise NumericsError("log of a non-positive enclosure")
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()
-    # pick e so that m = x/2^e lies in [3/4, 3/2): then |t| <= 1/5 below
-    while _cmp_scaled(n, d, e) < 0:  # m < 3/4
-        e -= 1
-    while _cmp_scaled(n, d, e + 1) >= 0:  # m >= 3/2
-        e += 1
-    # now m = x/2^e in [3/4, 3/2), t = (m-1)/(m+1) in [-1/7, 1/5]
-    if e >= 0:
-        tn, td = n - (d << e), n + (d << e)
-    else:
-        tn, td = (n << -e) - d, (n << -e) + d
-    neg = tn < 0
-    lo_i, hi_i = _atanh_bracket(abs(tn), td, wp)
-    if neg:
-        lo_i, hi_i = -hi_i, -lo_i
-    ln2_lo, ln2_hi = _ln2_bracket(wp)
-    if e >= 0:
-        lo_i, hi_i = 2 * lo_i + e * ln2_lo, 2 * hi_i + e * ln2_hi
-    else:
-        lo_i, hi_i = 2 * lo_i + e * ln2_hi, 2 * hi_i + e * ln2_lo
-    return Fraction(lo_i, 1 << wp), Fraction(hi_i, 1 << wp)
+def _ln_bracket(n: int, e: int, wp: int) -> tuple[int, int]:
+    """Bracket [lo, hi] of ln(n 2^e) * 2**wp for n >= 1; hi - lo <= 2 in
+    practice (the guard bits make the error below one ulp at wp).
+
+    Write x = m 2^E with m in [3/4, 3/2).  With k = _steps(wp) and
+    W = wp + k + guard bits, ln m = 2^(k+1) atanh(t) for y = m^(1/2^k)
+    and t = (y - 1)/(y + 1), so |t| <= 1/5 and about 2^-(k+2).
+
+    Proof of the bracket, all values in units of 2^-W:
+    * M = floor(m 2^W) has m 2^W in [M, M + 1].
+    * Each root M' = isqrt(M 2^W) adds at most one unit: if y 2^W is in
+      [M, M + c] then sqrt(y) 2^W lies within
+      sqrt((M + c) 2^W) - sqrt(M 2^W) <= c 2^W / (2 sqrt(M 2^W)) <= c
+      of sqrt(M 2^W) (as M >= 2^(W-2): y >= 3/4), which is within 1 of
+      M'.  So after k roots y 2^W is in [M, M + c] with c = k + 1.
+    * T = floor((M - 2^W) 2^W / (M + 2^W)) has t 2^W in [T, T + c + 1]:
+      t is increasing in y with slope 2/(y + 1)^2 < 1 for y >= 3/4.
+    * atanh(T 2^-W) 2^W is in the _atanh_bracket of |T| (negated for
+      T < 0), and atanh has slope 1/(1 - t^2) < 2 for |t| <= 1/5, so
+      atanh(t) 2^W exceeds it by at most 2(c + 1).
+    * ln x = 2^(k+1) atanh(t) + E ln 2, with ln 2 bracketed at W + g
+      bits, g the bit length of |E|; the sum is floored and ceiled to wp.
+    """
+    b = n.bit_length()
+    B = b if b > 1 and n >> (b - 2) == 3 else b - 1   # m = n / 2^B
+    E = e + B
+    k = _steps(wp)
+    W = wp + k + _guard(wp)
+    sh = W - B
+    M = n << sh if sh >= 0 else n >> -sh
+    one = 1 << W
+    for _ in range(k):
+        M = math.isqrt(M << W)
+    T = ((M - one) << W) // (M + one)
+    lo, hi = _atanh_bracket(abs(T), one, W)
+    if T < 0:
+        lo, hi = -hi, -lo
+    hi += 2 * (k + 2)
+    g = abs(E).bit_length()
+    l2_lo, l2_hi = _ln2_bracket(W + g)
+    if E < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    lo = (lo << (k + 1 + g)) + E * l2_lo
+    hi = (hi << (k + 1 + g)) + E * l2_hi
+    s = W + g - wp
+    return lo >> s, -(-hi >> s)
 
 
-def _cmp_scaled(n: int, d: int, e: int) -> int:
-    """Exact sign of n/(d*2^e) - 3/4."""
-    if e >= 0:
-        lhs, rhs = 4 * n, 3 * (d << e)
-    else:
-        lhs, rhs = 4 * (n << -e), 3 * d
-    return (lhs > rhs) - (lhs < rhs)
+def _exp_bracket(n: int, e: int, wp: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo 2^s <= exp(n 2^e) <= hi 2^s, lo of wp + 1 bits
+    and hi - lo <= 2 in practice.
 
+    Write x = K ln 2 + r with 0 <= r < ln 2 + 2^-W.  With k = 2 _steps(wp)
+    and W = wp + k + guard bits, exp(r) = exp(u)^(2^k) for u = r/2^k.
 
-def _exp_pos_bracket(num: int, den: int, wp: int) -> tuple[int, int]:
-    """Bracket of exp(num/den) * 2**wp for 0 <= num/den <= 3/4."""
-    if num == 0:
-        return 1 << wp, 1 << wp
-    r_lo = (num << wp) // den
-    r_hi = r_lo + 1
-    term_lo, term_hi = 1 << wp, 1 << wp
-    s_lo, s_hi = 1 << wp, 1 << wp
+    Proof of the bracket, all values in units of 2^-W (2^-S for X, L):
+    * X = floor(x 2^S) and ln 2 in [L_lo, L_hi] at S = W + g bits, g
+      covering the bits of K.  With L = L_hi for X >= 0 and L_lo else,
+      K, R = divmod(X, L) gives 0 <= R < L and r 2^S in
+      [R, R + 1 + |K|(L_hi - L_lo)]; at W bits r 2^W in [R', R' + c].
+    * u = R'/2^(W+k) <= 1 is exact; the chain p_0 = 2^W,
+      p_(j+1) = floor(floor(p_j R' / 2^(W+k)) / (j+1)) has
+      u^j/j! 2^W - p_j = e_j with e_(j+1) < e_j/(j+1) + 1, so e_j <= 2,
+      and stops at the first p_N = 0.  The N summed terms lose at most
+      2N and the rest, falling by u/(j+1) <= 1/2, at most 2 e_N <= 4.
+      The slack c in u moves exp(u) by at most 3c/2^k (exp(u) < 3).
+    * Each squaring Z' = floor(Z^2 / 2^W) keeps a width c' =
+      floor((2Z + c) c / 2^W) + 2: (Z + c)^2 - Z^2 = (2Z + c) c.
+    * exp(x) = exp(r) 2^K, floored and ceiled to wp + 1 bits.
+    """
+    k = 2 * _steps(wp)
+    W = wp + k + _guard(wp)
+    S = W + max(n.bit_length() + e, 0) + 2
+    sh = e + S
+    X = n << sh if sh >= 0 else n >> -sh
+    l2_lo, l2_hi = _ln2_bracket(S)
+    K, R = divmod(X, l2_hi if X >= 0 else l2_lo)
+    sh = S - W
+    R >>= sh
+    c = (1 + abs(K) * (l2_hi - l2_lo) >> sh) + 2
+    z = p = 1 << W
     j = 0
-    while True:
+    while p:
         j += 1
-        term_lo = (term_lo * r_lo >> wp) // j
-        term_hi = ((term_hi * r_hi >> wp) + 1) // j + 1
-        s_lo += term_lo
-        s_hi += term_hi
-        if term_hi <= 1:
-            s_hi += 4  # tail: geometric ratio <= 3/4 per spare factor, coarse
-            return s_lo, s_hi
-
-
-def _exp_bracket(x: Fraction, wp: int) -> tuple[Fraction, Fraction]:
-    """Rigorous dyadic bracket of exp(x), x rational."""
-    ln2_lo, ln2_hi = _ln2_bracket(wp)
-    # k = round(x / ln 2) using the bracket midpoint; any nearby k works
-    k = int((x * (1 << wp) * 2 + Fraction(ln2_lo + ln2_hi, 2)) // Fraction(ln2_lo + ln2_hi))
-    # r = x - k ln2 with ln2 in [lo,hi]/2^wp
-    if k >= 0:
-        r_lo = x - Fraction(k * ln2_hi, 1 << wp)
-        r_hi = x - Fraction(k * ln2_lo, 1 << wp)
-    else:
-        r_lo = x - Fraction(k * ln2_lo, 1 << wp)
-        r_hi = x - Fraction(k * ln2_hi, 1 << wp)
-    out = []
-    for r in (r_lo, r_hi):
-        if r >= 0:
-            lo_i, hi_i = _exp_pos_bracket(r.numerator, r.denominator, wp)
-        else:
-            plo, phi = _exp_pos_bracket(-r.numerator, r.denominator, wp)
-            # exp(r) = 1 / exp(-r)
-            lo_i = (1 << (2 * wp)) // phi
-            hi_i = -((-1 << (2 * wp)) // plo)
-        out.append((lo_i, hi_i))
-    lo_i = out[0][0]
-    hi_i = out[1][1]
-    return Fraction(lo_i, 1 << wp) * _pow2(k), (Fraction(hi_i, 1 << wp)) * _pow2(k)
+        p = (p * R >> (W + k)) // j
+        z += p
+    c = 2 * j + 4 + 3 * c
+    for _ in range(k):
+        z, c = z * z >> W, ((2 * z + c) * c >> W) + 2
+    s = W - wp
+    return z >> s, -(-(z + c) >> s), K - wp
 
 
 # ---------------------------------------------------------------------------
@@ -426,26 +468,29 @@ class BallReal:
     # -- certified transcendental maps -------------------------------------
 
     def log(self) -> "BallReal":
-        if self._m - self._r <= 0:
+        m, r, e = self._m, self._r, self._e
+        if m - r <= 0:
             raise NumericsError("log needs a certified-positive enclosure")
-        if self.is_exact and self._m == 1 and self._e == 0:
+        if not r and m == 1 and not e:
             return _ball(0, 0, 0, self.prec)
         wp = self.prec + 8
-        lo, hi = _shrink(self.lower, wp, up=False), _shrink(self.upper, wp, up=True)
-        lo_l, hi_l = _ln_bracket(lo, wp)
-        if hi != lo:
-            hi_l = _ln_bracket(hi, wp)[1]
-        return BallReal.from_endpoints(lo_l, hi_l, self.prec)
+        lo, hi = _ln_bracket(m - r, e, wp)
+        if r:
+            hi = _ln_bracket(m + r, e, wp)[1]
+        return _span(lo, hi, -wp, self.prec)
 
     def exp(self) -> "BallReal":
-        if self.is_exact and not self._m:
+        m, r, e = self._m, self._r, self._e
+        if not r and not m:
             return _ball(1, 0, 0, self.prec)
         wp = self.prec + 8
-        lo, hi = _shrink(self.lower, wp, up=False), _shrink(self.upper, wp, up=True)
-        lo_l, hi_l = _exp_bracket(lo, wp)
-        if hi != lo:
-            hi_l = _exp_bracket(hi, wp)[1]
-        return BallReal.from_endpoints(lo_l, hi_l, self.prec)
+        lo, hi, s = _exp_bracket(m - r, e, wp)
+        if r:
+            _, hi, s2 = _exp_bracket(m + r, e, wp)
+            if s2 < s:          # the ends may reduce by different ln 2 brackets
+                lo, s = lo << (s - s2), s2
+            hi <<= s2 - s
+        return _span(lo, hi, s, self.prec)
 
     def sqrt(self) -> "BallReal":
         if self._m - self._r < 0:
@@ -609,14 +654,6 @@ def _coerce(x, prec: int) -> BallReal:
     raise TypeError(f"cannot mix BallReal with {type(x).__name__}")
 
 
-def _shrink(x: Fraction, wp: int, up: bool) -> Fraction:
-    """Round a rational outward to ~wp bits so series cost ignores operand size."""
-    q, k, inexact = _round(x.numerator, x.denominator, wp)
-    if inexact:
-        q, k = 2 * q + (1 if up else -1), k - 1
-    return _frac(q, k)
-
-
 def tri_compare(x: BallReal, y: Union[BallReal, int, Fraction]) -> TriBool:
     """Certified 'x > y': True iff inf x > sup y, False iff sup x <= inf y."""
     y = _coerce(y, x.prec)
@@ -644,7 +681,9 @@ def escalate(decide: Callable[[int], Any], prec: int,
              cap: int = PREC_CAP) -> tuple[Any, int]:
     """The precision-escalation loop: decide(w) at w = prec, min(2w, cap),
     ... until it returns something other than TriBool.UNKNOWN or w has
-    reached cap.  Returns the last answer and the precision that gave it."""
+    reached cap.  Returns the last answer and the precision that gave it;
+    a decide that knows no precision can help returns None, which stops
+    the loop at once."""
     w = prec
     while True:
         out = decide(w)

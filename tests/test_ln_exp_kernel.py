@@ -1,0 +1,317 @@
+"""The reduced-argument ln and exp kernels against the series they replaced.
+
+The oracle below keeps the earlier kernels: atanh summed by two chains (a
+floor one and a ceiling one) at t = (m - 1)/(m + 1) in [-1/7, 1/5], exp
+summed directly at r = x - k ln 2, both on Fraction endpoints, and the
+ball maps that rounded each ball end outward to wp bits first.  Every new
+bracket must contain mpmath at 4x precision, be at most 2 units wide at
+its scale, and be no wider than the oracle's by more than one unit; the
+ball maps likewise, by one ulp of the midpoint.
+"""
+
+import mpmath
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from latforms import numerics
+from latforms.numerics import BallReal, _atanh_bracket, _exp_bracket, \
+    _ln2_bracket, _ln_bracket
+
+
+def _pow2(k):
+    return Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+
+
+# ---------------------------------------------------------------------------
+# the earlier kernels, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def old_atanh_bracket(num, den, wp):
+    """Bracket of atanh(num/den) * 2**wp for 0 <= num/den <= 1/2."""
+    if num == 0:
+        return 0, 0
+    t_lo = (num << wp) // den
+    t_hi = t_lo + 1
+    t2_lo = (t_lo * t_lo) >> wp
+    t2_hi = ((t_hi * t_hi) >> wp) + 1
+    p_lo, p_hi = t_lo, t_hi
+    s_lo = s_hi = 0
+    j = 0
+    while True:
+        s_lo += p_lo // (2 * j + 1)
+        s_hi += p_hi // (2 * j + 1) + 1
+        p_lo = (p_lo * t2_lo) >> wp
+        p_hi = ((p_hi * t2_hi) >> wp) + 1
+        j += 1
+        if p_hi // (2 * j + 1) == 0:
+            return s_lo, s_hi + 2
+
+
+def old_ln2_bracket(wp):
+    lo, hi = old_atanh_bracket(1, 3, wp + 4)
+    return (2 * lo) >> 4, ((2 * hi) >> 4) + 1
+
+
+def _cmp_scaled(n, d, e):
+    """Sign of n/(d*2^e) - 3/4."""
+    lhs, rhs = (4 * n, 3 * (d << e)) if e >= 0 else (4 * (n << -e), 3 * d)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def old_ln_bracket(x, wp):
+    """Fraction bracket of ln(x), x > 0 rational."""
+    n, d = x.numerator, x.denominator
+    e = n.bit_length() - d.bit_length()
+    while _cmp_scaled(n, d, e) < 0:
+        e -= 1
+    while _cmp_scaled(n, d, e + 1) >= 0:
+        e += 1
+    if e >= 0:
+        tn, td = n - (d << e), n + (d << e)
+    else:
+        tn, td = (n << -e) - d, (n << -e) + d
+    lo_i, hi_i = old_atanh_bracket(abs(tn), td, wp)
+    if tn < 0:
+        lo_i, hi_i = -hi_i, -lo_i
+    ln2_lo, ln2_hi = old_ln2_bracket(wp)
+    if e >= 0:
+        lo_i, hi_i = 2 * lo_i + e * ln2_lo, 2 * hi_i + e * ln2_hi
+    else:
+        lo_i, hi_i = 2 * lo_i + e * ln2_hi, 2 * hi_i + e * ln2_lo
+    return Fraction(lo_i, 1 << wp), Fraction(hi_i, 1 << wp)
+
+
+def old_exp_pos_bracket(num, den, wp):
+    """Bracket of exp(num/den) * 2**wp for 0 <= num/den <= 3/4."""
+    if num == 0:
+        return 1 << wp, 1 << wp
+    r_lo = (num << wp) // den
+    r_hi = r_lo + 1
+    term_lo = term_hi = s_lo = s_hi = 1 << wp
+    j = 0
+    while True:
+        j += 1
+        term_lo = (term_lo * r_lo >> wp) // j
+        term_hi = ((term_hi * r_hi >> wp) + 1) // j + 1
+        s_lo += term_lo
+        s_hi += term_hi
+        if term_hi <= 1:
+            return s_lo, s_hi + 4
+
+
+def old_exp_bracket(x, wp):
+    """Fraction bracket of exp(x), x rational."""
+    ln2_lo, ln2_hi = old_ln2_bracket(wp)
+    k = int((x * (1 << wp) * 2 + Fraction(ln2_lo + ln2_hi, 2))
+            // Fraction(ln2_lo + ln2_hi))
+    if k >= 0:
+        r_lo = x - Fraction(k * ln2_hi, 1 << wp)
+        r_hi = x - Fraction(k * ln2_lo, 1 << wp)
+    else:
+        r_lo = x - Fraction(k * ln2_lo, 1 << wp)
+        r_hi = x - Fraction(k * ln2_hi, 1 << wp)
+    out = []
+    for r in (r_lo, r_hi):
+        if r >= 0:
+            lo_i, hi_i = old_exp_pos_bracket(r.numerator, r.denominator, wp)
+        else:
+            plo, phi = old_exp_pos_bracket(-r.numerator, r.denominator, wp)
+            lo_i = (1 << (2 * wp)) // phi
+            hi_i = -((-1 << (2 * wp)) // plo)
+        out.append((lo_i, hi_i))
+    return (Fraction(out[0][0], 1 << wp) * _pow2(k),
+            Fraction(out[1][1], 1 << wp) * _pow2(k))
+
+
+def old_shrink(x, wp, up):
+    """x rounded to wp bits (halves up), then outward by half a unit."""
+    n, d = x.numerator, x.denominator
+    k = abs(n).bit_length() - d.bit_length() - wp
+    den = d if k < 0 else d << k
+    q, rem = divmod(n << -k if k < 0 else n, den)
+    if 2 * rem >= den:
+        q += 1
+    if rem:
+        q, k = 2 * q + (1 if up else -1), k - 1
+    return q * _pow2(k)
+
+
+def old_map(ball, bracket):
+    wp = ball.prec + 8
+    lo = old_shrink(ball.lower, wp, up=False)
+    hi = old_shrink(ball.upper, wp, up=True)
+    lo_f, hi_f = bracket(lo, wp)
+    if hi != lo:
+        hi_f = bracket(hi, wp)[1]
+    return BallReal.from_endpoints(lo_f, hi_f, ball.prec)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _frac(v):
+    """An mpf as an exact Fraction."""
+    sign, man, exp, _ = v._mpf_
+    return Fraction(-man if sign else man) * _pow2(exp)
+
+
+def _mid_ulp(ball):
+    """One unit in the last of the ball's prec bits of its midpoint."""
+    m = ball.mid
+    return _pow2(abs(m.numerator).bit_length() - m.denominator.bit_length()
+                 - ball.prec + 1) if m else Fraction(0)
+
+
+def _dyadic(draw, lo_exp, hi_exp, max_bits):
+    """n 2^e with n of 1..max_bits bits and |n 2^e| in [2^lo_exp, 2^hi_exp]."""
+    bits = draw(st.integers(1, max_bits))
+    n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return n, draw(st.integers(lo_exp, hi_exp)) - bits + 1
+
+
+@st.composite
+def ln_args(draw):
+    return _dyadic(draw, -5000, 5000, 9000), draw(st.integers(16, 8000))
+
+
+@st.composite
+def exp_args(draw):
+    (n, e), wp = _dyadic(draw, -5000, 11, 700), draw(st.integers(16, 8000))
+    return (draw(st.sampled_from([-1, 1])) * n, e), wp
+
+
+@st.composite
+def balls(draw, positive):
+    if positive:
+        n, e = _dyadic(draw, -5000, 5000, 300)
+    else:
+        n, e = _dyadic(draw, -300, 9, 300)
+        n *= draw(st.sampled_from([-1, 1]))
+    lo = n * _pow2(e)
+    width = draw(st.sampled_from([None, None, 0, -20, -200, -2000]))
+    hi = lo if width is None else lo + abs(lo) * _pow2(width) * draw(
+        st.integers(0, 1000))
+    return BallReal.from_endpoints(lo, hi, draw(st.integers(16, 8000)))
+
+
+# ---------------------------------------------------------------------------
+# the kernels
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 40), st.integers(1, 1 << 40),
+       st.integers(16, 8000))
+def test_atanh_bracket_contains_mpmath(num, den, wp):
+    num %= den // 2 + 1                              # num/den <= 1/2
+    lo, hi = _atanh_bracket(num, den, wp)
+    with mpmath.workprec(4 * wp):
+        v = _frac(mpmath.atanh(_mp(Fraction(num, den))) * 2 ** wp)
+    tol = abs(v) / (1 << (4 * wp - 4))
+    assert lo - tol <= v <= hi + tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(ln_args())
+@example(((1, 5000), 8000))
+@example(((1, -5000), 8000))
+@example((((1 << 9000) - 1, -14000), 8000))
+@example(((3, -2), 16))
+def test_ln_bracket_contains_mpmath_and_is_no_wider_than_oracle(arg):
+    (n, e), wp = arg
+    lo, hi = _ln_bracket(n, e, wp)
+    x = n * _pow2(e)
+    with mpmath.workprec(4 * wp):
+        v = _frac(mpmath.log(_mp(x)) * 2 ** wp)
+    tol = abs(v) / (1 << (4 * wp - 16))
+    assert lo - tol <= v <= hi + tol
+    assert hi - lo <= 2
+    o_lo, o_hi = old_ln_bracket(x, wp)
+    assert hi - lo <= (o_hi - o_lo) * 2 ** wp + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(exp_args())
+@example(((1, -5000), 8000))
+@example(((-(1 << 700) + 1, -689), 8000))
+@example((((1 << 700) - 1, -689), 16))
+@example(((-1, 0), 16))
+def test_exp_bracket_contains_mpmath_and_is_no_wider_than_oracle(arg):
+    (n, e), wp = arg
+    lo, hi, s = _exp_bracket(n, e, wp)
+    x = n * _pow2(e)
+    with mpmath.workprec(4 * wp):
+        v = _frac(mpmath.exp(_mp(x)) / mpmath.mpf(2) ** s)
+    tol = v / (1 << (4 * wp - 16))
+    assert lo - tol <= v <= hi + tol
+    assert lo.bit_length() == wp + 1 and hi - lo <= 2
+    o_lo, o_hi = old_exp_bracket(x, wp)
+    assert hi - lo <= (o_hi - o_lo) / _pow2(s) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ln_args(), exp_args())
+def test_brackets_hold_without_guard_bits(ln_arg, exp_arg):
+    """With no guard bits the error bounds of the proofs set the bracket
+    ends directly, at the scale where they are counted."""
+    guard, numerics._guard = numerics._guard, lambda wp: 0
+    try:
+        (n, e), wp = ln_arg
+        lo, hi = _ln_bracket(n, e, wp)
+        (xn, xe), xwp = exp_arg
+        xlo, xhi, s = _exp_bracket(xn, xe, xwp)
+    finally:
+        numerics._guard = guard
+    with mpmath.workprec(4 * wp):
+        v = _frac(mpmath.log(_mp(n * _pow2(e))) * 2 ** wp)
+    tol = abs(v) / (1 << (4 * wp - 16))
+    assert lo - tol <= v <= hi + tol
+    with mpmath.workprec(4 * xwp):
+        v = _frac(mpmath.exp(_mp(xn * _pow2(xe))) / mpmath.mpf(2) ** s)
+    tol = v / (1 << (4 * xwp - 16))
+    assert xlo - tol <= v <= xhi + tol
+
+
+def test_ln2_bracket_does_not_depend_on_call_order():
+    numerics._LN2_CACHE.clear()
+    first = [_ln2_bracket(wp) for wp in (100, 3000, 129, 64)]
+    numerics._LN2_CACHE.clear()
+    again = [_ln2_bracket(wp) for wp in (64, 129, 3000, 100)][::-1]
+    assert first == again
+    for wp, (lo, hi) in zip((100, 3000, 129, 64), first):
+        with mpmath.workprec(4 * wp):
+            assert lo <= _frac(mpmath.log(2) * 2 ** wp) <= hi
+        assert hi - lo <= 2
+
+
+# ---------------------------------------------------------------------------
+# the ball maps
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(balls(positive=True))
+def test_ball_log_contains_mpmath_and_is_no_wider_than_oracle(x):
+    out = x.log()
+    with mpmath.workprec(4 * x.prec + 32):
+        lo = _frac(mpmath.log(_mp(x.lower)))
+        hi = _frac(mpmath.log(_mp(x.upper)))
+    tol = max(abs(lo), abs(hi)) / (1 << (4 * x.prec + 16))
+    assert out.lower - tol <= lo and hi <= out.upper + tol
+    assert out.rad <= old_map(x, old_ln_bracket).rad + _mid_ulp(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(balls(positive=False))
+def test_ball_exp_contains_mpmath_and_is_no_wider_than_oracle(x):
+    out = x.exp()
+    with mpmath.workprec(4 * x.prec + 32):
+        lo = _frac(mpmath.exp(_mp(x.lower)))
+        hi = _frac(mpmath.exp(_mp(x.upper)))
+    tol = hi / (1 << (4 * x.prec + 16))
+    assert out.lower - tol <= lo and hi <= out.upper + tol
+    assert out.rad <= old_map(x, old_exp_bracket).rad + _mid_ulp(out)

@@ -2,6 +2,7 @@
 Minkowski certificates, refusal guards, the reciprocal sweep, and the
 directed-vs-enumeration equivalence oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -359,6 +360,37 @@ def test_coordinate_range_from_certified_end():
                                         strict=False)))
         assert directed_search_coordinate(body, [1, 1], GOLDEN)[0] is None
         assert enumerate_lattice_points(body, [1, 1], GOLDEN)[0] is None
+
+
+def test_undecidable_candidate_is_unknown_without_escalating():
+    """|3 phi - 5| = 0.145... lies strictly inside the last bound's
+    interval [1/10, 1/5]: no precision decides it, so the search counts it
+    unknown at the start precision instead of doubling up to the cap."""
+    golden = parse_real("golden")
+    asked = []
+    at = golden.at
+    golden.at = lambda prec: asked.append(prec) or at(prec)
+    body = ConvexBody(frame="coordinate", coords=(1, 2),
+                      bounds=(Bound(BallReal.exact(3, 64), strict=False),
+                              Bound(BallReal.from_endpoints(F(1, 10), F(1, 5),
+                                                            64),
+                                    strict=False)))
+    point, diag = directed_search_coordinate(body, [1, 1], Basis((golden,)))
+    assert point is None and diag == {"checked": 1, "unknowns": 1}
+    assert asked and max(asked) == asked[0]
+
+
+def test_coordinate_search_takes_cap_as_a_value():
+    # the last bound exceeds |3 phi - 5| by less than 2^-150
+    v = 5 - 3 * GOLDEN.xi[0].at(400)
+    b = F(math.ceil(v.upper * 2 ** 150), 2 ** 150)
+    body = ConvexBody(frame="coordinate", coords=(1, 2),
+                      bounds=(Bound(BallReal.exact(3, 64), strict=False),
+                              Bound(BallReal.exact(b, 200), strict=False)))
+    point, diag = directed_search_coordinate(body, [1, 1], GOLDEN, cap=96)
+    assert point is None and diag == {"checked": 1, "unknowns": 1}
+    point, diag = directed_search_coordinate(body, [1, 1], GOLDEN, cap=4096)
+    assert point.a == (3, -5) and diag == {"checked": 1, "unknowns": 0}
 
 
 def test_coordinate_equivalence_inexact_prefix_bounds():
