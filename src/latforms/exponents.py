@@ -210,8 +210,7 @@ def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
 
 
 def fit_alpha_beta(seq: FormSequence, basis: Basis, i: int = 1,
-                   prec: int = 64,
-                   cap: int = PREC_CAP) -> tuple[BallReal, BallReal]:
+                   prec: int = 64) -> tuple[BallReal, BallReal]:
     """Fit |L_n(e_i)| ~ alpha^n and Q_n ~ beta^n by log-linear least squares.
 
     The regression slope is an exact-rational-weighted sum of certified log
@@ -225,7 +224,7 @@ def fit_alpha_beta(seq: FormSequence, basis: Basis, i: int = 1,
     for rec in seq:
         if rec.Q == 1:
             continue
-        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec, cap)
+        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec)
         if ball is None:
             continue
         xs.append(rec.n)

@@ -269,7 +269,7 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
 
 def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
                                basis: Basis, prec: int = 64,
-                               budget: int = 10 ** 7, cap: int = PREC_CAP
+                               budget: int = 10 ** 7
                                ) -> tuple[Optional[DualPoint], dict]:
     """First nonzero dual point (a_j in Z/delta_j) in a coordinate-frame box.
     Prefix ranges come from the certified (lower) end of each bound.  A
@@ -290,12 +290,14 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
 
     def inside(v, w):
         ball = v if isinstance(v, BallReal) else BallReal.exact(v, w)
-        if (cmp_abs_le(ball, t_lo, t_lo) is TriBool.FALSE
+        out = cmp_abs_le(ball, t_lo, t_hi, t.strict)
+        if (out is TriBool.UNKNOWN
+                and cmp_abs_le(ball, t_lo, t_lo) is TriBool.FALSE
                 and cmp_abs_le(ball, t_hi, t_hi, True) is TriBool.TRUE):
-            return None                 # t_lo < |v| < t_hi
-        return cmp_abs_le(ball, t_lo, t_hi, t.strict)
+            return None                 # t_lo < |v| < t_hi: undecidable
+        return out
     point, n = _coordinate_scan(basis, labels, delta, ranges, budget,
-                                _scan_prec(prec), cap, t_hi, inside,
+                                _scan_prec(prec), PREC_CAP, t_hi, inside,
                                 per_prefix=2)
     return point, {"checked": n["checked"], "unknowns": n["unknowns"]}
 

@@ -8,7 +8,6 @@ import mpmath
 
 from latforms.numerics import (
     BallReal,
-    PREC_CAP,
     TriBool,
     UncertifiedComparison,
     parse_real,
@@ -216,16 +215,6 @@ def test_fit_alpha_beta_fibonacci():
     assert abs(alpha.mid - inv_phi) < Fraction(1, 10**10)
     mu = irrationality_bound(alpha, beta).value
     assert abs(mu.mid - 2) < Fraction(1, 100)
-
-
-def test_fit_alpha_beta_takes_cap_as_a_value():
-    # at n = 150, |L_n| needs more than 64 bits to exclude 0: a 64-bit cap
-    # drops those records from the fit, the default cap keeps them
-    seq = fib_seq(150)
-    capped = fit_alpha_beta(seq, GOLDEN, 1, prec=64, cap=64)
-    full = fit_alpha_beta(seq, GOLDEN, 1, prec=64)
-    assert full[0].rad < capped[0].rad
-    assert full == fit_alpha_beta(seq, GOLDEN, 1, prec=64, cap=PREC_CAP)
 
 
 def test_fit_requires_usable_records():

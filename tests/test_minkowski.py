@@ -2,7 +2,6 @@
 Minkowski certificates, refusal guards, the reciprocal sweep, and the
 directed-vs-enumeration equivalence oracle."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -378,19 +377,6 @@ def test_undecidable_candidate_is_unknown_without_escalating():
     point, diag = directed_search_coordinate(body, [1, 1], Basis((golden,)))
     assert point is None and diag == {"checked": 1, "unknowns": 1}
     assert asked and max(asked) == asked[0]
-
-
-def test_coordinate_search_takes_cap_as_a_value():
-    # the last bound exceeds |3 phi - 5| by less than 2^-150
-    v = 5 - 3 * GOLDEN.xi[0].at(400)
-    b = F(math.ceil(v.upper * 2 ** 150), 2 ** 150)
-    body = ConvexBody(frame="coordinate", coords=(1, 2),
-                      bounds=(Bound(BallReal.exact(3, 64), strict=False),
-                              Bound(BallReal.exact(b, 200), strict=False)))
-    point, diag = directed_search_coordinate(body, [1, 1], GOLDEN, cap=96)
-    assert point is None and diag == {"checked": 1, "unknowns": 1}
-    point, diag = directed_search_coordinate(body, [1, 1], GOLDEN, cap=4096)
-    assert point.a == (3, -5) and diag == {"checked": 1, "unknowns": 0}
 
 
 def test_coordinate_equivalence_inexact_prefix_bounds():
