@@ -99,41 +99,51 @@ def gen_fibonacci(n_max: int) -> FormSequence:
         "generator": "fibonacci-golden", "params": {"n_max": n_max}})
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
+def _exact_div(num: int, den: int, what: str) -> int:
+    q, r = divmod(num, den)
+    if r:
         raise AssertionError(
-            f"integrality failed for {what}: {x} is not an integer "
-            "(generator bug)")
-    return x.numerator
+            f"integrality failed for {what}: {Fraction(num, den)} is not an "
+            "integer (generator bug)")
+    return q
 
 
 def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
-               poly: Callable[[int], int], sign: int, a1: int, b1: Fraction,
+               poly: Callable[[int], int], sign: int, a1: int, b1: int,
                const: str, name: str) -> FormSequence:
     """Shared Apery driver: u_{m+1} = (poly(m) u_m + sign m^q u_{m-1})/(m+1)^q.
 
-    Both component sequences (a integral, b rational) run through the same
-    recurrence in exact arithmetic; only front*d_n^power*u is emitted, with
-    integrality asserted rather than assumed.  d_n = lcm(1..n) is grown
-    incrementally so the divisor chain holds by construction.
+    Both component sequences (a integral, b rational) run scaled, as the
+    emitted integers X_n = front d_n^q u_n, d_n = lcm(1..n) grown
+    incrementally so the divisor chain holds by construction.  With
+    g1 = (d_{n+1}/d_n)^q and g0 = g1 (d_n/d_{n-1})^q,
+    X_{n+1} = (poly(n) g1 X_n + sign n^q g0 X_{n-1}) / (n+1)^q, and a
+    nonzero remainder of that division is a failed integrality assertion.
     """
     if n_max < 3:
         raise ValidationError("n_max must be >= 3")
-    a_prev, a_cur = Fraction(1), Fraction(a1)
-    b_prev, b_cur = Fraction(0), b1
-    d = 1
+    a_prev, a_cur = front, front * a1       # d_0 = d_1 = 1
+    b_prev, b_cur = 0, front * b1
+    d = ratio = 1
+    scale = front
     records = []
     for n in range(1, n_max + 1):
-        d = d * n // math.gcd(d, n)
-        scale = front * d ** power
-        l1 = _as_int(scale * b_cur, f"{name} n={n} ell_1")
-        l2 = _as_int(scale * a_cur, f"{name} n={n} ell_2")
-        records.append(FormRecord(n=n, Q=abs(l2), ell=(l1, l2),
+        records.append(FormRecord(n=n, Q=abs(a_cur), ell=(b_cur, a_cur),
                                   delta=(front, scale)))
-        num, den = poly(n), (n + 1) ** power
-        lag = sign * n ** power
-        a_prev, a_cur = a_cur, (num * a_cur + lag * a_prev) / den
-        b_prev, b_cur = b_cur, (num * b_cur + lag * b_prev) / den
+        if n == n_max:
+            break
+        step = (n + 1) // math.gcd(d, n + 1)
+        d *= step
+        g1 = step ** power
+        c1, c0 = poly(n) * g1, sign * (n * ratio) ** power * g1
+        den = (n + 1) ** power
+        at = f"{name} n={n + 1}"
+        b_prev, b_cur = b_cur, _exact_div(c1 * b_cur + c0 * b_prev, den,
+                                          f"{at} ell_1")
+        a_prev, a_cur = a_cur, _exact_div(c1 * a_cur + c0 * a_prev, den,
+                                          f"{at} ell_2")
+        scale *= g1
+        ratio = step
     _apery_sanity(records[-1], const, prec, name)
     return FormSequence(records, provenance={
         "generator": name, "params": {"n_max": n_max}})
@@ -150,6 +160,14 @@ def _apery_sanity(rec: FormRecord, const: str, prec: int, name: str) -> None:
             f"{name}: |L_n| at n={rec.n} not certified < 1 (generator bug)")
 
 
+def _apery3_poly(m: int) -> int:
+    return 34 * m ** 3 + 51 * m ** 2 + 27 * m + 5
+
+
+def _apery2_poly(m: int) -> int:
+    return 11 * m ** 2 + 11 * m + 3
+
+
 def gen_apery_zeta3(n_max: int, prec: int = 64) -> FormSequence:
     """Apery's zeta(3) forms: ell_n = (2 d_n^3 b_n, 2 d_n^3 a_n), Q_n = |ell_2|.
 
@@ -159,10 +177,8 @@ def gen_apery_zeta3(n_max: int, prec: int = 64) -> FormSequence:
     grows incrementally.  prec seeds the final certified sanity check
     |b_n - a_n zeta(3)| < 1/(2 d_n^3).
     """
-    return _gen_apery(
-        n_max, prec, power=3, front=2,
-        poly=lambda m: 34 * m ** 3 + 51 * m ** 2 + 27 * m + 5, sign=-1,
-        a1=5, b1=Fraction(6), const="zeta3", name="apery-zeta3")
+    return _gen_apery(n_max, prec, power=3, front=2, poly=_apery3_poly,
+                      sign=-1, a1=5, b1=6, const="zeta3", name="apery-zeta3")
 
 
 def gen_apery_zeta2(n_max: int, prec: int = 64) -> FormSequence:
@@ -171,10 +187,8 @@ def gen_apery_zeta2(n_max: int, prec: int = 64) -> FormSequence:
     (m+1)^2 u_{m+1} = (11m^2+11m+3) u_m + m^2 u_{m-1}, with (a_0, a_1) = (1, 3)
     and (b_0, b_1) = (0, 5); d_n^2 b_n is integral (asserted).
     """
-    return _gen_apery(
-        n_max, prec, power=2, front=1,
-        poly=lambda m: 11 * m ** 2 + 11 * m + 3, sign=+1,
-        a1=3, b1=Fraction(5), const="zeta2", name="apery-zeta2")
+    return _gen_apery(n_max, prec, power=2, front=1, poly=_apery2_poly,
+                      sign=+1, a1=3, b1=5, const="zeta2", name="apery-zeta2")
 
 
 # ---------------------------------------------------------------------------

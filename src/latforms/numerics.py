@@ -19,7 +19,12 @@ hard cap, and must surface Unknown rather than guess.
 
 Transcendental constants (golden ratio, zeta(3), zeta(2), e, square roots)
 and ln/exp are evaluated by scaled-integer series with explicit tail and
-rounding-error bounds; nothing here relies on float semantics.  ln and exp
+rounding-error bounds; nothing here relies on float semantics.  zeta(3)
+(by the Amdeberhan-Zeilberger series, 1997), zeta(2) and e are summed by
+one binary-splitting routine (Haible & Papanikolaou, "Fast multiprecision
+evaluation of series of rational numbers", 1998): the first N terms become
+one exact fraction T/Q at O(M(wp) log wp) cost, floored once, and each
+constant's docstring proves the tail bound that sets N.  ln and exp
 reduce their argument first (Brent, "Fast multiple-precision evaluation of
 elementary functions", JACM 1976).  With k about sqrt(wp)/4:
 ln x = 2^(k+1) atanh(t) + E ln 2, for t = (y - 1)/(y + 1) and y the 2^k-th
@@ -709,66 +714,84 @@ def _golden(prec: int) -> BallReal:
     return ((s5 + 1) * Fraction(1, 2)).round_to(prec)
 
 
+def _bsplit(a: Callable[[int], int], p: Callable[[int], int],
+            q: Callable[[int], int], n1: int, n2: int) -> tuple[int, int, int]:
+    """(P, Q, T) over n1 <= j < n2, n1 < n2: P and Q the products of p(j)
+    and q(j), and T = Q sum_{k=n1}^{n2-1} a(k) prod_{j=n1}^{k} p(j)/q(j).
+    Halves join by P = P_l P_r, Q = Q_l Q_r, T = T_l Q_r + P_l T_r."""
+    if n2 - n1 == 1:
+        pj = p(n1)
+        return pj, q(n1), a(n1) * pj
+    m = (n1 + n2) // 2
+    P1, Q1, T1 = _bsplit(a, p, q, n1, m)
+    P2, Q2, T2 = _bsplit(a, p, q, m, n2)
+    return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+
+def _series(a: Callable[[int], int], p: Callable[[int], int],
+            q: Callable[[int], int], N: int, wp: int, den: int) -> int:
+    """floor(2^wp / den * sum_{k<N} a(k) prod_{j=1}^{k} p(j)/q(j)) for
+    N >= 2 and q > 0: the N terms summed into one exact fraction by binary
+    splitting, then one division."""
+    _, Q, T = _bsplit(a, p, q, 1, N)
+    return ((a(0) * Q + T) << wp) // (den * Q)
+
+
 def _zeta3(prec: int) -> BallReal:
-    # 5/2 * sum (-1)^(k-1) / (k^3 C(2k,k)); alternating, terms decreasing
+    """zeta(3) = 1/64 sum_{k>=0} (-1)^k a(k) (k!)^10 / ((2k+1)!)^5, with
+    a(k) = 205k^2 + 250k + 77 (Amdeberhan & Zeilberger 1997).
+
+    Proof of the bracket [s - 1, s + 2] of zeta(3) 2^wp, s the floor of
+    the first N terms.  Term k is a(k) prod_{j<=k} -j^5/(32 (2j+1)^5) and
+    (2k+1)!/(k!)^2 = (2k+1) C(2k, k) >= 4^k, so |t_k| <= a(k) 2^(-10k).
+    The ratio |t_k/t_(k-1)| < a(k)/(1024 a(k-1)) <= 532/(1024 77) < 1, so
+    the terms alternate and shrink and the tail is below |t_N|/64, which
+    the least N with a(N) 2^wp < 2^(10N + 6) puts below 2^-wp.
+    """
     wp = prec + 16
-    C = 1
-    s_lo = s_hi = 0
-    k = 0
-    sign = 1
-    while True:
-        k += 1
-        C = C * (2 * k) * (2 * k - 1) // (k * k)
-        den = 2 * k ** 3 * C
-        t_lo = (5 << wp) // den
-        t_hi = t_lo + 1
-        if sign > 0:
-            s_lo += t_lo
-            s_hi += t_hi
-        else:
-            s_lo -= t_hi
-            s_hi -= t_lo
-        if t_hi <= 1:
-            s_lo -= 1  # remaining alternating tail is below one ulp
-            s_hi += 1
-            break
-        sign = -sign
-    return _span(s_lo, s_hi, -wp, prec)
+
+    def a(k):
+        return 205 * k * k + 250 * k + 77
+
+    N = 1
+    while a(N).bit_length() + wp > 10 * N + 6:
+        N += 1
+    s = _series(a, lambda j: -j ** 5, lambda j: 32 * (2 * j + 1) ** 5,
+                N, wp, 64)
+    return _span(s - 1, s + 2, -wp, prec)
 
 
 def _zeta2(prec: int) -> BallReal:
-    # 3 * sum 1 / (k^2 C(2k,k)); term ratio < 1/4 so tail < next*4/3
+    """zeta(2) = 3 sum_{k>=1} 1/(k^2 C(2k, k)) = sum_{m>=0} t_m with
+    t_0 = 3/2 and t_m/t_(m-1) = m^2/(2 (m+1)(2m+1)).
+
+    Proof of the bracket [s, s + 2] of zeta(2) 2^wp, s the floor of the
+    first N = wp//2 + 1 terms.  The ratio is below 1/4
+    (2m^2 < (m+1)(2m+1)), so t_m < (3/2) 4^-m and the positive tail is
+    below (3/2) 4^-N 4/3 = 2^(1-2N) <= 2^-wp.
+    """
     wp = prec + 16
-    C = 1
-    s_lo = s_hi = 0
-    k = 0
-    while True:
-        k += 1
-        C = C * (2 * k) * (2 * k - 1) // (k * k)
-        den = k * k * C
-        t_lo = (3 << wp) // den
-        s_lo += t_lo
-        s_hi += t_lo + 1
-        if t_lo <= 1:
-            s_hi += 2
-            break
-    return _span(s_lo, s_hi, -wp, prec)
+    s = _series(lambda k: 3, lambda j: j * j, lambda j: 2 * (j + 1) * (2 * j + 1),
+                wp // 2 + 1, wp, 2)
+    return _span(s, s + 2, -wp, prec)
 
 
 def _euler_e(prec: int) -> BallReal:
+    """e = sum_{k>=0} 1/k!.
+
+    Proof of the bracket [s, s + 2] of e 2^wp, s the floor of the first N
+    terms.  The positive tail is below (1/N!) sum_i (N+1)^-i <= 2/N!, and
+    j >= 2^(bit_length(j) - 1), so the least N with
+    sum_{j=2}^{N} (bit_length(j) - 1) >= wp + 1 has N! >= 2^(wp+1) and a
+    tail below 2^-wp.
+    """
     wp = prec + 16
-    term = 1 << wp
-    s_lo = s_hi = term  # k = 0
-    k = 0
-    while True:
-        k += 1
-        term //= k
-        s_lo += term
-        s_hi += term + 1
-        if term <= 1:
-            s_hi += 2  # tail < 2/(k+1)!
-            break
-    return _span(s_lo, s_hi, -wp, prec)
+    N, bits = 1, 0
+    while bits <= wp:
+        N += 1
+        bits += N.bit_length() - 1
+    s = _series(lambda k: 1, lambda j: 1, lambda j: j, N, wp, 1)
+    return _span(s, s + 2, -wp, prec)
 
 
 class RealConstant:

@@ -336,7 +336,13 @@ def test_ring_ops_contain_mpmath_at_four_times_precision(x, y):
 # a seeded chain of mixed ops, pinned by the digest of its output
 # ---------------------------------------------------------------------------
 
-CHAIN_SHA256 = "6b90d86527664b290222b8e823951146ea7b087f8f603f789332bb5569598d05"
+# Moved from 6b90d865... to ba841580... when zeta(3), zeta(2) and e came to
+# be summed by binary splitting: their brackets are 2 or 3 units of
+# 2^-(prec+16) wide where they were about one unit per term.  Of the 10,000 results
+# 3,873 changed: 3,221 have a smaller radius, 602 the same radius, and 50,
+# downstream of a differently rounded midpoint, a radius larger by at most
+# 0.035% of itself.
+CHAIN_SHA256 = "ba84158098dfddcf016635e8c2edf53c1ac21730d3949ed7382555e9e148f449"
 
 
 def _op_chain(steps, seed=20261018):

@@ -1,4 +1,8 @@
-"""Generator oracles (Fibonacci/Apery closed forms), JSONL round trips."""
+"""Generator oracles (Fibonacci/Apery closed forms), JSONL round trips.
+
+The Apery driver runs its recurrence on scaled integers; the exact
+``Fraction`` driver it replaced is kept below as an oracle.
+"""
 
 import io
 import json
@@ -23,11 +27,11 @@ from latforms.model import (
 )
 from latforms.criteria import fit_recurrence
 from latforms.exponents import estimate_gamma_growth, estimate_tau
+from latforms import corpus
 from latforms.corpus import (
     GENERATORS,
     GeneratorSpec,
     InfeasibleSpec,
-    _as_int,
     default_basis,
     dumps_jsonl,
     export_jsonl,
@@ -180,9 +184,72 @@ def test_apery_zeta2_membership_and_chain():
     assert divisor_chain_check(seq) == []
 
 
-def test_integrality_guard_aborts():
-    with pytest.raises(AssertionError, match="integrality"):
-        _as_int(F(1, 2), "probe")
+def _as_int(x, what):
+    if x.denominator != 1:
+        raise AssertionError(
+            f"integrality failed for {what}: {x} is not an integer "
+            "(generator bug)")
+    return x.numerator
+
+
+def fraction_gen_apery(n_max, prec, *, power, front, poly, sign, a1, b1,
+                       const, name):
+    """The earlier driver: both components in exact Fractions, each record
+    front d_n^power u_n checked integral as it is emitted."""
+    if n_max < 3:
+        raise ValidationError("n_max must be >= 3")
+    a_prev, a_cur = F(1), F(a1)
+    b_prev, b_cur = F(0), F(b1)
+    d = 1
+    records = []
+    for n in range(1, n_max + 1):
+        d = d * n // math.gcd(d, n)
+        scale = front * d ** power
+        l1 = _as_int(scale * b_cur, f"{name} n={n} ell_1")
+        l2 = _as_int(scale * a_cur, f"{name} n={n} ell_2")
+        records.append(FormRecord(n=n, Q=abs(l2), ell=(l1, l2),
+                                  delta=(front, scale)))
+        num, den = poly(n), (n + 1) ** power
+        lag = sign * n ** power
+        a_prev, a_cur = a_cur, (num * a_cur + lag * a_prev) / den
+        b_prev, b_cur = b_cur, (num * b_cur + lag * b_prev) / den
+    corpus._apery_sanity(records[-1], const, prec, name)
+    return FormSequence(records, provenance={
+        "generator": name, "params": {"n_max": n_max}})
+
+
+APERY_GENS = {"apery-zeta3": (gen_apery_zeta3, "_apery3_poly"),
+              "apery-zeta2": (gen_apery_zeta2, "_apery2_poly")}
+
+
+@pytest.mark.parametrize("name", sorted(APERY_GENS))
+@pytest.mark.parametrize("n_max", [3, 12, 200])
+def test_integer_driver_matches_fraction_oracle(monkeypatch, name, n_max):
+    gen = APERY_GENS[name][0]
+    fast = gen(n_max)
+    monkeypatch.setattr(corpus, "_gen_apery", fraction_gen_apery)
+    slow = gen(n_max)
+    assert fast.records == slow.records
+    assert fast.provenance == slow.provenance
+    assert dumps_jsonl(fast) == dumps_jsonl(slow)
+
+
+def test_integrality_guard_aborts(monkeypatch):
+    """poly(5) off by one leaves d_6^q u_6 with a denominator: the driver
+    names the generator and n, with the message of the Fraction oracle."""
+    for name, (gen, attr) in APERY_GENS.items():
+        poly = getattr(corpus, attr)
+        with monkeypatch.context() as m:
+            m.setattr(corpus, attr, lambda k: poly(k) + (k == 5))
+            with pytest.raises(AssertionError) as fast:
+                gen(12)
+            m.setattr(corpus, "_gen_apery", fraction_gen_apery)
+            with pytest.raises(AssertionError) as slow:
+                gen(12)
+        assert re.match(rf"integrality failed for {name} n=6 ell_1: \d+/\d+ "
+                        r"is not an integer \(generator bug\)$",
+                        str(fast.value))
+        assert str(fast.value) == str(slow.value)
 
 
 # ---------------------------------------------------------------------------
