@@ -737,19 +737,17 @@ def _series(a: Callable[[int], int], p: Callable[[int], int],
     return ((a(0) * Q + T) << wp) // (den * Q)
 
 
-def _zeta3(prec: int) -> BallReal:
-    """zeta(3) = 1/64 sum_{k>=0} (-1)^k a(k) (k!)^10 / ((2k+1)!)^5, with
+def _zeta3_bracket(wp: int) -> tuple[int, int]:
+    """Bracket [s - 1, s + 2] of zeta(3) 2^wp, s the floor of the first N
+    terms of zeta(3) = 1/64 sum_{k>=0} (-1)^k a(k) (k!)^10 / ((2k+1)!)^5,
     a(k) = 205k^2 + 250k + 77 (Amdeberhan & Zeilberger 1997).
 
-    Proof of the bracket [s - 1, s + 2] of zeta(3) 2^wp, s the floor of
-    the first N terms.  Term k is a(k) prod_{j<=k} -j^5/(32 (2j+1)^5) and
+    Proof.  Term k is a(k) prod_{j<=k} -j^5/(32 (2j+1)^5) and
     (2k+1)!/(k!)^2 = (2k+1) C(2k, k) >= 4^k, so |t_k| <= a(k) 2^(-10k).
     The ratio |t_k/t_(k-1)| < a(k)/(1024 a(k-1)) <= 532/(1024 77) < 1, so
     the terms alternate and shrink and the tail is below |t_N|/64, which
     the least N with a(N) 2^wp < 2^(10N + 6) puts below 2^-wp.
     """
-    wp = prec + 16
-
     def a(k):
         return 205 * k * k + 250 * k + 77
 
@@ -758,40 +756,47 @@ def _zeta3(prec: int) -> BallReal:
         N += 1
     s = _series(a, lambda j: -j ** 5, lambda j: 32 * (2 * j + 1) ** 5,
                 N, wp, 64)
-    return _span(s - 1, s + 2, -wp, prec)
+    return s - 1, s + 2
 
 
-def _zeta2(prec: int) -> BallReal:
-    """zeta(2) = 3 sum_{k>=1} 1/(k^2 C(2k, k)) = sum_{m>=0} t_m with
-    t_0 = 3/2 and t_m/t_(m-1) = m^2/(2 (m+1)(2m+1)).
+def _zeta2_bracket(wp: int) -> tuple[int, int]:
+    """Bracket [s, s + 2] of zeta(2) 2^wp, s the floor of the first
+    N = wp//2 + 1 terms of zeta(2) = 3 sum_{k>=1} 1/(k^2 C(2k, k)) =
+    sum_{m>=0} t_m, t_0 = 3/2 and t_m/t_(m-1) = m^2/(2 (m+1)(2m+1)).
 
-    Proof of the bracket [s, s + 2] of zeta(2) 2^wp, s the floor of the
-    first N = wp//2 + 1 terms.  The ratio is below 1/4
-    (2m^2 < (m+1)(2m+1)), so t_m < (3/2) 4^-m and the positive tail is
-    below (3/2) 4^-N 4/3 = 2^(1-2N) <= 2^-wp.
+    Proof.  The ratio is below 1/4 (2m^2 < (m+1)(2m+1)), so t_m < (3/2)
+    4^-m and the positive tail is below (3/2) 4^-N 4/3 = 2^(1-2N) <= 2^-wp.
     """
-    wp = prec + 16
-    s = _series(lambda k: 3, lambda j: j * j, lambda j: 2 * (j + 1) * (2 * j + 1),
-                wp // 2 + 1, wp, 2)
-    return _span(s, s + 2, -wp, prec)
+    s = _series(lambda k: 3, lambda j: j * j,
+                lambda j: 2 * (j + 1) * (2 * j + 1), wp // 2 + 1, wp, 2)
+    return s, s + 2
 
 
-def _euler_e(prec: int) -> BallReal:
-    """e = sum_{k>=0} 1/k!.
+def _e_bracket(wp: int) -> tuple[int, int]:
+    """Bracket [s, s + 2] of e 2^wp, s the floor of the first N terms of
+    e = sum_{k>=0} 1/k!.
 
-    Proof of the bracket [s, s + 2] of e 2^wp, s the floor of the first N
-    terms.  The positive tail is below (1/N!) sum_i (N+1)^-i <= 2/N!, and
+    Proof.  The positive tail is below (1/N!) sum_i (N+1)^-i <= 2/N!, and
     j >= 2^(bit_length(j) - 1), so the least N with
     sum_{j=2}^{N} (bit_length(j) - 1) >= wp + 1 has N! >= 2^(wp+1) and a
     tail below 2^-wp.
     """
-    wp = prec + 16
     N, bits = 1, 0
     while bits <= wp:
         N += 1
         bits += N.bit_length() - 1
     s = _series(lambda k: 1, lambda j: 1, lambda j: j, N, wp, 1)
-    return _span(s, s + 2, -wp, prec)
+    return s, s + 2
+
+
+def _series_const(bracket: Callable[[int], tuple[int, int]]
+                  ) -> Callable[[int], BallReal]:
+    """The ball at prec bits of a constant bracketed at prec + 16 bits."""
+    def compute(prec: int) -> BallReal:
+        wp = prec + 16
+        lo, hi = bracket(wp)
+        return _span(lo, hi, -wp, prec)
+    return compute
 
 
 class RealConstant:
@@ -838,9 +843,9 @@ class RealConstant:
 
 _NAMED: dict[str, Callable[[int], BallReal]] = {
     "golden": _golden,
-    "zeta3": _zeta3,
-    "zeta2": _zeta2,
-    "e": _euler_e,
+    "zeta3": _series_const(_zeta3_bracket),
+    "zeta2": _series_const(_zeta2_bracket),
+    "e": _series_const(_e_bracket),
 }
 
 _SQRT_RE = re.compile(r"^sqrt\((\d+)\)$")

@@ -2,9 +2,11 @@
 
 The oracle below keeps the earlier per-term loops for zeta(3), zeta(2) and
 e: one full-width division per term, a floor and a ceiling per term, and a
-bracket about one unit per term wide.  Every new ball must contain mpmath's
-value at 4x precision, be no wider than the oracle's ball, and lie inside
-the oracle's ball widened by one ulp of its midpoint.
+bracket about one unit per term wide.  Each new integer bracket must
+contain mpmath's value at 4x precision and be exactly as wide as its proof
+says (3 units for zeta(3), 2 for zeta(2) and e).  Each ball must contain
+mpmath's value too, be no wider than the oracle's ball, and lie inside the
+oracle's ball widened by one ulp of its midpoint.
 """
 
 from fractions import Fraction
@@ -13,7 +15,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latforms.numerics import PREC_CAP, _euler_e, _span, _zeta2, _zeta3
+from latforms.numerics import PREC_CAP, _NAMED, _e_bracket, _span, \
+    _zeta2_bracket, _zeta3_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +85,10 @@ def old_euler_e(prec):
     return _span(s_lo, s_hi, -wp, prec)
 
 
-CONSTANTS = {  # name: (new, oracle, mpmath value at the current precision)
-    "zeta3": (_zeta3, old_zeta3, lambda: +mpmath.apery),
-    "zeta2": (_zeta2, old_zeta2, lambda: mpmath.pi ** 2 / 6),
-    "e": (_euler_e, old_euler_e, lambda: +mpmath.e),
+CONSTANTS = {  # name: (bracket, width, oracle, mpmath value)
+    "zeta3": (_zeta3_bracket, 3, old_zeta3, lambda: +mpmath.apery),
+    "zeta2": (_zeta2_bracket, 2, old_zeta2, lambda: mpmath.pi ** 2 / 6),
+    "e": (_e_bracket, 2, old_euler_e, lambda: +mpmath.e),
 }
 
 
@@ -106,18 +109,28 @@ def _mid_ulp(ball):
                            - m.denominator.bit_length() - ball.prec + 1)
 
 
-def _contains_mpmath(ball, value):
-    with mpmath.workprec(4 * ball.prec):
-        v = _frac(value())
-    tol = v / (1 << (4 * ball.prec - 4))     # mpmath's own rounding
-    return ball.lower - tol <= v <= ball.upper + tol
+def _reference(name, wp):
+    """mpmath's value at 4 wp bits, and a bound on its rounding error."""
+    with mpmath.workprec(4 * wp):
+        v = _frac(CONSTANTS[name][3]())
+    return v, v / (1 << (4 * wp - 4))
 
 
-def _check_against_oracle(name, prec):
-    new, old, value = CONSTANTS[name]
-    ball, ref = new(prec), old(prec)
+def _check_bracket(name, wp):
+    bracket, width = CONSTANTS[name][:2]
+    lo, hi = bracket(wp)
+    v, tol = _reference(name, wp)
+    v *= 1 << wp
+    tol *= 1 << wp
+    assert lo - tol <= v <= hi + tol
+    assert hi - lo == width
+
+
+def _check_ball(name, prec):
+    ball, ref = _NAMED[name](prec), CONSTANTS[name][2](prec)
     assert ball.prec == prec
-    assert _contains_mpmath(ball, value)
+    v, tol = _reference(name, prec)
+    assert ball.lower - tol <= v <= ball.upper + tol
     assert ball.rad <= ref.rad
     ulp = _mid_ulp(ref)
     assert ref.lower - ulp <= ball.lower and ball.upper <= ref.upper + ulp
@@ -129,21 +142,32 @@ def _check_against_oracle(name, prec):
 
 @pytest.mark.parametrize("name", sorted(CONSTANTS))
 @settings(max_examples=40, deadline=None)
+@given(wp=st.integers(32, 8016))
+@example(wp=32)
+@example(wp=8016)
+def test_bracket_contains_mpmath(name, wp):
+    _check_bracket(name, wp)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+@settings(max_examples=40, deadline=None)
 @given(prec=st.integers(16, 8000))
 @example(prec=16)
 @example(prec=8000)
-def test_constant_contains_mpmath_and_is_no_wider_than_oracle(name, prec):
-    _check_against_oracle(name, prec)
+def test_ball_contains_mpmath_and_is_no_wider_than_oracle(name, prec):
+    _check_ball(name, prec)
 
 
 def test_zeta3_at_the_apery_generator_precision():
     """About 15,100 bits certify the n=1600 Apery record."""
-    _check_against_oracle("zeta3", 15_100)
+    _check_bracket("zeta3", 15_116)
+    _check_ball("zeta3", 15_100)
 
 
 def test_zeta3_at_the_precision_cap():
-    """The per-term oracle takes over a minute here; the bracket's own width
-    of 3 units of 2^-(prec+16) stands in for the comparison with it."""
-    ball = _zeta3(PREC_CAP)
-    assert _contains_mpmath(ball, CONSTANTS["zeta3"][2])
-    assert ball.rad <= _mid_ulp(ball) / 2 + Fraction(2, 1 << (PREC_CAP + 16))
+    """The per-term oracle takes over a minute here, so the ball is checked
+    against mpmath alone."""
+    _check_bracket("zeta3", PREC_CAP + 16)
+    ball = _NAMED["zeta3"](PREC_CAP)
+    v, tol = _reference("zeta3", PREC_CAP)
+    assert ball.lower - tol <= v <= ball.upper + tol
