@@ -119,6 +119,8 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
     g1 = (d_{n+1}/d_n)^q and g0 = g1 (d_n/d_{n-1})^q,
     X_{n+1} = (poly(n) g1 X_n + sign n^q g0 X_{n-1}) / (n+1)^q, and a
     nonzero remainder of that division is a failed integrality assertion.
+    The sanity check runs on the last (ell_1, ell_2) before any record is
+    built, so that a refusal does not pay for the records' validation.
     """
     if n_max < 3:
         raise ValidationError("n_max must be >= 3")
@@ -126,10 +128,9 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
     b_prev, b_cur = 0, front * b1
     d = ratio = 1
     scale = front
-    records = []
+    rows = []
     for n in range(1, n_max + 1):
-        records.append(FormRecord(n=n, Q=abs(a_cur), ell=(b_cur, a_cur),
-                                  delta=(front, scale)))
+        rows.append((b_cur, a_cur, scale))
         if n == n_max:
             break
         step = (n + 1) // math.gcd(d, n + 1)
@@ -144,20 +145,23 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
                                           f"{at} ell_2")
         scale *= g1
         ratio = step
-    _apery_sanity(records[-1], const, prec, name)
+    _apery_sanity(n_max, b_cur, a_cur, const, prec, name)
+    records = [FormRecord(n=n, Q=abs(a), ell=(b, a), delta=(front, scale))
+               for n, (b, a, scale) in enumerate(rows, 1)]
     return FormSequence(records, provenance={
         "generator": name, "params": {"n_max": n_max}})
 
 
-def _apery_sanity(rec: FormRecord, const: str, prec: int, name: str) -> None:
+def _apery_sanity(n: int, ell_1: int, ell_2: int, const: str, prec: int,
+                  name: str) -> None:
     # certify |ell_1 - ell_2 * const| < 1 at the last record; needs absolute
     # precision on the order of the coefficient size
-    bits = max(prec, rec.ell[1].bit_length() + 64)
-    ball = abs(BallReal.exact(rec.ell[0], bits)
-               - parse_real(const).at(bits) * rec.ell[1])
+    bits = max(prec, ell_2.bit_length() + 64)
+    ball = abs(BallReal.exact(ell_1, bits)
+               - parse_real(const).at(bits) * ell_2)
     if not ball.upper < 1:
         raise AssertionError(
-            f"{name}: |L_n| at n={rec.n} not certified < 1 (generator bug)")
+            f"{name}: |L_n| at n={n} not certified < 1 (generator bug)")
 
 
 def _apery3_poly(m: int) -> int:
@@ -349,18 +353,23 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _jsonl_header(prov) -> Optional[str]:
+    """The header line dumps_jsonl writes for this provenance, if any."""
+    if prov is None:
+        return None
+    if isinstance(prov, dict) and "generator" in prov:
+        header = {"generator": prov["generator"],
+                  "params": prov.get("params", {})}
+    else:
+        header = {"generator": str(prov), "params": {}}
+    return _canon(header)
+
+
 def dumps_jsonl(seq: FormSequence) -> str:
     """Canonical JSONL text: header line (when provenance exists), then
     records ordered by n, integers as decimal strings."""
-    lines = []
-    prov = seq.provenance
-    if prov is not None:
-        if isinstance(prov, dict) and "generator" in prov:
-            header = {"generator": prov["generator"],
-                      "params": prov.get("params", {})}
-        else:
-            header = {"generator": str(prov), "params": {}}
-        lines.append(_canon(header))
+    header = _jsonl_header(seq.provenance)
+    lines = [] if header is None else [header]
     for r in seq.records:
         lines.append(_canon({
             "n": r.n,

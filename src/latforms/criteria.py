@@ -476,6 +476,70 @@ def _odometer(ranges: Sequence[int], budget: int, per_prefix: int = 1):
     return estimate, _prefixes(ranges)
 
 
+def _cf_denominators(lo: Fraction, hi: Fraction, R: int) -> Optional[list[int]]:
+    """The distinct convergent denominators 1 = q_0 < q_1 < ... <= R shared
+    by every real in [lo, hi], or None when a partial quotient that could
+    still bring a denominator <= R is not the same across the interval.
+
+    Both ends are expanded by exact Euclid and a quotient is kept while the
+    two ends agree on it: the reals whose first k quotients are given form
+    an interval, so the reals between two ends that share them share them
+    too.  Where the ends disagree (or one ends, being rational), every real
+    between has a next quotient a >= the smaller floor, so the expansion
+    may stop when a q_k + q_(k-1) > R even then.  A rational interval
+    [x, x] is the plain expansion of x."""
+    if R < 1:
+        return []
+    a = lo.numerator // lo.denominator
+    if a != hi.numerator // hi.denominator:
+        return [1] if R < 2 else None   # an integer inside: q_1 or q_2 is 2
+    ends = [(lo.numerator, lo.denominator), (hi.numerator, hi.denominator)]
+    out, q_prev, q = [1], 0, 1
+    while True:
+        # each end's next complete quotient, None where the end is rational
+        # and its expansion stops at the shared quotient a
+        ends = [None if e is None or e[0] == a * e[1]
+                else (e[1], e[0] - a * e[1]) for e in ends]
+        nxt = [n // d for n, d in filter(None, ends)]
+        if not nxt:
+            return out
+        if len(nxt) == 1 or nxt[0] != nxt[1]:
+            return out if min(nxt) * q + q_prev > R else None
+        a = nxt[0]
+        q_prev, q = q, a * q + q_prev
+        if q > R:
+            return out
+        if q > out[-1]:           # a_1 = 1 repeats q_0 = 1
+            out.append(q)
+
+
+def _convergents(basis: Basis, j: int, ratio: Fraction, R: int, work: int,
+                 cap: int) -> Optional[list[int]]:
+    """The convergent denominators <= R of x = xi_j * ratio (_cf_denominators),
+    from exact Euclid for rational xi_j, else from the enclosure of xi_j
+    escalated from work to cap.  None when they stay ambiguous at cap, or
+    when doubling the precision does not narrow the enclosure (a fixed-width
+    handle), which then is not escalated further."""
+    handle = basis.xi[j - 1]
+    if handle.exact is not None:
+        x = handle.exact * ratio
+        return _cf_denominators(x, x, R)
+    last = None
+
+    def decide(w: int):
+        nonlocal last
+        ball = handle.at(w)
+        qs = _cf_denominators(ball.lower * ratio, ball.upper * ratio, R)
+        if qs is not None:
+            return qs
+        if last is not None and ball.rad >= last:
+            return None
+        last = ball.rad
+        return TriBool.UNKNOWN
+    qs, _ = escalate(decide, work, cap)
+    return qs if isinstance(qs, list) else None
+
+
 def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
     """The dual point with a_j = m_j/delta_j on the labels, a_p = kp/delta_p
     and 0 elsewhere."""
@@ -510,7 +574,11 @@ def _box_ranges(delta: Sequence[int], labels: Sequence[int],
 
 
 def _power_bracket(Q: int, expo: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket of Q^expo (expo > 0) with ~bits of resolution."""
+    """Rational bracket of Q^expo with ~bits of resolution: units of 2^-bits
+    for expo >= 0, and for expo < 0 as many bits below Q^expo >
+    2^(expo bitlen(Q)), so that a small power keeps its bits too."""
+    if expo < 0:
+        bits += -(expo.numerator * Q.bit_length() // expo.denominator)
     M = floor_scaled_power(1 << bits, Q, expo)
     return Fraction(M, 1 << bits), Fraction(M + 1, 1 << bits)
 
@@ -559,6 +627,17 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     Returns the point (or None) and the counts: estimate (the budget
     estimate, per_prefix per prefix), prefixes, checked, escalations
     (steps past work) and unknowns.
+
+    With one label j the scan visits only the prefixes 0 and the
+    convergent denominators q <= R_j of x = xi_j delta_p/delta_j
+    (_convergents).  A candidate with prefix m is inside iff
+    ||m x|| <= t delta_p, and the least such m > 0 is a best approximation
+    of the second kind, hence a convergent denominator (Lagrange; Khinchin,
+    Continued Fractions, Thms 16-17): the first certified point is the
+    linear scan's.  Skipping is a proof only while every decision is
+    certified, so the linear odometer runs instead, with its own counts,
+    when the convergents are not certified or a visited candidate is
+    undecided.
     """
     p = basis.p
     dp = delta[p - 1]
@@ -578,41 +657,57 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
         X.append((math.floor(lo * c), math.ceil(hi * c)))
     step = D // dp * S                  # kp/delta_p at the same scale
     T = math.floor(t_hi * D * S)
-    prefixes = checked = escalations = unknowns = 0
 
-    def decide(w: int) -> TriBool:     # the loop's current prefix and kp
-        nonlocal escalations
-        escalations += w > work
-        return inside(_prefix_ball(basis, prefix, labels, delta, w)
-                      + Fraction(kp, dp), w)
+    def walk(steps, certified: bool):
+        """The scan over the prefixes in steps; None if certified and a
+        candidate stays undecided."""
+        prefixes = checked = escalations = unknowns = 0
 
-    def counts() -> dict:
-        return {"estimate": estimate, "prefixes": prefixes,
-                "checked": checked, "escalations": escalations,
-                "unknowns": unknowns}
+        def decide(w: int) -> TriBool:     # the loop's current prefix and kp
+            nonlocal escalations
+            escalations += w > work
+            return inside(_prefix_ball(basis, prefix, labels, delta, w)
+                          + Fraction(kp, dp), w)
 
-    for prefixes, prefix in enumerate(odometer, 1):
-        s_lo = s_hi = 0
-        for m, (xl, xh) in zip(prefix, X):
-            if m > 0:
-                s_lo += m * xl
-                s_hi += m * xh
-            elif m < 0:
-                s_lo += m * xh
-                s_hi += m * xl
-        kmin = -((s_hi + T) // step)
-        kmax = (T - s_lo) // step
-        for kp in range(kmin if any(prefix) else max(kmin, 1), kmax + 1):
-            checked += 1
-            if exact_xi is not None:
-                ok = inside(Fraction(s_lo + kp * step, D * S), work)
-            else:
-                ok = escalate(decide, work, cap)[0]
-            if ok is TriBool.TRUE:
-                return _dual_point(p, labels, prefix, delta, kp), counts()
-            if ok is not TriBool.FALSE:
-                unknowns += 1
-    return None, counts()
+        def counts() -> dict:
+            return {"estimate": estimate, "prefixes": prefixes,
+                    "checked": checked, "escalations": escalations,
+                    "unknowns": unknowns}
+
+        for prefixes, prefix in enumerate(steps, 1):
+            s_lo = s_hi = 0
+            for m, (xl, xh) in zip(prefix, X):
+                if m > 0:
+                    s_lo += m * xl
+                    s_hi += m * xh
+                elif m < 0:
+                    s_lo += m * xh
+                    s_hi += m * xl
+            kmin = -((s_hi + T) // step)
+            kmax = (T - s_lo) // step
+            for kp in range(kmin if any(prefix) else max(kmin, 1), kmax + 1):
+                checked += 1
+                if exact_xi is not None:
+                    ok = inside(Fraction(s_lo + kp * step, D * S), work)
+                else:
+                    ok = escalate(decide, work, cap)[0]
+                if ok is TriBool.TRUE:
+                    return _dual_point(p, labels, prefix, delta, kp), counts()
+                if ok is not TriBool.FALSE:
+                    if certified:
+                        return None
+                    unknowns += 1
+        return None, counts()
+
+    if len(labels) == 1 and ranges[0] >= 0:
+        j = labels[0]
+        qs = _convergents(basis, j, Fraction(dp, delta[j - 1]), ranges[0],
+                          work, cap)
+        if qs is not None:
+            out = walk([(m,) for m in [0, *qs]], True)
+            if out is not None:
+                return out
+    return walk(odometer, False)
 
 
 def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],

@@ -49,6 +49,7 @@ from .model import (
 from .criteria import (
     BudgetExceeded,
     _box_ranges,
+    _convergents,
     _coordinate_scan,
     _power_bracket,
     _scan_prec,
@@ -200,6 +201,13 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     delta_j in each labelled coordinate (negating a point changes nothing, so
     only x_p >= 0 is scanned).  Unknown-at-cap candidates are skipped and
     counted in the diagnostics.
+
+    With one label j only the steps 0 and the convergent denominators of
+    y = delta_p xi_j/delta_j are visited: the step s = x_p/delta_p passes
+    iff ||s y|| <= b_j/delta_j, and the least such s is a convergent
+    denominator, as in criteria._coordinate_scan, which also gives the
+    fallback rule: the full scan runs, with its own counts, when the
+    convergents are not certified or a visited step is undecided.
     """
     if body.frame != "sheared":
         raise ValidationError("need a sheared-frame body")
@@ -208,63 +216,89 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     if body.coords[-1] != p:
         raise ValidationError("last body coordinate must be p")
     dp = delta[p - 1]
-    xp_cap = math.floor(body.bounds[-1].value.upper)
-    if xp_cap // dp + 1 > budget:
-        raise BudgetExceeded(xp_cap // dp + 1, budget)
+    R = math.floor(body.bounds[-1].value.upper) // dp
+    if R + 1 > budget:
+        raise BudgetExceeded(R + 1, budget)
     brackets = [(b.value.lower, b.value.upper, b.strict) for b in body.bounds]
-    unknowns = 0
-    scanned = 0
-    for step in range(0, xp_cap // dp + 1):
-        xp = step * dp
-        scanned += 1
-        okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
-        if okp is TriBool.FALSE:
-            break
-        if okp is TriBool.UNKNOWN:
-            unknowns += 1
-            continue
-        if xp == 0:
-            # the only candidates are single-axis points delta_j e_j; the
-            # remaining coordinates sit at 0 and must pass their bounds too
-            for k, j in enumerate(labels):
-                ok = TriBool.TRUE
-                for k2 in range(len(labels)):
-                    val = delta[j - 1] if k2 == k else 0
-                    c = cmp_abs_le(BallReal.exact(val, prec), *brackets[k2])
-                    if c is TriBool.FALSE:
-                        ok = TriBool.FALSE
-                        break
-                    if c is TriBool.UNKNOWN:
-                        ok = TriBool.UNKNOWN
-                if ok is TriBool.TRUE:
-                    point = [0] * p
-                    point[j - 1] = delta[j - 1]
-                    return tuple(point), {"scanned": scanned,
-                                          "unknowns": unknowns}
-                if ok is TriBool.UNKNOWN:
-                    unknowns += 1
-            continue
-        point = [0] * p
-        point[p - 1] = xp
-        good = True
-        for k, j in enumerate(labels):
-            # x_j is the multiple of delta_j nearest x_p xi_j at prec; only
-            # the check of |x_p xi_j - x_j| escalates
-            target = basis.xi_balls(prec)[j - 1] * xp
+
+    def nearest(xp: int, j: int, k: int) -> tuple[TriBool, int]:
+        """|x_p xi_j - x_j| <= b_k for the multiple x_j of delta_j nearest
+        x_p xi_j, both taken at the precision that decides the check."""
+        xj = 0
+
+        def decide(w: int) -> TriBool:
+            nonlocal xj
+            target = basis.xi_balls(w)[j - 1] * xp
             xj = _round_half_to_zero(target.mid / delta[j - 1]) * delta[j - 1]
-            ok, _ = escalate(lambda w: cmp_abs_le(
-                (target if w == prec else basis.xi_balls(w)[j - 1] * xp) - xj,
-                *brackets[k]), prec, cap)
-            if ok is TriBool.TRUE:
-                point[j - 1] = xj
-            else:
-                if ok is TriBool.UNKNOWN:
-                    unknowns += 1
-                good = False
+            return cmp_abs_le(target - xj, *brackets[k])
+        return escalate(decide, prec, cap)[0], xj
+
+    def walk(steps, certified: bool):
+        """The scan over these steps; None if certified and a step stays
+        undecided."""
+        unknowns = 0
+        scanned = 0
+        for step in steps:
+            xp = step * dp
+            scanned += 1
+            okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
+            if okp is TriBool.FALSE:
                 break
-        if good:
-            return tuple(point), {"scanned": scanned, "unknowns": unknowns}
-    return None, {"scanned": scanned, "unknowns": unknowns}
+            if okp is TriBool.UNKNOWN:
+                if certified:
+                    return None
+                unknowns += 1
+                continue
+            if xp == 0:
+                # the only candidates are single-axis points delta_j e_j; the
+                # remaining coordinates sit at 0 and must pass their bounds too
+                for k, j in enumerate(labels):
+                    ok = TriBool.TRUE
+                    for k2 in range(len(labels)):
+                        val = delta[j - 1] if k2 == k else 0
+                        c = cmp_abs_le(BallReal.exact(val, prec), *brackets[k2])
+                        if c is TriBool.FALSE:
+                            ok = TriBool.FALSE
+                            break
+                        if c is TriBool.UNKNOWN:
+                            ok = TriBool.UNKNOWN
+                    if ok is TriBool.TRUE:
+                        point = [0] * p
+                        point[j - 1] = delta[j - 1]
+                        return tuple(point), {"scanned": scanned,
+                                              "unknowns": unknowns}
+                    if ok is TriBool.UNKNOWN:
+                        if certified:
+                            return None
+                        unknowns += 1
+                continue
+            point = [0] * p
+            point[p - 1] = xp
+            good = True
+            for k, j in enumerate(labels):
+                ok, xj = nearest(xp, j, k)
+                if ok is TriBool.TRUE:
+                    point[j - 1] = xj
+                else:
+                    if ok is TriBool.UNKNOWN:
+                        if certified:
+                            return None
+                        unknowns += 1
+                    good = False
+                    break
+            if good:
+                return tuple(point), {"scanned": scanned, "unknowns": unknowns}
+        return None, {"scanned": scanned, "unknowns": unknowns}
+
+    if len(labels) == 1 and R >= 0:
+        j = labels[0]
+        qs = _convergents(basis, j, Fraction(dp, delta[j - 1]), R,
+                          _scan_prec(prec), cap)
+        if qs is not None:
+            out = walk([0, *qs], True)
+            if out is not None:
+                return out
+    return walk(range(0, R + 1), False)
 
 
 def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],

@@ -117,6 +117,35 @@ def test_roundtrip_canonicalizes_loose_input(tmp_path, capsys):
         '{"Q":"2","delta":["1","1"],"ell":["3","2"],"n":3}\n'
 
 
+@pytest.mark.parametrize("text, canonical", [
+    (dumps_jsonl(gen_apery_zeta3(12)), True),
+    ('{"generator":"x","params":{"a":NaN,"b":[1,2.5]}}\n'
+     '{"Q":"1","delta":["1","1"],"ell":["2","1"],"n":2}\n', True),
+    ('{"n": 2, "Q": 1, "ell": [2, 1], "delta": [1, 1]}\n', False),
+    ('{"generator": "x", "params": {"a": -0.0}, "extra": 1}\n'
+     '{"Q":"1","delta":["1","1"],"ell":["2","1"],"n":2}\n', False)])
+def test_roundtrip_parses_and_dumps_once_more_at_most(tmp_path, capsys,
+                                                      monkeypatch, text,
+                                                      canonical):
+    """Canonical input is parsed and dumped once; other input is parsed a
+    second time, from the canonical text, and not dumped again.  Both are
+    reported lossless, as the full second pass found them."""
+    import latforms.cli as cli
+    calls = []
+    for name in ("loads_jsonl", "dumps_jsonl"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda x, fn=fn, name=name:
+                            calls.append(name) or fn(x))
+    src = tmp_path / "in.jsonl"
+    src.write_text(text)
+    rc, out, _ = invoke(capsys, "roundtrip", "--input", str(src))
+    res = report_of(out)["result"]
+    assert rc == 0 and res["lossless"]
+    assert res["already_canonical"] is canonical
+    assert calls == ["loads_jsonl", "dumps_jsonl"] + \
+        ([] if canonical else ["loads_jsonl"])
+
+
 # ---------------------------------------------------------------------------
 # estimate / check commands
 
@@ -209,8 +238,9 @@ def test_verify_report_identical(capsys):
 # work it took (the counters under WORK_KEYS, kept at their paths), and each
 # part is pinned by the sha256 of its canonical JSON.  A faster algorithm
 # with the same outcome moves only the work digest.  Both digests were
-# recorded on the parent commit of each change that moved them; print them
-# with `PYTHONPATH=src python tests/test_cli.py`.  The dual work digests
+# recorded on the parent commit of each change that moved them; print them,
+# each with the counters of its work part, with
+# `PYTHONPATH=src python tests/test_cli.py`.  The dual work digests
 # moved when the dual witness took verify_conclusion's scan: it checks only
 # the candidates within the threshold, 1 where there were 1974 (golden) and
 # 8 (1/2).  The estimate-apery outcome digest moved when ln and exp became
@@ -219,7 +249,9 @@ def test_verify_report_identical(capsys):
 # f0188336... -> a6c8e322..., when zeta(3) came to be summed by binary
 # splitting: its tau ball's radius got smaller and the oscillation moved by
 # 3e-25; the records, the gamma and growth balls and the trace lengths are
-# the same.
+# the same.  The verify-golden and primal-golden work digests moved when
+# the single-label scans came to visit only the convergent denominators:
+# prefixes 10001 -> 20 and scanned 378 -> 14, with the same outcomes.
 WORK_KEYS = frozenset({"candidates_checked", "prefixes", "budget_estimate",
                        "escalations", "unknown_candidates", "checked",
                        "scanned", "unknowns"})
@@ -230,7 +262,7 @@ PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
         ("verify", "--gen", "fibonacci-golden", "--n-max", "60", "--tau", "1",
          "--Q", "100000", "--eps", "1/5"),
         "dc38cc55990dcba87beb1a2ca0f9577f0475b02d6c1bb05906de9297c9c319f3",
-        "51cb32bc3ebd49926cad78d5c13d12eea5444a9d75d09e123905e2979ad443b5"),
+        "7328094b90d70c4eb53a696663f3529fba4be26eb102bd0f46041893711c7c7d"),
     "verify-undecided": (
         UNDECIDED_VERIFY,
         "89ac3924008934b24d005025bd2b2c05b88f0a7539985a008708cbfd2ad448c5",
@@ -239,7 +271,7 @@ PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
         ("construct-primal", "--xi", "golden", "--tau", "1", "--delta", "1",
          "1", "--Q", "987"),
         "740a370f9e1c4b2b3c978e6c373c757709bc17037010c11c560c646b0d6b02fd",
-        "90a552f696e319cae5043d919383a52849a1319ede4fe039f42ae5f42d5686a3"),
+        "0ce351cb47dc3cc151c1a65dd5d7c0c4fd46aad0a27ef14aa87275e81b6c5808"),
     "dual-golden": (
         ("construct-dual", "--xi", "golden", "--tau", "3/2", "--gamma", "0",
          "0", "--delta", "1", "1", "--Q", "1000", "--eps", "1/20"),
@@ -516,6 +548,8 @@ def test_generate_past_the_int_str_digit_limit(capsys, tmp_path):
 
 
 if __name__ == "__main__":
+    # each pinned result: its two digests, then the counters of its work part
     for name, (argv, _, _) in sorted(PINNED_RESULTS.items()):
         outcome, work = split_result(cli_report(argv)[1]["result"])
         print(name, digest(outcome), digest(work))
+        print("   ", json.dumps(work, sort_keys=True))

@@ -15,7 +15,7 @@ import pytest
 import mpmath
 from hypothesis import given, settings, strategies as st
 
-from latforms.numerics import TriBool, parse_real
+from latforms.numerics import PrecisionCapExceeded, TriBool, parse_real
 from latforms.model import (
     Basis,
     FormRecord,
@@ -213,7 +213,7 @@ def fraction_gen_apery(n_max, prec, *, power, front, poly, sign, a1, b1,
         lag = sign * n ** power
         a_prev, a_cur = a_cur, (num * a_cur + lag * a_prev) / den
         b_prev, b_cur = b_cur, (num * b_cur + lag * b_prev) / den
-    corpus._apery_sanity(records[-1], const, prec, name)
+    corpus._apery_sanity(records[-1].n, *records[-1].ell, const, prec, name)
     return FormSequence(records, provenance={
         "generator": name, "params": {"n_max": n_max}})
 
@@ -250,6 +250,24 @@ def test_integrality_guard_aborts(monkeypatch):
                         r"is not an integer \(generator bug\)$",
                         str(fast.value))
         assert str(fast.value) == str(slow.value)
+
+
+def test_apery_refusal_builds_no_record(monkeypatch):
+    """n = 7000 needs the sanity check above the precision cap: the driver
+    refuses on the raw last pair, before any FormRecord is validated."""
+    built = []
+
+    class Counted(FormRecord):
+        def __post_init__(self):
+            built.append(self.n)
+            super().__post_init__()
+    monkeypatch.setattr(corpus, "FormRecord", Counted)
+    assert len(gen_apery_zeta3(12)) == 12 and len(built) == 12
+    built.clear()
+    with pytest.raises(PrecisionCapExceeded,
+                       match=r"^66066 bits exceeds cap 65536$"):
+        gen_apery_zeta3(7000)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

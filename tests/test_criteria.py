@@ -405,6 +405,17 @@ def test_verify_irrational_ball_mode_agrees_with_scan():
     assert v.status == "holds"
 
 
+def test_verify_golden_large_Q_in_few_prefixes():
+    """At Q = 10^30 the box has 2 * 10^24 + 1 prefixes; the convergent
+    steps visit the Fibonacci numbers up to 10^24 and the zero prefix."""
+    v = verify_conclusion(fib_seq(60), GOLDEN, [1], 10 ** 30, Fraction(1, 5),
+                          budget=10 ** 40)
+    assert v.status == "holds"
+    assert v.diagnostics["budget_estimate"] == 2 * 10 ** 24 + 1
+    assert v.diagnostics["prefixes"] <= 200
+    assert v.diagnostics["unknown_candidates"] == 0
+
+
 def _power_of_two_box(basis, taus, Q, eps):
     """The box verify_conclusion searches, as a coordinate-frame body:
     |a_j| <= Q^(tau_j-eps) and |sum a_j xi_j + a_p| <= Q^(-1-eps), each
@@ -561,3 +572,81 @@ def test_reports_past_the_int_str_digit_limit():
     big = Fraction(7 ** 6000, 3)
     assert DualPoint((big, Fraction(1))).to_json() == \
         [int_to_decimal(big.numerator) + "/3", "1"]
+
+
+# ---------------------------------------------------------------------------
+# convergent denominators
+# ---------------------------------------------------------------------------
+
+def _expansion_denominators(x, R):
+    """The distinct convergent denominators <= R of a rational x."""
+    n, d = x.numerator, x.denominator
+    out, q_prev, q = [1], 0, 1
+    n, d = d, n - n // d * d
+    while d and R >= 1:
+        a = n // d
+        q_prev, q = q, a * q + q_prev
+        if q > R:
+            break
+        if q > out[-1]:
+            out.append(q)
+        n, d = d, n - a * d
+    return out if R >= 1 else []
+
+
+def test_cf_denominators_least_approximation_is_listed():
+    """Rational x: the list is the plain expansion, and the least m in
+    1..R with ||m x|| <= t is always on it (best approximations of the
+    second kind are convergents)."""
+    rng = random.Random(11)
+    for _ in range(400):
+        x = Fraction(rng.randrange(-10 ** 5, 10 ** 5), rng.randrange(1, 3000))
+        R = rng.randrange(0, 400)
+        qs = criteria._cf_denominators(x, x, R)
+        assert qs == _expansion_denominators(x, R)
+        t = Fraction(rng.randrange(0, 500), rng.randrange(1, 4000))
+        least = next((m for m in range(1, R + 1)
+                      if abs(m * x - round(m * x)) <= t), None)
+        assert least is None or least in qs
+
+
+def test_cf_denominators_hold_across_the_interval():
+    """A certified list is every interior rational's list; None only when
+    two reals in the interval differ below R."""
+    rng = random.Random(12)
+    certified = ambiguous = 0
+    for _ in range(400):
+        lo = Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
+        hi = lo + Fraction(rng.randrange(0, 50), 10 ** rng.randrange(2, 12))
+        R = rng.randrange(0, 3000)
+        qs = criteria._cf_denominators(lo, hi, R)
+        probes = [lo, hi] + [lo + (hi - lo) * Fraction(k, 97)
+                             for k in range(1, 97)]
+        lists = {tuple(_expansion_denominators(y, R)) for y in probes}
+        if qs is None:
+            ambiguous += 1
+        else:
+            certified += 1
+            assert lists == {tuple(qs)}
+    assert certified > 100 and ambiguous > 10
+
+
+def test_convergents_escalate_and_refuse_a_fixed_width():
+    """golden's convergents up to 10^20 need more than the 96 start bits;
+    a fixed-width handle is asked twice, does not narrow, and gives None."""
+    golden = parse_real("golden")
+    asked = []
+    at = golden.at
+    golden.at = lambda prec: asked.append(prec) or at(prec)
+    qs = criteria._convergents(Basis((golden,)), 1, Fraction(1), 10 ** 20,
+                               96, 65536)
+    f = _fib(120)
+    assert qs == [q for q in f[2:] if q <= 10 ** 20]
+    assert asked == [96, 192]
+    fixed = parse_real("0.5±0.01")
+    asked.clear()
+    at_fixed = fixed.at
+    fixed.at = lambda prec: asked.append(prec) or at_fixed(prec)
+    assert criteria._convergents(Basis((fixed,)), 1, Fraction(1), 10 ** 6,
+                                 96, 65536) is None
+    assert asked == [96, 192]

@@ -19,6 +19,8 @@ from latforms.model import (
     dual_membership,
     lattice_membership,
 )
+import latforms.criteria as criteria
+import latforms.minkowski as minkowski
 from latforms.criteria import BudgetExceeded, verify_conclusion
 from latforms.minkowski import (
     Refusal,
@@ -123,6 +125,25 @@ def test_primal_golden_convergent_pair():
     assert tri_compare(t, abs(err)) is TriBool.TRUE
 
 
+def _consecutive_fibonacci(big, small):
+    a, b = 1, 2
+    while b < big:
+        a, b = b, a + b
+    return (b, a) == (big, small)
+
+
+def test_primal_golden_large_Q_fibonacci_pair():
+    """Q = 10^50: about 10^52 steps in the box, a few hundred visited."""
+    Q = 10 ** 50
+    out = construct_primal_form(GOLDEN, [F(1)], [1, 1], Q, budget=10 ** 60)
+    l1, l2 = out.point
+    assert _consecutive_fibonacci(l1, l2)
+    assert out.diagnostics["scanned"] <= 300
+    err = GOLDEN.xi_balls(512)[0] * l2 - l1
+    t = BallReal.exact(Q, 512).pow(F(-19, 20))
+    assert tri_compare(t, abs(err)) is TriBool.TRUE
+
+
 def test_primal_outside_J_gate():
     # tau_1 = -0.6 with delta_1 = floor(Q^0.2): J empty, gate certified
     out = construct_primal_form(GOLDEN, [F(-3, 5)], [15, 1], 10 ** 6)
@@ -177,6 +198,17 @@ def test_dual_golden_scan():
     assert tri_compare(t, abs(v)) is TriBool.TRUE
     # the scan finds a continued-fraction pair
     assert (a1, abs(a2)) == (34, 55)
+
+
+def test_dual_golden_large_Q_fibonacci_pair():
+    out = construct_dual_witness(GOLDEN, [F(3, 2)], [0, 0], [1, 1], 10 ** 30,
+                                 F(1, 20), budget=10 ** 45)
+    a1, a2 = out.point.a
+    assert a1.denominator == a2.denominator == 1
+    assert _consecutive_fibonacci(-a2.numerator, a1.numerator)
+    v = GOLDEN.xi_balls(512)[0] * a1 + a2
+    t = BallReal.exact(10 ** 30, 512).pow(F(-21, 20))
+    assert tri_compare(t, abs(v)) is TriBool.TRUE
 
 
 def test_dual_threshold_is_inclusive():
@@ -337,6 +369,185 @@ def test_coordinate_equivalence_sampled():
             assert body.contains(direct.a, basis) is TriBool.TRUE
             assert body.contains(brute, basis) is TriBool.TRUE
     assert 5 <= found < 40
+
+
+# -- convergent steps vs the linear scans ------------------------------------
+
+SQRTS = [k for k in range(2, 40) if int(k ** 0.5) ** 2 != k]
+
+
+def _random_xi(rng):
+    """A seeded xi expression: a rational, sqrt(k) or golden."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return f"{rng.randrange(-60, 60)}/{rng.randrange(1, 50)}"
+    return f"sqrt({rng.choice(SQRTS)})" if kind == 1 else "golden"
+
+
+def _basis(*exprs):
+    return Basis(tuple(parse_real(x) for x in exprs))
+
+
+def _with_and_without_convergents(monkeypatch, run):
+    """run() on fresh handles with the convergent steps, then with the
+    linear scans forced on (no convergents certified)."""
+    fast = run()
+    with monkeypatch.context() as m:
+        for mod in (criteria, minkowski):
+            m.setattr(mod, "_convergents", lambda *args: None)
+        slow = run()
+    return fast, slow
+
+
+def _outcome(call):
+    """(status, point, unknowns) of a construction, refusals included."""
+    try:
+        out = call()
+    except Refusal as e:
+        return "refused", str(e), None
+    except SearchFailed as e:
+        return "failed", None, e.unknowns
+    return "found", out.point, out.diagnostics["unknowns"]
+
+
+DELTAS = (1, 2, 3, 5, 10)
+
+
+def test_convergent_verify_matches_linear_scan(monkeypatch):
+    rng = random.Random(404)
+    seen = set()
+    for _ in range(60):
+        xi = _random_xi(rng)
+        delta = (rng.choice(DELTAS), rng.choice(DELTAS))
+        seq = FormSequence([FormRecord(n=k + 1, Q=10 ** (1 + k),
+                                       ell=tuple(d * (k + 1) for d in delta),
+                                       delta=delta) for k in range(4)])
+        tau, eps = rng.choice([F(1, 2), F(3, 4), 1, F(5, 4)]), \
+            rng.choice([F(1, 10), F(1, 5), F(1, 4)])
+        Q = rng.randrange(10, 3000)
+        if delta[0] * Q ** float(tau - eps) > 2000:
+            continue
+
+        def run():
+            v = verify_conclusion(seq, _basis(xi), [tau], Q, eps)
+            return (v.status, v.witness,
+                    v.diagnostics.get("unknown_candidates"))
+        fast, slow = _with_and_without_convergents(monkeypatch, run)
+        assert fast == slow, (xi, delta, tau, eps, Q)
+        seen.add(fast[0])
+    assert seen == {"holds", "violated"}
+
+
+def test_convergent_dual_matches_linear_scan(monkeypatch):
+    """p = 2, and p = 3 with J = {1} (tau_2 + gamma_2 < 0)."""
+    rng = random.Random(505)
+    seen = set()
+    for k in range(60):
+        p3 = k % 3 == 2
+        xis = [_random_xi(rng) for _ in range(2 if p3 else 1)]
+        delta = [rng.choice(DELTAS) for _ in range(len(xis) + 1)]
+        tau = [rng.choice([F(5, 4), F(3, 2), F(7, 4)])] + \
+            ([F(-1, 2)] if p3 else [])
+        eps = rng.choice([F(1, 20), F(1, 10)])
+        Q = rng.randrange(4, 400)
+        if delta[0] * Q ** float(tau[0] - eps) > 2000:
+            continue
+        gamma = [0] * len(delta)
+        fast, slow = _with_and_without_convergents(
+            monkeypatch, lambda: _outcome(lambda: construct_dual_witness(
+                _basis(*xis), tau, gamma, delta, Q, eps)))
+        assert fast == slow, (xis, delta, tau, eps, Q)
+        seen.add(fast[0])
+    assert {"found", "refused"} <= seen
+
+
+def test_convergent_coordinate_search_matches_linear_scan(monkeypatch):
+    rng = random.Random(606)
+    found = unknown = 0
+    for _ in range(60):
+        xi = _random_xi(rng)
+        delta = [rng.choice(DELTAS), rng.choice(DELTAS)]
+        lo = F(rng.randrange(0, 2000 * 8), 8 * delta[0])
+        b = (BallReal.exact(lo, 64) if rng.random() < 0.5 else
+             BallReal.from_endpoints(lo, lo + F(rng.randrange(1, 9), 8), 64))
+        t = F(rng.randrange(1, 64), 2 ** rng.randrange(8, 16))
+        # an interval threshold leaves the candidates inside it unknown
+        t = (BallReal.exact(t, 64) if rng.random() < 0.6 else
+             BallReal.from_endpoints(t, 2 * t, 64))
+        body = ConvexBody(frame="coordinate", coords=(1, 2), bounds=(
+            Bound(b, strict=rng.random() < 0.3),
+            Bound(t, strict=rng.random() < 0.3)))
+
+        def run():
+            point, diag = directed_search_coordinate(body, delta, _basis(xi))
+            return point, diag["unknowns"]
+        fast, slow = _with_and_without_convergents(monkeypatch, run)
+        assert fast == slow, (xi, delta, b, t)
+        found += fast[0] is not None
+        unknown += fast[1] > 0
+    assert 5 <= found < 60 and unknown >= 5
+
+
+def test_convergent_sheared_search_matches_linear_scan(monkeypatch):
+    rng = random.Random(808)
+    found = unknown = 0
+    for _ in range(60):
+        xi = _random_xi(rng)
+        delta = [rng.choice(DELTAS), rng.choice(DELTAS)]
+        t = F(rng.randrange(1, 64), 2 ** rng.randrange(6, 14))
+        t = (BallReal.exact(t, 64) if rng.random() < 0.6 else
+             BallReal.from_endpoints(t, 2 * t, 64))
+        top = F(rng.randrange(1, 2000 * 8), 8) * delta[1]
+        body = ConvexBody(frame="sheared", coords=(1, 2), bounds=(
+            Bound(t, strict=rng.random() < 0.3),
+            Bound(BallReal.exact(top, 64), strict=rng.random() < 0.3)))
+
+        def run():
+            point, diag = directed_search_sheared(body, delta, _basis(xi),
+                                                  cap=1024)
+            return point, diag["unknowns"]
+        fast, slow = _with_and_without_convergents(monkeypatch, run)
+        assert fast == slow, (xi, delta, t, top)
+        found += fast[0] is not None
+        unknown += fast[1] > 0
+    assert 5 <= found < 60 and unknown >= 5
+
+
+def test_convergent_primal_matches_linear_scan(monkeypatch):
+    rng = random.Random(707)
+    seen = set()
+    for _ in range(60):
+        xi = _random_xi(rng)
+        delta = [rng.choice(DELTAS), rng.choice(DELTAS)]
+        tau = rng.choice([F(1, 4), F(1, 2), F(3, 4), 1])
+        Q = rng.randrange(2, 2500)
+        if Q ** 1.05 / delta[1] > 2000:
+            continue
+        fast, slow = _with_and_without_convergents(
+            monkeypatch, lambda: _outcome(lambda: construct_primal_form(
+                _basis(xi), [tau], delta, Q)))
+        assert fast == slow, (xi, delta, tau, Q)
+        seen.add(fast[0])
+    assert "found" in seen
+
+
+@pytest.mark.parametrize("xi", ["0.3±0.001", "0.5±0.01"])
+def test_fixed_width_xi_keeps_the_linear_counts(monkeypatch, xi):
+    """A fixed-width xi does not narrow, so the convergents fall back to
+    the linear scan, whose every counter is unchanged."""
+    seq = FormSequence([FormRecord(n=k + 1, Q=10 ** (1 + k), ell=(k + 1, k + 1),
+                                   delta=(1, 1)) for k in range(3)])
+
+    def run():
+        v = verify_conclusion(seq, _basis(xi), [1], 50, F(1, 4), cap=256)
+        d = construct_dual_witness
+        return (v.status, v.witness, v.diagnostics,
+                _outcome(lambda: d(_basis(xi), [F(3, 2)], [0, 0], [1, 1], 40,
+                                   F(1, 20), cap=256)),
+                _outcome(lambda: construct_primal_form(
+                    _basis(xi), [F(1, 2)], [1, 2], 300, cap=256)))
+    fast, slow = _with_and_without_convergents(monkeypatch, run)
+    assert fast == slow
 
 
 def test_coordinate_range_from_certified_end():
