@@ -239,14 +239,14 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
         unknowns = 0
         scanned = 0
         for step in steps:
+            if certified and unknowns:  # one decision per step with one label
+                return None
             xp = step * dp
             scanned += 1
             okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
             if okp is TriBool.FALSE:
                 break
             if okp is TriBool.UNKNOWN:
-                if certified:
-                    return None
                 unknowns += 1
                 continue
             if xp == 0:
@@ -268,8 +268,6 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
                         return tuple(point), {"scanned": scanned,
                                               "unknowns": unknowns}
                     if ok is TriBool.UNKNOWN:
-                        if certified:
-                            return None
                         unknowns += 1
                 continue
             point = [0] * p
@@ -281,13 +279,13 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
                     point[j - 1] = xj
                 else:
                     if ok is TriBool.UNKNOWN:
-                        if certified:
-                            return None
                         unknowns += 1
                     good = False
                     break
             if good:
                 return tuple(point), {"scanned": scanned, "unknowns": unknowns}
+        if certified and unknowns:
+            return None
         return None, {"scanned": scanned, "unknowns": unknowns}
 
     if len(labels) == 1 and R >= 0:

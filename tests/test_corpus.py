@@ -253,8 +253,9 @@ def test_integrality_guard_aborts(monkeypatch):
 
 
 def test_apery_refusal_builds_no_record(monkeypatch):
-    """n = 7000 needs the sanity check above the precision cap: the driver
-    refuses on the raw last pair, before any FormRecord is validated."""
+    """n = 7000 needs the sanity check above the precision cap: the
+    generator refuses on the raw last pair, before any FormRecord is
+    validated."""
     built = []
 
     class Counted(FormRecord):
