@@ -540,14 +540,21 @@ def test_fixed_width_xi_keeps_the_linear_counts(monkeypatch, xi):
 
     def run():
         v = verify_conclusion(seq, _basis(xi), [1], 50, F(1, 4), cap=256)
-        d = construct_dual_witness
-        return (v.status, v.witness, v.diagnostics,
-                _outcome(lambda: d(_basis(xi), [F(3, 2)], [0, 0], [1, 1], 40,
-                                   F(1, 20), cap=256)),
-                _outcome(lambda: construct_primal_form(
-                    _basis(xi), [F(1, 2)], [1, 2], 300, cap=256)))
+        out = [(v.status, v.witness, v.diagnostics)]
+        for build in (lambda: construct_dual_witness(
+                          _basis(xi), [F(3, 2)], [0, 0], [1, 1], 40, F(1, 20),
+                          cap=256),
+                      lambda: construct_primal_form(
+                          _basis(xi), [F(1, 2)], [1, 2], 300, cap=256)):
+            try:
+                res = build()
+                out.append((res.point, res.diagnostics))
+            except SearchFailed as e:
+                out.append(("failed", e.unknowns))
+        return out
     fast, slow = _with_and_without_convergents(monkeypatch, run)
     assert fast == slow
+    assert fast[0][2]["unknown_candidates"] > 0
 
 
 def test_coordinate_range_from_certified_end():
