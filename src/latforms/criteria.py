@@ -10,7 +10,9 @@ exhaustively tests the lower bound |a_1 xi_1 + ... + a_p| > Q^(-1-eps) over
 the admissible dual points at one concrete Q.  It runs the one
 coordinate-frame scan (_coordinate_scan, with the threshold test of
 _threshold), which minkowski's dual witness and directed_search_coordinate
-share.
+share.  With one label it walks _steps: 0 and the convergent denominators
+certified across the xi enclosure, then every step from the first one it
+may miss or from just after the first undecided one.
 
 Everything that can be decided in exact integer/rational arithmetic is;
 irrational data goes through certified balls with precision escalation, and
@@ -38,7 +40,6 @@ from .numerics import (
     floor_scaled_power,
     fraction_to_str,
     int_to_decimal,
-    nth_root_floor,
     tri_compare,
 )
 from .model import (
@@ -140,9 +141,8 @@ def build_iterate_matrix(seq: FormSequence, basis: Basis, n: int,
     """Rows are the forms at positions n, phi(n), ..., phi^(p-1)(n), where
     phi(m)-1 is Phi applied to Q_m^(1+eps1); columns evaluate e_1..e_p.
 
-    Q_m^(1+eps1) is handled exactly: for eps1=u/v the threshold is
-    floor((Q_m^(u+v))^(1/v)), which leaves Phi unchanged since scales are
-    integers.
+    Q_m^(1+eps1) is handled exactly: the threshold is its floor, which
+    leaves Phi unchanged since scales are integers.
     """
     eps1 = Fraction(eps1)
     if eps1 <= 0:
@@ -150,12 +150,11 @@ def build_iterate_matrix(seq: FormSequence, basis: Basis, n: int,
     p = seq.p
     if not 0 <= n < len(seq):
         raise RecordsExhausted(f"no record at position {n}")
-    u, v = eps1.numerator, eps1.denominator
     positions = [n]
     for _ in range(p - 1):
         m = positions[-1]
         Qm = seq.records[m].Q
-        threshold = nth_root_floor(Qm ** (u + v), v)
+        threshold = floor_scaled_power(Fraction(1), Qm, 1 + eps1)
         phi = phi_of_Q(seq, threshold)
         nxt = phi.value + 1
         if phi.truncated or nxt >= len(seq):
@@ -476,23 +475,23 @@ def _odometer(ranges: Sequence[int], budget: int, per_prefix: int = 1):
     return estimate, _prefixes(ranges)
 
 
-def _cf_denominators(lo: Fraction, hi: Fraction, R: int) -> Optional[list[int]]:
+def _cf_denominators(lo: Fraction, hi: Fraction, R: int) -> tuple[list[int], int]:
     """The distinct convergent denominators 1 = q_0 < q_1 < ... <= R shared
-    by every real in [lo, hi], or None when a partial quotient that could
-    still bring a denominator <= R is not the same across the interval.
+    by every real in [lo, hi], and the first step where some real in it may
+    have a denominator missing from that list (R + 1 when none does).
 
     Both ends are expanded by exact Euclid and a quotient is kept while the
     two ends agree on it: the reals whose first k quotients are given form
     an interval, so the reals between two ends that share them share them
     too.  Where the ends disagree (or one ends, being rational), every real
-    between has a next quotient a >= the smaller floor, so the expansion
-    may stop when a q_k + q_(k-1) > R even then.  A rational interval
-    [x, x] is the plain expansion of x."""
+    between has a next quotient a >= the smaller floor, so its next
+    denominator is at least a q_k + q_(k-1).  A rational interval [x, x] is
+    the plain expansion of x."""
     if R < 1:
-        return []
+        return [], R + 1
     a = lo.numerator // lo.denominator
     if a != hi.numerator // hi.denominator:
-        return [1] if R < 2 else None   # an integer inside: q_1 or q_2 is 2
+        return [1], 2                   # an integer inside: q_1 or q_2 is 2
     ends = [(lo.numerator, lo.denominator), (hi.numerator, hi.denominator)]
     out, q_prev, q = [1], 0, 1
     while True:
@@ -502,42 +501,56 @@ def _cf_denominators(lo: Fraction, hi: Fraction, R: int) -> Optional[list[int]]:
                 else (e[1], e[0] - a * e[1]) for e in ends]
         nxt = [n // d for n, d in filter(None, ends)]
         if not nxt:
-            return out
+            return out, R + 1
         if len(nxt) == 1 or nxt[0] != nxt[1]:
-            return out if min(nxt) * q + q_prev > R else None
+            return out, min(min(nxt) * q + q_prev, R + 1)
         a = nxt[0]
         q_prev, q = q, a * q + q_prev
         if q > R:
-            return out
+            return out, R + 1
         if q > out[-1]:           # a_1 = 1 repeats q_0 = 1
             out.append(q)
 
 
 def _convergents(basis: Basis, j: int, ratio: Fraction, R: int, work: int,
-                 cap: int) -> Optional[list[int]]:
-    """The convergent denominators <= R of x = xi_j * ratio (_cf_denominators),
-    from exact Euclid for rational xi_j, else from the enclosure of xi_j
-    escalated from work to cap.  None when they stay ambiguous at cap, or
-    when doubling the precision does not narrow the enclosure (a fixed-width
-    handle), which then is not escalated further."""
+                 cap: int) -> tuple[list[int], int, int]:
+    """The convergent denominators <= R of x = xi_j * ratio, the first step
+    they may miss (_cf_denominators) and the precision that gave them:
+    work for rational xi_j (exact Euclid), else the enclosure of xi_j
+    escalated from work to cap while a step is missed, stopping at the last
+    precision that narrowed it (a fixed-width handle does not)."""
     handle = basis.xi[j - 1]
     if handle.exact is not None:
         x = handle.exact * ratio
-        return _cf_denominators(x, x, R)
-    last = None
+        return (*_cf_denominators(x, x, R), work)
+    out = rad = None
 
     def decide(w: int):
-        nonlocal last
+        nonlocal out, rad
         ball = handle.at(w)
-        qs = _cf_denominators(ball.lower * ratio, ball.upper * ratio, R)
-        if qs is not None:
-            return qs
-        if last is not None and ball.rad >= last:
+        if rad is not None and ball.rad >= rad:
             return None
-        last = ball.rad
-        return TriBool.UNKNOWN
-    qs, _ = escalate(decide, work, cap)
-    return qs if isinstance(qs, list) else None
+        out = (*_cf_denominators(ball.lower * ratio, ball.upper * ratio, R), w)
+        rad = ball.rad
+        return TriBool.UNKNOWN if out[1] <= R else None
+    escalate(decide, work, cap)
+    return out
+
+
+def _steps(qs: Sequence[int], start: int, R: int, doubt):
+    """0 and the denominators qs below start, then every step from start
+    to R, or from just after the first step that leaves doubt() true.  The
+    least m > 0 with ||m x|| <= t is a best approximation of the second
+    kind, hence a convergent denominator (Lagrange; Khinchin, Continued
+    Fractions, Thms 16-17): each step skipped before the doubt is one the
+    linear scan rules out, and from the doubt on the steps are its own."""
+    last = -1
+    for q in (0, *qs):
+        if q >= start or doubt():
+            break
+        yield q
+        last = q
+    yield from range(last + 1 if doubt() else max(start, last + 1), R + 1)
 
 
 def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
@@ -590,9 +603,8 @@ def _threshold(Q: int, eps: Fraction, work: int):
     which is exact when Q^(1+eps) is an integer and is otherwise computed
     once per precision."""
     expo = 1 + eps
-    u, d = expo.numerator, expo.denominator
-    root = nth_root_floor(Q ** u, d)
-    exact = Fraction(1, root) if root ** d == Q ** u else None
+    root = Fraction(floor_scaled_power(Fraction(1), Q, expo))
+    exact = 1 / root if cmp_abs_vs_power(root, Q, expo) == 0 else None
 
     @functools.cache
     def bracket(w: int) -> tuple[Fraction, Fraction]:
@@ -618,7 +630,7 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     elsewhere for which inside(v, w) certifies v = sum a_j xi_j + a_p.
 
     Each prefix sum is bracketed by integers at the scale D*S, with D the
-    lcm of the deltas and S = 2^work (for rational xi, the lcm of the
+    lcm of the deltas and S = 2^bits (for rational xi, the lcm of the
     denominators, which makes the bracket exact).  Only the kp with |v| <=
     t_hi possible are candidates, in ascending order, kp > 0 for the zero
     prefix.  inside decides each on v exactly for rational xi, else on an
@@ -628,24 +640,24 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     estimate, per_prefix per prefix), prefixes, checked, escalations
     (steps past work) and unknowns.
 
-    With one label j the scan visits only the prefixes 0 and the
-    convergent denominators q <= R_j of x = xi_j delta_p/delta_j
-    (_convergents).  A candidate with prefix m is inside iff
-    ||m x|| <= t delta_p, and the least such m > 0 is a best approximation
-    of the second kind, hence a convergent denominator (Lagrange; Khinchin,
-    Continued Fractions, Thms 16-17): the first certified point is the
-    linear scan's.  Skipping is a proof only while every decision is
-    certified, so the linear odometer runs instead, with its own counts,
-    when the convergents are not certified or a visited candidate is
-    undecided.
+    With one label j the prefixes are the _steps of the convergent
+    denominators of x = xi_j delta_p/delta_j, at whose precision the sums
+    are bracketed (bits = work otherwise): m passes iff ||m x|| <= t delta_p.
     """
     p = basis.p
     dp = delta[p - 1]
-    estimate, odometer = _odometer(ranges, budget, per_prefix)
+    estimate, steps = _odometer(ranges, budget, per_prefix)
+    prefixes = checked = escalations = unknowns = 0
+    bits = work
+    if len(labels) == 1:
+        j = labels[0]
+        qs, start, bits = _convergents(basis, j, Fraction(dp, delta[j - 1]),
+                                       ranges[0], work, cap)
+        steps = ((m,) for m in _steps(qs, start, ranges[0], lambda: unknowns))
     exact_xi = basis.exact_xi
     if exact_xi is None:
-        S = 1 << work
-        ends = [(x.lower, x.upper) for x in basis.xi_balls(work)]
+        S = 1 << bits
+        ends = [(x.lower, x.upper) for x in basis.xi_balls(bits)]
     else:
         S = math.lcm(*(exact_xi[j - 1].denominator for j in labels))
         ends = [(x, x) for x in exact_xi]
@@ -658,56 +670,39 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     step = D // dp * S                  # kp/delta_p at the same scale
     T = math.floor(t_hi * D * S)
 
-    def walk(steps, certified: bool):
-        """The scan over the prefixes in steps; None if certified and a
-        candidate stays undecided."""
-        prefixes = checked = escalations = unknowns = 0
+    def decide(w: int) -> TriBool:      # the loop's current prefix and kp
+        nonlocal escalations
+        escalations += w > work
+        return inside(_prefix_ball(basis, prefix, labels, delta, w)
+                      + Fraction(kp, dp), w)
 
-        def decide(w: int) -> TriBool:     # the loop's current prefix and kp
-            nonlocal escalations
-            escalations += w > work
-            return inside(_prefix_ball(basis, prefix, labels, delta, w)
-                          + Fraction(kp, dp), w)
+    def counts() -> dict:
+        return {"estimate": estimate, "prefixes": prefixes,
+                "checked": checked, "escalations": escalations,
+                "unknowns": unknowns}
 
-        def counts() -> dict:
-            return {"estimate": estimate, "prefixes": prefixes,
-                    "checked": checked, "escalations": escalations,
-                    "unknowns": unknowns}
-
-        for prefixes, prefix in enumerate(steps, 1):
-            s_lo = s_hi = 0
-            for m, (xl, xh) in zip(prefix, X):
-                if m > 0:
-                    s_lo += m * xl
-                    s_hi += m * xh
-                elif m < 0:
-                    s_lo += m * xh
-                    s_hi += m * xl
-            kmin = -((s_hi + T) // step)
-            kmax = (T - s_lo) // step
-            for kp in range(kmin if any(prefix) else max(kmin, 1), kmax + 1):
-                checked += 1
-                if exact_xi is not None:
-                    ok = inside(Fraction(s_lo + kp * step, D * S), work)
-                else:
-                    ok = escalate(decide, work, cap)[0]
-                if ok is TriBool.TRUE:
-                    return _dual_point(p, labels, prefix, delta, kp), counts()
-                if ok is not TriBool.FALSE:
-                    if certified:
-                        return None
-                    unknowns += 1
-        return None, counts()
-
-    if len(labels) == 1 and ranges[0] >= 0:
-        j = labels[0]
-        qs = _convergents(basis, j, Fraction(dp, delta[j - 1]), ranges[0],
-                          work, cap)
-        if qs is not None:
-            out = walk([(m,) for m in [0, *qs]], True)
-            if out is not None:
-                return out
-    return walk(odometer, False)
+    for prefixes, prefix in enumerate(steps, 1):
+        s_lo = s_hi = 0
+        for m, (xl, xh) in zip(prefix, X):
+            if m > 0:
+                s_lo += m * xl
+                s_hi += m * xh
+            elif m < 0:
+                s_lo += m * xh
+                s_hi += m * xl
+        kmin = -((s_hi + T) // step)
+        kmax = (T - s_lo) // step
+        for kp in range(kmin if any(prefix) else max(kmin, 1), kmax + 1):
+            checked += 1
+            if exact_xi is not None:
+                ok = inside(Fraction(s_lo + kp * step, D * S), work)
+            else:
+                ok = escalate(decide, work, cap)[0]
+            if ok is TriBool.TRUE:
+                return _dual_point(p, labels, prefix, delta, kp), counts()
+            if ok is not TriBool.FALSE:
+                unknowns += 1
+    return None, counts()
 
 
 def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],

@@ -15,8 +15,10 @@ The directed searches exploit the box shape.  The primal one scans the
 last coordinate and takes the nearest lattice multiple in each remaining
 coordinate.  The dual one is the coordinate-frame scan of criteria, the
 one verify_conclusion runs: it walks the bounded prefix coordinates and
-tries only the last coordinates within the threshold.  A full-enumeration
-oracle cross-checks both at small sizes.
+tries only the last coordinates within the threshold.  With one label
+both walk criteria._steps, convergent denominators first and every step
+from the first doubt.  A full-enumeration oracle cross-checks both at
+small sizes.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .criteria import (
     _power_bracket,
     _scan_prec,
     _signed,
+    _steps,
     _threshold,
 )
 
@@ -202,12 +205,10 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     only x_p >= 0 is scanned).  Unknown-at-cap candidates are skipped and
     counted in the diagnostics.
 
-    With one label j only the steps 0 and the convergent denominators of
-    y = delta_p xi_j/delta_j are visited: the step s = x_p/delta_p passes
-    iff ||s y|| <= b_j/delta_j, and the least such s is a convergent
-    denominator, as in criteria._coordinate_scan, which also gives the
-    fallback rule: the full scan runs, with its own counts, when the
-    convergents are not certified or a visited step is undecided.
+    With one label j the steps are criteria._steps of the convergent
+    denominators of y = delta_p xi_j/delta_j (a step s passes iff
+    ||s y|| <= b_j/delta_j), and every step past the certified lower end
+    of the last bound, which the |x_p| test alone may leave unknown.
     """
     if body.frame != "sheared":
         raise ValidationError("need a sheared-frame body")
@@ -220,6 +221,15 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     if R + 1 > budget:
         raise BudgetExceeded(R + 1, budget)
     brackets = [(b.value.lower, b.value.upper, b.strict) for b in body.bounds]
+    scanned = unknowns = 0
+    steps = range(R + 1)
+    if len(labels) == 1:
+        j = labels[0]
+        qs, start, _ = _convergents(basis, j, Fraction(dp, delta[j - 1]), R,
+                                    _scan_prec(prec), cap)
+        lo, _, strict = brackets[-1]
+        sure = (math.ceil(lo) - 1 if strict else math.floor(lo)) // dp
+        steps = _steps(qs, min(start, sure + 1), R, lambda: unknowns)
 
     def nearest(xp: int, j: int, k: int) -> tuple[TriBool, int]:
         """|x_p xi_j - x_j| <= b_k for the multiple x_j of delta_j nearest
@@ -233,70 +243,36 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
             return cmp_abs_le(target - xj, *brackets[k])
         return escalate(decide, prec, cap)[0], xj
 
-    def walk(steps, certified: bool):
-        """The scan over these steps; None if certified and a step stays
-        undecided."""
-        unknowns = 0
-        scanned = 0
-        for step in steps:
-            if certified and unknowns:  # one decision per step with one label
-                return None
-            xp = step * dp
-            scanned += 1
-            okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
-            if okp is TriBool.FALSE:
-                break
-            if okp is TriBool.UNKNOWN:
-                unknowns += 1
-                continue
-            if xp == 0:
-                # the only candidates are single-axis points delta_j e_j; the
-                # remaining coordinates sit at 0 and must pass their bounds too
-                for k, j in enumerate(labels):
-                    ok = TriBool.TRUE
-                    for k2 in range(len(labels)):
-                        val = delta[j - 1] if k2 == k else 0
-                        c = cmp_abs_le(BallReal.exact(val, prec), *brackets[k2])
-                        if c is TriBool.FALSE:
-                            ok = TriBool.FALSE
-                            break
-                        if c is TriBool.UNKNOWN:
-                            ok = TriBool.UNKNOWN
-                    if ok is TriBool.TRUE:
-                        point = [0] * p
-                        point[j - 1] = delta[j - 1]
-                        return tuple(point), {"scanned": scanned,
-                                              "unknowns": unknowns}
-                    if ok is TriBool.UNKNOWN:
-                        unknowns += 1
-                continue
-            point = [0] * p
-            point[p - 1] = xp
-            good = True
-            for k, j in enumerate(labels):
-                ok, xj = nearest(xp, j, k)
+    for scanned, step in enumerate(steps, 1):
+        xp = step * dp
+        okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
+        if okp is TriBool.FALSE:
+            break
+        if okp is TriBool.UNKNOWN:
+            unknowns += 1
+            continue
+        if xp == 0:
+            # the only candidates are the single-axis points delta_j e_j,
+            # whose constraints |0 xi_k - x_k| = |x_k| are exact
+            for j in labels:
+                point = [0] * p
+                point[j - 1] = delta[j - 1]
+                ok = body.contains(point, basis, prec)
                 if ok is TriBool.TRUE:
-                    point[j - 1] = xj
-                else:
-                    if ok is TriBool.UNKNOWN:
-                        unknowns += 1
-                    good = False
-                    break
-            if good:
-                return tuple(point), {"scanned": scanned, "unknowns": unknowns}
-        if certified and unknowns:
-            return None
-        return None, {"scanned": scanned, "unknowns": unknowns}
-
-    if len(labels) == 1 and R >= 0:
-        j = labels[0]
-        qs = _convergents(basis, j, Fraction(dp, delta[j - 1]), R,
-                          _scan_prec(prec), cap)
-        if qs is not None:
-            out = walk([0, *qs], True)
-            if out is not None:
-                return out
-    return walk(range(0, R + 1), False)
+                    return tuple(point), {"scanned": scanned,
+                                          "unknowns": unknowns}
+                unknowns += ok is TriBool.UNKNOWN
+            continue
+        point = [0] * p
+        point[p - 1] = xp
+        for k, j in enumerate(labels):
+            ok, point[j - 1] = nearest(xp, j, k)
+            if ok is not TriBool.TRUE:
+                unknowns += ok is TriBool.UNKNOWN
+                break
+        else:
+            return tuple(point), {"scanned": scanned, "unknowns": unknowns}
+    return None, {"scanned": scanned, "unknowns": unknowns}
 
 
 def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numerics import (BallReal, RealConstant, TriBool, cmp_abs_le,
-                       fraction_to_str, int_to_decimal)
+                       decimal_to_int, fraction_to_str, int_to_decimal)
 
 __all__ = [
     "Basis",
@@ -207,7 +207,9 @@ class DualPoint:
 
     @staticmethod
     def from_json(items: Sequence[str]) -> "DualPoint":
-        return DualPoint(tuple(Fraction(s) for s in items))
+        """Inverse of to_json, past the int/str digit cap too."""
+        return DualPoint(tuple(Fraction(*map(decimal_to_int, s.split("/")))
+                               for s in items))
 
 
 def lattice_membership(vec: Sequence[int], lattice: DiagonalLattice) -> bool:

@@ -9,7 +9,9 @@ sqrt and powers exact rationals, and only then round, all through one
 routine: the midpoint to the working precision (halves up), the radius plus
 that rounding error up to 32 bits.  So the enclosure property "the true
 value lies inside the ball" is an invariant of construction, not a hope.
-Fractions appear only at the API edge.
+Fractions appear at the API edge and in division, sqrt, rational pow and
+RealConstant.at, which round Fraction endpoints through from_endpoints at
+a gcd per result (the FOUND note on ball division in CHANGES.md).
 
 Comparisons are three-valued: a ball comparison is True only when the
 intervals are disjoint in the right order, False only when disjoint the
@@ -64,11 +66,13 @@ __all__ = [
     "cmp_abs_le",
     "escalate",
     "PREC_CAP",
+    "POWER_BITS",
     "MIN_PREC",
 ]
 
 MIN_PREC = 16
 PREC_CAP = 1 << 16  # hard ceiling for precision escalation, in bits
+POWER_BITS = 1 << 24  # ceiling on the bit length of an exact power
 _RAD_BITS = 32      # radii are rounded up to this many significant bits
 
 
@@ -134,7 +138,9 @@ def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]
 
 
 def nth_root_floor(x: int, n: int) -> int:
-    """Largest r >= 0 with r**n <= x (x >= 0, n >= 1)."""
+    """Largest r >= 0 with r**n <= x (x >= 0, n >= 1): Newton from above,
+    from 46 bits of the root (the float log2 of the top 64 bits of x) raised
+    until r**n > x.  Its floors never pass below the root (AM-GM)."""
     if x < 0 or n < 1:
         raise ValueError("nth_root_floor needs x >= 0, n >= 1")
     if x == 0:
@@ -143,31 +149,47 @@ def nth_root_floor(x: int, n: int) -> int:
         return x
     if n == 2:
         return math.isqrt(x)
-    r = 1 << -(-x.bit_length() // n)  # >= true root
-    while True:
-        r2 = ((n - 1) * r + x // r ** (n - 1)) // n
-        if r2 >= r:
+    shift = max(x.bit_length() - 64, 0)
+    e, c = divmod(shift, n)             # x ~ top 2^(e n + c)
+    f = (c + math.log2(x >> shift)) / n  # log2 of the root, less e
+    r = int(2.0 ** (f % 1) * (1 << 52))
+    k = e + int(f) - 52
+    r = (r << k if k >= 0 else r >> -k) + 1
+    while True:                         # step up until r**n > x
+        r += r >> 44
+        p = r ** (n - 1)
+        if p * r > x:
             break
-        r = r2
-    while r ** n > x:
-        r -= 1
+        r += 1
+    while p * r > x:                    # Newton from above, p = r**(n-1)
+        r = ((n - 1) * r + x // p) // n
+        p = r ** (n - 1)
     while (r + 1) ** n <= x:
         r += 1
     return r
 
 
 def floor_root_rational(num: int, den: int, n: int) -> int:
-    """floor((num/den)**(1/n)) for num >= 0, den >= 1."""
-    r = nth_root_floor(num // den, n)
-    while (r + 1) ** n * den <= num:
-        r += 1
-    return r
+    """floor((num/den)**(1/n)) for num >= 0, den >= 1: an integer r has
+    r**n <= num/den iff r**n <= num // den."""
+    return nth_root_floor(num // den, n)
+
+
+def _power_check(c: Fraction, base: int, expo: Fraction) -> None:
+    """Refuse the exact power c^v base^|u| (expo = u/v) past POWER_BITS."""
+    bits = (expo.denominator * (c.numerator.bit_length()
+                                + c.denominator.bit_length())
+            + abs(expo.numerator) * base.bit_length())
+    if bits > POWER_BITS:
+        raise NumericsError(f"exact power of up to {bits} bits exceeds the "
+                            f"{POWER_BITS}-bit bound")
 
 
 def floor_scaled_power(c: Fraction, base: int, expo: Fraction) -> int:
     """floor(c * base**expo) exactly, for c >= 0, base >= 1, rational expo."""
     if c < 0 or base < 1:
         raise ValueError("floor_scaled_power needs c >= 0, base >= 1")
+    _power_check(c, base, expo)
     u, v = expo.numerator, expo.denominator
     cn, cd = c.numerator, c.denominator
     if u >= 0:
@@ -177,6 +199,7 @@ def floor_scaled_power(c: Fraction, base: int, expo: Fraction) -> int:
 
 def cmp_abs_vs_power(a: Fraction, base: int, expo: Fraction) -> int:
     """Exact sign of |a| - base**expo (-1, 0, +1); base >= 1, rational expo."""
+    _power_check(a, base, expo)
     u, v = expo.numerator, expo.denominator
     lhs_n = abs(a.numerator) ** v
     lhs_d = a.denominator ** v

@@ -478,6 +478,25 @@ def test_malformed_input_is_one_line_without_traceback(tmp_path, text,
     assert proc.stderr == f"latforms: error: {message}\n"
 
 
+@pytest.mark.parametrize("eps, codes", [("1/100000", (0, 2, 3)),
+                                        ("1e-12", (1,))])
+def test_verify_at_a_tiny_eps_ends(eps, codes):
+    """eps = 1/100000 builds exact powers of about 10^7 bits and returns a
+    verdict; eps = 1e-12 would need Q^(10^12+1) and exits 1 at once."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "latforms", "verify", "--gen",
+         "fibonacci-golden", "--n-max", "10", "--tau", "1", "--Q", "100",
+         "--eps", eps], capture_output=True, text=True, timeout=240)
+    assert proc.returncode in codes
+    if proc.returncode == 1:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("latforms: error: exact power of up to")
+        assert proc.stderr.count("\n") == 1
+    else:
+        assert report_of(proc.stdout)["status"] in ("holds", "violated",
+                                                    "unknown")
+
+
 def test_exit_code_matches_status_everywhere(capsys):
     """Sampled exit-code/status contract: 0 holds/success, 2 violated/refused,
     3 unknown, across every report-emitting command family."""

@@ -602,8 +602,8 @@ def test_cf_denominators_least_approximation_is_listed():
     for _ in range(400):
         x = Fraction(rng.randrange(-10 ** 5, 10 ** 5), rng.randrange(1, 3000))
         R = rng.randrange(0, 400)
-        qs = criteria._cf_denominators(x, x, R)
-        assert qs == _expansion_denominators(x, R)
+        qs, start = criteria._cf_denominators(x, x, R)
+        assert (qs, start) == (_expansion_denominators(x, R), R + 1)
         t = Fraction(rng.randrange(0, 500), rng.randrange(1, 4000))
         least = next((m for m in range(1, R + 1)
                       if abs(m * x - round(m * x)) <= t), None)
@@ -611,42 +611,47 @@ def test_cf_denominators_least_approximation_is_listed():
 
 
 def test_cf_denominators_hold_across_the_interval():
-    """A certified list is the list of every probe in the interval: both
-    ends and 96 rationals between them."""
+    """Below the returned start the list is the list of every probe in the
+    interval (both ends and 96 rationals between them); a start of R + 1
+    certifies the whole list."""
     rng = random.Random(12)
-    certified = ambiguous = 0
+    certified = partial = 0
     for _ in range(400):
         lo = Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
         hi = lo + Fraction(rng.randrange(0, 50), 10 ** rng.randrange(2, 12))
         R = rng.randrange(0, 3000)
-        qs = criteria._cf_denominators(lo, hi, R)
+        qs, start = criteria._cf_denominators(lo, hi, R)
+        assert 1 <= start <= R + 1 and all(q <= R for q in qs)
         probes = [lo, hi] + [lo + (hi - lo) * Fraction(k, 97)
                              for k in range(1, 97)]
-        lists = {tuple(_expansion_denominators(y, R)) for y in probes}
-        if qs is None:
-            ambiguous += 1
-        else:
+        lists = {tuple(q for q in _expansion_denominators(y, R) if q < start)
+                 for y in probes}
+        assert lists == {tuple(q for q in qs if q < start)}
+        if start == R + 1:
             certified += 1
-            assert lists == {tuple(qs)}
-    assert certified > 100 and ambiguous > 10
+        else:
+            partial += 1
+    assert certified > 100 and partial > 10
 
 
 def test_convergents_escalate_and_refuse_a_fixed_width():
-    """golden's convergents up to 10^20 need more than the 96 start bits;
-    a fixed-width handle is asked twice, does not narrow, and gives None."""
+    """golden's convergents up to 10^20 need more than the 96 start bits
+    and are certified at 192; a fixed-width handle is asked twice, does not
+    narrow, and gives the partial list of its 96-bit enclosure."""
     golden = parse_real("golden")
     asked = []
     at = golden.at
     golden.at = lambda prec: asked.append(prec) or at(prec)
-    qs = criteria._convergents(Basis((golden,)), 1, Fraction(1), 10 ** 20,
-                               96, 65536)
+    qs, start, bits = criteria._convergents(Basis((golden,)), 1, Fraction(1),
+                                            10 ** 20, 96, 65536)
     f = _fib(120)
     assert qs == [q for q in f[2:] if q <= 10 ** 20]
+    assert (start, bits) == (10 ** 20 + 1, 192)
     assert asked == [96, 192]
     fixed = parse_real("0.5±0.01")
     asked.clear()
     at_fixed = fixed.at
     fixed.at = lambda prec: asked.append(prec) or at_fixed(prec)
     assert criteria._convergents(Basis((fixed,)), 1, Fraction(1), 10 ** 6,
-                                 96, 65536) is None
+                                 96, 65536) == ([1], 1, 96)
     assert asked == [96, 192]

@@ -209,6 +209,10 @@ def test_dual_golden_large_Q_fibonacci_pair():
     v = GOLDEN.xi_balls(512)[0] * a1 + a2
     t = BallReal.exact(10 ** 30, 512).pow(F(-21, 20))
     assert tri_compare(t, abs(v)) is TriBool.TRUE
+    # the walk visits 0 and the distinct Fibonacci numbers up to a1, with
+    # the prefix sums bracketed at the precision of the convergents
+    visited = 1 + len({f for f in _fib(300) if 1 <= f <= a1})
+    assert out.diagnostics["checked"] <= 2 * visited
 
 
 def test_dual_threshold_is_inclusive():
@@ -388,13 +392,19 @@ def _basis(*exprs):
     return Basis(tuple(parse_real(x) for x in exprs))
 
 
+def _linear_convergents(basis, j, ratio, R, work, cap):
+    """No denominator certified and every step from 1 open: the single-label
+    walk visits every step, as the linear scan does."""
+    return [], min(1, R + 1), work
+
+
 def _with_and_without_convergents(monkeypatch, run):
-    """run() on fresh handles with the convergent steps, then with the
-    linear scans forced on (no convergents certified)."""
+    """run() on fresh handles with the convergent steps, then with every
+    step visited (_linear_convergents)."""
     fast = run()
     with monkeypatch.context() as m:
         for mod in (criteria, minkowski):
-            m.setattr(mod, "_convergents", lambda *args: None)
+            m.setattr(mod, "_convergents", _linear_convergents)
         slow = run()
     return fast, slow
 
@@ -533,8 +543,11 @@ def test_convergent_primal_matches_linear_scan(monkeypatch):
 
 @pytest.mark.parametrize("xi", ["0.3±0.001", "0.5±0.01"])
 def test_fixed_width_xi_keeps_the_linear_counts(monkeypatch, xi):
-    """A fixed-width xi does not narrow, so the convergents fall back to
-    the linear scan, whose every counter is unchanged."""
+    """A fixed-width xi does not narrow, so only the denominators certified
+    at the start precision are skipped to.  For 0.5±0.01 that is none past
+    1, and every counter is the linear scan's; for 0.3±0.001 the verify
+    skips 2, 4, 5 and 6 to the open steps from 7 (15 prefixes against 19),
+    with the same verdict and unknowns."""
     seq = FormSequence([FormRecord(n=k + 1, Q=10 ** (1 + k), ell=(k + 1, k + 1),
                                    delta=(1, 1)) for k in range(3)])
 
@@ -553,8 +566,73 @@ def test_fixed_width_xi_keeps_the_linear_counts(monkeypatch, xi):
                 out.append(("failed", e.unknowns))
         return out
     fast, slow = _with_and_without_convergents(monkeypatch, run)
-    assert fast == slow
     assert fast[0][2]["unknown_candidates"] > 0
+    if xi == "0.5±0.01":
+        assert fast == slow
+        return
+    (status, witness, diag), (_, _, linear) = fast[0], slow[0]
+    assert (status, witness) == slow[0][:2]
+    assert diag["unknown_candidates"] == linear["unknown_candidates"]
+    assert (diag["prefixes"], linear["prefixes"]) == (15, 19)
+    assert fast[1:] == slow[1:]
+
+
+def _spy_steps(monkeypatch, mod):
+    """Record every step mod's single-label walk visits."""
+    seen = []
+    real = criteria._steps
+
+    def spy(*args):
+        for step in real(*args):
+            seen.append(step)
+            yield step
+    monkeypatch.setattr(mod, "_steps", spy)
+    return seen
+
+
+@pytest.mark.parametrize("t_lo, t_hi, walk, unknowns", [
+    # ||m sqrt 2|| for m = 1..5: .414 .172 .243 .343 .071.  The first
+    # convergent, 1, lies inside the threshold's own width: the walk goes
+    # on at 2 and is the linear scan from there.
+    (F(7, 64), F(29, 64), [0, 1, 2, 3, 4, 5], 4),
+    # only 5 (.071) is undecided; 3 and 4 are skipped before it, and 6..12
+    # are visited after it, up to ||12 sqrt 2|| = .029
+    (F(1, 16), F(5, 64), [0, 1, 2, 5, 6, 7, 8, 9, 10, 11, 12], 1),
+])
+def test_walk_continues_after_an_undecided_convergent(monkeypatch, t_lo, t_hi,
+                                                      walk, unknowns):
+    body = ConvexBody(frame="coordinate", coords=(1, 2), bounds=(
+        Bound(BallReal.exact(20, 64), strict=False),
+        Bound(BallReal.from_endpoints(t_lo, t_hi, 64), strict=False)))
+
+    def run():
+        point, diag = directed_search_coordinate(body, [1, 1], _basis("sqrt(2)"))
+        return point, diag["unknowns"], diag["checked"]
+    with monkeypatch.context() as m:
+        seen = _spy_steps(m, criteria)
+        fast, slow = _with_and_without_convergents(monkeypatch, run)
+    assert seen[:len(walk)] == walk               # each step visited once
+    assert fast[:2] == slow[:2] and fast[1] == unknowns
+    assert fast[0].a[0] == walk[-1]
+    assert fast[2] <= slow[2]
+
+
+def test_sheared_walk_visits_the_steps_the_top_bound_leaves_open(monkeypatch):
+    """|x_p| <= [5.5, 10.5] leaves the steps 6..10 unknown, none of them a
+    convergent denominator of sqrt 2 (1, 2, 5, 12): the walk visits them
+    all, as the linear scan does."""
+    body = ConvexBody(frame="sheared", coords=(1, 2), bounds=(
+        Bound(BallReal.exact(F(1, 1000), 64), strict=False),
+        Bound(BallReal.from_endpoints(F(11, 2), F(21, 2), 64), strict=False)))
+
+    def run():
+        return directed_search_sheared(body, [1, 1], _basis("sqrt(2)"))
+    with monkeypatch.context() as m:
+        seen = _spy_steps(m, minkowski)
+        fast, slow = _with_and_without_convergents(monkeypatch, run)
+    assert seen[:9] == [0, 1, 2, 5, 6, 7, 8, 9, 10]
+    assert fast == (None, {"scanned": 9, "unknowns": 5})
+    assert slow == (None, {"scanned": 11, "unknowns": 5})
 
 
 def test_coordinate_range_from_certified_end():

@@ -115,6 +115,11 @@ def test_dual_point_json():
     j = pt.to_json()
     assert j == ["1/2", "-3", "7/5"]
     assert DualPoint.from_json(j) == pt
+    # 5,000 digits, past the int/str digit cap of 4,300
+    big = DualPoint((Fraction(-10 ** 4999 - 7, 3), Fraction(1, 10 ** 4999 + 1)))
+    j = big.to_json()
+    assert len(j[0]) == 5003 and len(j[1]) == 5002
+    assert DualPoint.from_json(j) == big
 
 
 def test_divisor_chain_check():

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 import mpmath
 
@@ -20,6 +21,7 @@ from latforms.numerics import (
     RealConstant,
     TriBool,
     PREC_CAP,
+    POWER_BITS,
     cmp_abs_vs_power,
     decimal_to_int,
     dyadic_to_decimal,
@@ -302,6 +304,33 @@ def test_nth_root_floor_property():
         n = rng.randint(1, 7)
         r = nth_root_floor(x, n)
         assert r**n <= x < (r + 1) ** n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 3000), st.integers(1, 3000), st.integers(-2, 2),
+       st.booleans())
+def test_nth_root_floor_brackets_the_root(x, n, d, near_power):
+    """r**n <= x < (r+1)**n, also next to an exact power, where the float
+    start is closest to the root."""
+    if near_power:
+        x = max(nth_root_floor(x, n) ** n + d, 0)
+    r = nth_root_floor(x, n)
+    assert r ** n <= x < (r + 1) ** n
+
+
+def test_exact_powers_past_the_bound_refuse():
+    """Q^(10^12 + 1) is never built: floor_scaled_power and
+    cmp_abs_vs_power refuse it at once, and accept a power below the
+    bound."""
+    expo = Fraction(10 ** 12 - 1, 10 ** 12)
+    with pytest.raises(NumericsError, match="bound"):
+        floor_scaled_power(Fraction(1), 100, expo)
+    with pytest.raises(NumericsError, match="bound"):
+        cmp_abs_vs_power(Fraction(3), 100, -1 - Fraction(1, 10 ** 12))
+    u = POWER_BITS // 2 - 1                  # 2^u: 2u bits by bit length
+    assert floor_scaled_power(Fraction(1), 2, Fraction(u, 1)) == 2 ** u
+    with pytest.raises(NumericsError):
+        floor_scaled_power(Fraction(1), 2, Fraction(u + 1, 1))
 
 
 def test_nth_root_floor_pinned():
