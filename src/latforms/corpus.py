@@ -13,13 +13,17 @@ followed by one record per line
     {"n": int, "Q": "dec", "ell": ["dec", ...], "delta": ["dec", ...]}
 with integers as decimal strings (records can exceed JSON number ranges).
 Export is canonical (sorted keys, compact separators), so canonical files
-round-trip byte-identically.
+round-trip byte-identically.  Import certifies that a text is canonical as
+it parses it, without encoding Q, ell or delta back (_parse_jsonl), so a
+round trip of canonical input is one parse.  Export and import each convert a
+distinct integer of a record once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -365,22 +369,37 @@ def _jsonl_header(prov) -> Optional[str]:
     return _canon(header)
 
 
+def _record_line(n: int, Q: str, ell: Sequence[str],
+                 delta: Sequence[str]) -> str:
+    """The canonical line of record n whose integers are the decimal
+    strings Q, ell and delta: what _canon gives for the record object, keys
+    in sorted order, built without a JSON encoder.  Decimal strings need no
+    escape, and n is encoded past the 4300-digit cap too."""
+    return ('{"Q":"' + Q + '","delta":["' + '","'.join(delta)
+            + '"],"ell":["' + '","'.join(ell) + '"],"n":'
+            + int_to_decimal(n) + "}")
+
+
 def dumps_jsonl(seq: FormSequence) -> str:
     """Canonical JSONL text: header line (when provenance exists), then
-    records ordered by n, integers as decimal strings."""
+    records ordered by n, integers as decimal strings.  Each distinct
+    integer of a record is encoded once (Apery records have Q == ell_p)."""
     header = _jsonl_header(seq.provenance)
     lines = [] if header is None else [header]
     for r in seq.records:
-        lines.append(_canon({
-            "n": r.n,
-            "Q": int_to_decimal(r.Q),
-            "ell": [int_to_decimal(x) for x in r.ell],
-            "delta": [int_to_decimal(x) for x in r.delta],
-        }))
+        dec = dict.fromkeys((r.Q, *r.ell, *r.delta))
+        for x in dec:
+            dec[x] = int_to_decimal(x)
+        lines.append(_record_line(r.n, dec[r.Q], [dec[x] for x in r.ell],
+                                  [dec[x] for x in r.delta]))
     return "\n".join(lines) + "\n"
 
 
 _RECORD_KEYS = {"n", "Q", "ell", "delta"}
+
+# the decimal strings s with int_to_decimal(decimal_to_int(s)) == s: int()
+# also takes "+", "_", blanks, leading zeros and non-ASCII digits, and -0
+_CANON_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _line_int(v, lineno: int, what: str) -> int:
@@ -398,6 +417,8 @@ def _line_int(v, lineno: int, what: str) -> int:
 
 
 def _line_record(obj: dict, lineno: int) -> FormRecord:
+    """The record of one parsed line; each distinct string is decoded once
+    (Apery records have Q == ell_p)."""
     keys = set(obj)
     if keys != _RECORD_KEYS:
         extra = sorted(keys - _RECORD_KEYS)
@@ -409,15 +430,24 @@ def _line_record(obj: dict, lineno: int) -> FormRecord:
             parts.append(f"unknown {extra}")
         raise ValidationError(f"line {lineno}: bad record fields: "
                               + ", ".join(parts))
-    n = _line_int(obj["n"], lineno, "n")
-    Q = _line_int(obj["Q"], lineno, "Q")
+    decoded: dict[str, int] = {}
+
+    def value(v, what: str) -> int:
+        if not isinstance(v, str):
+            return _line_int(v, lineno, what)
+        if v not in decoded:
+            decoded[v] = _line_int(v, lineno, what)
+        return decoded[v]
+
+    n = value(obj["n"], "n")
+    Q = value(obj["Q"], "Q")
     for name in ("ell", "delta"):
         if not isinstance(obj[name], list) or not obj[name]:
             raise ValidationError(f"line {lineno}: {name} must be a non-empty "
                                   "list")
-    ell = tuple(_line_int(v, lineno, f"ell[{k}]")
+    ell = tuple(value(v, f"ell[{k}]")
                 for k, v in enumerate(obj["ell"], start=1))
-    delta = tuple(_line_int(v, lineno, f"delta[{k}]")
+    delta = tuple(value(v, f"delta[{k}]")
                   for k, v in enumerate(obj["delta"], start=1))
     try:
         return FormRecord(n=n, Q=Q, ell=ell, delta=delta)
@@ -425,20 +455,41 @@ def _line_record(obj: dict, lineno: int) -> FormRecord:
         raise ValidationError(f"line {lineno}: {e}") from None
 
 
-def loads_jsonl(text: str) -> FormSequence:
-    """Parse JSONL into a FormSequence; all errors carry line numbers.
+def _canonical_record_line(raw: str, obj: dict) -> bool:
+    """Whether the record line raw, parsed as obj, is the line dumps_jsonl
+    writes for it: n a JSON int, every other integer a string that decodes
+    and encodes back to itself, and raw equal to their _record_line."""
+    n, Q, ell, delta = obj["n"], obj["Q"], obj["ell"], obj["delta"]
+    return (type(n) is int
+            and all(isinstance(v, str) and _CANON_INT.fullmatch(v)
+                    for v in (Q, *ell, *delta))
+            and raw == _record_line(n, Q, ell, delta))
 
-    Records must appear in strictly increasing n with strictly increasing Q
-    (the canonical order); a leading {"generator": ...} line becomes the
-    sequence provenance.
+
+def _parse_jsonl(text: str) -> tuple[FormSequence, bool]:
+    """loads_jsonl(text), and whether text == dumps_jsonl of the result,
+    decided without encoding Q, ell or delta back.
+
+    text is canonical when every line break is a single "\n", one ends
+    the text, no line is blank, a header line is _jsonl_header of the
+    provenance it gives and every record line passes
+    _canonical_record_line.  The layout is checked on counts, without a
+    second copy of the text: the len(text) - sum(len(line)) characters that
+    splitlines drops are its line terminators.  Each "\n" is a terminator or
+    ends "\r\n", so when text holds len(lines) of them there are at least
+    len(lines) terminators, one of them after the last line; when the
+    dropped characters number len(lines) too, each terminator is one "\n".
     """
     provenance = None
     records: list[FormRecord] = []
     prev: Optional[FormRecord] = None
     lines = text.splitlines()
+    canonical = (text.count("\n") == len(lines)
+                 and len(text) == sum(map(len, lines)) + len(lines))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
+            canonical = False
             continue
         try:
             obj = json.loads(line, parse_int=decimal_to_int)
@@ -456,6 +507,7 @@ def loads_jsonl(text: str) -> FormSequence:
                 raise ValidationError(f"line {lineno}: params must be an "
                                       "object")
             provenance = {"generator": obj["generator"], "params": params}
+            canonical = canonical and raw == _jsonl_header(provenance)
             continue
         rec = _line_record(obj, lineno)
         if prev is not None:
@@ -471,11 +523,22 @@ def loads_jsonl(text: str) -> FormSequence:
                 raise ValidationError(
                     f"line {lineno}: p={rec.p} differs from previous "
                     f"p={prev.p}")
+        canonical = canonical and _canonical_record_line(raw, obj)
         records.append(rec)
         prev = rec
     if not records:
         raise ValidationError(f"line {len(lines) + 1}: no records in input")
-    return FormSequence(records, provenance=provenance)
+    return FormSequence(records, provenance=provenance), canonical
+
+
+def loads_jsonl(text: str) -> FormSequence:
+    """Parse JSONL into a FormSequence; all errors carry line numbers.
+
+    Records must appear in strictly increasing n with strictly increasing Q
+    (the canonical order); a leading {"generator": ...} line becomes the
+    sequence provenance.
+    """
+    return _parse_jsonl(text)[0]
 
 
 def export_jsonl(seq: FormSequence,

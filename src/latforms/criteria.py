@@ -213,9 +213,10 @@ class RecurrenceFit:
 def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon form, in place, over the leading
     ncols columns; trailing augmented entries ride along.  Every division is
-    exact (Sylvester's identity), so rows stay integral.  Returns the pivot
-    columns and the determinant of the leading square block (0 unless it
-    has full rank)."""
+    exact (Sylvester's identity), so rows stay integral.  Below a pivot at
+    column c the entries at columns <= c are exactly 0, so only the columns
+    after c are updated.  Returns the pivot columns and the determinant of
+    the leading square block (0 unless it has full rank)."""
     pivots: list[int] = []
     sign, prev = 1, 1
     for c in range(ncols):
@@ -227,11 +228,13 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
         top = rows[r]
-        for k in range(r + 1, len(rows)):
-            f = rows[k][c]
-            rows[k] = [(top[c] * x - f * y) // prev
-                       for x, y in zip(rows[k], top)]
-        prev = top[c]
+        t = top[c]
+        for row in rows[r + 1:]:
+            f = row[c]
+            row[c] = 0
+            for j in range(c + 1, len(row)):
+                row[j] = (t * row[j] - f * top[j]) // prev
+        prev = t
         pivots.append(c)
     full = len(pivots) == ncols == len(rows)
     return pivots, sign * prev if full else 0
@@ -244,6 +247,13 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     consistent: the canonical representative with free coefficients at the
     low-lag end set to 0 (non_unique flag).  Inconsistent: None.
     """
+    return _fit(seq, n)[0]
+
+
+def _fit(seq: FormSequence, n: int) -> tuple[Optional[RecurrenceFit], int]:
+    """fit_recurrence(seq, n) and the rank of the Delta window at n, which
+    its system holds with the columns reversed; the rank comes back also
+    when the system is inconsistent and the fit is None."""
     p = seq.p
     recs = [seq.record(n + j) for j in range(p + 1)]
     # unknowns alpha_j; columns reversed so pivots prefer high lags
@@ -252,7 +262,7 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     pivots, _ = _echelon(rows, p)
     rank = len(pivots)
     if any(row[p] for row in rows[rank:]):
-        return None
+        return None, rank
     rev = [Fraction(0)] * p           # free unknowns stay 0
     for row, c in reversed(list(zip(rows, pivots))):
         rest = sum(row[k] * rev[k] for k in range(c + 1, p))
@@ -262,7 +272,7 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
              for i in range(p))
     return RecurrenceFit(n=n, alpha=alpha, residual=ok,
                          alpha0_zero=alpha[0] == 0,
-                         non_unique=rank < p)
+                         non_unique=rank < p), rank
 
 
 def _delta_matrix(seq: FormSequence, n: int) -> list[list[int]]:
@@ -330,14 +340,19 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
         raise ValidationError(f"need n1 <= n2 <= {last - p + 1}")
     fits: dict[int, Optional[RecurrenceFit]] = {}
     bad: list[int] = []
+    ranks: list[tuple[int, int]] = []
     for n in range(n1, last - p + 1):
-        f = fit_recurrence(seq, n)
+        f, rank = _fit(seq, n)
         fits[n] = f
+        ranks.append((n, rank))
         if f is None or f.alpha0_zero or not f.residual:
             bad.append(n)
-    _, det2_int = _echelon(_delta_matrix(seq, n2), p)
-    ranks = [(n, len(_echelon(_delta_matrix(seq, n), p)[0]))
-             for n in range(n1, last - p + 2)]
+    # the last window has no fit: it is eliminated on its own, as is the
+    # n2 window, whose determinant the fits do not keep
+    pivots, det2_int = _echelon(_delta_matrix(seq, n2), p)
+    if n2 != last - p + 1:
+        pivots, _ = _echelon(_delta_matrix(seq, last - p + 1), p)
+    ranks.append((last - p + 1, len(pivots)))
     rank_prop = all(a[1] == b[1] for a, b in zip(ranks, ranks[1:]))
     # det of the evaluated window equals (1 + sum xi_i^2) * det(Delta_n2)
     V = [[eval_at_basis(seq, basis, n2 + j, i, prec) for j in range(p)]

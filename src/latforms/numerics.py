@@ -140,7 +140,15 @@ def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]
 def nth_root_floor(x: int, n: int) -> int:
     """Largest r >= 0 with r**n <= x (x >= 0, n >= 1): Newton from above,
     from 46 bits of the root (the float log2 of the top 64 bits of x) raised
-    until r**n > x.  Its floors never pass below the root (AM-GM)."""
+    until r**n > x.
+
+    No correction upward is needed.  Let s = floor(x^(1/n)).  For r > 0,
+    AM-GM gives ((n-1) r + x/r^(n-1))/n >= x^(1/n), and flooring x/r^(n-1)
+    before the outer floor leaves floor(...) unchanged since (n-1) r is an
+    integer, so every Newton step lands at s or above.  While r**n > x,
+    x/r^(n-1) < r and the step strictly decreases r.  The loop starts with
+    r**n > x and stops at the first r with r**n <= x, that is r <= s; that
+    r came from a step, so r >= s: it is s."""
     if x < 0 or n < 1:
         raise ValueError("nth_root_floor needs x >= 0, n >= 1")
     if x == 0:
@@ -164,8 +172,6 @@ def nth_root_floor(x: int, n: int) -> int:
     while p * r > x:                    # Newton from above, p = r**(n-1)
         r = ((n - 1) * r + x // p) // n
         p = r ** (n - 1)
-    while (r + 1) ** n <= x:
-        r += 1
     return r
 
 

@@ -127,12 +127,12 @@ def test_roundtrip_canonicalizes_loose_input(tmp_path, capsys):
 def test_roundtrip_parses_and_dumps_once_more_at_most(tmp_path, capsys,
                                                       monkeypatch, text,
                                                       canonical):
-    """Canonical input is parsed and dumped once; other input is parsed a
-    second time, from the canonical text, and not dumped again.  Both are
-    reported lossless, as the full second pass found them."""
+    """Canonical input is parsed once and never dumped; other input is
+    parsed, dumped, and parsed again from the canonical text.  Both are
+    reported lossless."""
     import latforms.cli as cli
     calls = []
-    for name in ("loads_jsonl", "dumps_jsonl"):
+    for name in ("_parse_jsonl", "loads_jsonl", "dumps_jsonl"):
         fn = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda x, fn=fn, name=name:
                             calls.append(name) or fn(x))
@@ -142,8 +142,8 @@ def test_roundtrip_parses_and_dumps_once_more_at_most(tmp_path, capsys,
     res = report_of(out)["result"]
     assert rc == 0 and res["lossless"]
     assert res["already_canonical"] is canonical
-    assert calls == ["loads_jsonl", "dumps_jsonl"] + \
-        ([] if canonical else ["loads_jsonl"])
+    assert calls == ["_parse_jsonl"] + \
+        ([] if canonical else ["dumps_jsonl", "loads_jsonl"])
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,96 @@ def test_loads_jsonl_raises_only_located_validation_errors(lines):
         assert dumps_jsonl(loads_jsonl(dumps_jsonl(seq))) == dumps_jsonl(seq)
 
 
+def _certified_as_the_redump_finds(text):
+    """_parse_jsonl's canonical flag is the full re-dump oracle; returns the
+    flag, or None when the text does not parse."""
+    try:
+        seq, canonical = corpus._parse_jsonl(text)
+    except ValidationError:
+        return None
+    assert canonical == (text == dumps_jsonl(seq))
+    return canonical
+
+
+_ENCODE = st.sampled_from([corpus._canon, json.dumps])
+_HEADER_LINES = st.lists(st.builds(lambda h, enc: enc(h), _HEADERISH,
+                                   _ENCODE), max_size=1)
+# records in increasing n and Q with p = 2, most lines of them parse
+_RECORD_LINES = st.lists(st.tuples(_RECORD, _ENCODE), min_size=1,
+                         max_size=4).map(lambda rs: [
+                             enc(dict(r, n=k, Q=str(k + 1), ell=r["ell"][:2],
+                                      delta=r["delta"][:2]))
+                             for k, (r, enc) in enumerate(rs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=6)
+       | st.builds(lambda h, rs: h + rs, _HEADER_LINES, _RECORD_LINES),
+       st.sampled_from(["\n", "\n", "\r\n", "\n\n", "\x0b"]),
+       st.sampled_from(["\n", "\n", "", "\r\n", "\n\n"]))
+def test_canonical_flag_matches_the_redump_on_fuzzed_lines(lines, sep, end):
+    _certified_as_the_redump_finds(sep.join(lines) + end)
+
+
+_APERY_TEXT = dumps_jsonl(gen_apery_zeta3(6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(_APERY_TEXT)),
+       st.sampled_from(["replace", "insert", "delete"]),
+       st.sampled_from(list('0123456789-+_ \t\r\n",:[]{}eE.') +
+                       ["٣", "²", " ", "\x85", "\x0c"]))
+def test_canonical_flag_matches_the_redump_on_mutated_apery_text(i, how, c):
+    text = _APERY_TEXT
+    if how == "insert":
+        text = text[:i] + c + text[i:]
+    elif i < len(text):
+        text = text[:i] + ("" if how == "delete" else c) + text[i + 1:]
+    _certified_as_the_redump_finds(text)
+
+
+_ONE = '{"Q":"1","delta":["1","1"],"ell":["2","1"],"n":2}'
+_TWO = '{"Q":"2","delta":["1","1"],"ell":["3","2"],"n":3}'
+_HEAD = '{"generator":"x","params":{}}'
+_BIG = 7 ** 6000                                   # 5071 digits
+
+
+def _big_text(prefix=""):
+    seq = FormSequence([FormRecord(n=1, Q=_BIG, ell=(3 * _BIG, _BIG),
+                                   delta=(1, _BIG))])
+    return dumps_jsonl(seq).replace('"Q":"', '"Q":"' + prefix, 1)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    (_ONE + "\n" + _TWO + "\n", True),
+    (_HEAD + "\n" + _ONE + "\n", True),
+    (_ONE.replace('"Q":"1"', '"Q":"001"') + "\n", False),    # leading 0
+    (_ONE.replace('"Q":"1"', '"Q":"+1"') + "\n", False),     # plus sign
+    (_ONE.replace('"2","1"', '"-0","1"') + "\n", False),     # minus 0
+    (_TWO.replace('"ell":["3"', '"ell":["0"') + "\n", True),   # 0 itself
+    (_TWO.replace('"ell":["3"', '"ell":["1_3"') + "\n", False),  # underscore
+    (_ONE.replace('"Q":"1"', '"Q":"\\u0031"') + "\n", False),  # escaped "1"
+    (_ONE.replace('"Q":"1"', '"Q":"1٣"') + "\n", False),  # Unicode digit
+    (_ONE.replace('"n":2', '"n":"2"') + "\n", False),          # string n
+    (_ONE.replace('"Q":"1"', '"Q":1') + "\n", False),          # JSON-int Q
+    ('{"delta":["1","1"],"Q":"1","ell":["2","1"],"n":2}\n', False),
+    (_ONE.replace(",", ", ") + "\n", False),                   # blanks
+    (" " + _ONE + "\n", False),
+    (_ONE + "\t\n", False),
+    (_ONE + "\r\n" + _TWO + "\r\n", False),
+    (_ONE + "\n" + _TWO, False),                               # no final \n
+    (_ONE + "\n\n" + _TWO + "\n", False),                      # blank lines
+    ("\n" + _ONE + "\n", False),
+    (_ONE + "\n" + _TWO + "\n\n", False),
+    (_HEAD.replace("}}", '},"extra":1}') + "\n" + _ONE + "\n", False),
+    (_big_text(), True),                                       # Decimal path
+    (_big_text("0"), False),
+    (_ONE.replace('"n":2', '"n":' + "1" * 5000) + "\n", True),  # long n
+])
+def test_canonical_flag_on_hand_made_inputs(text, canonical):
+    assert _certified_as_the_redump_finds(text) is canonical
+
+
 def test_jsonl_past_the_int_str_digit_limit():
     big = 7 ** 6000                       # 5071 digits
     seq = FormSequence([FormRecord(n=1, Q=big, ell=(3 * big, big),

@@ -1,7 +1,9 @@
 """Criteria-module tests: Phi, eps1, iterate matrices, the factorial matrix
 condition, recurrence fits, Siegel reports, and the finite-Q verifier."""
 
+import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -24,6 +26,7 @@ from latforms.model import (
 import latforms.criteria as criteria
 from latforms.criteria import (
     BudgetExceeded,
+    _delta_matrix,
     _echelon,
     _odometer,
     RecordsExhausted,
@@ -264,10 +267,14 @@ def _int_matrix(draw, rows, cols):
                                                      _int_matrix(p, p))))
 def test_echelon_det_and_rank_against_leibniz(pM):
     p, M = pM
-    pivots, det = _echelon([row[:] for row in M], p)
+    rows = [row[:] for row in M]
+    pivots, det = _echelon(rows, p)
     assert det == _leibniz_det(M)
     assert len(pivots) == _minor_rank(M)
     assert pivots == sorted(set(pivots))
+    # echelon form: below pivot r, at column c, every entry up to c is 0
+    for r, c in enumerate(pivots):
+        assert all(row[j] == 0 for row in rows[r + 1:] for j in range(c + 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,6 +331,73 @@ def test_check_siegel_constant_failure():
     rep = check_siegel(seq, Basis((parse_real("1/3"),)), 0, 2)
     assert not rep.alpha0_ok
     assert rep.det_n2 == 0 and not rep.det_nonzero
+
+
+def _siegel_by_windows(seq, basis, n1, n2, prec):
+    """check_siegel's report with every Delta window eliminated on its own
+    and every fit made by fit_recurrence: the oracle for the ranks that
+    check_siegel takes from its fits."""
+    rep = check_siegel(seq, basis, n1, n2, prec)
+    p, last = seq.p, seq.records[-1].n
+    fits = {n: fit_recurrence(seq, n) for n in range(n1, last - p + 1)}
+    bad = [n for n, f in fits.items()
+           if f is None or f.alpha0_zero or not f.residual]
+    ranks = [(n, len(_echelon(_delta_matrix(seq, n), p)[0]))
+             for n in range(n1, last - p + 2)]
+    det = _echelon(_delta_matrix(seq, n2), p)[1]
+    return rep, dataclasses.replace(
+        rep, fits=fits, alpha0_ok=not bad, bad_ns=bad, det_n2=det,
+        det_nonzero=det != 0, ranks=ranks,
+        rank_propagates=len({r for _, r in ranks}) == 1)
+
+
+def _inconsistent_seq():
+    # the window at 0 has rank 1 and ell_2 = (1, 2) is not a multiple of
+    # (1, 1): no fit at n = 0; the windows at 1 and 2 have rank 2 and the
+    # last one, at 3, rank 1
+    ells = [(1, 1), (1, 1), (1, 2), (2, 3), (4, 6)]
+    return FormSequence([FormRecord(n=n, Q=n + 1, ell=e, delta=(1, 1))
+                         for n, e in enumerate(ells)])
+
+
+def _siegel_cases():
+    from latforms.corpus import (GeneratorSpec, default_basis,
+                                 gen_apery_zeta2, gen_apery_zeta3,
+                                 gen_synthetic)
+    syn = GeneratorSpec("synthetic-power", 12, {
+        "B": 2, "xi": ["1/3", "2/5"], "t": ["-1/2", None],
+        "g": ["0", "0", "1"]})
+    constant = FormSequence([FormRecord(n=n, Q=n + 2, ell=(3, 7),
+                                        delta=(1, 1)) for n in range(6)])
+    return {
+        "apery-zeta3": (gen_apery_zeta3(24), Basis((parse_real("zeta3"),)),
+                        2, 5),
+        "apery-zeta2": (gen_apery_zeta2(24), Basis((parse_real("zeta2"),)),
+                        2, 5),
+        "fibonacci": (fib_seq(20), GOLDEN, 2, 5),
+        "synthetic p=3": (gen_synthetic(syn), default_basis(syn), 1, 4),
+        "constant": (constant, Basis((parse_real("1/3"),)), 0, 2),
+        "inconsistent": (_inconsistent_seq(), GOLDEN, 0, 1),
+        "last window only": (fib_seq(20), GOLDEN, 19, 19),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_siegel_cases()))
+def test_check_siegel_ranks_from_fits_match_every_window(case):
+    seq, basis, n1, n2 = _siegel_cases()[case]
+    rep, oracle = _siegel_by_windows(seq, basis, n1, n2, 96)
+    assert rep.ranks == oracle.ranks
+    assert json.dumps(rep.to_json()) == json.dumps(oracle.to_json())
+    if case == "constant":
+        assert all(f.alpha0_zero for f in rep.fits.values())
+        assert all(r == 1 for _, r in rep.ranks)
+    if case == "inconsistent":
+        assert rep.fits[0] is None
+        assert rep.ranks == [(0, 1), (1, 2), (2, 2), (3, 1)]
+    if case == "last window only":
+        assert rep.fits == {} and rep.ranks == [(19, 2)]
+    if case == "synthetic p=3":
+        assert seq.p == 3
 
 
 # -- hypothesis report -------------------------------------------------------
