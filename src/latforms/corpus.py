@@ -466,9 +466,11 @@ def _canonical_record_line(raw: str, obj: dict) -> bool:
             and raw == _record_line(n, Q, ell, delta))
 
 
-def _parse_jsonl(text: str) -> tuple[FormSequence, bool]:
+def _parse_jsonl(text: str,
+                 certify: bool = True) -> tuple[FormSequence, bool]:
     """loads_jsonl(text), and whether text == dumps_jsonl of the result,
-    decided without encoding Q, ell or delta back.
+    decided without encoding Q, ell or delta back; without certify the
+    flag is False and costs nothing (only roundtrip reads it).
 
     text is canonical when every line break is a single "\n", one ends
     the text, no line is blank, a header line is _jsonl_header of the
@@ -484,7 +486,7 @@ def _parse_jsonl(text: str) -> tuple[FormSequence, bool]:
     records: list[FormRecord] = []
     prev: Optional[FormRecord] = None
     lines = text.splitlines()
-    canonical = (text.count("\n") == len(lines)
+    canonical = (certify and text.count("\n") == len(lines)
                  and len(text) == sum(map(len, lines)) + len(lines))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -538,7 +540,7 @@ def loads_jsonl(text: str) -> FormSequence:
     (the canonical order); a leading {"generator": ...} line becomes the
     sequence provenance.
     """
-    return _parse_jsonl(text)[0]
+    return _parse_jsonl(text, False)[0]
 
 
 def export_jsonl(seq: FormSequence,

@@ -50,7 +50,7 @@ from .model import (
     divisor_chain_check,
     eval_at_basis,
 )
-from .exponents import TauEstimate, estimate_tau, _near_one
+from .exponents import TauEstimate, estimate_tau, _ln, _near_one
 
 __all__ = [
     "PhiIndex",
@@ -407,7 +407,7 @@ def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
         if rec.Q == 1 or s == 0:
             norm_trace.append((rec.n, None))
             continue
-        val = BallReal.exact(s, prec).log() / BallReal.exact(rec.Q, prec).log()
+        val = _ln(seq, s, prec) / _ln(seq, rec.Q, prec)
         norm_trace.append((rec.n, val))
     norm_ok = _near_one([v for _, v in norm_trace], tol)
     parts = [t.consistent for t in taus] + [norm_ok]

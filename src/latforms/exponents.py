@@ -12,6 +12,16 @@ precision cap is reported Unknown rather than guessed.  Measure bounds
 (irrationality exponent / dimension lower bound) are evaluated from certified
 alpha, beta enclosures with the preconditions 0 < alpha < 1 < beta checked,
 not assumed.
+
+Each sequence keeps one table of the certified logs read off it: ln of an
+exact integer per (x, prec), and per (basis, i, prec, cap) one row per
+record of ln|L_n(e_i)| and ln Q_n at the escalated precision (_log_rows).
+estimate_tau, fit_alpha_beta, estimate_gamma_growth and check_nesterenko
+read it, so each log is computed once, and tau and the alpha, beta fit no
+longer depend on which of them runs first.  The rows are built from the
+last record down: built first to last, the records below the first
+escalation would read the xi handle before it was refined, and the fit
+would differ from a fit made after the escalations.
 """
 
 from __future__ import annotations
@@ -114,6 +124,42 @@ def _certified_nonzero_eval(seq: FormSequence, basis: Basis, n: int, i: int,
             else None), used
 
 
+def _ln(seq: FormSequence, x: int, prec: int) -> BallReal:
+    """ln x for an integer x >= 1 at prec, kept in the log table of seq."""
+    ln = seq._logs.get((x, prec))
+    if ln is None:
+        ln = seq._logs[(x, prec)] = BallReal.exact(x, prec).log()
+    return ln
+
+
+def _log_rows(seq: FormSequence, basis: Basis, i: int, prec: int,
+              cap: int) -> list[tuple]:
+    """Per record: (n, used, ln|L_n(e_i)|, ln Q_n, note), both logs at the
+    precision `used` that separated L_n(e_i) from 0, or None with the note
+    of a skipped record.  Built once per (basis, i, prec, cap) in the table
+    of seq, from the last record down: the last records escalate first,
+    and RealConstant.at hands every record below a rounding of the refined
+    ball, no wider than the ball it gave before."""
+    key = (basis, i, prec, cap)
+    if key not in seq._logs:
+        rows = []
+        for rec in reversed(seq.records):
+            if rec.Q == 1:
+                rows.append((rec.n, prec, None, None,
+                             "Q=1: log scale vanishes"))
+                continue
+            ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec,
+                                                 cap)
+            if ball is None:
+                rows.append((rec.n, used, None, None,
+                             "enclosure of L_n(e_i) contains 0"))
+            else:
+                rows.append((rec.n, used, ball.log(), _ln(seq, rec.Q, used),
+                             ""))
+        seq._logs[key] = rows[::-1]
+    return seq._logs[key]
+
+
 def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
                  tol: Fraction = Fraction(1, 20),
                  cap: int = PREC_CAP) -> TauEstimate:
@@ -122,25 +168,14 @@ def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
         raise ValidationError(f"i={i} must be in 1..{seq.p - 1}")
     if len(seq) < 3:
         raise ValidationError("need at least 3 records")
-    trace: list[TraceEntry] = []
-    max_prec = prec
-    for rec in seq:
-        if rec.Q == 1:
-            trace.append(TraceEntry(rec.n, None, "Q=1: log scale vanishes"))
-            continue
-        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec, cap)
-        max_prec = max(max_prec, used)
-        if ball is None:
-            trace.append(TraceEntry(rec.n, None,
-                                    "enclosure of L_n(e_i) contains 0"))
-            continue
-        lnq = BallReal.exact(rec.Q, used).log()
-        tau = -(ball.log() / lnq)
-        trace.append(TraceEntry(rec.n, tau))
+    rows = _log_rows(seq, basis, i, prec, cap)
+    trace = [TraceEntry(n, None if ln_l is None else -(ln_l / ln_q), note)
+             for n, _, ln_l, ln_q, note in rows]
     final = trace[-1].value if trace else None
     oscillation, consistent = _oscillation(trace, tol)
     return TauEstimate(i=i, trace=trace, final=final, oscillation=oscillation,
-                       consistent=consistent, precision_used=max_prec)
+                       consistent=consistent,
+                       precision_used=max(used for _, used, *_ in rows))
 
 
 def _last_third(values: Sequence) -> Optional[Sequence[BallReal]]:
@@ -176,31 +211,25 @@ def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
     skipped: list[tuple[int, str]] = []
     gamma: list[list[TraceEntry]] = [[] for _ in range(seq.p)]
     growth: list[TraceEntry] = []
-    lnq_cache: dict[int, BallReal] = {}
-
-    def lnq(Q: int) -> BallReal:
-        if Q not in lnq_cache:
-            lnq_cache[Q] = BallReal.exact(Q, prec).log()
-        return lnq_cache[Q]
-
     for rec in seq:
         if rec.Q == 1:
             skipped.append((rec.n, "Q=1: log scale vanishes"))
             for i in range(seq.p):
                 gamma[i].append(TraceEntry(rec.n, None, "Q=1"))
             continue
-        denom = lnq(rec.Q)
+        denom = _ln(seq, rec.Q, prec)
         for i in range(seq.p):
             d = rec.delta[i]
             if d == 1:
                 gamma[i].append(TraceEntry(rec.n, BallReal.exact(0, prec)))
             else:
-                gamma[i].append(TraceEntry(rec.n, lnq(d) / denom))
+                gamma[i].append(TraceEntry(rec.n, _ln(seq, d, prec) / denom))
     for cur, nxt in zip(seq.records, seq.records[1:]):
         if cur.Q == 1 or nxt.Q == 1:
             growth.append(TraceEntry(cur.n, None, "Q=1 neighbour"))
             continue
-        growth.append(TraceEntry(cur.n, lnq(nxt.Q) / lnq(cur.Q)))
+        growth.append(TraceEntry(cur.n, _ln(seq, nxt.Q, prec)
+                                  / _ln(seq, cur.Q, prec)))
     gamma_final = [g[-1].value if g else None for g in gamma]
     growth_final = growth[-1].value if growth else None
     gc = _near_one([e.value for e in growth], tol)
@@ -218,25 +247,16 @@ def fit_alpha_beta(seq: FormSequence, basis: Basis, i: int = 1,
     for the fitted values.  Records with Q=1 or with enclosures not separable
     from zero are dropped from the fit.
     """
-    xs: list[int] = []
-    ys_l: list[BallReal] = []
-    ys_q: list[BallReal] = []
-    for rec in seq:
-        if rec.Q == 1:
-            continue
-        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec)
-        if ball is None:
-            continue
-        xs.append(rec.n)
-        ys_l.append(ball.log())
-        ys_q.append(BallReal.exact(rec.Q, used).log())
+    usable = [(n, ln_l, ln_q) for n, _, ln_l, ln_q, _ in
+              _log_rows(seq, basis, i, prec, PREC_CAP) if ln_l is not None]
+    xs = [n for n, _, _ in usable]
     if len(xs) < 2:
         raise ValidationError("fewer than 2 usable records for the fit")
     mean = Fraction(sum(xs), len(xs))
     s2 = sum((Fraction(x) - mean) ** 2 for x in xs)
     slope_l = BallReal.exact(0, prec)
     slope_q = BallReal.exact(0, prec)
-    for x, yl, yq in zip(xs, ys_l, ys_q):
+    for x, yl, yq in usable:
         w = (Fraction(x) - mean) / s2
         slope_l = slope_l + yl * w
         slope_q = slope_q + yq * w

@@ -127,6 +127,8 @@ class FormSequence:
         self.p = p
         self.provenance = provenance
         self._by_n = {r.n: r for r in recs}
+        # the certified logs read off this sequence (exponents._log_rows)
+        self._logs: dict = {}
 
     def __len__(self) -> int:
         return len(self.records)

@@ -573,6 +573,20 @@ def test_canonical_flag_on_hand_made_inputs(text, canonical):
     assert _certified_as_the_redump_finds(text) is canonical
 
 
+def test_only_roundtrip_pays_for_the_canonical_flag(monkeypatch):
+    """loads_jsonl never checks a record line for canonical form; the
+    parse roundtrip makes checks each one."""
+    checked = []
+    line_check = corpus._canonical_record_line
+    monkeypatch.setattr(corpus, "_canonical_record_line",
+                        lambda raw, obj: checked.append(raw)
+                        or line_check(raw, obj))
+    text = dumps_jsonl(gen_apery_zeta3(12))
+    assert dumps_jsonl(loads_jsonl(text)) == text and checked == []
+    seq, canonical = corpus._parse_jsonl(text)
+    assert canonical and len(checked) == len(seq)
+
+
 def test_jsonl_past_the_int_str_digit_limit():
     big = 7 ** 6000                       # 5071 digits
     seq = FormSequence([FormRecord(n=1, Q=big, ell=(3 * big, big),

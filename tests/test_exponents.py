@@ -1,19 +1,29 @@
 """Exponent-estimation tests: traces vs closed forms, measure-bound pins."""
 
+import hashlib
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 import mpmath
 
 from latforms.numerics import (
+    PREC_CAP,
     BallReal,
     TriBool,
     UncertifiedComparison,
     parse_real,
 )
 from latforms.model import Basis, FormRecord, FormSequence, ValidationError
+from latforms.corpus import gen_apery_zeta3
+from latforms.criteria import check_nesterenko
 from latforms.exponents import (
+    TauEstimate,
+    TraceEntry,
+    _certified_nonzero_eval,
+    _oscillation,
     dimension_bound,
     estimate_gamma_growth,
     estimate_tau,
@@ -279,3 +289,152 @@ def test_report_json_at_high_precision():
         num, den = text.split("/")
         assert len(den) > 4300
         assert Fraction(decimal_to_int(num), decimal_to_int(den)) == spread
+
+
+# ---------------------------------------------------------------------------
+# the per-sequence log table
+
+
+def forward_tau(seq, basis, i, prec, tol=Fraction(1, 20), cap=PREC_CAP):
+    """Oracle: estimate_tau as one loop over the records, first to last,
+    each record evaluated and logged on its own."""
+    trace = []
+    max_prec = prec
+    for rec in seq:
+        if rec.Q == 1:
+            trace.append(TraceEntry(rec.n, None, "Q=1: log scale vanishes"))
+            continue
+        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec, cap)
+        max_prec = max(max_prec, used)
+        if ball is None:
+            trace.append(TraceEntry(rec.n, None,
+                                    "enclosure of L_n(e_i) contains 0"))
+            continue
+        lnq = BallReal.exact(rec.Q, used).log()
+        trace.append(TraceEntry(rec.n, -(ball.log() / lnq)))
+    final = trace[-1].value if trace else None
+    oscillation, consistent = _oscillation(trace, tol)
+    return TauEstimate(i=i, trace=trace, final=final, oscillation=oscillation,
+                       consistent=consistent, precision_used=max_prec)
+
+
+def _digest(*balls):
+    blob = json.dumps([b.to_json() for b in balls], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def apery_run():
+    """Apery at n=200 and 2000 bits, in the benchmark's order: tau, then
+    the fit and the measure bound, on one zeta(3) handle."""
+    seq = gen_apery_zeta3(200, prec=2000)
+    basis = Basis((parse_real("zeta3"),))
+    est = estimate_tau(seq, basis, 1, prec=2000)
+    alpha, beta = fit_alpha_beta(seq, basis, 1, prec=2000)
+    return seq, est, alpha, beta, irrationality_bound(alpha, beta).value
+
+
+def test_apery_fit_pinned(apery_run):
+    *_, alpha, beta, mu = apery_run
+    assert _digest(alpha, beta, mu) == \
+        "6a55a15e1be19e7afd44cd102d5c350576f47baf1b6b1810ce544bfa77d9798c"
+
+
+def test_fit_independent_of_call_order(apery_run):
+    """A fit on a fresh zeta(3) handle gives the bytes it gives after
+    estimate_tau has escalated the handle."""
+    seq, _, alpha, beta, _ = apery_run
+    fresh = fit_alpha_beta(seq, Basis((parse_real("zeta3"),)), 1, prec=2000)
+    assert _digest(*fresh) == _digest(alpha, beta)
+
+
+def _mp_tau(rec, xi, prec):
+    """-ln|l_1 - l_2 xi| / ln Q_n by mpmath at 4 prec bits, a Fraction."""
+    with mpmath.workprec(4 * prec):
+        val = -mpmath.log(abs(rec.ell[0] - rec.ell[1] * xi())) \
+            / mpmath.log(rec.Q)
+        man, exp = val.man_exp    # man is |mantissa|
+    return Fraction(man if val >= 0 else -man) * Fraction(2) ** exp
+
+
+def _assert_no_wider_than_forward(seq, est, oracle, xi):
+    assert est.final == oracle.final
+    assert est.precision_used == oracle.precision_used
+    assert est.consistent is oracle.consistent
+    assert len(est.trace) == len(oracle.trace)
+    for new, old, rec in zip(est.trace, oracle.trace, seq):
+        assert (new.n, new.note) == (old.n, old.note) and new.n == rec.n
+        if old.value is None:
+            assert new.value is None
+            continue
+        assert new.value.rad <= old.value.rad
+        # the entry's precision, not prec: an escalated entry cancels more
+        w = new.value.prec
+        t = _mp_tau(rec, xi, w)
+        slack = Fraction(1, 2 ** (2 * w))
+        assert new.value.lower - slack <= t <= new.value.upper + slack
+
+
+def test_tau_matches_forward_oracle_apery(apery_run):
+    seq, est, *_ = apery_run
+    oracle = forward_tau(seq, Basis((parse_real("zeta3"),)), 1, 2000)
+    _assert_no_wider_than_forward(seq, est, oracle, lambda: mpmath.zeta(3))
+    narrower = sum(new.value.rad < old.value.rad
+                   for new, old in zip(est.trace, oracle.trace))
+    assert 0 < narrower < len(est.trace)
+
+
+def _rational_seq():
+    """Fibonacci records, with an exact zero of L_n(e_1) at xi = 1/3."""
+    f = _fib(30)
+    recs = [FormRecord(n=n, Q=f[n], ell=(f[n + 1], f[n]), delta=(1, 1))
+            for n in range(2, 30) if n != 9]
+    recs.append(FormRecord(n=9, Q=f[9], ell=(f[9], 3 * f[9]), delta=(1, 1)))
+    return FormSequence(recs)
+
+
+@pytest.mark.parametrize("seq, xi, mp_xi, prec", [
+    (fib_seq(150), "golden", lambda: mpmath.phi, 64),
+    (_rational_seq(), "1/3", lambda: mpmath.mpf(1) / 3, 64),
+    (fib_seq(60), "0.5±0.01", lambda: mpmath.mpf(1) / 2, 128),
+])
+def test_tau_matches_forward_oracle(seq, xi, mp_xi, prec):
+    est = estimate_tau(seq, Basis((parse_real(xi),)), 1, prec=prec)
+    oracle = forward_tau(seq, Basis((parse_real(xi),)), 1, prec)
+    _assert_no_wider_than_forward(seq, est, oracle, mp_xi)
+
+
+def test_log_table_computes_each_log_once(monkeypatch):
+    calls = []
+    log = BallReal.log
+    monkeypatch.setattr(BallReal, "log",
+                        lambda self: calls.append(self) or log(self))
+
+    def count(fn, *args, **kw):
+        calls.clear()
+        fn(*args, **kw)
+        return len(calls)
+
+    seq = fib_seq(40)
+    basis = Basis((parse_real("golden"),))
+    assert count(estimate_tau, seq, basis, 1, prec=128) > 0
+    assert count(fit_alpha_beta, seq, basis, 1, prec=128) == 0
+    assert count(estimate_tau, seq, basis, 1, prec=128) == 0
+    # ln Q_n at 128 bits is in the table; so is the sup-norm F_(n+1) = Q_(n+1)
+    # of every record but the last
+    assert count(estimate_gamma_growth, seq, prec=128) == 0
+    assert count(check_nesterenko, seq, basis, prec=128) == 1
+    assert count(estimate_tau, seq, basis, 1, prec=192) > 0
+    assert count(estimate_tau, seq, Basis((parse_real("golden"),)), 1,
+                 prec=128) > 0
+
+
+def test_log_table_goes_with_its_sequence():
+    seq = fib_seq(40)
+    estimate_tau(seq, GOLDEN, 1, prec=128)
+    fit_alpha_beta(seq, GOLDEN, 1, prec=128)
+    estimate_gamma_growth(seq, prec=128)
+    ref = weakref.ref(seq)
+    del seq
+    assert ref() is None
