@@ -220,7 +220,7 @@ def _cmd_generate(args):
 
 
 def _cmd_roundtrip(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8", newline="") as fh:  # keep CRs
         original = fh.read()
     seq, already = _parse_jsonl(original)
     # canonical input is certified line by line as it is parsed, so it is

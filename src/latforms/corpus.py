@@ -31,7 +31,8 @@ from typing import IO, Callable, Optional, Sequence, Union
 
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError
-from .numerics import BallReal, decimal_to_int, int_to_decimal, parse_real
+from .numerics import (BallReal, TriBool, cmp_abs_le, decimal_to_int,
+                       int_to_decimal, parse_real)
 
 __all__ = [
     "GENERATORS",
@@ -128,6 +129,8 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
     """
     if n_max < 3:
         raise ValidationError("n_max must be >= 3")
+    if not isinstance(prec, int):
+        raise ValidationError(f"{name} prec = {prec!r} is not an integer")
     a_prev, a_cur = front, front * a1       # d_0 = d_1 = 1
     b_prev, b_cur = 0, front * b1
     d = ratio = 1
@@ -163,7 +166,7 @@ def _apery_sanity(n: int, ell_1: int, ell_2: int, const: str, prec: int,
     bits = max(prec, ell_2.bit_length() + 64)
     ball = abs(BallReal.exact(ell_1, bits)
                - parse_real(const).at(bits) * ell_2)
-    if not ball.upper < 1:
+    if cmp_abs_le(ball, 1, 1, strict=True) is not TriBool.TRUE:
         raise AssertionError(
             f"{name}: |L_n| at n={n} not certified < 1 (generator bug)")
 
@@ -239,6 +242,9 @@ def gen_synthetic(spec: GeneratorSpec) -> FormSequence:
     B = params["B"]
     if not isinstance(B, int) or B < 2:
         raise ValidationError("base B must be an integer >= 2")
+    for k in ("xi", "t", "g"):
+        if not isinstance(params[k], (list, tuple)):
+            raise ValidationError(f"synthetic-power {k} = {params[k]!r} is not a list")
     xi = tuple(_frac(x, "xi") for x in params["xi"])
     if not xi:
         raise ValidationError("need at least one xi (p >= 2)")

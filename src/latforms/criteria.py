@@ -180,7 +180,7 @@ def matrix_condition_check(M: Sequence[Sequence[BallReal]],
         raise ValidationError("matrix must be p x p")
     for i, row in enumerate(M):
         for j, m in enumerate(row):
-            if not (m.lower > 0 or m.upper < 0):
+            if m.contains_zero():
                 raise ValidationError(
                     f"entry ({i + 1},{j + 1}) enclosure does not exclude 0")
     fact = factorial(p + 1)

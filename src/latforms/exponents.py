@@ -118,9 +118,9 @@ def _certified_nonzero_eval(seq: FormSequence, basis: Basis, n: int, i: int,
     when it is not, or when the form is exactly zero (no escalation helps)."""
     def at(w):
         ball = abs(eval_at_basis(seq, basis, n, i, w))
-        return ball if ball.lower > 0 or ball.is_exact else TriBool.UNKNOWN
+        return ball if ball.sign() is not None else TriBool.UNKNOWN
     ball, used = escalate(at, prec, cap)
-    return (ball if ball is not TriBool.UNKNOWN and ball.lower > 0
+    return (ball if ball is not TriBool.UNKNOWN and ball.sign() == 1
             else None), used
 
 

@@ -145,12 +145,11 @@ def check_condition(tau: Sequence[Num], gamma: Sequence[Num],
     lhs = gammas[p - 1]
     for j in range(p - 1):
         s = taus[j] + gammas[j]
-        if s.lower >= 0:
+        t = tri_compare(-s, 0)          # certified s < 0
+        if t is TriBool.FALSE:          # s >= 0: j is in J
             J.append(j + 1)
             lhs = lhs + s
-        elif s.upper < 0:
-            pass
-        else:
+        elif t is TriBool.UNKNOWN:
             unknown.append(j + 1)
     rel = TriBool.UNKNOWN if unknown else tri_compare(lhs, 1)
     return ConditionReport(J=tuple(J), lhs=lhs, relation=rel,

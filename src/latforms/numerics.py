@@ -3,15 +3,15 @@
 Every real quantity in this package is either an exact rational (Fraction)
 or a ball ``mid +/- rad`` whose midpoint and radius are dyadic rationals,
 stored as integers at one power-of-two scale (mid = m 2^e, rad = r 2^e).
-Ring operations compute the exact interval endpoints as integers at a common
-scale, ln and exp integer brackets of the image of each end, division,
-sqrt and powers exact rationals, and only then round, all through one
-routine: the midpoint to the working precision (halves up), the radius plus
-that rounding error up to 32 bits.  So the enclosure property "the true
+Every operation (ring ops, division, sqrt, rational powers, ln and exp)
+computes exact interval endpoints as integers and only then rounds, all
+through one routine: the midpoint to the working precision (halves up), the
+radius plus that rounding error up to 32 bits.  That routine depends only on
+the values of the endpoints (see _enclose), so unreduced integers give the
+ball that reduced Fractions would, and the enclosure property "the true
 value lies inside the ball" is an invariant of construction, not a hope.
-Fractions appear at the API edge and in division, sqrt, rational pow and
-RealConstant.at, which round Fraction endpoints through from_endpoints at
-a gcd per result (the FOUND note on ball division in CHANGES.md).
+Fractions appear only where values enter or leave: exact, from_endpoints,
+the mid/rad/lower/upper properties, contains, hashing, JSON and repr.
 
 Comparisons are three-valued: a ball comparison is True only when the
 intervals are disjoint in the right order, False only when disjoint the
@@ -103,11 +103,9 @@ class TriBool(Enum):
         return self is not TriBool.UNKNOWN
 
 
-def _pow2(k: int) -> Fraction:
-    """2**k as an exact Fraction, k of either sign."""
-    if k >= 0:
-        return Fraction(1 << k)
-    return Fraction(1, 1 << -k)
+def _shift(n: int, s: int) -> int:
+    """floor(n * 2**s), s of either sign."""
+    return n << s if s >= 0 else n >> -s
 
 
 def _is_dyadic(q: Fraction) -> bool:
@@ -306,8 +304,7 @@ def _ln_bracket(n: int, e: int, wp: int) -> tuple[int, int]:
     E = e + B
     k = _steps(wp)
     W = wp + k + _guard(wp)
-    sh = W - B
-    M = n << sh if sh >= 0 else n >> -sh
+    M = _shift(n, W - B)
     one = 1 << W
     for _ in range(k):
         M = math.isqrt(M << W)
@@ -351,8 +348,7 @@ def _exp_bracket(n: int, e: int, wp: int) -> tuple[int, int, int]:
     k = 2 * _steps(wp)
     W = wp + k + _guard(wp)
     S = W + max(n.bit_length() + e, 0) + 2
-    sh = e + S
-    X = n << sh if sh >= 0 else n >> -sh
+    X = _shift(n, e + S)
     l2_lo, l2_hi = _ln2_bracket(S)
     K, R = divmod(X, l2_hi if X >= 0 else l2_lo)
     sh = S - W
@@ -483,10 +479,14 @@ class BallReal:
         other = _coerce(other, self.prec)
         if other.contains_zero():
             raise NumericsError("division by an enclosure containing zero")
-        lo, hi, olo, ohi = self.lower, self.upper, other.lower, other.upper
-        cands = (lo / olo, lo / ohi, hi / olo, hi / ohi)
-        return BallReal.from_endpoints(min(cands), max(cands),
-                                       max(self.prec, other.prec))
+        m, r, m2, r2 = self._m, self._r, other._m, other._r
+        if m2 < 0:              # negate both: divide by a positive [c, d]
+            m, m2 = -m, -m2
+        a, b, c, d = m - r, m + r, m2 - r2, m2 + r2
+        x = d if a >= 0 else c  # the least quotient is a/x
+        y = c if b >= 0 else d  # the greatest is b/y
+        return _enclose(a * y + b * x, b * x - a * y, x * y,
+                        max(self.prec, other.prec), self._e - other._e - 1)
 
     def __rtruediv__(self, other) -> "BallReal":
         return _coerce(other, self.prec) / self
@@ -530,30 +530,26 @@ class BallReal:
         if self._m - self._r < 0:
             raise NumericsError("sqrt of an enclosure with negative part")
         wp = self.prec + 4
-        lo, hi = self.lower, self.upper
-        lo_r = math.isqrt((lo.numerator << (2 * wp)) // lo.denominator)
-        hi_r = math.isqrt(-(-(hi.numerator << (2 * wp)) // hi.denominator)) + 1 if hi else 0
-        return _span(lo_r, hi_r, -wp, self.prec)
+        m, r, s = self._m, self._r, self._e + 2 * wp
+        hi_r = math.isqrt(-_shift(-m - r, s)) + 1 if m + r else 0
+        return _span(math.isqrt(_shift(m - r, s)), hi_r, -wp, self.prec)
 
     def pow(self, expo: Union[int, Fraction, "BallReal"]) -> "BallReal":
         """self**expo.  Integer/rational exponents get root-based brackets."""
         if isinstance(expo, BallReal):
             return (self.log() * expo).exp()
-        expo = Fraction(expo)
-        if expo.denominator == 1:
-            return self._int_pow(expo.numerator)
+        u, v = expo.numerator, expo.denominator
+        if v == 1:
+            return self._int_pow(u)
         if self._m - self._r < 0:
             raise NumericsError("rational power of an enclosure with negative part")
-        u, v = expo.numerator, expo.denominator
         base = self._int_pow(abs(u))
         wp = self.prec + 4
-        lo, hi = base.lower, base.upper
-        lo_r = floor_root_rational(lo.numerator << (v * wp), lo.denominator, v) if lo > 0 else 0
-        hi_r = floor_root_rational(hi.numerator << (v * wp), hi.denominator, v) + 1
-        out = _span(lo_r, hi_r, -wp, self.prec)
-        if u < 0:
-            out = BallReal.exact(1, self.prec) / out
-        return out
+        m, r, s = base._m, base._r, base._e + v * wp
+        # rounding may leave the lower end of a power just below 0
+        out = _span(nth_root_floor(_shift(max(m - r, 0), s), v),
+                    nth_root_floor(_shift(m + r, s), v) + 1, -wp, self.prec)
+        return out if u > 0 else 1 / out
 
     def _int_pow(self, k: int) -> "BallReal":
         if k == 0:
@@ -629,9 +625,16 @@ def _ball(m: int, r: int, e: int, prec: int) -> BallReal:
 def _enclose(n: int, r: int, d: int, prec: int, e: int = 0) -> BallReal:
     """The ball of the exact interval (n +/- r)/d * 2**e, d >= 1, r >= 0:
     the midpoint rounded to ``prec`` bits, the radius plus the rounding
-    error rounded up to _RAD_BITS bits.  A dyadic point stays exact."""
-    if not r and not d & (d - 1):
-        return _ball(n, 0, e + 1 - d.bit_length(), prec)
+    error rounded up to _RAD_BITS bits.  A dyadic point stays exact.
+    Only the values n/d 2**e and r/d 2**e matter: a point is tested for
+    being dyadic on its value, _round reduces n/d by its gcd before it
+    counts bits, the rounding error is added to r/d as a value, and _ball
+    canonicalises.  So (k n, k r, k d) gives the ball of (n, r, d), as does
+    (n, r, 2 d) at e + 1, and integer ends the ball of reduced Fractions."""
+    if not r:
+        t = (d & -d).bit_length() - 1
+        if not n % (d >> t):    # a dyadic point stays exact
+            return _ball(n // (d >> t), 0, e - t, prec)
     q, k, inexact = _round(n, d, prec)
     if inexact:             # the rounding error is at most 2**(k-1)
         if k > 0:
@@ -731,11 +734,7 @@ def escalate(decide: Callable[[int], Any], prec: int,
 # ---------------------------------------------------------------------------
 
 def _sqrt_const(k: int) -> Callable[[int], BallReal]:
-    def compute(prec: int) -> BallReal:
-        wp = prec + 4
-        r = math.isqrt(k << (2 * wp))
-        return _span(r, r + 1, -wp, prec)
-    return compute
+    return lambda prec: BallReal.exact(k, prec).sqrt()
 
 
 def _golden(prec: int) -> BallReal:
@@ -855,15 +854,18 @@ class RealConstant:
         if self._fixed is not None:
             return self._fixed.round_to(max(prec, self._fixed.prec))
         best = self._best
-        if best is not None and best.prec >= prec and best.rad <= _pow2(-prec):
+        if best is not None and best.prec >= prec and _cmp(best._r, best._e, 1, -prec) <= 0:
             return best.round_to(prec) if best.prec > prec else best
         ball = self._compute(prec)
         if best is not None:
-            lo = max(ball.lower, best.lower)
-            hi = min(ball.upper, best.upper)
+            e = min(ball._e, best._e)
+            s, t = ball._e - e, best._e - e
+            lo = max((ball._m - ball._r) << s, (best._m - best._r) << t)
+            hi = min((ball._m + ball._r) << s, (best._m + best._r) << t)
             if lo <= hi:
-                ball = BallReal.from_endpoints(lo, hi, prec)
-        self._best = ball if best is None or ball.rad < best.rad or ball.prec > best.prec else best
+                ball = _span(lo, hi, e, prec)
+        if best is None or _cmp(ball._r, ball._e, best._r, best._e) < 0 or ball.prec > best.prec:
+            self._best = ball
         return ball
 
     def __repr__(self):

@@ -4,8 +4,11 @@
 before its midpoint and radius became integers at a shared power-of-two
 scale: exact endpoints as Fractions, then the midpoint rounded to ``prec``
 significant bits (halves up) and the radius plus the rounding error rounded
-up to 32 bits.  Every op must give the same (mid, rad, prec) as the oracle,
-bit for bit, and ring ops must contain the mpmath result at 4x precision.
+up to 32 bits.  ``old_sqrt``, ``old_pow`` and ``OldConstant`` keep the
+Fraction-endpoint sqrt, rational power and RealConstant.at memo that the
+integer ends replaced.  Every op must give the same (mid, rad, prec) as its
+oracle, bit for bit, and ring ops must contain the mpmath result at 4x
+precision.
 A seeded chain of mixed ops, transcendental ones included, is pinned by the
 sha256 of its ``to_json`` output; ``PYTHONPATH=src python3
 tests/test_ball_kernel.py`` prints it.  The ln and exp kernels set its low
@@ -14,19 +17,24 @@ bits, so a change to them moves the pin.
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latforms.numerics import (
     BallReal,
     NumericsError,
+    RealConstant,
     TriBool,
+    _enclose,
+    _span,
     cmp_abs_le,
     dyadic_to_decimal,
+    floor_root_rational,
     parse_real,
     tri_compare,
 )
@@ -218,7 +226,7 @@ rationals = st.builds(Fraction, st.integers(-(10 ** 40), 10 ** 40),
 def _same(new, old):
     assert type(new.mid) is Fraction and type(new.rad) is Fraction
     assert type(new.prec) is int
-    assert _key(new) == old.key
+    assert _key(new) == _key(old)
     assert (new.lower, new.upper) == (old.lower, old.upper)
 
 
@@ -302,6 +310,161 @@ def test_eq_and_hash_agree_with_fraction_oracle(x, y, how):
     assert hash(a) == hash(oa.key)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# division, sqrt, rational pow and RealConstant.at against their Fraction code
+# ---------------------------------------------------------------------------
+
+def _o(x):
+    return Oracle(x.mid, x.rad, x.prec)
+
+
+def old_sqrt(x):
+    if x.lower < 0:
+        raise NumericsError("sqrt of an enclosure with negative part")
+    wp = x.prec + 4
+    lo, hi = x.lower, x.upper
+    lo_r = math.isqrt((lo.numerator << (2 * wp)) // lo.denominator)
+    hi_r = math.isqrt(-(-(hi.numerator << (2 * wp)) // hi.denominator)) + 1 if hi else 0
+    return _span(lo_r, hi_r, -wp, x.prec)
+
+
+def old_pow(x, expo):
+    u, v = expo.numerator, expo.denominator
+    if v == 1:
+        return x.pow(u) if u >= 0 else Oracle(1, 0, x.prec) / _o(x.pow(-u))
+    if x.lower < 0:
+        raise NumericsError("rational power of an enclosure with negative part")
+    base = x.pow(abs(u))
+    wp = x.prec + 4
+    lo, hi = base.lower, base.upper
+    lo_r = floor_root_rational(lo.numerator << (v * wp), lo.denominator, v) if lo > 0 else 0
+    hi_r = floor_root_rational(hi.numerator << (v * wp), hi.denominator, v) + 1
+    out = _span(lo_r, hi_r, -wp, x.prec)
+    return Oracle(1, 0, x.prec) / _o(out) if u < 0 else out
+
+
+class OldConstant(RealConstant):
+    """RealConstant with the memo and intersection on Fraction endpoints."""
+
+    def at(self, prec):
+        best = self._best
+        if best is not None and best.prec >= prec and best.rad <= _pow2(-prec):
+            return best.round_to(prec) if best.prec > prec else best
+        ball = self._compute(prec)
+        if best is not None:
+            lo = max(ball.lower, best.lower)
+            hi = min(ball.upper, best.upper)
+            if lo <= hi:
+                ball = BallReal.from_endpoints(lo, hi, prec)
+        self._best = ball if best is None or ball.rad < best.rad or ball.prec > best.prec else best
+        return ball
+
+
+@st.composite
+def touching_zero(draw):
+    """A ball whose lower end is 0, just below or just above it."""
+    prec = draw(st.integers(16, 600))
+    e = draw(st.integers(-prec - 40, 40))
+    r = draw(st.integers(1, (1 << 40) - 1))
+    m = r + draw(st.integers(-2, 2))
+    return _ball(Fraction(m) * _pow2(e), Fraction(r) * _pow2(e), prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(ball_pairs().map(lambda x: x[0]), touching_zero()),
+       st.integers(-9, 9).filter(bool), st.integers(1, 7))
+def test_sqrt_and_pow_identical_to_fraction_endpoints(a, u, v):
+    if v == 1:
+        assume(abs(u) <= 3)
+    _same_outcome(lambda: a.sqrt(), lambda: old_sqrt(a))
+    _same_outcome(lambda: a.pow(Fraction(u, v)), lambda: old_pow(a, Fraction(u, v)))
+
+
+@pytest.mark.parametrize("num, den", [
+    ((Fraction(7, 3), Fraction(1, 5)), (Fraction(-3), Fraction(1, 7))),     # negative divisor
+    ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(2), Fraction(1, 9))),     # numerator straddles 0
+    ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(-2), Fraction(1, 9))),    # both at once
+    ((Fraction(5, 7), Fraction(1, 11)), (Fraction(3), _ZERO)),              # point divisor
+    ((Fraction(6), _ZERO), (Fraction(3), _ZERO)),                           # dyadic quotient
+    ((Fraction(3 * 131073), _ZERO), (Fraction(3), _ZERO)),                  # ... of 17 bits
+    ((Fraction(1), _ZERO), (Fraction(-3), _ZERO)),                          # inexact point quotient
+    ((Fraction(-4), Fraction(1)), (Fraction(-1, 3), Fraction(1, 6))),       # both negative
+    ((Fraction(1), _ZERO), (Fraction(1, 2), Fraction(1, 2))),               # divisor touches 0
+    ((Fraction(1), _ZERO), (Fraction(-1, 2), Fraction(1, 2))),              # ... from below
+], ids=["neg-divisor", "straddling-num", "straddling-over-neg", "point-divisor",
+        "dyadic-quotient", "wide-dyadic-quotient", "point-over-neg-point", "neg-over-neg",
+        "touching-zero", "touching-zero-below"])
+@pytest.mark.parametrize("prec", [16, 64, 300])
+def test_division_pins(num, den, prec):
+    a = BallReal.from_endpoints(num[0] - num[1], num[0] + num[1], prec)
+    b = BallReal.from_endpoints(den[0] - den[1], den[0] + den[1], prec)
+    _same_outcome(lambda: a / b, lambda: _o(a) / _o(b))
+    if b.contains_zero():
+        return
+    q = a.mid / b.mid
+    assert (a / b).contains(q)
+    if not a.rad and not b.rad and _is_dyadic(q):
+        assert (a / b).is_exact and (a / b).mid == q
+
+
+def _wobbly(seed, value):
+    """compute(prec) of an unrounded ball near the dyadic value, seeded per
+    precision: some miss value, some end at it (so two of them touch), some
+    are tight enough to be memoised, some are wide."""
+    def compute(prec):
+        rng = random.Random(seed * 1_000_003 + prec)
+        lo = value - Fraction(rng.randrange(1 << 20), 1 << (prec + rng.randint(-8, 24)))
+        hi = value + Fraction(rng.randrange(1 << 20), 1 << (prec + rng.randint(-8, 24)))
+        how = rng.randrange(6)
+        if how == 0:
+            lo, hi = hi, hi + (hi - lo)
+        elif how in (1, 2):
+            lo, hi = (lo, value) if how == 1 else (value, hi)
+        return _ball((lo + hi) / 2, (hi - lo) / 2, prec)
+    return compute
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(16, 700), min_size=1, max_size=12),
+       st.sampled_from(["rising", "falling", "mixed"]),
+       st.sampled_from(["golden", "zeta3", "zeta2", "e", "sqrt(7)", "wobbly"]),
+       st.integers(0, 10 ** 6), st.integers(-(10 ** 12), 10 ** 12),
+       st.integers(0, 60))
+def test_constant_memo_identical_to_fraction_endpoints(precs, order, name, seed,
+                                                       a, b):
+    if order != "mixed":
+        precs = sorted(precs, reverse=order == "falling")
+    compute = (_wobbly(seed, Fraction(a, 1 << b)) if name == "wobbly"
+               else parse_real(name, 16)._compute)
+    new, old = RealConstant(name, compute=compute), OldConstant(name, compute=compute)
+    for prec in precs:
+        _same(new.at(prec), old.at(prec))
+        _same(new._best, old._best)
+
+
+def test_constant_intersection_of_touching_balls_is_their_common_end():
+    v, w = Fraction(3, 4), Fraction(1, 16)
+    balls = {20: _ball(v - w, w, 20), 30: _ball(v + w, w, 30)}
+    new = RealConstant("x", compute=balls.get)
+    old = OldConstant("x", compute=balls.get)
+    for prec in (20, 30):
+        _same(new.at(prec), old.at(prec))
+    assert new.at(30).is_exact and new.at(30).mid == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10 ** 30), 10 ** 30), st.integers(0, 10 ** 30),
+       st.integers(1, 10 ** 30), st.integers(1, 10 ** 6), st.integers(0, 40),
+       st.integers(16, 300), st.integers(-400, 400))
+def test_enclose_depends_only_on_values(n, r, d, k, t, prec, e):
+    ball = _enclose(n, r, d, prec, e)
+    assert _enclose(k * n, k * r, k * d, prec, e) == ball
+    assert _enclose(n, r, d << t, prec, e + t) == ball
+    assert _enclose(n << t, r << t, d, prec, e - t) == ball
+    _same(ball, Oracle.from_endpoints(Fraction(n - r, d) * _pow2(e),
+                                      Fraction(n + r, d) * _pow2(e), prec))
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,22 @@ def test_roundtrip_parses_and_dumps_once_more_at_most(tmp_path, capsys,
         ([] if canonical else ["dumps_jsonl", "loads_jsonl"])
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"],
+                         ids=["crlf", "cr", "lf"])
+def test_roundtrip_sees_line_ends(tmp_path, capsys, newline):
+    """Only "\n" line ends are canonical: CRLF and CR input is reported as
+    not canonical and dumped with "\n"."""
+    canonical = dumps_jsonl(gen_fibonacci(5))
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_bytes(canonical.replace("\n", newline).encode())
+    rc, out, _ = invoke(capsys, "roundtrip", "--input", str(src),
+                        "--output", str(dst))
+    res = report_of(out)["result"]
+    assert rc == 0 and res["lossless"]
+    assert res["already_canonical"] is (newline == "\n")
+    assert dst.read_bytes() == canonical.encode()
+
+
 # ---------------------------------------------------------------------------
 # estimate / check commands
 
@@ -473,6 +489,27 @@ def test_malformed_input_is_one_line_without_traceback(tmp_path, text,
     path.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "latforms", "estimate", "--input", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"latforms: error: {message}\n"
+
+
+_SYNTH = {"B": 2, "xi": ["1/2"], "t": ["-1"], "g": [0, 0]}
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate"])
+@pytest.mark.parametrize("gen, params, message", [
+    ("synthetic-power", dict(_SYNTH, t=5), "synthetic-power t = 5 is not a list"),
+    ("synthetic-power", dict(_SYNTH, xi=3), "synthetic-power xi = 3 is not a list"),
+    ("synthetic-power", dict(_SYNTH, g=None),
+     "synthetic-power g = None is not a list"),
+    ("apery-zeta3", {"prec": "x"}, "apery-zeta3 prec = 'x' is not an integer"),
+], ids=["t-not-list", "xi-not-list", "g-null", "prec-not-int"])
+def test_malformed_params_are_one_line_without_traceback(command, gen, params,
+                                                         message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "latforms", command, "--gen", gen,
+         "--n-max", "5", "--params", json.dumps(params)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"latforms: error: {message}\n"
