@@ -28,7 +28,6 @@ from .corpus import (
     generate,
     import_jsonl,
     loads_jsonl,
-    _jsonl_header,
     _parse_jsonl,
 )
 from .criteria import (
@@ -49,6 +48,7 @@ from .numerics import (
     NumericsError,
     TriBool,
     UncertifiedComparison,
+    fraction_to_str,
     parse_real,
 )
 
@@ -85,22 +85,16 @@ def _posint(text: str) -> int:
     return v
 
 
-def _prec(text: str) -> int:
+def _bits(text: str) -> int:
     """A precision in bits: an integer in MIN_PREC..PREC_CAP."""
     try:
         v = int(text, 10)
     except ValueError:
-        raise ValueError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if not MIN_PREC <= v <= PREC_CAP:
-        raise ValueError(f"precision {v} is outside {MIN_PREC}..{PREC_CAP} bits")
+        raise argparse.ArgumentTypeError(
+            f"precision {v} is outside {MIN_PREC}..{PREC_CAP} bits")
     return v
-
-
-def _bits(text: str) -> int:
-    try:
-        return _prec(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
 
 
 def _default_prec() -> int:
@@ -108,8 +102,8 @@ def _default_prec() -> int:
     if raw is None:
         return 64
     try:
-        return _prec(raw)
-    except ValueError as e:
+        return _bits(raw)
+    except argparse.ArgumentTypeError as e:
         raise _UsageError(f"LATFORMS_PREC: {e}")
 
 
@@ -119,7 +113,7 @@ def _jsonable(x):
     if isinstance(x, TriBool):
         return x.name
     if isinstance(x, Fraction):
-        return str(x)
+        return fraction_to_str(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -174,8 +168,7 @@ def _spec_from_args(args) -> GeneratorSpec:
             raise _UsageError(f"--params is not valid JSON: {e.msg}")
         if not isinstance(params, dict):
             raise _UsageError("--params must be a JSON object")
-    if args.gen.startswith("apery"):
-        params.setdefault("prec", args.prec)
+    params.setdefault("prec", args.prec)
     return GeneratorSpec(args.gen, args.n_max, params)
 
 
@@ -195,11 +188,9 @@ def _basis_for(args, seq) -> Basis:
             raise _UsageError(str(e))
     prov = seq.provenance
     if isinstance(prov, dict) and prov.get("generator") in GENERATORS:
-        params = dict(prov.get("params", {}))
-        n_max = params.get("n_max")
-        if not (isinstance(n_max, int) and n_max >= 3):
-            n_max = 3
-        return default_basis(GeneratorSpec(prov["generator"], n_max, params))
+        # default_basis reads the name and the params, not n_max
+        return default_basis(GeneratorSpec(prov["generator"], 3,
+                                           dict(prov.get("params", {}))))
     raise _UsageError("no basis available: pass --xi or an input with "
                       "generator provenance")
 
@@ -232,9 +223,7 @@ def _cmd_roundtrip(args):
         canonical = dumps_jsonl(seq)
         again = loads_jsonl(canonical)
     lossless = (again.records == seq.records
-                and again.provenance == seq.provenance
-                and _jsonl_header(again.provenance)
-                == _jsonl_header(seq.provenance))
+                and again.provenance == seq.provenance)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(canonical)

@@ -169,14 +169,12 @@ def build_iterate_matrix(seq: FormSequence, basis: Basis, n: int,
                          entries=entries)
 
 
-def matrix_condition_check(M: Sequence[Sequence[BallReal]],
-                           p: Optional[int] = None) -> TriBool:
+def matrix_condition_check(M: Sequence[Sequence[BallReal]]) -> TriBool:
     """Certified check of |m_i'j m_ij'| <= |m_ij m_i'j'|/(p+1)! for all
-    i<i', j<j'.  False dominates Unknown; an entry enclosure containing 0
-    is a precondition failure, not an Unknown."""
-    if p is None:
-        p = len(M)
-    if len(M) != p or any(len(row) != p for row in M):
+    i<i', j<j' of the p x p matrix M.  False dominates Unknown; an entry
+    enclosure containing 0 is a precondition failure, not an Unknown."""
+    p = len(M)
+    if any(len(row) != p for row in M):
         raise ValidationError("matrix must be p x p")
     for i, row in enumerate(M):
         for j, m in enumerate(row):
@@ -250,19 +248,22 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     return _fit(seq, n)[0]
 
 
-def _fit(seq: FormSequence, n: int) -> tuple[Optional[RecurrenceFit], int]:
-    """fit_recurrence(seq, n) and the rank of the Delta window at n, which
-    its system holds with the columns reversed; the rank comes back also
+def _fit(seq: FormSequence, n: int
+         ) -> tuple[Optional[RecurrenceFit], int, int]:
+    """fit_recurrence(seq, n) and the rank and determinant of the Delta
+    window at n, which its system holds with the columns reversed, also
     when the system is inconsistent and the fit is None."""
     p = seq.p
     recs = [seq.record(n + j) for j in range(p + 1)]
     # unknowns alpha_j; columns reversed so pivots prefer high lags
     rows = [[recs[j].ell[i] for j in range(p - 1, -1, -1)] + [recs[p].ell[i]]
             for i in range(p)]
-    pivots, _ = _echelon(rows, p)
+    pivots, det = _echelon(rows, p)
     rank = len(pivots)
+    # reversing p columns is p(p-1)/2 transpositions
+    det = -det if p * (p - 1) // 2 % 2 else det
     if any(row[p] for row in rows[rank:]):
-        return None, rank
+        return None, rank, det
     rev = [Fraction(0)] * p           # free unknowns stay 0
     for row, c in reversed(list(zip(rows, pivots))):
         rest = sum(row[k] * rev[k] for k in range(c + 1, p))
@@ -272,7 +273,7 @@ def _fit(seq: FormSequence, n: int) -> tuple[Optional[RecurrenceFit], int]:
              for i in range(p))
     return RecurrenceFit(n=n, alpha=alpha, residual=ok,
                          alpha0_zero=alpha[0] == 0,
-                         non_unique=rank < p), rank
+                         non_unique=rank < p), rank, det
 
 
 def _delta_matrix(seq: FormSequence, n: int) -> list[list[int]]:
@@ -342,17 +343,18 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
     bad: list[int] = []
     ranks: list[tuple[int, int]] = []
     for n in range(n1, last - p + 1):
-        f, rank = _fit(seq, n)
+        f, rank, det = _fit(seq, n)
         fits[n] = f
         ranks.append((n, rank))
         if f is None or f.alpha0_zero or not f.residual:
             bad.append(n)
-    # the last window has no fit: it is eliminated on its own, as is the
-    # n2 window, whose determinant the fits do not keep
-    pivots, det2_int = _echelon(_delta_matrix(seq, n2), p)
-    if n2 != last - p + 1:
-        pivots, _ = _echelon(_delta_matrix(seq, last - p + 1), p)
+        if n == n2:
+            det2_int = det
+    # the last window has no fit: it is eliminated on its own
+    pivots, det = _echelon(_delta_matrix(seq, last - p + 1), p)
     ranks.append((last - p + 1, len(pivots)))
+    if n2 == last - p + 1:
+        det2_int = det
     rank_prop = all(a[1] == b[1] for a, b in zip(ranks, ranks[1:]))
     # det of the evaluated window equals (1 + sum xi_i^2) * det(Delta_n2)
     V = [[eval_at_basis(seq, basis, n2 + j, i, prec) for j in range(p)]

@@ -171,10 +171,9 @@ def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
     rows = _log_rows(seq, basis, i, prec, cap)
     trace = [TraceEntry(n, None if ln_l is None else -(ln_l / ln_q), note)
              for n, _, ln_l, ln_q, note in rows]
-    final = trace[-1].value if trace else None
     oscillation, consistent = _oscillation(trace, tol)
-    return TauEstimate(i=i, trace=trace, final=final, oscillation=oscillation,
-                       consistent=consistent,
+    return TauEstimate(i=i, trace=trace, final=trace[-1].value,
+                       oscillation=oscillation, consistent=consistent,
                        precision_used=max(used for _, used, *_ in rows))
 
 
@@ -184,23 +183,33 @@ def _last_third(values: Sequence) -> Optional[Sequence[BallReal]]:
     return None if len(tail) < 2 or None in tail else tail
 
 
+def _within(hi: Fraction, lo: Fraction, tol: Fraction) -> TriBool:
+    """Certified 'x <= tol' for a quantity x known to lie in [lo, hi]."""
+    if hi <= tol:
+        return TriBool.TRUE
+    return TriBool.FALSE if lo > tol else TriBool.UNKNOWN
+
+
 def _oscillation(trace: Sequence[TraceEntry],
                  tol: Fraction) -> tuple[Optional[Fraction], TriBool]:
-    """Sup bound on pairwise spread over the last third of the trace."""
+    """Sup bound on pairwise spread over the last third of the trace, and
+    whether the spread is certainly within tol."""
     tail = _last_third([e.value for e in trace])
     if tail is None:
         return None, TriBool.UNKNOWN
-    spread = max(v.upper for v in tail) - min(v.lower for v in tail)
-    return spread, TriBool.TRUE if spread <= tol else TriBool.FALSE
+    lo, hi = [v.lower for v in tail], [v.upper for v in tail]
+    spread = max(hi) - min(lo)
+    return spread, _within(spread, max(lo) - min(hi), tol)
 
 
 def _near_one(values: Sequence, tol: Fraction) -> TriBool:
-    """Whether the last third of a trace stays within tol of 1."""
+    """Whether the last third of a trace certainly stays within tol of 1."""
     tail = _last_third(values)
     if tail is None:
         return TriBool.UNKNOWN
-    dev = max(max(v.upper - 1, 1 - v.lower) for v in tail)
-    return TriBool.TRUE if dev <= tol else TriBool.FALSE
+    lo, hi = [v.lower for v in tail], [v.upper for v in tail]
+    return _within(max(max(hi) - 1, 1 - min(lo)),
+                   max(max(lo) - 1, 1 - min(hi)), tol)
 
 
 def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
@@ -230,11 +239,10 @@ def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
             continue
         growth.append(TraceEntry(cur.n, _ln(seq, nxt.Q, prec)
                                   / _ln(seq, cur.Q, prec)))
-    gamma_final = [g[-1].value if g else None for g in gamma]
-    growth_final = growth[-1].value if growth else None
     gc = _near_one([e.value for e in growth], tol)
-    return GammaGrowth(gamma=gamma, growth=growth, gamma_final=gamma_final,
-                       growth_final=growth_final, growth_consistent=gc,
+    return GammaGrowth(gamma=gamma, growth=growth,
+                       gamma_final=[g[-1].value for g in gamma],
+                       growth_final=growth[-1].value, growth_consistent=gc,
                        skipped=skipped)
 
 

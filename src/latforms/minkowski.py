@@ -476,21 +476,17 @@ def reciprocal_construct(skeleton: Sequence, xi: Basis, tau: Sequence[Rat],
                          eps: Fraction = Fraction(1, 20), prec: int = 64,
                          budget: int = 10 ** 7
                          ) -> tuple[list[ReciprocalEntry], Optional[FormSequence]]:
-    """Run the primal construction at every skeleton entry (Q_n, delta_n) —
-    or (n, Q_n, delta_n) — with eps as the per-n slack and the per-n
-    surrogate gamma (log delta / log Q_n) feeding the condition report, so
-    a sweep can mix accepted and refused entries.  Refusals are recorded
-    per entry rather than aborting; budget and search failures propagate.
-    Successes aggregate into a FormSequence whose records re-enter the
-    estimation/verification pipeline.
+    """Run the primal construction at every skeleton entry (Q_n, delta_n),
+    numbered n = 1, 2, ... in order, with eps as the per-n slack and the
+    per-n surrogate gamma (log delta / log Q_n) feeding the condition
+    report, so a sweep can mix accepted and refused entries.  Refusals are
+    recorded per entry rather than aborting; budget and search failures
+    propagate.  Successes aggregate into a FormSequence whose records
+    re-enter the estimation/verification pipeline.
     """
     entries: list[ReciprocalEntry] = []
     records: list[FormRecord] = []
-    for k, entry in enumerate(skeleton):
-        if len(entry) == 2:
-            n, (Q_n, delta_n) = k + 1, entry
-        else:
-            n, Q_n, delta_n = entry
+    for n, (Q_n, delta_n) in enumerate(skeleton, start=1):
         try:
             out = construct_primal_form(xi, tau, delta_n, Q_n, slack=eps,
                                         prec=prec, budget=budget,

@@ -240,6 +240,28 @@ def divisor_chain_check(seq: FormSequence) -> list[tuple[int, int]]:
     return out
 
 
+def _form(basis: Basis, c: Sequence, i: int, prec: int) -> BallReal:
+    """Enclosure of L(e_i) for the coefficients c of L: c_i - c_p xi_i for
+    i < p, sum_j c_j xi_j + c_p for i = p; exact whenever all xi are
+    rational."""
+    p = basis.p
+    exact = basis.exact_xi
+    if exact is not None:
+        if i < p:
+            val = Fraction(c[i - 1]) - c[p - 1] * exact[i - 1]
+        else:
+            val = sum((Fraction(c[j]) * exact[j] for j in range(p - 1)),
+                      Fraction(c[p - 1]))
+        return BallReal.exact(val, prec)
+    balls = basis.xi_balls(prec)
+    if i < p:
+        return BallReal.exact(c[i - 1], prec) - balls[i - 1] * c[p - 1]
+    acc = BallReal.exact(c[p - 1], prec)
+    for j in range(p - 1):
+        acc = acc + balls[j] * c[j]
+    return acc
+
+
 def eval_at_basis(seq: FormSequence, basis: Basis, n: int, i: int,
                   prec: int = 64) -> BallReal:
     """Enclosure of L_n(e_i); exact (radius 0) whenever all xi are rational.
@@ -250,23 +272,7 @@ def eval_at_basis(seq: FormSequence, basis: Basis, n: int, i: int,
         raise ValidationError(f"basis p={basis.p} != sequence p={seq.p}")
     if not 1 <= i <= seq.p:
         raise ValidationError(f"i={i} out of range 1..{seq.p}")
-    rec = seq.record(n)
-    p = seq.p
-    exact = basis.exact_xi
-    if exact is not None:
-        if i < p:
-            val = Fraction(rec.ell[i - 1]) - rec.ell[p - 1] * exact[i - 1]
-        else:
-            val = sum((Fraction(rec.ell[j]) * exact[j] for j in range(p - 1)),
-                      Fraction(rec.ell[p - 1]))
-        return BallReal.exact(val, prec)
-    balls = basis.xi_balls(prec)
-    if i < p:
-        return BallReal.exact(rec.ell[i - 1], prec) - balls[i - 1] * rec.ell[p - 1]
-    acc = BallReal.exact(rec.ell[p - 1], prec)
-    for j in range(p - 1):
-        acc = acc + balls[j] * rec.ell[j]
-    return acc
+    return _form(basis, seq.record(n).ell, i, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +328,12 @@ class ConvexBody:
         p = basis.p
         label = self.coords[k]
         point = [Fraction(x) for x in point]
-        exact = basis.exact_xi
         if self.frame == "coordinate":
             if label < p:
                 return BallReal.exact(abs(point[label - 1]), prec)
-            if exact is not None:
-                s = sum((point[j] * exact[j] for j in range(p - 1)), point[p - 1])
-                return BallReal.exact(abs(s), prec)
-            balls = basis.xi_balls(prec)
-            acc = BallReal.exact(point[p - 1], prec)
-            for j in range(p - 1):
-                acc = acc + balls[j] * point[j]
-            return abs(acc)
+            return abs(_form(basis, point, p, prec))
         if label < p:
+            exact = basis.exact_xi
             if exact is not None:
                 s = point[p - 1] * exact[label - 1] - point[label - 1]
                 return BallReal.exact(abs(s), prec)

@@ -7,12 +7,14 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
 
 from latforms.cli import run
-from latforms.corpus import dumps_jsonl, gen_apery_zeta3, gen_fibonacci
+from latforms.corpus import (GENERATORS, GeneratorSpec, dumps_jsonl,
+                             gen_apery_zeta3, gen_fibonacci, gen_synthetic)
 from latforms.criteria import verify_conclusion
 from latforms.model import Basis
 from latforms.numerics import PrecisionCapExceeded, parse_real
@@ -357,6 +359,131 @@ def test_result_digest_pinned(name):
     assert digest(work) == work_digest
 
 
+# The whole report of a run, timestamp aside, is pinned by the sha256 of its
+# canonical JSON, and the JSONL that `generate` writes by the sha256 of its
+# bytes.  Beside the PINNED_RESULTS runs this covers a roundtrip of a CRLF
+# file, an estimate read from a synthetic-power file whose header gives xi
+# but no n_max, and every generator at --prec 128.  Input files are written
+# as in.jsonl to a fresh working directory, so the config echo names the
+# same path on every run.  Print them with `PYTHONPATH=src python
+# tests/test_cli.py`.
+_SYNTH_P3 = '{"B":2,"xi":["1/3","2/5"],"t":["-1/2",null],"g":["0","0","1"]}'
+
+
+def _crlf_input() -> str:
+    return dumps_jsonl(gen_fibonacci(8)).replace("\n", "\r\n")
+
+
+def _input_without_n_max() -> str:
+    header, records = dumps_jsonl(gen_synthetic(GeneratorSpec(
+        "synthetic-power", 12, json.loads(_SYNTH_P3)))).split("\n", 1)
+    head = json.loads(header)
+    del head["params"]["n_max"]
+    return json.dumps(head) + "\n" + records
+
+
+PINNED_RUNS = {  # name: (argv, input file text or None, JSONL output)
+    **{name: (argv, None, False)
+       for name, (argv, _, _) in PINNED_RESULTS.items()},
+    "roundtrip-crlf": (("roundtrip", "--input", "in.jsonl"), _crlf_input,
+                       False),
+    "estimate-input-no-n-max": (("estimate", "--input", "in.jsonl"),
+                                _input_without_n_max, False),
+    **{f"generate-{gen}": (("generate", "--gen", gen, "--n-max", "12",
+                            "--prec", "128")
+                           + (("--params", _SYNTH_P3)
+                              if gen == "synthetic-power" else ()),
+                           None, True)
+       for gen in GENERATORS},
+}
+PINNED_DIGESTS = {
+    "dual-golden":
+        "ecff4787585ec38d000a67fcf6f8b1323af73c6f58a9b962d0c831affacb42ea",
+    "dual-half":
+        "ed43318414d0de636db1029097e099119f8aaf4fc7565be91713fa2bfeeb2e43",
+    "estimate-apery":
+        "d6efcf5b0c9f4191f188f17b838e79716bff4c22f964ff56c6212125750f20d2",
+    "estimate-input-no-n-max":
+        "51dcc7b20adcb3b7b0b2cc765f6caf7bf4affcf2e3600d88abfc91b10cded0db",
+    "generate-apery-zeta2":
+        "d4a3dcad45e64a29976d96ba7db5c17d84b49d8637c3431e052fca140f12f7e7",
+    "generate-apery-zeta3":
+        "c785dd00586503788dbe6b1b46f575850f588f2b35b79837c2213af89aa13a10",
+    "generate-fibonacci-golden":
+        "88d370847f924506c31f218c22ff43ed9be914be1bd00cc5a211cb5a41e7b784",
+    "generate-synthetic-power":
+        "7ec673218e3388d8b65e157268e419f79bf59ddc05f1f0d65d8624f7610dbeef",
+    "nesterenko-fib":
+        "017ecd687aa977dadd0e7a329b49c55968bb535bafe269e5a568001f615f423a",
+    "primal-golden":
+        "0b98f8970c4b1fb70d03861e0e8c22bd8c8173a51fa942bb2d74a7aa263f8ae6",
+    "roundtrip-crlf":
+        "c232b83f63fb19a6f7a58d633b9b055598f8bd435aad876690b15c854e09dd13",
+    "siegel-apery":
+        "879cd4af4406ec58a3a6f85a5b2390ee6684c976a68090ee58944a3f13563f8e",
+    "verify-golden":
+        "635a63f1af6e93c8a2f4630d4e561b703b79cd0f8b7b9acca23cc3982a9f73b6",
+    "verify-undecided":
+        "02d497b8bb32bb3b442ce2998edd5306c5f6b87c7b1f8de8fc9f9310b4099633",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_digest(name: str) -> str:
+    """sha256 of the run's report without its timestamp, or of the JSONL
+    it generated."""
+    argv, make_input, jsonl = PINNED_RUNS[name]
+    if make_input is None and not jsonl:
+        rep = dict(cli_report(argv)[1])
+    else:
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            if make_input is not None:
+                with open("in.jsonl", "w", encoding="utf-8",
+                          newline="") as fh:
+                    fh.write(make_input())
+            with contextlib.redirect_stdout(out):
+                run(list(argv))
+        if jsonl:
+            return hashlib.sha256(out.getvalue().encode()).hexdigest()
+        rep = report_of(out.getvalue())
+    del rep["timestamp"]
+    return digest(rep)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_whole_output_pinned(name):
+    assert pinned_digest(name) == PINNED_DIGESTS[name]
+
+
+def test_trace_spread_is_false_only_when_certainly_past_tol(capsys):
+    """A ball around phi gives a tau trace whose spread may exceed 1/20
+    (upper bound 0.0831) but need not (lower bound 0.0171): Unknown, not a
+    violation.  With phi itself the same run holds."""
+    ball = ("check-nesterenko", "--gen", "fibonacci-golden", "--n-max", "33",
+            "--xi", "1.6180339887498948482±0.00000000000002")
+    rc, out, _ = invoke(capsys, *ball)
+    rep = report_of(out)
+    assert rc == 3 and rep["status"] == "unknown"
+    tau = rep["result"]["tau"][0]
+    assert tau["consistent"] == "UNKNOWN"
+    assert tau["oscillation"] == "2855338211/34359738368"
+    rc, out, _ = invoke(capsys, *ball[:5], "--xi", "golden")
+    assert rc == 0 and report_of(out)["result"]["tau"][0]["consistent"] \
+        == "TRUE"
+
+
+@pytest.mark.parametrize("command, code", [("check-nesterenko", 2),
+                                           ("estimate", 0)])
+def test_config_echo_writes_a_tol_past_the_digit_limit(capsys, command,
+                                                       code):
+    rc, out, err = invoke(capsys, command, "--gen", "fibonacci-golden",
+                          "--n-max", "10", "--tol", "1e-5000")
+    assert rc == code, err
+    tol = report_of(out)["config"]["tol"]
+    assert len(tol) == 5003 and tol == "1/1" + "0" * 5000
+
+
 def test_report_to_file_leaves_stdout_empty(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc, out, _ = invoke(capsys, "check-nesterenko", "--gen",
@@ -609,3 +736,6 @@ if __name__ == "__main__":
         outcome, work = split_result(cli_report(argv)[1]["result"])
         print(name, digest(outcome), digest(work))
         print("   ", json.dumps(work, sort_keys=True))
+    # each whole report (timestamp aside) or generated JSONL
+    for name in sorted(PINNED_RUNS):
+        print(name, pinned_digest(name))

@@ -400,6 +400,57 @@ def test_check_siegel_ranks_from_fits_match_every_window(case):
         assert seq.p == 3
 
 
+def test_check_siegel_eliminates_each_window_once(monkeypatch):
+    """Windows 2..19 of fib_seq(20): 18 eliminations wherever n2 lies, the
+    n2 window's determinant taken from its fit."""
+    calls = []
+    echelon = criteria._echelon
+    monkeypatch.setattr(criteria, "_echelon", lambda rows, ncols:
+                        calls.append(len(rows)) or echelon(rows, ncols))
+    for n2 in (2, 5, 18, 19):
+        calls.clear()
+        rep = check_siegel(fib_seq(20), GOLDEN, 2, n2)
+        assert len(calls) == 18
+        assert rep.det_n2 == (-1) ** n2           # Cassini
+
+
+@st.composite
+def _siegel_input(draw):
+    """A sequence of p + 1 .. p + 4 integer records, p = 2..5, whose
+    records are often combinations of the earlier ones (singular windows),
+    with n1 and n2 anywhere, n2 at both ends included."""
+    p = draw(st.integers(2, 5))
+    ells = []
+    for _ in range(draw(st.integers(p + 1, p + 4))):
+        if len(ells) >= 2 and draw(st.booleans()):
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            ells.append([a * x + b * y for x, y in zip(ells[-1], ells[-2])])
+        else:
+            ells.append(draw(st.lists(st.integers(-3, 3), min_size=p,
+                                      max_size=p)))
+    seq = FormSequence([FormRecord(n=n, Q=n + 2, ell=tuple(e),
+                                   delta=(1,) * p)
+                        for n, e in enumerate(ells)])
+    top = len(ells) - p
+    n1 = draw(st.integers(0, top))
+    n2 = draw(st.sampled_from([n1, top, draw(st.integers(n1, top))]))
+    return seq, n1, n2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_siegel_input())
+def test_check_siegel_det_and_ranks_match_each_window(case):
+    seq, n1, n2 = case
+    p = seq.p
+    basis = Basis(tuple(parse_real(f"1/{k + 2}") for k in range(p - 1)))
+    rep = check_siegel(seq, basis, n1, n2)
+    oracle = {n: _echelon(_delta_matrix(seq, n), p)
+              for n in range(n1, len(seq) - p + 1)}
+    assert rep.ranks == [(n, len(piv)) for n, (piv, _) in oracle.items()]
+    assert rep.det_n2 == oracle[n2][1]
+    assert rep.det_consistent is TriBool.TRUE
+
+
 # -- hypothesis report -------------------------------------------------------
 
 def test_check_nesterenko_fibonacci_consistent():

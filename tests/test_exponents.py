@@ -266,6 +266,32 @@ def test_last_third_rule_shared():
     assert estimate_gamma_growth(seq).growth_consistent is TriBool.TRUE
 
 
+def test_trace_checks_false_only_past_tol():
+    """The spread and the distance to 1 are False only when their certain
+    lower bound exceeds tol; a ball that straddles tol is Unknown."""
+    from latforms.exponents import TraceEntry, _near_one
+    tol = Fraction(1, 16)
+
+    def ball(mid, rad):
+        return BallReal.from_endpoints(Fraction(mid) - Fraction(rad),
+                                       Fraction(mid) + Fraction(rad), 64)
+    # spread of the straddling pair: at most 1/16 + 1/32, at least
+    # 1/16 - 1/32; the pair beyond it spreads at least 3/16 - 1/32
+    straddle = [ball(0, Fraction(1, 64)), ball(tol, Fraction(1, 64))]
+    beyond = [ball(0, Fraction(1, 64)), ball(3 * tol, Fraction(1, 64))]
+    for values, want in ((straddle, TriBool.UNKNOWN), (beyond, TriBool.FALSE)):
+        trace = [TraceEntry(n, v) for n, v in enumerate(values)]
+        spread, ok = _oscillation(trace, tol)
+        assert ok is want
+        assert spread == max(v.upper for v in values) - min(
+            v.lower for v in values)
+        assert _near_one([ball(1, 0)] + [v + 1 for v in values], tol) is want
+    assert _near_one([ball(1, 0), ball(1 - tol, Fraction(1, 64))],
+                     tol) is TriBool.UNKNOWN
+    assert _near_one([ball(1, 0), ball(1 - 3 * tol, Fraction(1, 64))],
+                     tol) is TriBool.FALSE
+
+
 def test_report_json_at_high_precision():
     # at 16384 bits a trace's spread has a denominator of about 4900
     # digits, past Python's 4300-digit int/str limit

@@ -1,5 +1,6 @@
 """Form sequences, lattices, convex bodies, basis evaluation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,44 @@ def test_body_coordinate_frame_exact_xi():
     # boundary point fails the strict bound, decidably
     assert strict_body.contains((Fraction(1), Fraction(-1)), basis) is TriBool.FALSE
     assert body.contains((Fraction(3), Fraction(0)), basis) is TriBool.FALSE
+
+
+def _last_coordinate_constraint(point, basis, prec):
+    """|sum_j a_j xi_j + a_p| computed on its own: the oracle for the bits
+    of the form evaluator that constraint_value shares with
+    eval_at_basis."""
+    p = basis.p
+    point = [Fraction(x) for x in point]
+    exact = basis.exact_xi
+    if exact is not None:
+        s = sum((point[j] * exact[j] for j in range(p - 1)), point[p - 1])
+        return BallReal.exact(abs(s), prec)
+    balls = basis.xi_balls(prec)
+    acc = BallReal.exact(point[p - 1], prec)
+    for j in range(p - 1):
+        acc = acc + balls[j] * point[j]
+    return abs(acc)
+
+
+@pytest.mark.parametrize("xi", [("1/3",), ("2/7", "-5/3", "1/10"),
+                                ("0.7±0.001",), ("1/3", "0.25±0.0001"),
+                                ("golden",), ("sqrt(2)", "zeta3", "e")])
+@pytest.mark.parametrize("prec", [16, 64, 200])
+def test_coordinate_constraint_bits_unchanged(monkeypatch, xi, prec):
+    import latforms.model as model
+    monkeypatch.setattr(model, "eval_at_basis", None)   # must not be called
+    rng = random.Random(f"{xi}{prec}")
+    basis = Basis(tuple(parse_real(x, prec) for x in xi))
+    p = basis.p
+    body = ConvexBody(frame="coordinate", coords=tuple(range(1, p + 1)),
+                      bounds=(Bound(BallReal.exact(1), False),) * p)
+    for _ in range(60):
+        point = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                          rng.choice([1, 2, 3, 7, 64, 1000]))
+                 for _ in range(p)]
+        got = body.constraint_value(p - 1, point, basis, prec)
+        want = _last_coordinate_constraint(point, basis, prec)
+        assert (got.mid, got.rad, got.prec) == (want.mid, want.rad, want.prec)
 
 
 def test_body_sheared_frame():
