@@ -48,7 +48,9 @@ from .numerics import (
     NumericsError,
     TriBool,
     UncertifiedComparison,
+    decimal_to_int,
     fraction_to_str,
+    int_to_decimal,
     parse_real,
 )
 
@@ -77,7 +79,7 @@ def _frac(text: str) -> Fraction:
 
 def _posint(text: str) -> int:
     try:
-        v = int(text, 10)
+        v = decimal_to_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if v < 1:
@@ -118,6 +120,11 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
+    if x.__class__ is int:      # json.dumps cannot write past 4,300 digits
+        try:
+            str(x)
+        except ValueError:
+            return int_to_decimal(x)
     if isinstance(x, (int, str, bool)) or x is None:
         return x
     if hasattr(x, "to_json"):
@@ -408,21 +415,24 @@ def _config_echo(args) -> dict:
     return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
 
 
+def _error(e: Exception) -> int:
+    print(f"latforms: error: {e}", file=sys.stderr)
+    return 1
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
     except _UsageError as e:
-        print(f"latforms: error: {e}", file=sys.stderr)
-        return 1
+        return _error(e)
     # for data-path commands --output names the JSONL, so reports go to stdout
     report_out = None if getattr(args, "data_output", False) \
         else getattr(args, "output", None)
     try:
         status, result = args.handler(args)
     except _UsageError as e:
-        print(f"latforms: error: {e}", file=sys.stderr)
-        return 1
+        return _error(e)
     except InfeasibleSpec as e:
         status = "refused"
         result = {"why": str(e),
@@ -442,8 +452,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         result = {"why": str(e)}
     except (ValidationError, MissingRecord, RecordsExhausted, OSError,
             ValueError, NumericsError) as e:
-        print(f"latforms: error: {e}", file=sys.stderr)
-        return 1
+        return _error(e)
     if status is None:
         return 0  # generate already wrote its JSONL
     report = {
@@ -454,7 +463,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         "status": status,
         "result": result,
     }
-    _emit(report, report_out)
+    try:
+        _emit(report, report_out)
+    except OSError as e:
+        return _error(e)
     return _EXIT[status]
 
 

@@ -81,7 +81,8 @@ class RecordsExhausted(LookupError):
 
 class BudgetExceeded(RuntimeError):
     def __init__(self, estimate: int, budget: int):
-        super().__init__(f"estimated {estimate} candidates exceeds budget {budget}")
+        super().__init__(f"estimated {int_to_decimal(estimate)} candidates "
+                         f"exceeds budget {int_to_decimal(budget)}")
         self.estimate = estimate
         self.budget = budget
 
@@ -284,21 +285,11 @@ def _delta_matrix(seq: FormSequence, n: int) -> list[list[int]]:
 
 
 def _ball_det(M: Sequence[Sequence[BallReal]]) -> BallReal:
-    p = len(M)
-    prec = M[0][0].prec
-    total = BallReal.exact(0, prec)
-    for perm in itertools.permutations(range(p)):
-        sign = 1
-        seen = list(perm)
-        for i in range(p):            # parity by counting inversions
-            for j in range(i + 1, p):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = BallReal.exact(sign, prec)
-        for i in range(p):
-            term = term * M[i][perm[i]]
-        total = total + term
-    return total
+    """Enclosure of det M by cofactor expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * m * _ball_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j, m in enumerate(M[0]))
 
 
 @dataclass
@@ -476,13 +467,13 @@ def _prefixes(ranges: Sequence[int], free: bool = False):
             yield (m, *tail)
 
 
-def _odometer(ranges: Sequence[int], budget: int, per_prefix: int = 1):
+def _odometer(ranges: Sequence[int], budget: int):
     """The prefix odometer over |m_i| <= R_i in _signed order, keeping the
     prefixes whose first nonzero entry is positive (negating a whole point
     maps the others onto these).  Returns the candidate estimate
-    per_prefix * prod(2 R_i + 1), checked against the budget up front, and
-    the prefix iterator."""
-    estimate = per_prefix
+    prod(2 R_i + 1), checked against the budget up front, and the prefix
+    iterator."""
+    estimate = 1
     for R in ranges:
         estimate *= 2 * R + 1
     if estimate > budget:
@@ -640,7 +631,7 @@ def _threshold(Q: int, eps: Fraction, work: int):
 
 def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
                      ranges: Sequence[int], budget: int, work: int, cap: int,
-                     t_hi: Fraction, inside, per_prefix: int = 1
+                     t_hi: Fraction, inside
                      ) -> tuple[Optional[DualPoint], dict]:
     """The coordinate-frame scan: the first point in odometer order with
     a_j = m_j/delta_j on the labels (|m_j| <= R_j), a_p = kp/delta_p and 0
@@ -654,8 +645,8 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     enclosure at w bits escalated from work to cap; it returns None for a
     candidate no precision can decide, which counts as unknown at once.
     Returns the point (or None) and the counts: estimate (the budget
-    estimate, per_prefix per prefix), prefixes, checked, escalations
-    (steps past work) and unknowns.
+    estimate), prefixes, checked, escalations (steps past work) and
+    unknowns.
 
     With one label j the prefixes are the _steps of the convergent
     denominators of x = xi_j delta_p/delta_j, at whose precision the sums
@@ -663,7 +654,7 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     """
     p = basis.p
     dp = delta[p - 1]
-    estimate, steps = _odometer(ranges, budget, per_prefix)
+    estimate, steps = _odometer(ranges, budget)
     prefixes = checked = escalations = unknowns = 0
     bits = work
     if len(labels) == 1:

@@ -17,8 +17,7 @@ Each sequence keeps one table of the certified logs read off it: ln of an
 exact integer per (x, prec), and per (basis, i, prec, cap) one row per
 record of ln|L_n(e_i)| and ln Q_n at the escalated precision (_log_rows).
 estimate_tau, fit_alpha_beta, estimate_gamma_growth and check_nesterenko
-read it, so each log is computed once, and tau and the alpha, beta fit no
-longer depend on which of them runs first.  The rows are built from the
+read it, so each log is computed once.  The rows are built from the
 last record down: built first to last, the records below the first
 escalation would read the xi handle before it was refined, and the fit
 would differ from a fit made after the escalations.
@@ -26,7 +25,7 @@ would differ from a fit made after the escalations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -274,7 +273,7 @@ def fit_alpha_beta(seq: FormSequence, basis: Basis, i: int = 1,
 def _require_alpha_beta(alpha: BallReal, beta: BallReal) -> None:
     checks = [
         (tri_compare(alpha, 0), "alpha > 0"),
-        (tri_compare(BallReal.exact(1, alpha.prec), alpha), "alpha < 1"),
+        (tri_compare(1, alpha), "alpha < 1"),
         (tri_compare(beta, 1), "beta > 1"),
     ]
     for got, what in checks:

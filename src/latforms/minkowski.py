@@ -122,27 +122,17 @@ def check_condition(tau: Sequence[Num], gamma: Sequence[Num],
     """Membership in J by the sign of tau_j+gamma_j (boundary zero stays in
     J), then lhs = gamma_p + sum_J (tau_j+gamma_j) compared against 1.
 
-    All-rational input is decided exactly; ball input uses certified signs
-    and any straddling entry forces relation Unknown.
+    All-rational input is decided exactly; input with a ball has every
+    rational coerced at prec, and a straddling entry forces Unknown.
     """
     p = len(gamma)
     if len(tau) != p - 1:
         raise ValidationError(f"tau must have length {p - 1}")
-    if all(not isinstance(x, BallReal) for x in (*tau, *gamma)):
-        taus = [Fraction(t) for t in tau]
-        gammas = [Fraction(g) for g in gamma]
-        J = tuple(j + 1 for j in range(p - 1) if taus[j] + gammas[j] >= 0)
-        lhs = gammas[p - 1] + sum(taus[j - 1] + gammas[j - 1] for j in J)
-        rel = TriBool.TRUE if lhs > 1 else TriBool.FALSE
-        return ConditionReport(J=J, lhs=BallReal.exact(lhs, prec),
-                               relation=rel)
-    taus = [x if isinstance(x, BallReal) else BallReal.exact(Fraction(x), prec)
-            for x in tau]
-    gammas = [x if isinstance(x, BallReal) else BallReal.exact(Fraction(x), prec)
-              for x in gamma]
-    J: list[int] = []
-    unknown: list[int] = []
-    lhs = gammas[p - 1]
+    exact = not any(isinstance(x, BallReal) for x in (*tau, *gamma))
+    taus, gammas = ([Fraction(x) if exact else x if isinstance(x, BallReal)
+                     else BallReal.exact(Fraction(x), prec) for x in v]
+                    for v in (tau, gamma))
+    J, unknown, lhs = [], [], gammas[p - 1]
     for j in range(p - 1):
         s = taus[j] + gammas[j]
         t = tri_compare(-s, 0)          # certified s < 0
@@ -152,8 +142,8 @@ def check_condition(tau: Sequence[Num], gamma: Sequence[Num],
         elif t is TriBool.UNKNOWN:
             unknown.append(j + 1)
     rel = TriBool.UNKNOWN if unknown else tri_compare(lhs, 1)
-    return ConditionReport(J=tuple(J), lhs=lhs, relation=rel,
-                           unknown_j=tuple(unknown))
+    return ConditionReport(J=tuple(J), relation=rel, unknown_j=tuple(unknown),
+                           lhs=BallReal.exact(lhs, prec) if exact else lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +206,20 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     if body.coords[-1] != p:
         raise ValidationError("last body coordinate must be p")
     dp = delta[p - 1]
-    R = math.floor(body.bounds[-1].value.upper) // dp
+    brackets = [(b.value.lower, b.value.upper, b.strict) for b in body.bounds]
+    lo, hi, strict = brackets[-1]
+    # |step dp| <= b_p holds for certain iff step <= sure; it fails only at
+    # a strict integer hi = step dp, as steps never pass R
+    sure = (math.ceil(lo) - 1 if strict else math.floor(lo)) // dp
+    R = math.floor(hi) // dp
     if R + 1 > budget:
         raise BudgetExceeded(R + 1, budget)
-    brackets = [(b.value.lower, b.value.upper, b.strict) for b in body.bounds]
     scanned = unknowns = 0
     steps = range(R + 1)
     if len(labels) == 1:
         j = labels[0]
         qs, start, _ = _convergents(basis, j, Fraction(dp, delta[j - 1]), R,
                                     _scan_prec(prec), cap)
-        lo, _, strict = brackets[-1]
-        sure = (math.ceil(lo) - 1 if strict else math.floor(lo)) // dp
         steps = _steps(qs, min(start, sure + 1), R, lambda: unknowns)
 
     def nearest(xp: int, j: int, k: int) -> tuple[TriBool, int]:
@@ -244,10 +236,9 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
 
     for scanned, step in enumerate(steps, 1):
         xp = step * dp
-        okp = cmp_abs_le(BallReal.exact(xp, prec), *brackets[-1])
-        if okp is TriBool.FALSE:
-            break
-        if okp is TriBool.UNKNOWN:
+        if step > sure:
+            if strict and xp == hi:
+                break
             unknowns += 1
             continue
         if xp == 0:
@@ -304,8 +295,7 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
             return None                 # t_lo < |v| < t_hi: undecidable
         return out
     point, n = _coordinate_scan(basis, labels, delta, ranges, budget,
-                                _scan_prec(prec), PREC_CAP, t_hi, inside,
-                                per_prefix=2)
+                                _scan_prec(prec), PREC_CAP, t_hi, inside)
     return point, {"checked": n["checked"], "unknowns": n["unknowns"]}
 
 
@@ -336,12 +326,14 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
         raise ValidationError("slack must be positive")
     p = xi.p
     taus = [Fraction(t) for t in tau]
-    if len(taus) != p - 1 or len(delta_n) != p:
-        raise ValidationError("tau needs length p-1 and delta_n length p")
+    gamma = [Fraction(0)] * p if gamma is None else list(gamma)
+    for name, v, n in (("tau", taus, p - 1), ("delta_n", delta_n, p),
+                       ("gamma", gamma, p)):
+        if len(v) != n:
+            raise ValidationError(f"{name} needs length {n}, got {len(v)}")
     if Q_n < 2:
         raise ValidationError("need Q_n >= 2")
-    report = check_condition(taus, list(gamma) if gamma is not None
-                             else [Fraction(0)] * p, prec)
+    report = check_condition(taus, gamma, prec)
     if report.relation is not TriBool.FALSE:
         raise Refusal("condition not certified <= 1", report)
     J = list(report.J)
@@ -354,7 +346,7 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
     for j in range(1, p):
         if j not in J:
             g = Qb.pow(taus[j - 1]) * delta_n[j - 1] + Qb.pow(-2 * slack)
-            gates[f"gate_j{j}"] = tri_compare(BallReal.exact(1, wp), g)
+            gates[f"gate_j{j}"] = tri_compare(1, g)
     margin = cmp_abs_vs_power(det, Q_n, expo) <= 0      # Q_n^expo >= det
     body = _primal_body(xi, taus, Q_n, slack, wp)
     point, diag = directed_search_sheared(body, delta_n, xi, prec, budget, cap)
@@ -429,7 +421,7 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
         raise Refusal("condition not certified > 1", report)
     J = list(report.J)
     need = 1 + (len(J) + 2) * eps
-    if not _margin_above(report.lhs, need):
+    if tri_compare(report.lhs, need) is not TriBool.TRUE:
         raise Refusal(f"margin not certified above (|J|+2) eps (need > {need})",
                       report)
     expo = sum((taus[j - 1] for j in J), Fraction(0)) - 1 - (len(J) + 1) * eps
@@ -445,19 +437,13 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     inside, t_hi = _threshold(Q, eps, wp)
     point, n = _coordinate_scan(
         xi, J, delta_PhiQ, _box_ranges(delta_PhiQ, J, taus, Q, eps), budget,
-        wp, cap, t_hi, inside, per_prefix=2)
+        wp, cap, t_hi, inside)
     if point is None:
         raise SearchFailed("no certified witness in the K_Q scan",
                            n["unknowns"])
     diag = {"checked": n["checked"], "unknowns": n["unknowns"], "J": J}
     return SearchOutcome(kind="dual", point=point, certificate=cert,
                          diagnostics=diag)
-
-
-def _margin_above(lhs: BallReal, need: Fraction) -> bool:
-    if lhs.is_exact:
-        return lhs.mid > need
-    return tri_compare(lhs, need) is TriBool.TRUE
 
 
 # ---------------------------------------------------------------------------

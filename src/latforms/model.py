@@ -15,7 +15,7 @@ the evaluations against irrational xi go through ball enclosures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 

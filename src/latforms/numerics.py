@@ -691,14 +691,24 @@ def _coerce(x, prec: int) -> BallReal:
     raise TypeError(f"cannot mix BallReal with {type(x).__name__}")
 
 
-def tri_compare(x: BallReal, y: Union[BallReal, int, Fraction]) -> TriBool:
-    """Certified 'x > y': True iff inf x > sup y, False iff sup x <= inf y."""
-    y = _coerce(y, x.prec)
-    if _cmp(x._m - x._r, x._e, y._m + y._r, y._e) > 0:
-        return TriBool.TRUE
-    if _cmp(x._m + x._r, x._e, y._m - y._r, y._e) <= 0:
-        return TriBool.FALSE
-    return TriBool.UNKNOWN
+def tri_compare(x: Union[BallReal, int, Fraction],
+                y: Union[BallReal, int, Fraction]) -> TriBool:
+    """Certified 'x > y': True iff inf x > sup y, False iff sup x <= inf y,
+    for a ball, an int or a Fraction on each side, each taken as it is."""
+    if x.__class__ is BallReal:
+        if y.__class__ is BallReal:
+            if _cmp(x._m - x._r, x._e, y._m + y._r, y._e) > 0:
+                return TriBool.TRUE
+            if _cmp(x._m + x._r, x._e, y._m - y._r, y._e) <= 0:
+                return TriBool.FALSE
+        elif _cmp_q(x._m - x._r, x._e, y) > 0:
+            return TriBool.TRUE
+        elif _cmp_q(x._m + x._r, x._e, y) <= 0:
+            return TriBool.FALSE
+        return TriBool.UNKNOWN
+    if y.__class__ is BallReal:
+        return tri_compare(-y, -x)
+    return TriBool.TRUE if x > y else TriBool.FALSE
 
 
 def cmp_abs_le(val: BallReal, b_lo: Fraction, b_hi: Fraction,

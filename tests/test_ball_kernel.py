@@ -272,7 +272,44 @@ def test_mixed_operands_identical_to_fraction_oracle(x, q, n):
         _same(v - a, ov - oa)
         _same(a * v, oa * ov)
         _same_outcome(lambda: a / v, lambda: oa / ov)
-        assert tri_compare(a, v) is oracle_tri_compare(oa, ov)
+
+
+def old_tri_compare(x, y):
+    """tri_compare before it took rationals as they are: y rounded into a
+    ball at x.prec, then the endpoint comparison."""
+    if not isinstance(y, BallReal):
+        y = BallReal.exact(y, x.prec)
+    return oracle_tri_compare(x, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ball_pairs(), ball_pairs(), rationals, st.integers(-(10 ** 12), 10 ** 12),
+       st.integers(-80, 80), st.integers(1, 10 ** 6))
+def test_tri_compare_takes_rationals_as_they_are(x, y, q, n, k, t):
+    """Against a ball, an int or a dyadic (the ends of x included, where
+    ties fall) the answer is the old one; against any rational it is the
+    exact comparison with the ends of x, so never Unknown where the old
+    answer was certain, nor the opposite answer.  A rational on the left
+    and two rationals compare exactly too."""
+    a, _ = x
+    b, _ = y
+    third = Fraction(1, 3 * t) * _pow2(k)           # not dyadic
+    dyadic = [n, Fraction(n) * _pow2(k), a.lower, a.upper]
+    others = [q, a.lower + third, a.lower - third, a.upper + third,
+              a.upper - third]
+    assert tri_compare(a, b) is old_tri_compare(a, b)
+    for v in dyadic:
+        assert tri_compare(a, v) is old_tri_compare(a, v)
+    for v in dyadic + others:
+        new, old = tri_compare(a, v), old_tri_compare(a, v)
+        assert new is (TriBool.TRUE if a.lower > v else TriBool.FALSE
+                       if a.upper <= v else TriBool.UNKNOWN)
+        if old.certain:
+            assert new is old
+        assert tri_compare(v, a) is (TriBool.TRUE if v > a.upper
+                                     else TriBool.FALSE if v <= a.lower
+                                     else TriBool.UNKNOWN)
+        assert tri_compare(v, q) is (TriBool.TRUE if v > q else TriBool.FALSE)
 
 
 @settings(max_examples=300, deadline=None)

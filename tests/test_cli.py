@@ -730,6 +730,49 @@ def test_generate_past_the_int_str_digit_limit(capsys, tmp_path):
     assert res["records"] == 1600
 
 
+def test_unwritable_report_is_one_line_exit_1(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    rc, out, err = invoke(capsys, "verify", "--gen", "fibonacci-golden",
+                          "--n-max", "20", "--tau", "1", "--Q", "100",
+                          "--eps", "1/5", "--output", str(path))
+    assert rc == 1 and out == "" and not path.exists()
+    assert err.startswith("latforms: error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma", [["0"], ["0", "0", "0"]])
+def test_construct_primal_names_a_gamma_of_the_wrong_length(capsys, gamma):
+    rc, out, err = invoke(capsys, "construct-primal", "--xi", "golden",
+                          "--tau", "1", "--delta", "1", "1", "--Q", "987",
+                          "--gamma", *gamma)
+    assert rc == 1 and out == ""
+    assert err == f"latforms: error: gamma needs length 2, got {len(gamma)}\n"
+
+
+def test_budget_estimate_past_the_digit_limit_is_unknown(capsys):
+    # R = floor(Q^(tau - eps)) = 10^5400 at Q = 10^3000, tau = 2, eps = 1/5
+    rc, out, err = invoke(capsys, "verify", "--gen", "fibonacci-golden",
+                          "--n-max", "60", "--tau", "2",
+                          "--Q", "1" + "0" * 3000, "--eps", "1/5")
+    assert rc == 3, err
+    assert report_of(out)["result"]["why"] == \
+        f"estimated 2{'0' * 5399}1 candidates exceeds budget 10000000"
+
+
+@pytest.mark.parametrize("zeros", [4400, 5500])
+def test_Q_past_the_digit_limit_is_parsed_and_echoed(capsys, zeros):
+    # R = floor(Q^(4/5)) = 10^(4 zeros / 5), 2 R + 1 candidates
+    Q = "1" + "0" * zeros
+    rc, out, err = invoke(capsys, "verify", "--gen", "fibonacci-golden",
+                          "--n-max", "20", "--tau", "1", "--Q", Q,
+                          "--eps", "1/5", "--budget", "1")
+    assert rc == 3, err
+    rep = report_of(out)
+    assert rep["config"]["Q"] == [Q] and rep["config"]["budget"] == 1
+    assert rep["result"]["why"] == \
+        f"estimated 2{'0' * (4 * zeros // 5 - 1)}1 candidates exceeds budget 1"
+
+
 if __name__ == "__main__":
     # each pinned result: its two digests, then the counters of its work part
     for name, (argv, _, _) in sorted(PINNED_RESULTS.items()):

@@ -451,6 +451,53 @@ def test_check_siegel_det_and_ranks_match_each_window(case):
     assert rep.det_consistent is TriBool.TRUE
 
 
+def _permutation_det(M):
+    """_ball_det before the cofactor expansion: the sum over all p!
+    permutations, each signed by counting its inversions."""
+    p, prec = len(M), M[0][0].prec
+    total = BallReal.exact(0, prec)
+    for perm in itertools.permutations(range(p)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = BallReal.exact(sign, prec)
+        for i in range(p):
+            term = term * M[i][perm[i]]
+        total = total + term
+    return total
+
+
+_entries = st.one_of(
+    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4),
+    st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-10 ** 9, 10 ** 9),
+              st.integers(0, 40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda p: st.lists(
+    st.lists(_entries, min_size=p, max_size=p), min_size=p, max_size=p)),
+    st.sampled_from([24, 64, 96]))
+def test_ball_det_contains_the_exact_determinant(M, prec):
+    """The cofactor expansion and the permutation expansion it replaced
+    both enclose the exact determinant of rational and dyadic matrices."""
+    balls = [[BallReal.exact(q, prec) for q in row] for row in M]
+    exact = _leibniz_det(M)
+    assert criteria._ball_det(balls).contains(exact)
+    assert _permutation_det(balls).contains(exact)
+
+
+def test_det_consistent_across_sequences_and_bases():
+    """det V = (1 + sum xi_i^2) det Delta_n2 holds for every basis, as V is
+    A(xi) Delta_n2 with det A = 1 + sum xi_i^2: any enclosing determinant
+    certifies it at every n2, for the basis of the data and for others."""
+    cases = _siegel_cases()
+    others = [Basis((parse_real(x),)) for x in ("sqrt(2)", "1/3", "zeta3")]
+    for seq, basis, n1, _ in cases.values():
+        bases = [basis] + (others if seq.p == 2 else [])
+        for b in bases:
+            for n2 in range(n1, seq.records[-1].n - seq.p + 2):
+                rep = check_siegel(seq, b, n1, n2)
+                assert rep.det_consistent is TriBool.TRUE, (b, n2)
+
+
 # -- hypothesis report -------------------------------------------------------
 
 def test_check_nesterenko_fibonacci_consistent():

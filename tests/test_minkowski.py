@@ -2,12 +2,15 @@
 Minkowski certificates, refusal guards, the reciprocal sweep, and the
 directed-vs-enumeration equivalence oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latforms.numerics import BallReal, TriBool, cmp_abs_vs_power, parse_real, tri_compare
+from latforms.numerics import (BallReal, TriBool, cmp_abs_le, cmp_abs_vs_power,
+                               parse_real, tri_compare)
 from latforms.model import (
     Basis,
     Bound,
@@ -99,6 +102,35 @@ def test_condition_length_validation():
         check_condition([F(1), F(1)], [0, 0])
 
 
+def _fraction_condition(tau, gamma, prec):
+    """check_condition's former branch for all-rational input: J by
+    tau_j + gamma_j >= 0 and the relation by lhs > 1, on Fractions."""
+    p = len(gamma)
+    taus, gammas = [F(t) for t in tau], [F(g) for g in gamma]
+    J = tuple(j + 1 for j in range(p - 1) if taus[j] + gammas[j] >= 0)
+    lhs = gammas[p - 1] + sum(taus[j - 1] + gammas[j - 1] for j in J)
+    return J, BallReal.exact(lhs, prec), TriBool.TRUE if lhs > 1 else TriBool.FALSE
+
+
+_small_rationals = st.one_of(st.integers(-3, 3),
+                             st.fractions(-2, 2, max_denominator=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda p: st.tuples(
+    st.lists(_small_rationals, min_size=p - 1, max_size=p - 1),
+    st.lists(_small_rationals, min_size=p, max_size=p))),
+    st.sampled_from([16, 64, 200]))
+def test_condition_on_rationals_matches_the_fraction_branch(tg, prec):
+    """All-rational input runs the loop that ball input runs, on Fractions:
+    J, lhs, relation and unknown_j are those of the old Fraction branch,
+    boundary sums of exactly 0 and 1 included."""
+    tau, gamma = tg
+    r = check_condition(tau, gamma, prec)
+    J, lhs, rel = _fraction_condition(tau, gamma, prec)
+    assert (r.J, r.lhs, r.relation, r.unknown_j) == (J, lhs, rel, ())
+
+
 # -- primal construction -----------------------------------------------------
 
 def test_primal_rational_annihilation():
@@ -170,6 +202,9 @@ def test_primal_validations():
         construct_primal_form(HALF, [F(1), F(1)], [1, 1], 100)
     with pytest.raises(ValidationError):
         construct_primal_form(HALF, [F(1)], [1, 1], 1)
+    for gamma in ([0], [0, 0, 0]):
+        with pytest.raises(ValidationError, match="^gamma needs length 2"):
+            construct_primal_form(HALF, [F(1)], [1, 1], 100, gamma=gamma)
 
 
 def test_primal_budget_refusal():
@@ -286,6 +321,32 @@ def test_dual_budget_refusal():
     with pytest.raises(BudgetExceeded):
         construct_dual_witness(HALF, [F(2)], [0, 0], [1, 1], 10 ** 4,
                                F(1, 10), budget=50)
+
+
+def test_dual_box_within_budget_is_scanned():
+    """The dual scan and the coordinate search estimate prod(2 R_j + 1)
+    candidates, as verify does: a box of budget/2 < prod <= budget is
+    scanned, and one candidate fewer of budget refuses it."""
+    ranges = criteria._box_ranges([1, 1], [1], [F(2)], 100, F(1, 10))
+    estimate = math.prod(2 * R + 1 for R in ranges)
+    assert ranges == [6309] and estimate == 12619
+    out = construct_dual_witness(HALF, [F(2)], [0, 0], [1, 1], 100, F(1, 10),
+                                 budget=estimate)
+    assert out.point == construct_dual_witness(
+        HALF, [F(2)], [0, 0], [1, 1], 100, F(1, 10)).point
+    with pytest.raises(BudgetExceeded):
+        construct_dual_witness(HALF, [F(2)], [0, 0], [1, 1], 100, F(1, 10),
+                               budget=estimate - 1)
+    for basis, vals, estimate in ((HALF, [10, F(1, 4)], 21),
+                                  (Basis((parse_real("1/3"), parse_real("sqrt(2)"))),
+                                   [3, 4, F(1, 8)], 63)):
+        body = dyadic_body("coordinate", range(1, basis.p + 1), vals)
+        delta = [1] * basis.p
+        point, _ = directed_search_coordinate(body, delta, basis,
+                                              budget=estimate)
+        assert point == directed_search_coordinate(body, delta, basis)[0]
+        with pytest.raises(BudgetExceeded):
+            directed_search_coordinate(body, delta, basis, budget=estimate - 1)
 
 
 # -- volume certificate => success -------------------------------------------
@@ -716,6 +777,32 @@ def test_strict_zero_bound_empties_both_searches():
     direct2, _ = directed_search_sheared(body2, [1, 1], HALF)
     brute2, _, _ = enumerate_lattice_points(body2, [1, 1], HALF)
     assert direct2 is None and brute2 is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-24, 64), min_size=2, max_size=2),
+       st.integers(1, 3), st.booleans())
+def test_sheared_last_bound_is_decided_on_integers(ends, dp, strict):
+    """|x_p| <= b_p is decided on the integer x_p = step dp, with no ball:
+    every step counts as the per-step cmp_abs_le(BallReal.exact(x_p), ...)
+    counted it, on strict and non-strict brackets with integer, quarter
+    and negative ends.  The labelled bounds are negative, so no point
+    passes and the scan reports the steps it took and its unknowns."""
+    lo, hi = sorted(F(e, 4) for e in ends)
+    bounds = [Bound(BallReal.exact(-1, 64), strict=False)] * 2
+    bounds.append(Bound(BallReal.from_endpoints(lo, hi, 64), strict))
+    body = ConvexBody(frame="sheared", coords=(1, 2, 3), bounds=tuple(bounds))
+    assert (body.bounds[-1].value.lower, body.bounds[-1].value.upper) == (lo, hi)
+    scanned = unknowns = 0
+    for step in range(math.floor(hi) // dp + 1):
+        scanned += 1
+        ok = cmp_abs_le(BallReal.exact(step * dp, 64), lo, hi, strict)
+        if ok is TriBool.FALSE:
+            break
+        unknowns += ok is TriBool.UNKNOWN
+    basis = Basis((parse_real("1/2"), parse_real("sqrt(2)")))
+    assert directed_search_sheared(body, [1, 1, dp], basis) == \
+        (None, {"scanned": scanned, "unknowns": unknowns})
 
 
 def test_directed_search_frame_validation():
