@@ -44,13 +44,11 @@ from .model import Basis, MissingRecord, ValidationError
 from .numerics import (
     MIN_PREC,
     PREC_CAP,
-    BallReal,
     NumericsError,
     TriBool,
     UncertifiedComparison,
     decimal_to_int,
-    fraction_to_str,
-    int_to_decimal,
+    jsonable,
     parse_real,
 )
 
@@ -107,29 +105,6 @@ def _default_prec() -> int:
         return _bits(raw)
     except argparse.ArgumentTypeError as e:
         raise _UsageError(f"LATFORMS_PREC: {e}")
-
-
-def _jsonable(x):
-    if isinstance(x, BallReal):
-        return x.round_to(64).to_json()
-    if isinstance(x, TriBool):
-        return x.name
-    if isinstance(x, Fraction):
-        return fraction_to_str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if x.__class__ is int:      # json.dumps cannot write past 4,300 digits
-        try:
-            str(x)
-        except ValueError:
-            return int_to_decimal(x)
-    if isinstance(x, (int, str, bool)) or x is None:
-        return x
-    if hasattr(x, "to_json"):
-        return _jsonable(x.to_json())
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +227,7 @@ def _cmd_estimate(args):
                and all(b is not None for b in prof.gamma)
                and prof.growth is not None)
     return ("success" if decided else "unknown"), {
-        "records": len(seq), "p": seq.p, "profile": prof.to_json()}
+        "records": len(seq), "p": seq.p, "profile": prof}
 
 
 def _cmd_check_nesterenko(args):
@@ -261,7 +236,7 @@ def _cmd_check_nesterenko(args):
     rep = check_nesterenko(seq, basis, args.prec, args.tol, cap=args.prec_cap)
     status = {TriBool.TRUE: "holds", TriBool.FALSE: "violated",
               TriBool.UNKNOWN: "unknown"}[rep.consistent]
-    return status, rep.to_json()
+    return status, rep
 
 
 def _cmd_check_siegel(args):
@@ -270,7 +245,7 @@ def _cmd_check_siegel(args):
     rep = check_siegel(seq, basis, args.n1, args.n2, args.prec)
     ok = (rep.alpha0_ok and rep.det_nonzero and rep.rank_propagates
           and rep.det_consistent is not TriBool.FALSE)
-    return ("holds" if ok else "violated"), rep.to_json()
+    return ("holds" if ok else "violated"), rep
 
 
 def _cmd_verify(args):
@@ -286,7 +261,7 @@ def _cmd_verify(args):
         overall = "unknown"
     else:
         overall = "holds"
-    return overall, {"verdicts": [v.to_json() for v in verdicts]}
+    return overall, {"verdicts": verdicts}
 
 
 def _cmd_construct_primal(args):
@@ -295,7 +270,7 @@ def _cmd_construct_primal(args):
                                 slack=args.slack, prec=args.prec,
                                 budget=args.budget, gamma=args.gamma,
                                 cap=args.prec_cap)
-    return "success", out.to_json()
+    return "success", out
 
 
 def _cmd_construct_dual(args):
@@ -303,7 +278,7 @@ def _cmd_construct_dual(args):
     out = construct_dual_witness(basis, args.tau, args.gamma, args.delta,
                                  args.Q, args.eps, prec=args.prec,
                                  budget=args.budget, cap=args.prec_cap)
-    return "success", out.to_json()
+    return "success", out
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +377,7 @@ def build_parser() -> _Parser:
 
 
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -412,7 +387,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 
 def _config_echo(args) -> dict:
     skip = {"handler", "command", "output", "data_output"}
-    return {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _error(e: Exception) -> int:
@@ -435,15 +410,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _error(e)
     except InfeasibleSpec as e:
         status = "refused"
-        result = {"why": str(e),
-                  "condition": None if e.report is None
-                  else e.report.to_json()}
+        result = {"why": str(e), "condition": e.report}
     except Refusal as e:
         status = "refused"
-        result = {"why": str(e),
-                  "condition": None if e.report is None
-                  else e.report.to_json(),
-                  "detail": _jsonable(e.detail)}
+        result = {"why": str(e), "condition": e.report, "detail": e.detail}
     except SearchFailed as e:
         status = "unknown"
         result = {"why": str(e), "unknowns": e.unknowns}

@@ -38,8 +38,8 @@ from .numerics import (
     cmp_abs_vs_power,
     escalate,
     floor_scaled_power,
-    fraction_to_str,
     int_to_decimal,
+    jsonable,
     tri_compare,
 )
 from .model import (
@@ -307,18 +307,18 @@ class SiegelReport:
     det_consistent: TriBool       # det(L-values) vs (1+sum xi^2) det(Delta)
 
     def to_json(self) -> dict:
-        return {
+        return jsonable({
             "n1": self.n1, "n2": self.n2, "p": self.p,
             "alpha0_ok": self.alpha0_ok,
             "bad_ns": self.bad_ns,
             "det_n2": int_to_decimal(self.det_n2),
             "det_nonzero": self.det_nonzero,
             "rank_propagates": self.rank_propagates,
-            "ranks": [[n, r] for n, r in self.ranks],
-            "det_consistent": self.det_consistent.name,
-            "alpha": {str(n): [fraction_to_str(a) for a in f.alpha]
-                      for n, f in self.fits.items() if f is not None},
-        }
+            "ranks": self.ranks,
+            "det_consistent": self.det_consistent,
+            "alpha": {n: f.alpha for n, f in self.fits.items()
+                      if f is not None},
+        })
 
 
 def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
@@ -372,17 +372,14 @@ class NesterenkoReport:
     consistent: TriBool
 
     def to_json(self) -> dict:
-        return {
-            "divisor_violations": [list(v) for v in self.divisor_violations],
-            "tau": [{"i": t.i,
-                     "final": None if t.final is None else t.final.round_to(64).to_json(),
-                     "oscillation": None if t.oscillation is None
-                     else fraction_to_str(t.oscillation),
-                     "consistent": t.consistent.name}
-                    for t in self.tau],
-            "norm_consistent": self.norm_consistent.name,
-            "consistent": self.consistent.name,
-        }
+        return jsonable({
+            "divisor_violations": self.divisor_violations,
+            "tau": [{"i": t.i, "final": t.final,
+                     "oscillation": t.oscillation,
+                     "consistent": t.consistent} for t in self.tau],
+            "norm_consistent": self.norm_consistent,
+            "consistent": self.consistent,
+        })
 
 
 def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
@@ -430,14 +427,14 @@ class Verdict:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
+        return jsonable({
             "status": self.status,
-            "witness": None if self.witness is None else self.witness.to_json(),
+            "witness": self.witness,
             "Q": int_to_decimal(self.Q),
-            "eps": str(self.eps),
+            "eps": self.eps,
             "candidates_checked": self.diagnostics.get("candidates_checked", 0),
-            "diagnostics": {k: v for k, v in self.diagnostics.items()},
-        }
+            "diagnostics": self.diagnostics,
+        })
 
 
 def _signed(R: int, negative: bool = True):

@@ -35,7 +35,7 @@ from .numerics import (
     TriBool,
     UncertifiedComparison,
     escalate,
-    fraction_to_str,
+    jsonable,
     tri_compare,
 )
 from .model import Basis, FormSequence, ValidationError, eval_at_basis
@@ -91,16 +91,10 @@ class ExponentProfile:
     gamma_growth: GammaGrowth
 
     def to_json(self) -> dict:
-        def ball(b):
-            return None if b is None else b.round_to(64).to_json()
-        return {
-            "tau": [ball(b) for b in self.tau],
-            "gamma": [ball(b) for b in self.gamma],
-            "growth": ball(self.growth),
-            "oscillation": [None if t.oscillation is None
-                            else fraction_to_str(t.oscillation)
-                            for t in self.tau_traces],
-        }
+        return jsonable({
+            "tau": self.tau, "gamma": self.gamma, "growth": self.growth,
+            "oscillation": [t.oscillation for t in self.tau_traces],
+        })
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .numerics import (
     cmp_abs_vs_power,
     escalate,
     int_to_decimal,
+    jsonable,
     tri_compare,
 )
 from .model import (
@@ -110,11 +111,10 @@ class ConditionReport:
     unknown_j: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
-        return {"J": list(self.J),
-                "lhs": self.lhs.round_to(64).to_json(),
-                "relation": {"TRUE": ">1", "FALSE": "<=1",
-                             "UNKNOWN": "unknown"}[self.relation.name],
-                "unknown_j": list(self.unknown_j)}
+        return jsonable({"J": self.J, "lhs": self.lhs,
+                         "relation": {"TRUE": ">1", "FALSE": "<=1",
+                                      "UNKNOWN": "unknown"}[self.relation.name],
+                         "unknown_j": self.unknown_j})
 
 
 def check_condition(tau: Sequence[Num], gamma: Sequence[Num],
@@ -158,18 +158,11 @@ class SearchOutcome:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        pt = (self.point.to_json() if isinstance(self.point, DualPoint)
+        pt = (self.point if isinstance(self.point, DualPoint)
               else [int_to_decimal(x) for x in self.point])
-        cert = {}
-        for k, v in self.certificate.items():
-            if isinstance(v, BallReal):
-                cert[k] = v.round_to(64).to_json()
-            elif isinstance(v, TriBool):
-                cert[k] = v.name
-            else:
-                cert[k] = str(v)
-        return {"kind": self.kind, "point": pt, "certificate": cert,
-                "diagnostics": self.diagnostics}
+        return jsonable({"kind": self.kind, "point": pt,
+                         "certificate": self.certificate,
+                         "diagnostics": self.diagnostics})
 
 
 def _round_half_to_zero(q: Fraction) -> int:
@@ -303,6 +296,14 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
 # primal construction (condition <= 1)
 
 
+def _check_lengths(p: int, tau: Sequence, delta: Sequence,
+                   gamma: Sequence) -> None:
+    for name, v, n in (("tau", tau, p - 1), ("delta", delta, p),
+                       ("gamma", gamma, p)):
+        if len(v) != n:
+            raise ValidationError(f"{name} needs length {n}, got {len(v)}")
+
+
 def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
                           Q_n: int, slack: Fraction = Fraction(1, 20),
                           prec: int = 64, budget: int = 10 ** 7,
@@ -327,10 +328,7 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
     p = xi.p
     taus = [Fraction(t) for t in tau]
     gamma = [Fraction(0)] * p if gamma is None else list(gamma)
-    for name, v, n in (("tau", taus, p - 1), ("delta_n", delta_n, p),
-                       ("gamma", gamma, p)):
-        if len(v) != n:
-            raise ValidationError(f"{name} needs length {n}, got {len(v)}")
+    _check_lengths(p, taus, delta_n, gamma)
     if Q_n < 2:
         raise ValidationError("need Q_n >= 2")
     report = check_condition(taus, gamma, prec)
@@ -355,7 +353,7 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
                            diag.get("unknowns", 0))
     cert = {"volume": vol, "lattice_det": BallReal.exact(det, wp),
             "margin": TriBool.TRUE if margin else TriBool.FALSE, **gates}
-    diag.update(J=list(J), slack=str(slack))
+    diag.update(J=list(J), slack=slack)
     return SearchOutcome(kind="primal", point=point, certificate=cert,
                          diagnostics=diag)
 
@@ -412,8 +410,7 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
         raise ValidationError("eps must be positive")
     p = xi.p
     taus = [Fraction(t) for t in tau]
-    if len(taus) != p - 1 or len(delta_PhiQ) != p or len(gamma) != p:
-        raise ValidationError("need |tau| = p-1, |gamma| = |delta| = p")
+    _check_lengths(p, taus, delta_PhiQ, gamma)
     if Q < 2:
         raise ValidationError("need Q >= 2")
     report = check_condition(taus, gamma, prec)
@@ -429,9 +426,8 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     det, vol = _volume(delta_PhiQ, J, Q, expo, wp)
     if cmp_abs_vs_power(Fraction(1, det), Q, expo) >= 0:  # Q^expo det <= 1
         raise Refusal("volume certificate fails: Q too small", report,
-                      {"volume": str(vol.round_to(53)),
-                       "needed": str(1 << (len(J) + 1)),
-                       "lattice_det": f"1/{int_to_decimal(det)}"})
+                      {"volume": vol, "needed": 1 << (len(J) + 1),
+                       "lattice_det": Fraction(1, det)})
     cert = {"volume": vol, "lattice_det": BallReal.exact(Fraction(1, det), wp),
             "margin": TriBool.TRUE}
     inside, t_hi = _threshold(Q, eps, wp)

@@ -65,6 +65,7 @@ __all__ = [
     "cmp_abs_vs_power",
     "cmp_abs_le",
     "escalate",
+    "jsonable",
     "PREC_CAP",
     "POWER_BITS",
     "MIN_PREC",
@@ -936,6 +937,33 @@ def dyadic_to_decimal(q: Fraction) -> str:
     s = int_to_decimal(abs(digits)).rjust(k + 1, "0")
     sign = "-" if digits < 0 else ""
     return f"{sign}{s[:-k]}.{s[-k:]}"
+
+
+def jsonable(x):
+    """x as JSON data, the one encoding every report uses: a ball as its
+    64-bit {mid, rad, prec}, a TriBool by name, a rational as "p/q", an int
+    past the int/str digit cap as a decimal string, containers element by
+    element, and any other object by its to_json."""
+    if isinstance(x, BallReal):
+        return x.round_to(64).to_json()
+    if isinstance(x, TriBool):
+        return x.name
+    if isinstance(x, Fraction):
+        return fraction_to_str(x)
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if x.__class__ is int:      # json.dumps cannot write past 4,300 digits
+        try:
+            str(x)
+        except ValueError:
+            return int_to_decimal(x)
+    if isinstance(x, (int, str, bool)) or x is None:
+        return x
+    if hasattr(x, "to_json"):
+        return jsonable(x.to_json())
+    return str(x)
 
 
 def parse_real(expr: str, prec: int = 64) -> RealConstant:

@@ -17,7 +17,7 @@ from latforms.corpus import (GENERATORS, GeneratorSpec, dumps_jsonl,
                              gen_apery_zeta3, gen_fibonacci, gen_synthetic)
 from latforms.criteria import verify_conclusion
 from latforms.model import Basis
-from latforms.numerics import PrecisionCapExceeded, parse_real
+from latforms.numerics import BallReal, PrecisionCapExceeded, parse_real
 
 F = Fraction
 
@@ -229,6 +229,49 @@ def test_construct_dual_success(capsys):
     assert abs(a[0] * F(1, 2) + a[1]) ** 10 <= F(10000) ** (-11)
 
 
+def test_construct_dual_volume_refusal_writes_its_values(capsys):
+    # J = {1}: volume 2^2 Q^(tau_1 - 1 - 2 eps) = 4 * 100^(-3/5) < 1
+    rc, out, _ = invoke(capsys, "construct-dual", "--xi", "golden",
+                        "--tau", "1/2", "--gamma", "0", "7/10",
+                        "--delta", "1", "1", "--Q", "100", "--eps", "1/20")
+    rep = report_of(out)
+    assert rc == 2 and rep["status"] == "refused"
+    assert rep["result"]["why"] == "volume certificate fails: Q too small"
+    assert rep["result"]["condition"]["relation"] == ">1"
+    detail = rep["result"]["detail"]
+    assert sorted(detail) == ["lattice_det", "needed", "volume"]
+    assert detail["needed"] == 4 and detail["lattice_det"] == "1"
+    vol = BallReal.from_json(detail["volume"])
+    assert vol.prec == 64 and vol.rad > 0
+    assert vol.lower ** 5 <= F(4 ** 5, 100 ** 3) <= vol.upper ** 5
+
+
+@pytest.mark.parametrize("gamma,delta,err", [
+    (["0"], ["1", "1"], "gamma needs length 2, got 1"),
+    (["0", "0"], ["1"], "delta needs length 2, got 1"),
+])
+def test_construct_dual_names_the_argument_of_the_wrong_length(
+        capsys, gamma, delta, err):
+    rc, out, stderr = invoke(capsys, "construct-dual", "--xi", "golden",
+                             "--tau", "2", "--gamma", *gamma,
+                             "--delta", *delta, "--Q", "50", "--eps", "1/10")
+    assert rc == 1 and out == ""
+    assert stderr == f"latforms: error: {err}\n"
+
+
+def test_construct_dual_search_failure_is_unknown(capsys):
+    # a fixed-width xi leaves every candidate near the threshold undecided;
+    # the low cap keeps each from escalating to the default 65,536 bits
+    rc, out, _ = invoke(capsys, "construct-dual", "--xi", "0.5±0.01",
+                        "--tau", "3/2", "--gamma", "0", "0",
+                        "--delta", "1", "1", "--Q", "100", "--eps", "1/20",
+                        "--prec-cap", "128")
+    rep = report_of(out)
+    assert rc == 3 and rep["status"] == "unknown"
+    assert rep["result"] == {"why": "no certified witness in the K_Q scan",
+                             "unknowns": 6321}
+
+
 # ---------------------------------------------------------------------------
 # determinism & config plumbing
 
@@ -240,6 +283,16 @@ def test_reports_identical_modulo_timestamp(capsys):
     assert rc1 == rc2 == 0
     assert sans_timestamp(out1) == sans_timestamp(out2)
     assert '"timestamp"' in out1
+
+
+def test_verify_status_is_the_worst_verdict_over_Q(capsys):
+    rc, out, _ = invoke(capsys, "verify", "--gen", "fibonacci-golden",
+                        "--n-max", "60", "--tau", "1", "--Q", "2", "100000",
+                        "--eps", "1/5")
+    rep = report_of(out)
+    assert [v["status"] for v in rep["result"]["verdicts"]] == \
+        ["violated", "holds"]
+    assert rc == 2 and rep["status"] == "violated"
 
 
 def test_verify_report_identical(capsys):

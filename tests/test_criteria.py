@@ -659,6 +659,15 @@ def test_verify_agrees_with_enumeration_oracle():
     assert outcomes == {"holds", "violated", "unknown"}
 
 
+def test_threshold_decides_a_rational_exactly():
+    """Rational v is compared with Q^-(1+eps) exactly, on both signs:
+    2^(-3/2) = 0.35355..."""
+    inside, _ = criteria._threshold(2, Fraction(1, 2), 96)
+    assert inside(Fraction(3536, 10000), 96) is TriBool.FALSE
+    assert inside(Fraction(-3536, 10000), 96) is TriBool.FALSE
+    assert inside(Fraction(3535, 10000), 96) is TriBool.TRUE
+
+
 # -- scale reduction ---------------------------------------------------------
 
 def test_reduce_scale_golden_example():

@@ -315,3 +315,29 @@ def test_ball_exp_contains_mpmath_and_is_no_wider_than_oracle(x):
     tol = hi / (1 << (4 * x.prec + 16))
     assert out.lower - tol <= lo and hi <= out.upper + tol
     assert out.rad <= old_map(x, old_exp_bracket).rad + _mid_ulp(out)
+
+
+def test_ball_exp_aligns_ends_reduced_at_different_scales(monkeypatch):
+    """The two ends of a ball may come back at different scales; exp
+    brings the lower one to the finer scale.  The upper end returned at a
+    scale finer than the lower end's must give the same ball."""
+    balls = [BallReal.from_endpoints(Fraction(683, 1000),
+                                     Fraction(703, 1000), 64),
+             BallReal.from_endpoints(Fraction(-5, 2), Fraction(3), 96),
+             BallReal.from_endpoints(Fraction(1, 3),
+                                     Fraction(1, 3) + Fraction(1, 10 ** 20),
+                                     200)]
+    want = [b.exp() for b in balls]
+    scales = []
+
+    def finer_upper(n, e, wp):
+        lo, hi, s = _exp_bracket(n, e, wp)
+        scales.append(s)
+        if len(scales) % 2 == 0:
+            d = max(s - scales[-2], 0) + 1
+            lo, hi, s = lo << d, hi << d, s - d
+        return lo, hi, s
+
+    monkeypatch.setattr(numerics, "_exp_bracket", finer_upper)
+    assert [b.exp() for b in balls] == want
+    assert len(scales) == 2 * len(balls)
