@@ -181,14 +181,18 @@ def _basis_for(args, seq) -> Basis:
 # subcommands
 
 
-def _cmd_generate(args):
-    seq = generate(_spec_from_args(args))
-    text = dumps_jsonl(seq)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+def _write(text: str, path: Optional[str]) -> None:
+    """Write text to path as UTF-8 with "\\n" line ends, or to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _cmd_generate(args):
+    seq = generate(_spec_from_args(args))
+    _write(dumps_jsonl(seq), args.output)
     return None, None
 
 
@@ -207,8 +211,7 @@ def _cmd_roundtrip(args):
     lossless = (again.records == seq.records
                 and again.provenance == seq.provenance)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(canonical)
+        _write(canonical, args.output)
     status = "success" if lossless else "violated"
     return status, {
         "lossless": lossless,
@@ -254,13 +257,8 @@ def _cmd_verify(args):
     verdicts = [verify_conclusion(seq, basis, args.tau, Q, args.eps,
                                   args.prec, args.budget, cap=args.prec_cap)
                 for Q in args.Q]
-    statuses = [v.status for v in verdicts]
-    if "violated" in statuses:
-        overall = "violated"
-    elif "unknown" in statuses:
-        overall = "unknown"
-    else:
-        overall = "holds"
+    overall = min((v.status for v in verdicts),
+                  key=("violated", "unknown", "holds").index)
     return overall, {"verdicts": verdicts}
 
 
@@ -376,15 +374,6 @@ def build_parser() -> _Parser:
 # driver
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _config_echo(args) -> dict:
     skip = {"handler", "command", "output", "data_output"}
     return {k: v for k, v in vars(args).items() if k not in skip}
@@ -434,7 +423,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         "result": result,
     }
     try:
-        _emit(report, report_out)
+        _write(json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n",
+               report_out)
     except OSError as e:
         return _error(e)
     return _EXIT[status]

@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import IO, Callable, Optional, Sequence, Union
 
 from .minkowski import ConditionReport, check_condition
-from .model import Basis, FormRecord, FormSequence, ValidationError
-from .numerics import (BallReal, TriBool, cmp_abs_le, decimal_to_int,
-                       int_to_decimal, parse_real)
+from .model import Basis, FormRecord, FormSequence, ValidationError, _form
+from .numerics import (TriBool, cmp_abs_le, decimal_to_int, int_to_decimal,
+                       parse_real)
 
 __all__ = [
     "GENERATORS",
@@ -164,8 +164,7 @@ def _apery_sanity(n: int, ell_1: int, ell_2: int, const: str, prec: int,
     # certify |ell_1 - ell_2 * const| < 1 at the last record; needs absolute
     # precision on the order of the coefficient size
     bits = max(prec, ell_2.bit_length() + 64)
-    ball = abs(BallReal.exact(ell_1, bits)
-               - parse_real(const).at(bits) * ell_2)
+    ball = _form(Basis((parse_real(const),)), (ell_1, ell_2), 1, bits)
     if cmp_abs_le(ball, 1, 1, strict=True) is not TriBool.TRUE:
         raise AssertionError(
             f"{name}: |L_n| at n={n} not certified < 1 (generator bug)")

@@ -40,6 +40,7 @@ from .numerics import (
     floor_scaled_power,
     int_to_decimal,
     jsonable,
+    tri_all,
     tri_compare,
 )
 from .model import (
@@ -47,6 +48,7 @@ from .model import (
     DualPoint,
     FormSequence,
     ValidationError,
+    _form,
     divisor_chain_check,
     eval_at_basis,
 )
@@ -400,15 +402,8 @@ def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
         val = _ln(seq, s, prec) / _ln(seq, rec.Q, prec)
         norm_trace.append((rec.n, val))
     norm_ok = _near_one([v for _, v in norm_trace], tol)
-    parts = [t.consistent for t in taus] + [norm_ok]
-    if violations:
-        overall = TriBool.FALSE
-    elif any(x is TriBool.FALSE for x in parts):
-        overall = TriBool.FALSE
-    elif any(x is TriBool.UNKNOWN for x in parts):
-        overall = TriBool.UNKNOWN
-    else:
-        overall = TriBool.TRUE
+    overall = TriBool.FALSE if violations else \
+        tri_all([t.consistent for t in taus] + [norm_ok])
     return NesterenkoReport(divisor_violations=violations, tau=taus,
                             norm_trace=norm_trace, norm_consistent=norm_ok,
                             consistent=overall)
@@ -568,17 +563,6 @@ def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
     return DualPoint(tuple(a))
 
 
-def _prefix_ball(basis: Basis, prefix: Sequence[int], labels: Sequence[int],
-                 delta: Sequence[int], prec: int) -> BallReal:
-    """Enclosure of sum_k (m_k / delta_{j_k}) xi_{j_k} over the labels j_k."""
-    xb = basis.xi_balls(prec)
-    s = BallReal.exact(0, prec)
-    for m, j in zip(prefix, labels):
-        if m:
-            s = s + xb[j - 1] * Fraction(m, delta[j - 1])
-    return s
-
-
 def _scan_prec(prec: int) -> int:
     """Base precision of the lattice scans: prec, but at least 96 bits."""
     return max(prec, 96)
@@ -678,8 +662,8 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     def decide(w: int) -> TriBool:      # the loop's current prefix and kp
         nonlocal escalations
         escalations += w > work
-        return inside(_prefix_ball(basis, prefix, labels, delta, w)
-                      + Fraction(kp, dp), w)
+        a = _dual_point(p, labels, prefix, delta, kp).a
+        return inside(_form(basis, a, p, w), w)
 
     def counts() -> dict:
         return {"estimate": estimate, "prefixes": prefixes,

@@ -38,6 +38,7 @@ from .numerics import (
     escalate,
     int_to_decimal,
     jsonable,
+    tri_all,
     tri_compare,
 )
 from .model import (
@@ -215,17 +216,18 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
                                     _scan_prec(prec), cap)
         steps = _steps(qs, min(start, sure + 1), R, lambda: unknowns)
 
-    def nearest(xp: int, j: int, k: int) -> tuple[TriBool, int]:
+    def nearest(point: list, j: int, k: int) -> TriBool:
         """|x_p xi_j - x_j| <= b_k for the multiple x_j of delta_j nearest
-        x_p xi_j, both taken at the precision that decides the check."""
-        xj = 0
+        x_p xi_j, both taken at the precision that decides the check; x_j
+        is written into the point."""
+        xp = point[p - 1]
 
         def decide(w: int) -> TriBool:
-            nonlocal xj
             target = basis.xi_balls(w)[j - 1] * xp
-            xj = _round_half_to_zero(target.mid / delta[j - 1]) * delta[j - 1]
-            return cmp_abs_le(target - xj, *brackets[k])
-        return escalate(decide, prec, cap)[0], xj
+            d = delta[j - 1]
+            point[j - 1] = _round_half_to_zero(target.mid / d) * d
+            return cmp_abs_le(target - point[j - 1], *brackets[k])
+        return escalate(decide, prec, cap)[0]
 
     for scanned, step in enumerate(steps, 1):
         xp = step * dp
@@ -248,13 +250,10 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
             continue
         point = [0] * p
         point[p - 1] = xp
-        for k, j in enumerate(labels):
-            ok, point[j - 1] = nearest(xp, j, k)
-            if ok is not TriBool.TRUE:
-                unknowns += ok is TriBool.UNKNOWN
-                break
-        else:
+        ok = tri_all(nearest(point, j, k) for k, j in enumerate(labels))
+        if ok is TriBool.TRUE:
             return tuple(point), {"scanned": scanned, "unknowns": unknowns}
+        unknowns += ok is TriBool.UNKNOWN
     return None, {"scanned": scanned, "unknowns": unknowns}
 
 

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numerics import (BallReal, RealConstant, TriBool, cmp_abs_le,
-                       decimal_to_int, fraction_to_str, int_to_decimal)
+                       decimal_to_int, fraction_to_str, int_to_decimal,
+                       tri_all)
 
 __all__ = [
     "Basis",
@@ -324,36 +325,22 @@ class ConvexBody:
 
     def constraint_value(self, k: int, point: Sequence[Fraction], basis: Basis,
                          prec: int = 64) -> BallReal:
-        """Enclosure of the k-th constraint's left-hand side |...| at the point."""
-        p = basis.p
+        """Enclosure of the k-th constraint's left-hand side |...| at the point.
+
+        A form L(e_label) in one frame is a plain coordinate in the other:
+        |L(e_p)| and |a_j| in the coordinate frame, |L(e_j)| = |x_p xi_j -
+        x_j| and |x_p| in the sheared one."""
         label = self.coords[k]
-        point = [Fraction(x) for x in point]
-        if self.frame == "coordinate":
-            if label < p:
-                return BallReal.exact(abs(point[label - 1]), prec)
-            return abs(_form(basis, point, p, prec))
-        if label < p:
-            exact = basis.exact_xi
-            if exact is not None:
-                s = point[p - 1] * exact[label - 1] - point[label - 1]
-                return BallReal.exact(abs(s), prec)
-            balls = basis.xi_balls(prec)
-            return abs(balls[label - 1] * point[p - 1]
-                       - BallReal.exact(point[label - 1], prec))
-        return BallReal.exact(abs(point[p - 1]), prec)
+        if (self.frame == "coordinate") == (label == basis.p):
+            return abs(_form(basis, point, label, prec))
+        return BallReal.exact(abs(point[label - 1]), prec)
 
     def contains(self, point: Sequence[Fraction], basis: Basis,
                  prec: int = 64) -> TriBool:
         """Certified membership of a rational point (full p-vector)."""
         if len(point) != basis.p:
             raise ValidationError("point dimension mismatch")
-        unknown = False
-        for k, bound in enumerate(self.bounds):
-            val = self.constraint_value(k, point, basis, prec)
-            inside = cmp_abs_le(val, bound.value.lower, bound.value.upper,
-                                bound.strict)
-            if inside is TriBool.FALSE:
-                return TriBool.FALSE
-            if inside is TriBool.UNKNOWN:
-                unknown = True
-        return TriBool.UNKNOWN if unknown else TriBool.TRUE
+        return tri_all(
+            cmp_abs_le(self.constraint_value(k, point, basis, prec),
+                       bound.value.lower, bound.value.upper, bound.strict)
+            for k, bound in enumerate(self.bounds))

@@ -47,7 +47,7 @@ import re
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 __all__ = [
     "TriBool",
@@ -59,6 +59,7 @@ __all__ = [
     "parse_real",
     "refine",
     "tri_compare",
+    "tri_all",
     "nth_root_floor",
     "floor_root_rational",
     "floor_scaled_power",
@@ -710,6 +711,18 @@ def tri_compare(x: Union[BallReal, int, Fraction],
     if y.__class__ is BallReal:
         return tri_compare(-y, -x)
     return TriBool.TRUE if x > y else TriBool.FALSE
+
+
+def tri_all(values: Iterable[TriBool]) -> TriBool:
+    """Kleene conjunction: FALSE at the first FALSE, without drawing the
+    values after it; otherwise UNKNOWN if any value is, else TRUE."""
+    out = TriBool.TRUE
+    for v in values:
+        if v is TriBool.FALSE:
+            return v
+        if v is TriBool.UNKNOWN:
+            out = v
+    return out
 
 
 def cmp_abs_le(val: BallReal, b_lo: Fraction, b_hi: Fraction,

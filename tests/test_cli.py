@@ -826,6 +826,58 @@ def test_Q_past_the_digit_limit_is_parsed_and_echoed(capsys, zeros):
         f"estimated 2{'0' * (4 * zeros // 5 - 1)}1 candidates exceeds budget 1"
 
 
+
+_VERIFY = ("verify", "--gen", "fibonacci-golden", "--n-max", "20")
+_HEADERLESS = "".join(
+    f'{{"n":{n},"Q":"{q}","ell":["{a}","{q}"],"delta":["1","1"]}}\n'
+    for n, q, a in ((1, 1, 1), (2, 2, 3), (3, 3, 5)))
+_P_CHANGES = ('{"n":1,"Q":"1","ell":["1","1"],"delta":["1","1"]}\n'
+              '{"n":2,"Q":"2","ell":["3","2","1"],"delta":["1","1","1"]}\n')
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (_VERIFY + ("--tau", "1", "1", "--Q", "100", "--eps", "1/5"), None,
+     "tau must have length 1"),
+    (_VERIFY + ("--tau", "1", "--Q", "0", "--eps", "1/5"), None,
+     "argument --Q: must be positive: '0'"),
+    (_VERIFY + ("--tau", "1", "--Q", "abc", "--eps", "1/5"), None,
+     "argument --Q: not an integer: 'abc'"),
+    (("check-siegel", "--gen", "fibonacci-golden", "--n-max", "20", "--n1",
+      "5", "--n2", "3"), None, "need n1 <= n2 <= 19"),
+    (("estimate", "--gen", "synthetic-power", "--n-max", "5", "--params",
+      "[1]"), None, "--params must be a JSON object"),
+    (("construct-dual", "--xi", "golden", "--tau", "3/2", "--gamma", "0",
+      "0", "--delta", "1", "1", "--Q", "100", "--eps", "0"), None,
+     "eps must be positive"),
+    (("estimate", "--input"), _HEADERLESS,
+     "no basis available: pass --xi or an input with generator provenance"),
+    (("roundtrip", "--input"), _P_CHANGES,
+     "line 2: p=3 differs from previous p=2"),
+], ids=["tau-length", "Q-zero", "Q-not-int", "siegel-window",
+        "params-not-object", "eps-zero", "no-basis", "p-changes"])
+def test_usage_error_is_its_one_line(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "in.jsonl"
+        path.write_text(text)
+        argv += (str(path),)
+    rc, out, err = invoke(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"latforms: error: {message}\n"
+
+
+def test_construct_primal_step_with_a_label_certainly_out_is_not_unknown(
+        capsys):
+    """The step whose first label stays undecided at --prec-cap 256 while
+    its second certainly fails is excluded, not counted unknown."""
+    rc, out, err = invoke(capsys, "construct-primal", "--xi", "0.5±0.01",
+                          "sqrt(2)", "--tau", "1/4", "3/4", "--delta", "1",
+                          "1", "1", "--Q", "100", "--prec-cap", "256")
+    assert rc == 0, err
+    res = report_of(out)["result"]
+    assert res["point"] == ["6", "17", "12"]
+    assert (res["diagnostics"]["scanned"], res["diagnostics"]["unknowns"]) \
+        == (13, 0)
+
 if __name__ == "__main__":
     # each pinned result: its two digests, then the counters of its work part
     for name, (argv, _, _) in sorted(PINNED_RESULTS.items()):

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from math import factorial, prod
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -666,6 +667,61 @@ def test_threshold_decides_a_rational_exactly():
     assert inside(Fraction(3536, 10000), 96) is TriBool.FALSE
     assert inside(Fraction(-3536, 10000), 96) is TriBool.FALSE
     assert inside(Fraction(3535, 10000), 96) is TriBool.TRUE
+
+
+def _old_prefix_ball(basis, prefix, labels, delta, prec):
+    """sum_k (m_k / delta_{j_k}) xi_{j_k} over the labels j_k, summed as the
+    coordinate scan summed it before its candidates' values came from the
+    one form evaluator; kept as the oracle."""
+    xb = basis.xi_balls(prec)
+    s = BallReal.exact(0, prec)
+    for m, j in zip(prefix, labels):
+        if m:
+            s = s + xb[j - 1] * Fraction(m, delta[j - 1])
+    return s
+
+
+_MP_XI = {"golden": lambda: (1 + mpmath.sqrt(5)) / 2,
+          "sqrt(2)": lambda: mpmath.sqrt(2), "zeta3": lambda: mpmath.zeta(3),
+          "e": lambda: mpmath.e, "1/3": lambda: mpmath.mpf(1) / 3}
+
+
+@pytest.mark.parametrize("xi", [("golden",), ("sqrt(2)", "1/3"),
+                                ("1/3", "zeta3", "e")])
+@pytest.mark.parametrize("prec", [16, 96, 200])
+def test_scan_candidate_value_matches_the_prefix_sum(xi, prec):
+    """A candidate's value is _form(basis, a, p, w) of its dual point a: the
+    old prefix sum plus a_p bit for bit when at most one label is nonzero
+    (the two terms are added exactly and rounded once, in either order),
+    and otherwise, summed in another order, a ball of the same value: both
+    hold the one mpmath gives at 4x the precision."""
+    rng = random.Random(f"{xi}{prec}")
+    basis = Basis(tuple(parse_real(x) for x in xi))
+    p = basis.p
+    with mpmath.workprec(4 * prec):
+        x = [_MP_XI[e]() for e in xi]
+    for _ in range(100):
+        labels = sorted(rng.sample(range(1, p), rng.randint(1, p - 1)))
+        delta = [rng.randint(1, 5) for _ in range(p)]
+        prefix = [rng.choice([0, rng.randint(-10 ** 4, 10 ** 4)])
+                  for _ in labels]
+        kp = rng.randint(-10 ** 4, 10 ** 4)
+        a = criteria._dual_point(p, labels, prefix, delta, kp).a
+        got = criteria._form(basis, a, p, prec)
+        want = (_old_prefix_ball(basis, prefix, labels, delta, prec)
+                + Fraction(kp, delta[p - 1]))
+        if sum(m != 0 for m in prefix) <= 1:
+            assert (got._m, got._r, got._e, got.prec) == \
+                (want._m, want._r, want._e, want.prec)
+        with mpmath.workprec(4 * prec):
+            ref = mpmath.mpf(a[p - 1].numerator) / a[p - 1].denominator
+            for j in range(p - 1):
+                ref += x[j] * a[j].numerator / a[j].denominator
+            sign, man, exp, _ = ref._mpf_
+        ref = Fraction(-man if sign else man) * Fraction(2) ** exp
+        tol = (abs(ref) + 1) / 2 ** (4 * prec - 4)   # mpmath's own rounding
+        for ball in (got, want):
+            assert ball.lower - tol <= ref <= ball.upper + tol
 
 
 # -- scale reduction ---------------------------------------------------------

@@ -696,6 +696,21 @@ def test_sheared_walk_visits_the_steps_the_top_bound_leaves_open(monkeypatch):
     assert slow == (None, {"scanned": 11, "unknowns": 5})
 
 
+def test_sheared_step_with_a_label_certainly_out_is_not_unknown():
+    """A step is folded over its labels as contains folds its constraints:
+    a step whose label 1 stays undecided but whose label 2 certainly fails
+    is excluded, not unknown.  The walk then counts the unknowns the
+    enumeration oracle counts; it used to stop at label 1 and count 18."""
+    basis = Basis((parse_real("0.5±0.01"), parse_real("1/3")))
+    body = ConvexBody(frame="sheared", coords=(1, 2, 3), bounds=tuple(
+        Bound(BallReal.exact(b, 96), strict=False)
+        for b in (F(1, 20), F(1, 100), F(40))))
+    assert directed_search_sheared(body, [1, 1, 1], basis, prec=64, cap=256) \
+        == (None, {"scanned": 41, "unknowns": 6})
+    assert enumerate_lattice_points(body, [1, 1, 1], basis, prec=64)[:2] \
+        == (None, 6)
+
+
 def test_coordinate_range_from_certified_end():
     # |a_1| <= b with b only known to lie in [9/10, 21/10]: no a_1 != 0 is
     # certified inside, so neither search may return a point

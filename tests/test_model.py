@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from latforms.numerics import BallReal, TriBool, parse_real
+from latforms.numerics import BallReal, TriBool, cmp_abs_le, parse_real
 from latforms.model import (
     Basis,
     Bound,
@@ -239,6 +240,106 @@ def test_coordinate_constraint_bits_unchanged(monkeypatch, xi, prec):
         got = body.constraint_value(p - 1, point, basis, prec)
         want = _last_coordinate_constraint(point, basis, prec)
         assert (got.mid, got.rad, got.prec) == (want.mid, want.rad, want.prec)
+
+
+def _old_sheared_constraint(label, point, basis, prec):
+    """The sheared frame's own arithmetic, which constraint_value carried
+    before every form came from the one evaluator: |x_p xi_j - x_j| for a
+    label j < p, |x_p| for p."""
+    p = basis.p
+    point = [Fraction(x) for x in point]
+    if label < p:
+        exact = basis.exact_xi
+        if exact is not None:
+            s = point[p - 1] * exact[label - 1] - point[label - 1]
+            return BallReal.exact(abs(s), prec)
+        balls = basis.xi_balls(prec)
+        return abs(balls[label - 1] * point[p - 1]
+                   - BallReal.exact(point[label - 1], prec))
+    return BallReal.exact(abs(point[p - 1]), prec)
+
+
+def _old_contains(body, point, basis, prec):
+    """The flag loop contains ran before it folded through tri_all."""
+    unknown = False
+    for k, bound in enumerate(body.bounds):
+        val = _old_sheared_constraint(body.coords[k], point, basis, prec)
+        inside = cmp_abs_le(val, bound.value.lower, bound.value.upper,
+                            bound.strict)
+        if inside is TriBool.FALSE:
+            return TriBool.FALSE
+        if inside is TriBool.UNKNOWN:
+            unknown = True
+    return TriBool.UNKNOWN if unknown else TriBool.TRUE
+
+
+_MP = {"golden": lambda: (1 + mpmath.sqrt(5)) / 2,
+       "sqrt(2)": lambda: mpmath.sqrt(2), "sqrt(3)": lambda: mpmath.sqrt(3),
+       "zeta3": lambda: mpmath.zeta(3), "e": lambda: mpmath.e}
+
+
+def _mpf_fraction(v):
+    sign, man, exp, _ = mpmath.mpf(v)._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _mp_xi(expr):
+    """xi at mpmath's working precision, or None for a fixed-width one."""
+    if expr in _MP:
+        return _MP[expr]()
+    if "±" in expr:
+        return None
+    q = Fraction(expr)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("xi", [("golden",), ("sqrt(2)", "1/3"),
+                                ("sqrt(3)", "zeta3", "e"), ("2/7", "5/8"),
+                                ("0.7±0.001",), ("1/3", "0.25±0.0001")])
+@pytest.mark.parametrize("prec", [16, 64, 200])
+def test_sheared_constraint_matches_its_old_branch(xi, prec):
+    """Each sheared constraint is the one evaluator's |L(e_j)| or an exact
+    |x_p|.  Its radius is the old branch's, unless the value straddles zero
+    (then both are [0, sup]), and both balls hold the value mpmath gives at
+    4x the precision.  The midpoint may move by one rounding step, since
+    x_j - x_p xi_j is rounded where x_p xi_j - x_j was and halves round
+    up; so contains answers as the old branch did, unless a bound lies
+    between an end of the new ball and the same end of the old one."""
+    rng = random.Random(f"{xi}{prec}")
+    basis = Basis(tuple(parse_real(x, prec) for x in xi))
+    p = basis.p
+    mids = [float(b.mid) for b in basis.xi_balls(prec)]
+    with mpmath.workprec(4 * prec):
+        x = [_mp_xi(e) for e in xi]
+    for _ in range(60):
+        xp = rng.randint(-10 ** 4, 10 ** 4)
+        point = [round(xp * m) + rng.choice([rng.randint(-10 ** 4, 10 ** 4),
+                                             Fraction(rng.randint(-3, 3),
+                                                      rng.choice([1, 3, 64]))])
+                 for m in mids]
+        point.append(xp)
+        old = [_old_sheared_constraint(j, point, basis, prec)
+               for j in range(1, p + 1)]
+        body = ConvexBody("sheared", tuple(range(1, p + 1)), tuple(
+            Bound(BallReal.exact(rng.choice([v.lower, v.upper, v.mid,
+                                             Fraction(rng.randrange(64), 16)]),
+                                 256), rng.random() < 0.5) for v in old))
+        new = [body.constraint_value(k, point, basis, prec) for k in range(p)]
+        if body.contains(point, basis, prec) is not \
+                _old_contains(body, point, basis, prec):
+            assert any(min(e) <= b.value.mid <= max(e)
+                       for b, g, w in zip(body.bounds, new, old)
+                       for e in ((g.lower, w.lower), (g.upper, w.upper)))
+        for k, (got, want) in enumerate(zip(new, old)):
+            assert got.rad == want.rad or got.lower == want.lower == 0
+            if k < p - 1 and x[k] is None:
+                continue
+            with mpmath.workprec(4 * prec):
+                ref = _mpf_fraction(abs(point[p - 1] * x[k] - point[k])
+                                    if k < p - 1 else abs(point[p - 1]))
+            tol = (ref + 1) / 2 ** (4 * prec - 2)   # mpmath's own rounding
+            for ball in (got, want):
+                assert ball.lower - tol <= ref <= ball.upper + tol
 
 
 def test_body_sheared_frame():

@@ -32,6 +32,7 @@ from latforms.numerics import (
     nth_root_floor,
     parse_real,
     refine,
+    tri_all,
     tri_compare,
 )
 
@@ -175,6 +176,35 @@ def test_tribool_is_not_a_bool():
     with pytest.raises(TypeError):
         bool(TriBool.UNKNOWN)
     assert TriBool.TRUE.certain and not TriBool.UNKNOWN.certain
+
+
+T, U, FF = TriBool.TRUE, TriBool.UNKNOWN, TriBool.FALSE
+
+
+@pytest.mark.parametrize("x, y, want", [
+    (T, T, T), (T, U, U), (T, FF, FF),
+    (U, T, U), (U, U, U), (U, FF, FF),
+    (FF, T, FF), (FF, U, FF), (FF, FF, FF),
+])
+def test_tri_all_truth_table(x, y, want):
+    assert tri_all([x, y]) is want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(list(TriBool)), max_size=8))
+def test_tri_all_is_kleene_and_stops_at_the_first_false(values):
+    """FALSE < UNKNOWN < TRUE, tri_all is the least value (TRUE when there
+    are none), and nothing after the first FALSE is drawn."""
+    drawn = []
+
+    def lazily():
+        for v in values:
+            drawn.append(v)
+            yield v
+    order = (FF, U, T)
+    assert tri_all(lazily()) is min(values, key=order.index, default=T)
+    stop = values.index(FF) + 1 if FF in values else len(values)
+    assert drawn == values[:stop]
 
 
 # ---------------------------------------------------------------------------
