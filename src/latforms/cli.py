@@ -11,6 +11,7 @@ the timestamp field, which is excluded from identity comparisons.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -111,16 +112,19 @@ def _default_prec() -> int:
 # input plumbing
 
 
-def _add_common(sp, *, budget: bool = False) -> None:
+def _add_common(sp, *, cap: bool = True, budget: bool = False) -> None:
     sp.add_argument("--prec", type=_bits, default=_default_prec(),
                     metavar="BITS",
                     help="working precision (default 64 or $LATFORMS_PREC)")
-    sp.add_argument("--prec-cap", type=_bits, default=PREC_CAP,
-                    dest="prec_cap", metavar="BITS",
-                    help=f"precision-escalation ceiling (default {PREC_CAP})")
+    if cap:
+        sp.add_argument("--prec-cap", type=_bits, default=PREC_CAP,
+                        dest="prec_cap", metavar="BITS",
+                        help=f"precision-escalation cap (default {PREC_CAP})")
     if budget:
         sp.add_argument("--budget", type=_posint, default=10 ** 7,
-                        help="candidate budget for scans (default 10^7)")
+                        help="box a scan may walk, checked up front: prod(2 "
+                             "R_j + 1) prefixes (verify, construct-dual), R "
+                             "+ 1 x_p steps (construct-primal) (default 10^7)")
     sp.add_argument("--output", metavar="PATH",
                     help="write output here instead of stdout")
 
@@ -158,21 +162,27 @@ def _load_sequence(args):
     if bool(args.input) == bool(args.gen):
         raise _UsageError("exactly one of --input / --gen is required")
     if args.input:
+        if args.n_max is not None or args.params is not None:
+            raise _UsageError("--n-max and --params need --gen, not --input")
         return import_jsonl(args.input)
     return generate(_spec_from_args(args))
 
 
 def _basis_for(args, seq) -> Basis:
+    """The basis of --xi or of the input's generator, capped at --prec-cap."""
+    cap = getattr(args, "prec_cap", PREC_CAP)   # check-siegel has no cap
     if args.xi:
         try:
-            return Basis(tuple(parse_real(x, args.prec) for x in args.xi))
+            return Basis(tuple(parse_real(x, args.prec) for x in args.xi),
+                         cap)
         except ValueError as e:
             raise _UsageError(str(e))
     prov = seq.provenance
     if isinstance(prov, dict) and prov.get("generator") in GENERATORS:
         # default_basis reads the name and the params, not n_max
-        return default_basis(GeneratorSpec(prov["generator"], 3,
-                                           dict(prov.get("params", {}))))
+        basis = default_basis(GeneratorSpec(prov["generator"], 3,
+                                            dict(prov.get("params", {}))))
+        return dataclasses.replace(basis, cap=cap)
     raise _UsageError("no basis available: pass --xi or an input with "
                       "generator provenance")
 
@@ -225,10 +235,9 @@ def _cmd_roundtrip(args):
 def _cmd_estimate(args):
     seq = _load_sequence(args)
     basis = _basis_for(args, seq)
-    prof = profile(seq, basis, args.prec, args.tol, cap=args.prec_cap)
-    decided = (all(b is not None for b in prof.tau)
-               and all(b is not None for b in prof.gamma)
-               and prof.growth is not None)
+    prof = profile(seq, basis, args.prec, args.tol)
+    # gamma and growth end at records with Q >= 2, so only tau can be None
+    decided = all(b is not None for b in prof.tau)
     return ("success" if decided else "unknown"), {
         "records": len(seq), "p": seq.p, "profile": prof}
 
@@ -236,7 +245,7 @@ def _cmd_estimate(args):
 def _cmd_check_nesterenko(args):
     seq = _load_sequence(args)
     basis = _basis_for(args, seq)
-    rep = check_nesterenko(seq, basis, args.prec, args.tol, cap=args.prec_cap)
+    rep = check_nesterenko(seq, basis, args.prec, args.tol)
     status = {TriBool.TRUE: "holds", TriBool.FALSE: "violated",
               TriBool.UNKNOWN: "unknown"}[rep.consistent]
     return status, rep
@@ -255,7 +264,7 @@ def _cmd_verify(args):
     seq = _load_sequence(args)
     basis = _basis_for(args, seq)
     verdicts = [verify_conclusion(seq, basis, args.tau, Q, args.eps,
-                                  args.prec, args.budget, cap=args.prec_cap)
+                                  args.prec, args.budget)
                 for Q in args.Q]
     overall = min((v.status for v in verdicts),
                   key=("violated", "unknown", "holds").index)
@@ -266,8 +275,7 @@ def _cmd_construct_primal(args):
     basis = _basis_for(args, None)
     out = construct_primal_form(basis, args.tau, args.delta, args.Q,
                                 slack=args.slack, prec=args.prec,
-                                budget=args.budget, gamma=args.gamma,
-                                cap=args.prec_cap)
+                                budget=args.budget, gamma=args.gamma)
     return "success", out
 
 
@@ -275,12 +283,24 @@ def _cmd_construct_dual(args):
     basis = _basis_for(args, None)
     out = construct_dual_witness(basis, args.tau, args.gamma, args.delta,
                                  args.Q, args.eps, prec=args.prec,
-                                 budget=args.budget, cap=args.prec_cap)
+                                 budget=args.budget)
     return "success", out
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_construction(sub, name: str, summary: str, handler):
+    """A construct-* subcommand with the flags both constructions take."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument("--xi", nargs="+", metavar="EXPR", required=True)
+    sp.add_argument("--tau", nargs="+", type=_frac, required=True)
+    sp.add_argument("--delta", nargs="+", type=_posint, required=True)
+    sp.add_argument("--Q", type=_posint, required=True)
+    _add_common(sp, budget=True)
+    sp.set_defaults(handler=handler)
+    return sp
 
 
 def build_parser() -> _Parser:
@@ -295,25 +315,20 @@ def build_parser() -> _Parser:
     sp.add_argument("--gen", choices=GENERATORS, required=True)
     sp.add_argument("--n-max", dest="n_max", type=_posint, required=True)
     sp.add_argument("--params", metavar="JSON")
-    sp.add_argument("--prec", type=_bits, default=_default_prec())
-    sp.add_argument("--output", metavar="PATH")
+    _add_common(sp, cap=False)
     sp.set_defaults(handler=_cmd_generate, data_output=True)
 
-    sp = sub.add_parser("estimate",
-                        help="exponent profile (tau, gamma, growth)")
-    _add_input(sp)
-    sp.add_argument("--tol", type=_frac, default=Fraction(1, 20),
-                    help="oscillation tolerance (default 1/20)")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_estimate)
-
-    sp = sub.add_parser("check-nesterenko",
-                        help="hypothesis report: divisor chains, decay "
-                             "traces, norm growth")
-    _add_input(sp)
-    sp.add_argument("--tol", type=_frac, default=Fraction(1, 20))
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_check_nesterenko)
+    for name, summary, handler in (
+            ("estimate", "exponent profile (tau, gamma, growth)",
+             _cmd_estimate),
+            ("check-nesterenko", "hypothesis report: divisor chains, decay "
+             "traces, norm growth", _cmd_check_nesterenko)):
+        sp = sub.add_parser(name, help=summary)
+        _add_input(sp)
+        sp.add_argument("--tol", type=_frac, default=Fraction(1, 20),
+                        help="oscillation tolerance (default 1/20)")
+        _add_common(sp)
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("check-siegel",
                         help="recurrence fits, alpha_0(n) != 0, exact "
@@ -321,7 +336,7 @@ def build_parser() -> _Parser:
     _add_input(sp)
     sp.add_argument("--n1", type=_posint, required=True)
     sp.add_argument("--n2", type=_posint, required=True)
-    _add_common(sp)
+    _add_common(sp, cap=False)
     sp.set_defaults(handler=_cmd_check_siegel)
 
     sp = sub.add_parser("verify",
@@ -334,30 +349,18 @@ def build_parser() -> _Parser:
     _add_common(sp, budget=True)
     sp.set_defaults(handler=_cmd_verify)
 
-    sp = sub.add_parser("construct-primal",
-                        help="small form in the divisor lattice via "
-                             "directed Minkowski search")
-    sp.add_argument("--xi", nargs="+", metavar="EXPR", required=True)
-    sp.add_argument("--tau", nargs="+", type=_frac, required=True)
-    sp.add_argument("--delta", nargs="+", type=_posint, required=True)
-    sp.add_argument("--Q", type=_posint, required=True)
+    sp = _add_construction(sub, "construct-primal",
+                           "small form in the divisor lattice via directed "
+                           "Minkowski search", _cmd_construct_primal)
     sp.add_argument("--gamma", nargs="+", type=_frac,
                     help="asymptotic divisor exponents (default all zero)")
     sp.add_argument("--slack", type=_frac, default=Fraction(1, 20))
-    _add_common(sp, budget=True)
-    sp.set_defaults(handler=_cmd_construct_primal)
 
-    sp = sub.add_parser("construct-dual",
-                        help="dual witness violating the conclusion at "
-                             "scale Q")
-    sp.add_argument("--xi", nargs="+", metavar="EXPR", required=True)
-    sp.add_argument("--tau", nargs="+", type=_frac, required=True)
+    sp = _add_construction(sub, "construct-dual",
+                           "dual witness violating the conclusion at scale "
+                           "Q", _cmd_construct_dual)
     sp.add_argument("--gamma", nargs="+", type=_frac, required=True)
-    sp.add_argument("--delta", nargs="+", type=_posint, required=True)
-    sp.add_argument("--Q", type=_posint, required=True)
     sp.add_argument("--eps", type=_frac, required=True)
-    _add_common(sp, budget=True)
-    sp.set_defaults(handler=_cmd_construct_dual)
 
     sp = sub.add_parser("roundtrip",
                         help="canonicalize a JSONL file and certify the "

@@ -51,10 +51,6 @@ __all__ = [
     "import_jsonl",
 ]
 
-GENERATORS = ("fibonacci-golden", "apery-zeta3", "apery-zeta2",
-              "synthetic-power")
-
-
 class InfeasibleSpec(ValueError):
     """The requested exponents cannot be realized by integer forms.
 
@@ -328,24 +324,28 @@ def sweep_conditions(t_grid: Sequence[Sequence], g_grid: Sequence[Sequence],
 # dispatch
 
 
+# each family by name: its generator of a spec, and the named constant its
+# forms are small against (None: the spec's own xi)
+_FAMILIES = {
+    "fibonacci-golden": (lambda spec: gen_fibonacci(spec.n_max), "golden"),
+    "apery-zeta3": (lambda spec: gen_apery_zeta3(
+        spec.n_max, spec.params.get("prec", 64)), "zeta3"),
+    "apery-zeta2": (lambda spec: gen_apery_zeta2(
+        spec.n_max, spec.params.get("prec", 64)), "zeta2"),
+    "synthetic-power": (gen_synthetic, None),
+}
+GENERATORS = tuple(_FAMILIES)
+
+
 def generate(spec: GeneratorSpec) -> FormSequence:
-    if spec.name == "fibonacci-golden":
-        return gen_fibonacci(spec.n_max)
-    if spec.name == "apery-zeta3":
-        return gen_apery_zeta3(spec.n_max, spec.params.get("prec", 64))
-    if spec.name == "apery-zeta2":
-        return gen_apery_zeta2(spec.n_max, spec.params.get("prec", 64))
-    return gen_synthetic(spec)
+    return _FAMILIES[spec.name][0](spec)
 
 
 def default_basis(spec: GeneratorSpec) -> Basis:
     """The basis each generator's forms are small against."""
-    if spec.name == "fibonacci-golden":
-        return Basis((parse_real("golden"),))
-    if spec.name == "apery-zeta3":
-        return Basis((parse_real("zeta3"),))
-    if spec.name == "apery-zeta2":
-        return Basis((parse_real("zeta2"),))
+    const = _FAMILIES[spec.name][1]
+    if const is not None:
+        return Basis((parse_real(const),))
     xi = spec.params.get("xi")
     if not xi:
         raise ValidationError("synthetic-power spec has no xi")

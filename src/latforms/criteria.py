@@ -32,7 +32,6 @@ from typing import Optional, Sequence, Union
 
 from .numerics import (
     BallReal,
-    PREC_CAP,
     TriBool,
     cmp_abs_le,
     cmp_abs_vs_power,
@@ -385,13 +384,12 @@ class NesterenkoReport:
 
 
 def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
-                     tol: Fraction = Fraction(1, 20),
-                     cap: int = PREC_CAP) -> NesterenkoReport:
+                     tol: Fraction = Fraction(1, 20)) -> NesterenkoReport:
     """Finite-n consistency report for the three hypotheses: divisor chains,
     |L_n(e_i)| = Q_n^(-tau_i+o(1)) (trace oscillation below tol), and
     sup-norm growth ||L_n|| = Q_n^(1+o(1))."""
     violations = divisor_chain_check(seq)
-    taus = [estimate_tau(seq, basis, i, prec, tol, cap)
+    taus = [estimate_tau(seq, basis, i, prec, tol)
             for i in range(1, seq.p)]
     norm_trace: list[tuple[int, Optional[BallReal]]] = []
     for rec in seq:
@@ -512,13 +510,13 @@ def _cf_denominators(lo: Fraction, hi: Fraction, R: int) -> tuple[list[int], int
             out.append(q)
 
 
-def _convergents(basis: Basis, j: int, ratio: Fraction, R: int, work: int,
-                 cap: int) -> tuple[list[int], int, int]:
+def _convergents(basis: Basis, j: int, ratio: Fraction, R: int,
+                 work: int) -> tuple[list[int], int, int]:
     """The convergent denominators <= R of x = xi_j * ratio, the first step
     they may miss (_cf_denominators) and the precision that gave them:
     work for rational xi_j (exact Euclid), else the enclosure of xi_j
-    escalated from work to cap while a step is missed, stopping at the last
-    precision that narrowed it (a fixed-width handle does not)."""
+    escalated from work to basis.cap while a step is missed, stopping at
+    the last precision that narrowed it (a fixed-width handle does not)."""
     handle = basis.xi[j - 1]
     if handle.exact is not None:
         x = handle.exact * ratio
@@ -533,7 +531,7 @@ def _convergents(basis: Basis, j: int, ratio: Fraction, R: int, work: int,
         out = (*_cf_denominators(ball.lower * ratio, ball.upper * ratio, R), w)
         rad = ball.rad
         return TriBool.UNKNOWN if out[1] <= R else None
-    escalate(decide, work, cap)
+    escalate(decide, work, basis.cap)
     return out
 
 
@@ -611,7 +609,7 @@ def _threshold(Q: int, eps: Fraction, work: int):
 
 
 def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
-                     ranges: Sequence[int], budget: int, work: int, cap: int,
+                     ranges: Sequence[int], budget: int, work: int,
                      t_hi: Fraction, inside
                      ) -> tuple[Optional[DualPoint], dict]:
     """The coordinate-frame scan: the first point in odometer order with
@@ -623,8 +621,8 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     denominators, which makes the bracket exact).  Only the kp with |v| <=
     t_hi possible are candidates, in ascending order, kp > 0 for the zero
     prefix.  inside decides each on v exactly for rational xi, else on an
-    enclosure at w bits escalated from work to cap; it returns None for a
-    candidate no precision can decide, which counts as unknown at once.
+    enclosure at w bits escalated from work to basis.cap; a None from it
+    (no precision can decide the candidate) counts as unknown at once.
     Returns the point (or None) and the counts: estimate (the budget
     estimate), prefixes, checked, escalations (steps past work) and
     unknowns.
@@ -641,7 +639,7 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     if len(labels) == 1:
         j = labels[0]
         qs, start, bits = _convergents(basis, j, Fraction(dp, delta[j - 1]),
-                                       ranges[0], work, cap)
+                                       ranges[0], work)
         steps = ((m,) for m in _steps(qs, start, ranges[0], lambda: unknowns))
     exact_xi = basis.exact_xi
     if exact_xi is None:
@@ -686,7 +684,7 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
             if exact_xi is not None:
                 ok = inside(Fraction(s_lo + kp * step, D * S), work)
             else:
-                ok = escalate(decide, work, cap)[0]
+                ok = escalate(decide, work, basis.cap)[0]
             if ok is TriBool.TRUE:
                 return _dual_point(p, labels, prefix, delta, kp), counts()
             if ok is not TriBool.FALSE:
@@ -696,7 +694,7 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
 
 def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                       Q: int, eps: Rat, prec: int = 64,
-                      budget: int = 10 ** 7, cap: int = PREC_CAP) -> Verdict:
+                      budget: int = 10 ** 7) -> Verdict:
     """Exhaustively test |a_1 xi_1 + ... + a_{p-1} xi_{p-1} + a_p| > Q^(-1-eps)
     over nonzero a with delta_{i,Phi(Q)} a_i integral and |a_i| <= Q^(tau_i-eps).
 
@@ -720,16 +718,13 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     work = _scan_prec(prec)
     inside, t_hi = _threshold(Q, eps, work)
     witness, n = _coordinate_scan(basis, labels, delta, ranges, budget, work,
-                                  cap, t_hi, inside)
+                                  t_hi, inside)
     diag = {"candidates_checked": n["checked"], "prefixes": n["prefixes"],
-            "budget_estimate": n["estimate"]}
-    if witness is not None:
-        if basis.exact_xi is None:      # exact sums report no escalations
-            diag["escalations"] = n["escalations"]
-        return Verdict("violated", witness, Q, eps, diag)
-    diag.update(escalations=n["escalations"],
-                unknown_candidates=n["unknowns"])
-    return Verdict("unknown" if n["unknowns"] else "holds", None, Q, eps, diag)
+            "budget_estimate": n["estimate"], "escalations": n["escalations"],
+            "unknown_candidates": n["unknowns"]}
+    status = ("violated" if witness is not None
+              else "unknown" if n["unknowns"] else "holds")
+    return Verdict(status, witness, Q, eps, diag)
 
 
 def _one_plus_sq(basis: Basis, prec: int) -> BallReal:

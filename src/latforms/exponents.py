@@ -14,7 +14,7 @@ alpha, beta enclosures with the preconditions 0 < alpha < 1 < beta checked,
 not assumed.
 
 Each sequence keeps one table of the certified logs read off it: ln of an
-exact integer per (x, prec), and per (basis, i, prec, cap) one row per
+exact integer per (x, prec), and per (basis, i, prec) one row per
 record of ln|L_n(e_i)| and ln Q_n at the escalated precision (_log_rows).
 estimate_tau, fit_alpha_beta, estimate_gamma_growth and check_nesterenko
 read it, so each log is computed once.  The rows are built from the
@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 from .numerics import (
     BallReal,
-    PREC_CAP,
     TriBool,
     UncertifiedComparison,
     escalate,
@@ -105,14 +104,13 @@ class MeasureBound:
 
 
 def _certified_nonzero_eval(seq: FormSequence, basis: Basis, n: int, i: int,
-                            prec: int, cap: int = PREC_CAP
-                            ) -> tuple[Optional[BallReal], int]:
-    """|L_n(e_i)| with precision doubling until 0 is excluded (or cap); None
-    when it is not, or when the form is exactly zero (no escalation helps)."""
+                            prec: int) -> tuple[Optional[BallReal], int]:
+    """|L_n(e_i)|, doubling the precision up to basis.cap until 0 is
+    excluded; None if it is not, or if the form is exactly zero."""
     def at(w):
         ball = abs(eval_at_basis(seq, basis, n, i, w))
         return ball if ball.sign() is not None else TriBool.UNKNOWN
-    ball, used = escalate(at, prec, cap)
+    ball, used = escalate(at, prec, basis.cap)
     return (ball if ball is not TriBool.UNKNOWN and ball.sign() == 1
             else None), used
 
@@ -125,15 +123,15 @@ def _ln(seq: FormSequence, x: int, prec: int) -> BallReal:
     return ln
 
 
-def _log_rows(seq: FormSequence, basis: Basis, i: int, prec: int,
-              cap: int) -> list[tuple]:
+def _log_rows(seq: FormSequence, basis: Basis, i: int,
+              prec: int) -> list[tuple]:
     """Per record: (n, used, ln|L_n(e_i)|, ln Q_n, note), both logs at the
     precision `used` that separated L_n(e_i) from 0, or None with the note
-    of a skipped record.  Built once per (basis, i, prec, cap) in the table
+    of a skipped record.  Built once per (basis, i, prec) in the table
     of seq, from the last record down: the last records escalate first,
     and RealConstant.at hands every record below a rounding of the refined
     ball, no wider than the ball it gave before."""
-    key = (basis, i, prec, cap)
+    key = (basis, i, prec)
     if key not in seq._logs:
         rows = []
         for rec in reversed(seq.records):
@@ -141,8 +139,7 @@ def _log_rows(seq: FormSequence, basis: Basis, i: int, prec: int,
                 rows.append((rec.n, prec, None, None,
                              "Q=1: log scale vanishes"))
                 continue
-            ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec,
-                                                 cap)
+            ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec)
             if ball is None:
                 rows.append((rec.n, used, None, None,
                              "enclosure of L_n(e_i) contains 0"))
@@ -154,14 +151,13 @@ def _log_rows(seq: FormSequence, basis: Basis, i: int, prec: int,
 
 
 def estimate_tau(seq: FormSequence, basis: Basis, i: int, prec: int = 64,
-                 tol: Fraction = Fraction(1, 20),
-                 cap: int = PREC_CAP) -> TauEstimate:
+                 tol: Fraction = Fraction(1, 20)) -> TauEstimate:
     """Trace of tau-hat_i(n) = -log|L_n(e_i)| / log Q_n, plus diagnostics."""
     if not 1 <= i <= seq.p - 1:
         raise ValidationError(f"i={i} must be in 1..{seq.p - 1}")
     if len(seq) < 3:
         raise ValidationError("need at least 3 records")
-    rows = _log_rows(seq, basis, i, prec, cap)
+    rows = _log_rows(seq, basis, i, prec)
     trace = [TraceEntry(n, None if ln_l is None else -(ln_l / ln_q), note)
              for n, _, ln_l, ln_q, note in rows]
     oscillation, consistent = _oscillation(trace, tol)
@@ -249,7 +245,7 @@ def fit_alpha_beta(seq: FormSequence, basis: Basis, i: int = 1,
     from zero are dropped from the fit.
     """
     usable = [(n, ln_l, ln_q) for n, _, ln_l, ln_q, _ in
-              _log_rows(seq, basis, i, prec, PREC_CAP) if ln_l is not None]
+              _log_rows(seq, basis, i, prec) if ln_l is not None]
     xs = [n for n, _, _ in usable]
     if len(xs) < 2:
         raise ValidationError("fewer than 2 usable records for the fit")
@@ -292,10 +288,9 @@ def irrationality_bound(alpha: BallReal, beta: BallReal) -> MeasureBound:
 
 
 def profile(seq: FormSequence, basis: Basis, prec: int = 64,
-            tol: Fraction = Fraction(1, 20),
-            cap: int = PREC_CAP) -> ExponentProfile:
+            tol: Fraction = Fraction(1, 20)) -> ExponentProfile:
     """Full exponent profile: every tau trace, gamma traces, growth."""
-    taus = [estimate_tau(seq, basis, i, prec, tol, cap)
+    taus = [estimate_tau(seq, basis, i, prec, tol)
             for i in range(1, seq.p)]
     gg = estimate_gamma_growth(seq, prec, tol)
     return ExponentProfile(

@@ -31,7 +31,6 @@ from typing import Optional, Sequence, Union
 
 from .numerics import (
     BallReal,
-    PREC_CAP,
     TriBool,
     cmp_abs_le,
     cmp_abs_vs_power,
@@ -179,8 +178,7 @@ def _round_half_to_zero(q: Fraction) -> int:
 
 
 def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
-                            basis: Basis, prec: int = 64,
-                            budget: int = 10 ** 7, cap: int = PREC_CAP
+                            basis: Basis, prec: int = 64, budget: int = 10 ** 7
                             ) -> tuple[Optional[tuple[int, ...]], dict]:
     """First nonzero primal point of the diagonal lattice in a sheared-frame
     box, scanning x_p = 0, d_p, 2 d_p, ... and taking the nearest multiple of
@@ -213,7 +211,7 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     if len(labels) == 1:
         j = labels[0]
         qs, start, _ = _convergents(basis, j, Fraction(dp, delta[j - 1]), R,
-                                    _scan_prec(prec), cap)
+                                    _scan_prec(prec))
         steps = _steps(qs, min(start, sure + 1), R, lambda: unknowns)
 
     def nearest(point: list, j: int, k: int) -> TriBool:
@@ -227,7 +225,7 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
             d = delta[j - 1]
             point[j - 1] = _round_half_to_zero(target.mid / d) * d
             return cmp_abs_le(target - point[j - 1], *brackets[k])
-        return escalate(decide, prec, cap)[0]
+        return escalate(decide, prec, basis.cap)[0]
 
     for scanned, step in enumerate(steps, 1):
         xp = step * dp
@@ -287,7 +285,7 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
             return None                 # t_lo < |v| < t_hi: undecidable
         return out
     point, n = _coordinate_scan(basis, labels, delta, ranges, budget,
-                                _scan_prec(prec), PREC_CAP, t_hi, inside)
+                                _scan_prec(prec), t_hi, inside)
     return point, {"checked": n["checked"], "unknowns": n["unknowns"]}
 
 
@@ -306,8 +304,8 @@ def _check_lengths(p: int, tau: Sequence, delta: Sequence,
 def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
                           Q_n: int, slack: Fraction = Fraction(1, 20),
                           prec: int = 64, budget: int = 10 ** 7,
-                          gamma: Optional[Sequence[Num]] = None,
-                          cap: int = PREC_CAP) -> SearchOutcome:
+                          gamma: Optional[Sequence[Num]] = None
+                          ) -> SearchOutcome:
     """Nonzero (ell_1..ell_p) in the diagonal lattice with
     |ell_p xi_j - ell_j| <= Q^(-tau_j+slack) for all j and
     |ell_p| <= Q^(1+slack), provided the condition certifies <= 1.
@@ -346,7 +344,7 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
             gates[f"gate_j{j}"] = tri_compare(1, g)
     margin = cmp_abs_vs_power(det, Q_n, expo) <= 0      # Q_n^expo >= det
     body = _primal_body(xi, taus, Q_n, slack, wp)
-    point, diag = directed_search_sheared(body, delta_n, xi, prec, budget, cap)
+    point, diag = directed_search_sheared(body, delta_n, xi, prec, budget)
     if point is None:
         raise SearchFailed("no certified point in the K_n scan",
                            diag.get("unknowns", 0))
@@ -393,8 +391,8 @@ def _primal_body(xi: Basis, taus: Sequence[Fraction], Q: int,
 
 def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
                            delta_PhiQ: Sequence[int], Q: int, eps: Rat,
-                           prec: int = 64, budget: int = 10 ** 7,
-                           cap: int = PREC_CAP) -> SearchOutcome:
+                           prec: int = 64, budget: int = 10 ** 7
+                           ) -> SearchOutcome:
     """Nonzero dual point with |a_j| <= Q^(tau_j-eps) on J, a_j = 0 off
     J u {p}, and |a_1 xi_1 + ... + a_p| <= Q^(-1-eps).
 
@@ -432,7 +430,7 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     inside, t_hi = _threshold(Q, eps, wp)
     point, n = _coordinate_scan(
         xi, J, delta_PhiQ, _box_ranges(delta_PhiQ, J, taus, Q, eps), budget,
-        wp, cap, t_hi, inside)
+        wp, t_hi, inside)
     if point is None:
         raise SearchFailed("no certified witness in the K_Q scan",
                            n["unknowns"])

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .numerics import (BallReal, RealConstant, TriBool, cmp_abs_le,
-                       decimal_to_int, fraction_to_str, int_to_decimal,
-                       tri_all)
+from .numerics import (BallReal, MIN_PREC, PREC_CAP, RealConstant, TriBool,
+                       cmp_abs_le, decimal_to_int, fraction_to_str,
+                       int_to_decimal, tri_all)
 
 __all__ = [
     "Basis",
@@ -53,10 +53,14 @@ class Basis:
     """The p-1 real targets xi_i, held as refinable handles."""
 
     xi: tuple[RealConstant, ...]
+    cap: int = PREC_CAP     # the precision, in bits, checks escalate up to
 
     def __post_init__(self):
         if len(self.xi) < 1:
             raise ValidationError("need at least one xi (p >= 2)")
+        if not MIN_PREC <= self.cap <= PREC_CAP:   # RealConstant.at refuses
+            raise ValidationError(f"cap {self.cap} is outside "
+                                  f"{MIN_PREC}..{PREC_CAP} bits")
 
     @property
     def p(self) -> int:
@@ -243,8 +247,8 @@ def divisor_chain_check(seq: FormSequence) -> list[tuple[int, int]]:
 
 def _form(basis: Basis, c: Sequence, i: int, prec: int) -> BallReal:
     """Enclosure of L(e_i) for the coefficients c of L: c_i - c_p xi_i for
-    i < p, sum_j c_j xi_j + c_p for i = p; exact whenever all xi are
-    rational."""
+    i < p, sum_j c_j xi_j + c_p for i = p; for all-rational xi the exact
+    value enclosed at prec, of radius 0 only when the value is dyadic."""
     p = basis.p
     exact = basis.exact_xi
     if exact is not None:
@@ -265,7 +269,7 @@ def _form(basis: Basis, c: Sequence, i: int, prec: int) -> BallReal:
 
 def eval_at_basis(seq: FormSequence, basis: Basis, n: int, i: int,
                   prec: int = 64) -> BallReal:
-    """Enclosure of L_n(e_i); exact (radius 0) whenever all xi are rational.
+    """Enclosure of L_n(e_i); for rational xi, exact iff it is dyadic.
 
     i is 1-based: i < p gives l_i - l_p xi_i, i = p gives sum l_j xi_j + l_p.
     """

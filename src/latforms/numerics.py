@@ -181,11 +181,10 @@ def floor_root_rational(num: int, den: int, n: int) -> int:
     return nth_root_floor(num // den, n)
 
 
-def _power_check(c: Fraction, base: int, expo: Fraction) -> None:
-    """Refuse the exact power c^v base^|u| (expo = u/v) past POWER_BITS."""
-    bits = (expo.denominator * (c.numerator.bit_length()
-                                + c.denominator.bit_length())
-            + abs(expo.numerator) * base.bit_length())
+def _power_check(c_bits: int, base_bits: int, expo: Fraction) -> None:
+    """Refuse the exact power c^v base^|u| (expo = u/v) past POWER_BITS,
+    given the bits of c and of base."""
+    bits = expo.denominator * c_bits + abs(expo.numerator) * base_bits
     if bits > POWER_BITS:
         raise NumericsError(f"exact power of up to {bits} bits exceeds the "
                             f"{POWER_BITS}-bit bound")
@@ -195,7 +194,8 @@ def floor_scaled_power(c: Fraction, base: int, expo: Fraction) -> int:
     """floor(c * base**expo) exactly, for c >= 0, base >= 1, rational expo."""
     if c < 0 or base < 1:
         raise ValueError("floor_scaled_power needs c >= 0, base >= 1")
-    _power_check(c, base, expo)
+    _power_check(c.numerator.bit_length() + c.denominator.bit_length(),
+                 base.bit_length(), expo)
     u, v = expo.numerator, expo.denominator
     cn, cd = c.numerator, c.denominator
     if u >= 0:
@@ -205,7 +205,8 @@ def floor_scaled_power(c: Fraction, base: int, expo: Fraction) -> int:
 
 def cmp_abs_vs_power(a: Fraction, base: int, expo: Fraction) -> int:
     """Exact sign of |a| - base**expo (-1, 0, +1); base >= 1, rational expo."""
-    _power_check(a, base, expo)
+    _power_check(a.numerator.bit_length() + a.denominator.bit_length(),
+                 base.bit_length(), expo)
     u, v = expo.numerator, expo.denominator
     lhs_n = abs(a.numerator) ** v
     lhs_d = a.denominator ** v
@@ -545,8 +546,10 @@ class BallReal:
             return self._int_pow(u)
         if self._m - self._r < 0:
             raise NumericsError("rational power of an enclosure with negative part")
-        base = self._int_pow(abs(u))
         wp = self.prec + 4
+        top = (self._m + self._r).bit_length() + max(self._e, 0)
+        _power_check(wp, top, expo)     # top^|u| shifted left by v wp bits
+        base = self._int_pow(abs(u))
         m, r, s = base._m, base._r, base._e + v * wp
         # rounding may leave the lower end of a power just below 0
         out = _span(nth_root_floor(_shift(max(m - r, 0), s), v),

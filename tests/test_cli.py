@@ -1,10 +1,12 @@
 """CLI contract tests: exit codes, report determinism, pinned examples."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from latforms.cli import run
+from latforms.cli import build_parser, run
 from latforms.corpus import (GENERATORS, GeneratorSpec, dumps_jsonl,
                              gen_apery_zeta3, gen_fibonacci, gen_synthetic)
 from latforms.criteria import verify_conclusion
@@ -34,6 +36,17 @@ def report_of(out):
 
 def sans_timestamp(out):
     return "\n".join(l for l in out.splitlines() if '"timestamp"' not in l)
+
+
+@contextlib.contextmanager
+def chdir(path):
+    """contextlib.chdir of Python 3.11+: work in path, then go back."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +432,9 @@ def test_result_digest_pinned(name):
 # but no n_max, and every generator at --prec 128.  Input files are written
 # as in.jsonl to a fresh working directory, so the config echo names the
 # same path on every run.  Print them with `PYTHONPATH=src python
-# tests/test_cli.py`.
+# tests/test_cli.py`.  The siegel-apery digest moved when check-siegel,
+# which does not escalate, stopped taking --prec-cap: its config echo no
+# longer has prec_cap.
 _SYNTH_P3 = '{"B":2,"xi":["1/3","2/5"],"t":["-1/2",null],"g":["0","0","1"]}'
 
 
@@ -473,7 +488,7 @@ PINNED_DIGESTS = {
     "roundtrip-crlf":
         "c232b83f63fb19a6f7a58d633b9b055598f8bd435aad876690b15c854e09dd13",
     "siegel-apery":
-        "879cd4af4406ec58a3a6f85a5b2390ee6684c976a68090ee58944a3f13563f8e",
+        "3007519c6515bdb8aaa97e63970bd3451e2eba15596ba38e5d3e6e168a0eaa64",
     "verify-golden":
         "635a63f1af6e93c8a2f4630d4e561b703b79cd0f8b7b9acca23cc3982a9f73b6",
     "verify-undecided":
@@ -490,7 +505,7 @@ def pinned_digest(name: str) -> str:
         rep = dict(cli_report(argv)[1])
     else:
         out = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
             if make_input is not None:
                 with open("in.jsonl", "w", encoding="utf-8",
                           newline="") as fh:
@@ -853,8 +868,21 @@ _P_CHANGES = ('{"n":1,"Q":"1","ell":["1","1"],"delta":["1","1"]}\n'
      "no basis available: pass --xi or an input with generator provenance"),
     (("roundtrip", "--input"), _P_CHANGES,
      "line 2: p=3 differs from previous p=2"),
+    (("estimate", "--n-max", "5", "--input"), _HEADERLESS,
+     "--n-max and --params need --gen, not --input"),
+    (("check-nesterenko", "--params", "{}", "--input"), _HEADERLESS,
+     "--n-max and --params need --gen, not --input"),
+    (("check-siegel", "--gen", "apery-zeta3", "--n-max", "30", "--n1", "2",
+      "--n2", "5", "--prec-cap", "128"), None,
+     "unrecognized arguments: --prec-cap 128"),
+    # 1000^(1/2 - 2/10^6), the volume, is refused before it is built
+    (("construct-dual", "--xi", "golden", "--tau", "3/2", "--gamma", "0",
+      "0", "--delta", "1", "1", "--Q", "1000", "--eps", "1/1000000"), None,
+     "exact power of up to 52499990 bits exceeds the 16777216-bit bound"),
 ], ids=["tau-length", "Q-zero", "Q-not-int", "siegel-window",
-        "params-not-object", "eps-zero", "no-basis", "p-changes"])
+        "params-not-object", "eps-zero", "no-basis", "p-changes",
+        "n-max-with-input", "params-with-input", "siegel-prec-cap",
+        "dual-tiny-eps"])
 def test_usage_error_is_its_one_line(capsys, tmp_path, argv, text, message):
     if text is not None:
         path = tmp_path / "in.jsonl"
@@ -863,6 +891,43 @@ def test_usage_error_is_its_one_line(capsys, tmp_path, argv, text, message):
     rc, out, err = invoke(capsys, *argv)
     assert rc == 1 and out == ""
     assert err == f"latforms: error: {message}\n"
+
+
+def _flag_helps(command):
+    """The help text of each flag of a subcommand, by its dest."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.help for a in sub.choices[command]._actions}
+
+
+def test_shared_flags_are_declared_once():
+    """estimate and check-nesterenko take the same flags, with the same
+    help; so do the constructions, apart from their own; check-siegel,
+    which does not escalate, takes no --prec-cap."""
+    estimate = _flag_helps("estimate")
+    assert estimate == _flag_helps("check-nesterenko")
+    assert estimate["tol"] == "oscillation tolerance (default 1/20)"
+    primal = _flag_helps("construct-primal")
+    dual = _flag_helps("construct-dual")
+    assert primal.keys() - dual.keys() == {"slack"}
+    assert dual.keys() - primal.keys() == {"eps"}
+    shared = (primal.keys() & dual.keys()) - {"gamma"}
+    assert {k: primal[k] for k in shared} == {k: dual[k] for k in shared}
+    assert "prec_cap" not in _flag_helps("check-siegel")
+
+
+def test_violated_rational_verify_writes_every_counter(capsys):
+    """A violated verdict writes the five counters the others write; exact
+    sums need no escalation."""
+    rc, out, _ = invoke(capsys, "verify", "--gen", "fibonacci-golden",
+                        "--n-max", "20", "--xi", "1/2", "--tau", "1",
+                        "--Q", "100", "--eps", "1/5")
+    verdict = report_of(out)["result"]["verdicts"][0]
+    assert rc == 2 and verdict["status"] == "violated"
+    assert verdict["witness"] == ["2", "-1"]
+    assert verdict["diagnostics"] == {
+        "candidates_checked": 1, "prefixes": 3, "budget_estimate": 79,
+        "escalations": 0, "unknown_candidates": 0}
 
 
 def test_construct_primal_step_with_a_label_certainly_out_is_not_unknown(

@@ -644,11 +644,11 @@ def test_verify_agrees_with_enumeration_oracle():
     for k in range(16):
         xi = [parse_real(str(rng.choice(dyadic))),
               parse_real(f"{float(rng.choice(dyadic))}±0.0625")]
-        basis = Basis(tuple(xi))
+        basis = Basis(tuple(xi), 256)
         taus = [rng.choice([Fraction(1, 4), Fraction(1, 2)]) for _ in xi]
         delta = tuple(rng.choice([1, 2, 4]) for _ in range(3))
         seq = FormSequence([FormRecord(n=1, Q=1, ell=delta, delta=delta)])
-        v = verify_conclusion(seq, basis, taus, 16, Fraction(1, 4), cap=256)
+        v = verify_conclusion(seq, basis, taus, 16, Fraction(1, 4))
         first, unknowns, _ = enumerate_lattice_points(
             _power_of_two_box(basis, taus, 16, Fraction(1, 4)), delta, basis)
         expect = ("violated" if first is not None
@@ -879,8 +879,8 @@ def test_convergents_escalate_and_refuse_a_fixed_width():
     asked = []
     at = golden.at
     golden.at = lambda prec: asked.append(prec) or at(prec)
-    qs, start, bits = criteria._convergents(Basis((golden,)), 1, Fraction(1),
-                                            10 ** 20, 96, 65536)
+    qs, start, bits = criteria._convergents(Basis((golden,), 65536), 1,
+                                            Fraction(1), 10 ** 20, 96)
     f = _fib(120)
     assert qs == [q for q in f[2:] if q <= 10 ** 20]
     assert (start, bits) == (10 ** 20 + 1, 192)
@@ -889,6 +889,6 @@ def test_convergents_escalate_and_refuse_a_fixed_width():
     asked.clear()
     at_fixed = fixed.at
     fixed.at = lambda prec: asked.append(prec) or at_fixed(prec)
-    assert criteria._convergents(Basis((fixed,)), 1, Fraction(1), 10 ** 6,
-                                 96, 65536) == ([1], 1, 96)
+    assert criteria._convergents(Basis((fixed,), 65536), 1, Fraction(1),
+                                 10 ** 6, 96) == ([1], 1, 96)
     assert asked == [96, 192]

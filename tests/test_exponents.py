@@ -10,7 +10,6 @@ import pytest
 import mpmath
 
 from latforms.numerics import (
-    PREC_CAP,
     BallReal,
     TriBool,
     UncertifiedComparison,
@@ -321,7 +320,7 @@ def test_report_json_at_high_precision():
 # the per-sequence log table
 
 
-def forward_tau(seq, basis, i, prec, tol=Fraction(1, 20), cap=PREC_CAP):
+def forward_tau(seq, basis, i, prec, tol=Fraction(1, 20)):
     """Oracle: estimate_tau as one loop over the records, first to last,
     each record evaluated and logged on its own."""
     trace = []
@@ -330,7 +329,7 @@ def forward_tau(seq, basis, i, prec, tol=Fraction(1, 20), cap=PREC_CAP):
         if rec.Q == 1:
             trace.append(TraceEntry(rec.n, None, "Q=1: log scale vanishes"))
             continue
-        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec, cap)
+        ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec)
         max_prec = max(max_prec, used)
         if ball is None:
             trace.append(TraceEntry(rec.n, None,
@@ -454,6 +453,42 @@ def test_log_table_computes_each_log_once(monkeypatch):
     assert count(estimate_tau, seq, basis, 1, prec=192) > 0
     assert count(estimate_tau, seq, Basis((parse_real("golden"),)), 1,
                  prec=128) > 0
+
+
+def _asked(handle):
+    """The precisions handle.at is asked for, appended as it is."""
+    asked = []
+    at = handle.at
+    handle.at = lambda prec: asked.append(prec) or at(prec)
+    return asked
+
+
+def test_fit_on_a_capped_basis_asks_no_more_than_its_cap():
+    """The last of 150 golden records need 256 bits to exclude 0: a fit on
+    an uncapped basis asks for them, one on a basis capped at 128 bits
+    does not."""
+    for cap, most in ((None, 256), (128, 128)):
+        golden = parse_real("golden")
+        asked = _asked(golden)
+        basis = Basis((golden,)) if cap is None else Basis((golden,), cap)
+        fit_alpha_beta(fib_seq(150), basis, 1)
+        assert max(asked) == most
+
+
+def test_fit_after_tau_on_a_capped_basis_computes_no_log(monkeypatch):
+    """estimate_tau and fit_alpha_beta read the same rows of a capped
+    basis, whose last records stay undecided at the cap."""
+    calls = []
+    log = BallReal.log
+    monkeypatch.setattr(BallReal, "log",
+                        lambda self: calls.append(self) or log(self))
+    seq = fib_seq(150)
+    basis = Basis((parse_real("golden"),), 128)
+    est = estimate_tau(seq, basis, 1)
+    assert est.precision_used == 128 and est.trace[-1].value is None
+    calls.clear()
+    fit_alpha_beta(seq, basis, 1)
+    assert calls == []
 
 
 def test_log_table_goes_with_its_sequence():

@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latforms.numerics import (BallReal, TriBool, cmp_abs_le, cmp_abs_vs_power,
-                               parse_real, tri_compare)
+from latforms.numerics import (PREC_CAP, BallReal, TriBool, cmp_abs_le,
+                               cmp_abs_vs_power, parse_real, tri_compare)
 from latforms.model import (
     Basis,
     Bound,
     ConvexBody,
     DiagonalLattice,
+    DualPoint,
     FormRecord,
     FormSequence,
     ValidationError,
@@ -449,11 +450,11 @@ def _random_xi(rng):
     return f"sqrt({rng.choice(SQRTS)})" if kind == 1 else "golden"
 
 
-def _basis(*exprs):
-    return Basis(tuple(parse_real(x) for x in exprs))
+def _basis(*exprs, cap=PREC_CAP):
+    return Basis(tuple(parse_real(x) for x in exprs), cap)
 
 
-def _linear_convergents(basis, j, ratio, R, work, cap):
+def _linear_convergents(basis, j, ratio, R, work):
     """No denominator certified and every step from 1 open: the single-label
     walk visits every step, as the linear scan does."""
     return [], min(1, R + 1), work
@@ -574,8 +575,8 @@ def test_convergent_sheared_search_matches_linear_scan(monkeypatch):
             Bound(BallReal.exact(top, 64), strict=rng.random() < 0.3)))
 
         def run():
-            point, diag = directed_search_sheared(body, delta, _basis(xi),
-                                                  cap=1024)
+            point, diag = directed_search_sheared(body, delta,
+                                                  _basis(xi, cap=1024))
             return point, diag["unknowns"]
         fast, slow = _with_and_without_convergents(monkeypatch, run)
         assert fast == slow, (xi, delta, t, top)
@@ -613,13 +614,13 @@ def test_fixed_width_xi_keeps_the_linear_counts(monkeypatch, xi):
                                    delta=(1, 1)) for k in range(3)])
 
     def run():
-        v = verify_conclusion(seq, _basis(xi), [1], 50, F(1, 4), cap=256)
+        v = verify_conclusion(seq, _basis(xi, cap=256), [1], 50, F(1, 4))
         out = [(v.status, v.witness, v.diagnostics)]
         for build in (lambda: construct_dual_witness(
-                          _basis(xi), [F(3, 2)], [0, 0], [1, 1], 40, F(1, 20),
-                          cap=256),
+                          _basis(xi, cap=256), [F(3, 2)], [0, 0], [1, 1], 40,
+                          F(1, 20)),
                       lambda: construct_primal_form(
-                          _basis(xi), [F(1, 2)], [1, 2], 300, cap=256)):
+                          _basis(xi, cap=256), [F(1, 2)], [1, 2], 300)):
             try:
                 res = build()
                 out.append((res.point, res.diagnostics))
@@ -701,11 +702,11 @@ def test_sheared_step_with_a_label_certainly_out_is_not_unknown():
     a step whose label 1 stays undecided but whose label 2 certainly fails
     is excluded, not unknown.  The walk then counts the unknowns the
     enumeration oracle counts; it used to stop at label 1 and count 18."""
-    basis = Basis((parse_real("0.5±0.01"), parse_real("1/3")))
+    basis = Basis((parse_real("0.5±0.01"), parse_real("1/3")), 256)
     body = ConvexBody(frame="sheared", coords=(1, 2, 3), bounds=tuple(
         Bound(BallReal.exact(b, 96), strict=False)
         for b in (F(1, 20), F(1, 100), F(40))))
-    assert directed_search_sheared(body, [1, 1, 1], basis, prec=64, cap=256) \
+    assert directed_search_sheared(body, [1, 1, 1], basis, prec=64) \
         == (None, {"scanned": 41, "unknowns": 6})
     assert enumerate_lattice_points(body, [1, 1, 1], basis, prec=64)[:2] \
         == (None, 6)
@@ -749,6 +750,43 @@ def test_undecidable_candidate_is_unknown_without_escalating():
     point, diag = directed_search_coordinate(body, [1, 1], Basis((golden,)))
     assert point is None and diag == {"checked": 1, "unknowns": 1}
     assert asked and max(asked) == asked[0]
+
+
+def _at_each_cap(run):
+    """(most bits asked of golden, result of run) on a golden basis at the
+    default cap, then on one capped at 128 bits."""
+    out = []
+    for cap in (PREC_CAP, 128):
+        golden = parse_real("golden")
+        asked = []
+        golden.at = lambda prec, at=golden.at: asked.append(prec) or at(prec)
+        result = run(Basis((golden,), cap))
+        out.append((max(asked), result))
+    return out
+
+
+def test_capped_basis_bounds_the_coordinate_search():
+    """The candidate 3 phi - 5 lies within 2^-200 of the last bound: it is
+    certified at 384 bits, and stays unknown on a basis capped at 128."""
+    # |3 phi - 5| = (7 - 3 sqrt 5)/2, bounded from above within 2^-200
+    t = F((7 << 200) - 3 * math.isqrt(5 << 400), 1 << 201)
+    body = ConvexBody(frame="coordinate", coords=(1, 2), bounds=(
+        Bound(BallReal.exact(3, 64), strict=False),
+        Bound(BallReal.exact(t, 256), strict=False)))
+    assert _at_each_cap(
+        lambda b: directed_search_coordinate(body, [1, 1], b)) == [
+            (384, (DualPoint((F(3), F(-5))), {"checked": 1, "unknowns": 0})),
+            (128, (None, {"checked": 1, "unknowns": 1}))]
+
+
+def test_capped_basis_bounds_the_reciprocal_construction():
+    """At Q = 10^19 the convergents of phi up to Q^(21/20) need 192 bits;
+    on a basis capped at 128 bits the walk finds the same point, the
+    convergent (F_88, F_87), without them."""
+    point = (1100087778366101931, 679891637638612258)
+    assert _at_each_cap(lambda b: reciprocal_construct(
+        [(10 ** 19, (1, 1))], b, [1], budget=10 ** 21)[0][0].outcome.point) \
+        == [(192, point), (128, point)]
 
 
 def test_coordinate_equivalence_inexact_prefix_bounds():

@@ -17,6 +17,7 @@ from latforms.model import (
     FormSequence,
     MissingRecord,
     ValidationError,
+    _form,
     divisor_chain_check,
     dual_membership,
     eval_at_basis,
@@ -158,6 +159,29 @@ def test_eval_exact_rational_annihilation():
     seq = FormSequence(recs)
     ball = eval_at_basis(seq, basis, 3, 1, prec=64)
     assert ball.is_exact and ball.mid == 0
+
+
+def test_rational_form_is_exact_only_when_its_value_is_dyadic():
+    """A rational xi gives an exact value, enclosed once at prec: radius 0
+    for 1 - 3 (1/3) = 0, a rounding around 2/3 + 3 = 11/3."""
+    basis = Basis((parse_real("1/3"),))
+    seq = FormSequence([FormRecord(n=1, Q=1, ell=(1, 3), delta=(1, 1)),
+                        FormRecord(n=2, Q=2, ell=(2, 3), delta=(1, 1))])
+    for zero in (_form(basis, (1, 3), 1, 64), eval_at_basis(seq, basis, 1, 1)):
+        assert zero.is_exact and zero.mid == 0
+    for ball in (_form(basis, (2, 3), 2, 64), eval_at_basis(seq, basis, 2, 2)):
+        assert not ball.is_exact and ball.contains(Fraction(11, 3))
+        assert 0 < ball.rad < Fraction(1, 2 ** 60)
+
+
+def test_basis_cap_is_a_precision_its_handles_accept():
+    """A cap past PREC_CAP would fail mid-scan, when RealConstant.at is
+    asked for more; one below MIN_PREC could never be asked for."""
+    xi = (parse_real("0.5±0.01"),)
+    assert Basis(xi, 16).cap == 16 and Basis(xi).cap == 65536
+    for cap in (8, 15, 65537, 1 << 17):
+        with pytest.raises(ValidationError, match=f"cap {cap} is outside"):
+            Basis(xi, cap)
 
 
 def test_eval_validations():

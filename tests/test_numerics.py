@@ -363,6 +363,16 @@ def test_exact_powers_past_the_bound_refuse():
         floor_scaled_power(Fraction(1), 2, Fraction(u + 1, 1))
 
 
+@pytest.mark.parametrize("v", [10 ** 6, 10 ** 9])
+def test_rational_ball_power_past_the_bound_refuses(v):
+    """1000^(1/2 - 2/v) at 96 bits would take a v-th root of an input of
+    about 100 v bits: refused before the power is built, with the message
+    of the exact powers."""
+    with pytest.raises(NumericsError, match=r"^exact power of up to \d+ "
+                       f"bits exceeds the {POWER_BITS}-bit bound$"):
+        BallReal.exact(1000, 96).pow(Fraction(1, 2) - Fraction(2, v))
+
+
 def test_nth_root_floor_pinned():
     assert nth_root_floor(2**60, 2) == 2**30
     assert nth_root_floor(3**45, 45) == 3
