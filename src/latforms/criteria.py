@@ -7,12 +7,12 @@ at the phi-iterated indices; matrix_condition_check certifies the
 factorial-ratio condition that forces invertibility; fit_recurrence /
 check_siegel handle the recurrence-based variant; verify_conclusion
 exhaustively tests the lower bound |a_1 xi_1 + ... + a_p| > Q^(-1-eps) over
-the admissible dual points at one concrete Q.  It runs the one
-coordinate-frame scan (_coordinate_scan, with the threshold test of
-_threshold), which minkowski's dual witness and directed_search_coordinate
-share.  With one label it walks _steps: 0 and the convergent denominators
-certified across the xi enclosure, then every step from the first one it
-may miss or from just after the first undecided one.
+the admissible dual points at one concrete Q through _dual_scan, as
+minkowski's dual witness does: the one coordinate-frame scan
+(_coordinate_scan), shared with directed_search_coordinate.  With one
+label every scan walks the steps of _walk: 0 and the convergent
+denominators certified across the xi enclosure, then every step from the
+first one it may miss or from just after the first undecided one.
 
 Everything that can be decided in exact integer/rational arithmetic is;
 irrational data goes through certified balls with precision escalation, and
@@ -48,10 +48,11 @@ from .model import (
     FormSequence,
     ValidationError,
     _form,
+    _same_p,
     divisor_chain_check,
     eval_at_basis,
 )
-from .exponents import TauEstimate, estimate_tau, _ln, _near_one
+from .exponents import TauEstimate, estimate_tau, _log_ratio, _near_one
 
 __all__ = [
     "PhiIndex",
@@ -184,17 +185,11 @@ def matrix_condition_check(M: Sequence[Sequence[BallReal]]) -> TriBool:
                 raise ValidationError(
                     f"entry ({i + 1},{j + 1}) enclosure does not exclude 0")
     fact = factorial(p + 1)
-    saw_unknown = False
-    for i1, i2 in itertools.combinations(range(p), 2):
-        for j1, j2 in itertools.combinations(range(p), 2):
-            cross = abs(M[i2][j1] * M[i1][j2]) * fact
-            diag = abs(M[i1][j1] * M[i2][j2])
-            t = tri_compare(cross, diag)   # certified cross*(p+1)! > diag
-            if t is TriBool.TRUE:
-                return TriBool.FALSE
-            if t is TriBool.UNKNOWN:
-                saw_unknown = True
-    return TriBool.UNKNOWN if saw_unknown else TriBool.TRUE
+    pairs = list(itertools.combinations(range(p), 2))
+    # a pair fails where cross (p+1)! > diag is certified
+    return tri_all(~tri_compare(abs(M[i2][j1] * M[i1][j2]) * fact,
+                                abs(M[i1][j1] * M[i2][j2]))
+                   for i1, i2 in pairs for j1, j2 in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,26 +240,29 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
 
     Unique system: the fit, with alpha_0(n)=0 flagged.  Singular but
     consistent: the canonical representative with free coefficients at the
-    low-lag end set to 0 (non_unique flag).  Inconsistent: None.
+    low-lag end set to 0 (non_unique flag).  Inconsistent: None.  The
+    last window, with no record after it, raises MissingRecord.
     """
-    return _fit(seq, n)[0]
+    fit = _fit(seq, n)[0]          # MissingRecord inside the window
+    return fit if seq.has(n + seq.p) else seq.record(n + seq.p)
 
 
 def _fit(seq: FormSequence, n: int
          ) -> tuple[Optional[RecurrenceFit], int, int]:
     """fit_recurrence(seq, n) and the rank and determinant of the Delta
     window at n, which its system holds with the columns reversed, also
-    when the system is inconsistent and the fit is None."""
+    where the fit is None: the system is inconsistent, or the window is
+    the last one and has no record after it."""
     p = seq.p
-    recs = [seq.record(n + j) for j in range(p + 1)]
-    # unknowns alpha_j; columns reversed so pivots prefer high lags
-    rows = [[recs[j].ell[i] for j in range(p - 1, -1, -1)] + [recs[p].ell[i]]
-            for i in range(p)]
+    recs = [seq.record(n + j) for j in range(p + seq.has(n + p))]
+    # unknowns alpha_j; columns reversed so pivots prefer high lags, and
+    # the record after the window, if any, rides along
+    rows = [[r.ell[i] for r in recs[p - 1::-1] + recs[p:]] for i in range(p)]
     pivots, det = _echelon(rows, p)
     rank = len(pivots)
     # reversing p columns is p(p-1)/2 transpositions
     det = -det if p * (p - 1) // 2 % 2 else det
-    if any(row[p] for row in rows[rank:]):
+    if len(recs) == p or any(row[p] for row in rows[rank:]):
         return None, rank, det
     rev = [Fraction(0)] * p           # free unknowns stay 0
     for row, c in reversed(list(zip(rows, pivots))):
@@ -276,13 +274,6 @@ def _fit(seq: FormSequence, n: int
     return RecurrenceFit(n=n, alpha=alpha, residual=ok,
                          alpha0_zero=alpha[0] == 0,
                          non_unique=rank < p), rank, det
-
-
-def _delta_matrix(seq: FormSequence, n: int) -> list[list[int]]:
-    """p x p window: row i holds ell_{i,n} .. ell_{i,n+p-1}."""
-    p = seq.p
-    recs = [seq.record(n + j) for j in range(p)]
-    return [[recs[j].ell[i] for j in range(p)] for i in range(p)]
 
 
 def _ball_det(M: Sequence[Sequence[BallReal]]) -> BallReal:
@@ -331,22 +322,13 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
     last = seq.records[-1].n
     if not (n1 <= n2 <= last - p + 1):
         raise ValidationError(f"need n1 <= n2 <= {last - p + 1}")
-    fits: dict[int, Optional[RecurrenceFit]] = {}
-    bad: list[int] = []
-    ranks: list[tuple[int, int]] = []
-    for n in range(n1, last - p + 1):
-        f, rank, det = _fit(seq, n)
-        fits[n] = f
-        ranks.append((n, rank))
-        if f is None or f.alpha0_zero or not f.residual:
-            bad.append(n)
-        if n == n2:
-            det2_int = det
-    # the last window has no fit: it is eliminated on its own
-    pivots, det = _echelon(_delta_matrix(seq, last - p + 1), p)
-    ranks.append((last - p + 1, len(pivots)))
-    if n2 == last - p + 1:
-        det2_int = det
+    windows = {n: _fit(seq, n) for n in range(n1, last - p + 2)}
+    # the last window has no record after it, hence no fit
+    fits = {n: f for n, (f, _, _) in windows.items() if n + p <= last}
+    ranks = [(n, rank) for n, (_, rank, _) in windows.items()]
+    det2_int = windows[n2][2]
+    bad = [n for n, f in fits.items()
+           if f is None or f.alpha0_zero or not f.residual]
     rank_prop = all(a[1] == b[1] for a, b in zip(ranks, ranks[1:]))
     # det of the evaluated window equals (1 + sum xi_i^2) * det(Delta_n2)
     V = [[eval_at_basis(seq, basis, n2 + j, i, prec) for j in range(p)]
@@ -391,14 +373,8 @@ def check_nesterenko(seq: FormSequence, basis: Basis, prec: int = 64,
     violations = divisor_chain_check(seq)
     taus = [estimate_tau(seq, basis, i, prec, tol)
             for i in range(1, seq.p)]
-    norm_trace: list[tuple[int, Optional[BallReal]]] = []
-    for rec in seq:
-        s = rec.sup_norm()
-        if rec.Q == 1 or s == 0:
-            norm_trace.append((rec.n, None))
-            continue
-        val = _ln(seq, s, prec) / _ln(seq, rec.Q, prec)
-        norm_trace.append((rec.n, val))
+    norm_trace = [(rec.n, _log_ratio(seq, rec.sup_norm(), rec.Q, prec))
+                  for rec in seq]
     norm_ok = _near_one([v for _, v in norm_trace], tol)
     overall = TriBool.FALSE if violations else \
         tri_all([t.consistent for t in taus] + [norm_ok])
@@ -463,9 +439,7 @@ def _odometer(ranges: Sequence[int], budget: int):
     maps the others onto these).  Returns the candidate estimate
     prod(2 R_i + 1), checked against the budget up front, and the prefix
     iterator."""
-    estimate = 1
-    for R in ranges:
-        estimate *= 2 * R + 1
+    estimate = math.prod(2 * R + 1 for R in ranges)
     if estimate > budget:
         raise BudgetExceeded(estimate, budget)
     if any(R < 0 for R in ranges):     # empty box: do not walk the axes
@@ -551,6 +525,17 @@ def _steps(qs: Sequence[int], start: int, R: int, doubt):
     yield from range(last + 1 if doubt() else max(start, last + 1), R + 1)
 
 
+def _walk(basis: Basis, j: int, delta: Sequence[int], R: int, work: int,
+          doubt, sure: int):
+    """The single-label walk over the steps 0..R of label j: the _steps
+    of the convergent denominators of x = xi_j delta_p/delta_j, open from
+    the first step they may miss or from sure + 1, whichever comes first.
+    Returns the steps and the precision of the convergents."""
+    qs, start, bits = _convergents(
+        basis, j, Fraction(delta[basis.p - 1], delta[j - 1]), R, work)
+    return _steps(qs, min(start, sure + 1), R, doubt), bits
+
+
 def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
     """The dual point with a_j = m_j/delta_j on the labels, a_p = kp/delta_p
     and 0 elsewhere."""
@@ -627,9 +612,9 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     estimate), prefixes, checked, escalations (steps past work) and
     unknowns.
 
-    With one label j the prefixes are the _steps of the convergent
-    denominators of x = xi_j delta_p/delta_j, at whose precision the sums
-    are bracketed (bits = work otherwise): m passes iff ||m x|| <= t delta_p.
+    With one label j the prefixes are the _walk of j, at whose precision
+    the sums are bracketed (bits = work otherwise): m passes iff
+    ||m x|| <= t delta_p for x = xi_j delta_p/delta_j.
     """
     p = basis.p
     dp = delta[p - 1]
@@ -637,10 +622,9 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     prefixes = checked = escalations = unknowns = 0
     bits = work
     if len(labels) == 1:
-        j = labels[0]
-        qs, start, bits = _convergents(basis, j, Fraction(dp, delta[j - 1]),
-                                       ranges[0], work)
-        steps = ((m,) for m in _steps(qs, start, ranges[0], lambda: unknowns))
+        walk, bits = _walk(basis, labels[0], delta, ranges[0], work,
+                           lambda: unknowns, ranges[0])
+        steps = ((m,) for m in walk)
     exact_xi = basis.exact_xi
     if exact_xi is None:
         S = 1 << bits
@@ -692,6 +676,19 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     return None, counts()
 
 
+def _dual_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
+               taus: Sequence[Fraction], Q: int, eps: Fraction, prec: int,
+               budget: int) -> tuple[Optional[DualPoint], dict]:
+    """The coordinate-frame scan of the dual box at Q, |a_j| <=
+    Q^(tau_j-eps) on the labels and a_j = 0 off them and p, against the
+    threshold Q^-(1+eps) from the base precision _scan_prec(prec)."""
+    work = _scan_prec(prec)
+    inside, t_hi = _threshold(Q, eps, work)
+    return _coordinate_scan(basis, labels, delta,
+                            _box_ranges(delta, labels, taus, Q, eps), budget,
+                            work, t_hi, inside)
+
+
 def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                       Q: int, eps: Rat, prec: int = 64,
                       budget: int = 10 ** 7) -> Verdict:
@@ -709,16 +706,13 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     if eps <= 0:
         raise ValidationError("eps must be positive")
     p = seq.p
+    _same_p(seq, basis)
     taus = [Fraction(t) for t in tau]
     if len(taus) != p - 1:
         raise ValidationError(f"tau must have length {p - 1}")
     delta = seq.records[phi_of_Q(seq, Q).value].delta
-    labels = range(1, p)
-    ranges = _box_ranges(delta, labels, taus, Q, eps)
-    work = _scan_prec(prec)
-    inside, t_hi = _threshold(Q, eps, work)
-    witness, n = _coordinate_scan(basis, labels, delta, ranges, budget, work,
-                                  t_hi, inside)
+    witness, n = _dual_scan(basis, range(1, p), delta, taus, Q, eps, prec,
+                            budget)
     diag = {"candidates_checked": n["checked"], "prefixes": n["prefixes"],
             "budget_estimate": n["estimate"], "escalations": n["escalations"],
             "unknown_candidates": n["unknowns"]}

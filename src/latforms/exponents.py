@@ -14,7 +14,8 @@ alpha, beta enclosures with the preconditions 0 < alpha < 1 < beta checked,
 not assumed.
 
 Each sequence keeps one table of the certified logs read off it: ln of an
-exact integer per (x, prec), and per (basis, i, prec) one row per
+exact integer per (x, prec), whose ratios ln x / ln Q_n _log_ratio gives
+the gamma, growth and norm traces, and per (basis, i, prec) one row per
 record of ln|L_n(e_i)| and ln Q_n at the escalated precision (_log_rows).
 estimate_tau, fit_alpha_beta, estimate_gamma_growth and check_nesterenko
 read it, so each log is computed once.  The rows are built from the
@@ -123,6 +124,17 @@ def _ln(seq: FormSequence, x: int, prec: int) -> BallReal:
     return ln
 
 
+def _log_ratio(seq: FormSequence, x: int, Q: int,
+               prec: int) -> Optional[BallReal]:
+    """ln x / ln Q for integers x >= 0, Q >= 1 from the log table of seq:
+    None where Q = 1 or x = 0, and an exact 0 for x = 1 without a log."""
+    if Q == 1 or x == 0:
+        return None
+    if x == 1:
+        return BallReal.exact(0, prec)
+    return _ln(seq, x, prec) / _ln(seq, Q, prec)
+
+
 def _log_rows(seq: FormSequence, basis: Basis, i: int,
               prec: int) -> list[tuple]:
     """Per record: (n, used, ln|L_n(e_i)|, ln Q_n, note), both logs at the
@@ -206,28 +218,15 @@ def estimate_gamma_growth(seq: FormSequence, prec: int = 64,
     """Traces gamma-hat_i(n) = log delta_{i,n} / log Q_n and the growth ratio."""
     if len(seq) < 3:
         raise ValidationError("need at least 3 records")
-    skipped: list[tuple[int, str]] = []
-    gamma: list[list[TraceEntry]] = [[] for _ in range(seq.p)]
-    growth: list[TraceEntry] = []
-    for rec in seq:
-        if rec.Q == 1:
-            skipped.append((rec.n, "Q=1: log scale vanishes"))
-            for i in range(seq.p):
-                gamma[i].append(TraceEntry(rec.n, None, "Q=1"))
-            continue
-        denom = _ln(seq, rec.Q, prec)
-        for i in range(seq.p):
-            d = rec.delta[i]
-            if d == 1:
-                gamma[i].append(TraceEntry(rec.n, BallReal.exact(0, prec)))
-            else:
-                gamma[i].append(TraceEntry(rec.n, _ln(seq, d, prec) / denom))
-    for cur, nxt in zip(seq.records, seq.records[1:]):
-        if cur.Q == 1 or nxt.Q == 1:
-            growth.append(TraceEntry(cur.n, None, "Q=1 neighbour"))
-            continue
-        growth.append(TraceEntry(cur.n, _ln(seq, nxt.Q, prec)
-                                  / _ln(seq, cur.Q, prec)))
+    skipped = [(rec.n, "Q=1: log scale vanishes") for rec in seq
+               if rec.Q == 1]
+    gamma = [[TraceEntry(rec.n, _log_ratio(seq, rec.delta[i], rec.Q, prec),
+                         "Q=1" if rec.Q == 1 else "") for rec in seq]
+             for i in range(seq.p)]
+    # the scales strictly increase, so only the first can be 1
+    growth = [TraceEntry(cur.n, _log_ratio(seq, nxt.Q, cur.Q, prec),
+                         "Q=1 neighbour" if cur.Q == 1 else "")
+              for cur, nxt in zip(seq.records, seq.records[1:])]
     gc = _near_one([e.value for e in growth], tol)
     return GammaGrowth(gamma=gamma, growth=growth,
                        gamma_final=[g[-1].value for g in gamma],

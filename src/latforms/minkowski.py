@@ -14,11 +14,11 @@ search failure.
 The directed searches exploit the box shape.  The primal one scans the
 last coordinate and takes the nearest lattice multiple in each remaining
 coordinate.  The dual one is the coordinate-frame scan of criteria, the
-one verify_conclusion runs: it walks the bounded prefix coordinates and
-tries only the last coordinates within the threshold.  With one label
-both walk criteria._steps, convergent denominators first and every step
-from the first doubt.  A full-enumeration oracle cross-checks both at
-small sizes.
+one verify_conclusion runs (criteria._dual_scan): it walks the bounded
+prefix coordinates and tries only the last coordinates within the
+threshold.  With one label both take criteria._walk, convergent
+denominators first and every step from the first doubt.  A
+full-enumeration oracle cross-checks both at small sizes.
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ from .model import (
 )
 from .criteria import (
     BudgetExceeded,
-    _box_ranges,
-    _convergents,
     _coordinate_scan,
+    _dual_scan,
     _power_bracket,
     _scan_prec,
     _signed,
-    _steps,
-    _threshold,
+    _walk,
 )
 
 __all__ = [
@@ -186,10 +184,10 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     only x_p >= 0 is scanned).  Unknown-at-cap candidates are skipped and
     counted in the diagnostics.
 
-    With one label j the steps are criteria._steps of the convergent
-    denominators of y = delta_p xi_j/delta_j (a step s passes iff
-    ||s y|| <= b_j/delta_j), and every step past the certified lower end
-    of the last bound, which the |x_p| test alone may leave unknown.
+    With one label j the steps are the criteria._walk of j, over the
+    convergent denominators of y = delta_p xi_j/delta_j (a step s passes
+    iff ||s y|| <= b_j/delta_j), open past the certified lower end of the
+    last bound, which the |x_p| test alone may leave unknown.
     """
     if body.frame != "sheared":
         raise ValidationError("need a sheared-frame body")
@@ -209,10 +207,8 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     scanned = unknowns = 0
     steps = range(R + 1)
     if len(labels) == 1:
-        j = labels[0]
-        qs, start, _ = _convergents(basis, j, Fraction(dp, delta[j - 1]), R,
-                                    _scan_prec(prec))
-        steps = _steps(qs, min(start, sure + 1), R, lambda: unknowns)
+        steps = _walk(basis, labels[0], delta, R, _scan_prec(prec),
+                      lambda: unknowns, sure)[0]
 
     def nearest(point: list, j: int, k: int) -> TriBool:
         """|x_p xi_j - x_j| <= b_k for the multiple x_j of delta_j nearest
@@ -427,10 +423,7 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
                        "lattice_det": Fraction(1, det)})
     cert = {"volume": vol, "lattice_det": BallReal.exact(Fraction(1, det), wp),
             "margin": TriBool.TRUE}
-    inside, t_hi = _threshold(Q, eps, wp)
-    point, n = _coordinate_scan(
-        xi, J, delta_PhiQ, _box_ranges(delta_PhiQ, J, taus, Q, eps), budget,
-        wp, t_hi, inside)
+    point, n = _dual_scan(xi, J, delta_PhiQ, taus, Q, eps, prec, budget)
     if point is None:
         raise SearchFailed("no certified witness in the K_Q scan",
                            n["unknowns"])

@@ -15,6 +15,7 @@ the evaluations against irrational xi go through ball enclosures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -46,6 +47,8 @@ class ValidationError(ValueError):
 
 class MissingRecord(KeyError):
     """No record with the requested index."""
+
+    __str__ = LookupError.__str__   # the message, which KeyError quotes
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,7 @@ class DiagonalLattice:
         return len(self.delta)
 
     def det(self) -> int:
-        out = 1
-        for d in self.delta:
-            out *= d
-        return out
+        return math.prod(self.delta)
 
     def dual_det(self) -> Fraction:
         return Fraction(1, self.det())
@@ -267,14 +267,19 @@ def _form(basis: Basis, c: Sequence, i: int, prec: int) -> BallReal:
     return acc
 
 
+def _same_p(seq: FormSequence, basis: Basis) -> None:
+    """Refuse a basis whose p is not the sequence's."""
+    if basis.p != seq.p:
+        raise ValidationError(f"basis p={basis.p} != sequence p={seq.p}")
+
+
 def eval_at_basis(seq: FormSequence, basis: Basis, n: int, i: int,
                   prec: int = 64) -> BallReal:
     """Enclosure of L_n(e_i); for rational xi, exact iff it is dyadic.
 
     i is 1-based: i < p gives l_i - l_p xi_i, i = p gives sum l_j xi_j + l_p.
     """
-    if basis.p != seq.p:
-        raise ValidationError(f"basis p={basis.p} != sequence p={seq.p}")
+    _same_p(seq, basis)
     if not 1 <= i <= seq.p:
         raise ValidationError(f"i={i} out of range 1..{seq.p}")
     return _form(basis, seq.record(n).ell, i, prec)

@@ -104,6 +104,12 @@ class TriBool(Enum):
     def certain(self) -> bool:
         return self is not TriBool.UNKNOWN
 
+    def __invert__(self) -> "TriBool":      # Kleene negation
+        return _NOT[self._value_]
+
+
+_NOT = dict(true=TriBool.FALSE, false=TriBool.TRUE, unknown=TriBool.UNKNOWN)
+
 
 def _shift(n: int, s: int) -> int:
     """floor(n * 2**s), s of either sign."""
@@ -719,11 +725,12 @@ def tri_compare(x: Union[BallReal, int, Fraction],
 def tri_all(values: Iterable[TriBool]) -> TriBool:
     """Kleene conjunction: FALSE at the first FALSE, without drawing the
     values after it; otherwise UNKNOWN if any value is, else TRUE."""
-    out = TriBool.TRUE
+    # bound once: each TriBool.X is a slow attribute lookup on the Enum
+    out, false, unknown = TriBool.TRUE, TriBool.FALSE, TriBool.UNKNOWN
     for v in values:
-        if v is TriBool.FALSE:
+        if v is false:
             return v
-        if v is TriBool.UNKNOWN:
+        if v is unknown:
             out = v
     return out
 

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -879,10 +880,21 @@ _P_CHANGES = ('{"n":1,"Q":"1","ell":["1","1"],"delta":["1","1"]}\n'
     (("construct-dual", "--xi", "golden", "--tau", "3/2", "--gamma", "0",
       "0", "--delta", "1", "1", "--Q", "1000", "--eps", "1/1000000"), None,
      "exact power of up to 52499990 bits exceeds the 16777216-bit bound"),
+    (("verify", "--gen", "fibonacci-golden", "--n-max", "20", "--xi",
+      "golden", "sqrt(2)", "--tau", "1", "--Q", "100", "--eps", "1/5"), None,
+     "basis p=3 != sequence p=2"),
+    (("verify", "--gen", "synthetic-power", "--n-max", "5", "--params",
+      '{"B": 2, "xi": ["1/3", "1/5"], "t": [0, 0], "g": [0, 0, 0]}',
+      "--xi", "golden", "--tau", "1", "1", "--Q", "10", "--eps", "1/5"),
+     None, "basis p=2 != sequence p=3"),
+    # a MissingRecord is a KeyError, whose own str would quote the message
+    (("check-siegel", "--gen", "fibonacci-golden", "--n-max", "8", "--n1",
+      "1", "--n2", "3"), None, "no record with n=1"),
 ], ids=["tau-length", "Q-zero", "Q-not-int", "siegel-window",
         "params-not-object", "eps-zero", "no-basis", "p-changes",
         "n-max-with-input", "params-with-input", "siegel-prec-cap",
-        "dual-tiny-eps"])
+        "dual-tiny-eps", "verify-xi-too-many", "verify-xi-too-few",
+        "siegel-missing-record"])
 def test_usage_error_is_its_one_line(capsys, tmp_path, argv, text, message):
     if text is not None:
         path = tmp_path / "in.jsonl"
@@ -942,6 +954,80 @@ def test_construct_primal_step_with_a_label_certainly_out_is_not_unknown(
     assert res["point"] == ["6", "17", "12"]
     assert (res["diagnostics"]["scanned"], res["diagnostics"]["unknowns"]) \
         == (13, 0)
+
+
+# ---------------------------------------------------------------------------
+# seeded argv grammar: every run ends in a documented exit code
+
+# "-0.5", not "-1/2", which argparse takes for an option
+_RATS = ("0", "1", "-0.5", "1/2", "3/2", "5/4", "2", "1/10")
+_XIS = ("golden", "sqrt(2)", "1/3", "2/7", "zeta3", "e", "0.5±0.01")
+_INPUTS = {            # generator argv and the p of its sequence
+    "fibonacci-golden": ((), 2),
+    "apery-zeta3": ((), 2),
+    "apery-zeta2": ((), 2),
+    "synthetic-power": (("--params", '{"B": 2, "xi": ["1/3", "2/5"], '
+                                     '"t": [-1, "-1/2"], "g": [0, 0, 0]}'), 3),
+}
+
+
+def _random_argv(rng):
+    """One argv of a small grammar: each subcommand with --xi, --tau,
+    --delta and --gamma lists of the right length or one off, Q <= 10^5,
+    and escalation and scans bounded by --prec-cap 256 --budget 20000."""
+    command = rng.choice(("estimate", "check-nesterenko", "check-siegel",
+                          "verify", "construct-primal", "construct-dual"))
+
+    def some(values, k):
+        k = max(1, k + rng.choice((-1, 0, 0, 0, 0, 0, 1)))
+        return [rng.choice(values) for _ in range(k)]
+
+    def Q():
+        return str(rng.randint(1, 10 ** rng.randint(1, 5)))
+    argv = [command]
+    if command.startswith("construct"):
+        p = rng.choice((2, 3))
+        argv += ["--xi", *some(_XIS, p - 1), "--tau", *some(_RATS, p - 1),
+                 "--delta", *some("1234", p), "--Q", Q()]
+        if command == "construct-dual" or rng.random() < 0.5:
+            argv += ["--gamma", *some(_RATS, p)]
+        if command == "construct-dual":
+            argv += ["--eps", rng.choice(("1/20", "1/10", "1/2"))]
+    else:
+        gen = rng.choice(sorted(_INPUTS))
+        params, p = _INPUTS[gen]
+        n_max = rng.randint(3, 25)
+        argv += ["--gen", gen, "--n-max", str(n_max), *params]
+        if rng.random() < 0.4:
+            argv += ["--xi", *some(_XIS, p - 1)]
+        if command == "check-siegel":
+            n1 = rng.randint(0, n_max)
+            argv += ["--n1", str(max(n1, 1)),
+                     "--n2", str(rng.randint(max(n1, 1), n_max))]
+            return argv
+        if command == "verify":
+            argv += ["--tau", *some(_RATS, p - 1),
+                     "--Q", *(Q() for _ in range(rng.randint(1, 2))),
+                     "--eps", rng.choice(("1/10", "1/5", "1/2"))]
+    argv += ["--prec-cap", "256"]
+    if command in ("verify", "construct-primal", "construct-dual"):
+        argv += ["--budget", "20000"]
+    return argv
+
+
+def test_seeded_argv_end_in_an_exit_code(capsys):
+    """No exception escapes cli.run, whatever the lengths of the lists
+    and whichever basis is paired with the input, and every exit code is
+    one of the documented 0..3."""
+    rng = random.Random(1919)
+    codes = set()
+    for _ in range(300):
+        argv = _random_argv(rng)
+        rc = run(argv)
+        capsys.readouterr()
+        assert rc in (0, 1, 2, 3), argv
+        codes.add(rc)
+    assert codes == {0, 1, 2, 3}
 
 if __name__ == "__main__":
     # each pinned result: its two digests, then the counters of its work part

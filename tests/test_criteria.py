@@ -27,7 +27,6 @@ from latforms.model import (
 import latforms.criteria as criteria
 from latforms.criteria import (
     BudgetExceeded,
-    _delta_matrix,
     _echelon,
     _odometer,
     RecordsExhausted,
@@ -334,6 +333,12 @@ def test_check_siegel_constant_failure():
     assert rep.det_n2 == 0 and not rep.det_nonzero
 
 
+def _delta_matrix(seq, n):
+    """The p x p Delta window at n: row i holds ell_{i,n} .. ell_{i,n+p-1}."""
+    p = seq.p
+    return [[seq.record(n + j).ell[i] for j in range(p)] for i in range(p)]
+
+
 def _siegel_by_windows(seq, basis, n1, n2, prec):
     """check_siegel's report with every Delta window eliminated on its own
     and every fit made by fit_recurrence: the oracle for the ranks that
@@ -554,6 +559,19 @@ def test_verify_budget_refusal():
         verify_conclusion(fib_seq(40), GOLDEN, [3], 100, Fraction(3, 10),
                           budget=1000)
     assert e.value.estimate > 1000
+
+
+@pytest.mark.parametrize("basis, seq, message", [
+    (Basis((parse_real("golden"), parse_real("sqrt(2)"))), fib_seq(20),
+     "basis p=3 != sequence p=2"),
+    (GOLDEN, flat_seq([2, 3, 5], p=3), "basis p=2 != sequence p=3"),
+])
+def test_verify_refuses_a_basis_of_another_p(basis, seq, message):
+    """The scan reads delta_p and xi_j by the basis's p: a basis of
+    another p is refused up front, as eval_at_basis refuses it."""
+    with pytest.raises(ValidationError) as e:
+        verify_conclusion(seq, basis, [1] * (seq.p - 1), 100, Fraction(1, 5))
+    assert str(e.value) == message
 
 
 def test_verify_witness_rechecks():

@@ -465,8 +465,7 @@ def _with_and_without_convergents(monkeypatch, run):
     step visited (_linear_convergents)."""
     fast = run()
     with monkeypatch.context() as m:
-        for mod in (criteria, minkowski):
-            m.setattr(mod, "_convergents", _linear_convergents)
+        m.setattr(criteria, "_convergents", _linear_convergents)
         slow = run()
     return fast, slow
 
@@ -639,8 +638,8 @@ def test_fixed_width_xi_keeps_the_linear_counts(monkeypatch, xi):
     assert fast[1:] == slow[1:]
 
 
-def _spy_steps(monkeypatch, mod):
-    """Record every step mod's single-label walk visits."""
+def _spy_steps(monkeypatch):
+    """Record every step the single-label walk (criteria._walk) visits."""
     seen = []
     real = criteria._steps
 
@@ -648,7 +647,7 @@ def _spy_steps(monkeypatch, mod):
         for step in real(*args):
             seen.append(step)
             yield step
-    monkeypatch.setattr(mod, "_steps", spy)
+    monkeypatch.setattr(criteria, "_steps", spy)
     return seen
 
 
@@ -671,7 +670,7 @@ def test_walk_continues_after_an_undecided_convergent(monkeypatch, t_lo, t_hi,
         point, diag = directed_search_coordinate(body, [1, 1], _basis("sqrt(2)"))
         return point, diag["unknowns"], diag["checked"]
     with monkeypatch.context() as m:
-        seen = _spy_steps(m, criteria)
+        seen = _spy_steps(m)
         fast, slow = _with_and_without_convergents(monkeypatch, run)
     assert seen[:len(walk)] == walk               # each step visited once
     assert fast[:2] == slow[:2] and fast[1] == unknowns
@@ -690,7 +689,7 @@ def test_sheared_walk_visits_the_steps_the_top_bound_leaves_open(monkeypatch):
     def run():
         return directed_search_sheared(body, [1, 1], _basis("sqrt(2)"))
     with monkeypatch.context() as m:
-        seen = _spy_steps(m, minkowski)
+        seen = _spy_steps(m)
         fast, slow = _with_and_without_convergents(monkeypatch, run)
     assert seen[:9] == [0, 1, 2, 5, 6, 7, 8, 9, 10]
     assert fast == (None, {"scanned": 9, "unknowns": 5})

@@ -178,6 +178,11 @@ def test_tribool_is_not_a_bool():
     assert TriBool.TRUE.certain and not TriBool.UNKNOWN.certain
 
 
+def test_tribool_invert_is_kleene_negation():
+    assert [~t for t in TriBool] == [TriBool.FALSE, TriBool.TRUE,
+                                     TriBool.UNKNOWN]
+
+
 T, U, FF = TriBool.TRUE, TriBool.UNKNOWN, TriBool.FALSE
 
 
