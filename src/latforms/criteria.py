@@ -243,8 +243,8 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     low-lag end set to 0 (non_unique flag).  Inconsistent: None.  The
     last window, with no record after it, raises MissingRecord.
     """
-    fit = _fit(seq, n)[0]          # MissingRecord inside the window
-    return fit if seq.has(n + seq.p) else seq.record(n + seq.p)
+    fit = _fit(seq, n)[0]     # MissingRecord for a record of the window
+    return fit if seq.has(n + seq.p) else seq.record(n + seq.p)  # raises
 
 
 def _fit(seq: FormSequence, n: int

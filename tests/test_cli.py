@@ -971,12 +971,14 @@ _INPUTS = {            # generator argv and the p of its sequence
 }
 
 
-def _random_argv(rng):
+def _random_argv(rng, inputs):
     """One argv of a small grammar: each subcommand with --xi, --tau,
     --delta and --gamma lists of the right length or one off, Q <= 10^5,
-    and escalation and scans bounded by --prec-cap 256 --budget 20000."""
-    command = rng.choice(("estimate", "check-nesterenko", "check-siegel",
-                          "verify", "construct-primal", "construct-dual"))
+    and escalation and scans bounded by --prec-cap 256 --budget 20000;
+    roundtrip reads one of the paths in inputs."""
+    command = rng.choice(("generate", "roundtrip", "estimate",
+                          "check-nesterenko", "check-siegel", "verify",
+                          "construct-primal", "construct-dual"))
 
     def some(values, k):
         k = max(1, k + rng.choice((-1, 0, 0, 0, 0, 0, 1)))
@@ -985,6 +987,8 @@ def _random_argv(rng):
     def Q():
         return str(rng.randint(1, 10 ** rng.randint(1, 5)))
     argv = [command]
+    if command == "roundtrip":
+        return argv + ["--input", rng.choice(inputs)]
     if command.startswith("construct"):
         p = rng.choice((2, 3))
         argv += ["--xi", *some(_XIS, p - 1), "--tau", *some(_RATS, p - 1),
@@ -998,6 +1002,8 @@ def _random_argv(rng):
         params, p = _INPUTS[gen]
         n_max = rng.randint(3, 25)
         argv += ["--gen", gen, "--n-max", str(n_max), *params]
+        if command == "generate":
+            return argv
         if rng.random() < 0.4:
             argv += ["--xi", *some(_XIS, p - 1)]
         if command == "check-siegel":
@@ -1015,14 +1021,19 @@ def _random_argv(rng):
     return argv
 
 
-def test_seeded_argv_end_in_an_exit_code(capsys):
+def test_seeded_argv_end_in_an_exit_code(capsys, tmp_path):
     """No exception escapes cli.run, whatever the lengths of the lists
     and whichever basis is paired with the input, and every exit code is
     one of the documented 0..3."""
+    text = dumps_jsonl(gen_fibonacci(8))
+    inputs = [tmp_path / "canonical.jsonl", tmp_path / "crlf.jsonl"]
+    inputs[0].write_text(text, newline="\n")
+    inputs[1].write_text(text, newline="\r\n")
+    inputs = [str(p) for p in (*inputs, tmp_path / "absent.jsonl")]
     rng = random.Random(1919)
     codes = set()
     for _ in range(300):
-        argv = _random_argv(rng)
+        argv = _random_argv(rng, inputs)
         rc = run(argv)
         capsys.readouterr()
         assert rc in (0, 1, 2, 3), argv
