@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -55,6 +56,7 @@ from .numerics import (
 
 __all__ = ["build_parser", "run", "main"]
 
+_NUMBER = re.compile(r"^-\.?\d")
 _EXIT = {"holds": 0, "success": 0, "violated": 2, "refused": 2, "unknown": 3}
 
 
@@ -63,6 +65,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a dash before a digit starts a value, never an option: argparse's
+        # own pattern admits -1 and -0.5 but takes -1/2 for an unknown flag
+        self._negative_number_matcher = _NUMBER
+
     # argparse exits 2 on bad flags; 2 means "certified violation" here, so
     # reroute usage problems through the 1 path
     def error(self, message):

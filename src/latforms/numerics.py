@@ -37,7 +37,9 @@ gained 4.6.  Each series keeps one chain of floors whose upper end adds an
 error bound that counts its terms; the roots, squarings and reduction add
 theirs in units of the last place, as the kernels' docstrings prove.
 Guard bits keep each bracket at most 2 units in its last place wide
-(2^-wp for ln, 2^(K-wp) for exp).
+(2^-wp for ln, 2^(K-wp) for exp).  The log of a narrow ball m +/- r takes
+one ln bracket, at m - r, and a short atanh series for the rest:
+ln(m + r) = ln(m - r) + 2 atanh(r/m).
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ MIN_PREC = 16
 PREC_CAP = 1 << 16  # hard ceiling for precision escalation, in bits
 POWER_BITS = 1 << 24  # ceiling on the bit length of an exact power
 _RAD_BITS = 32      # radii are rounded up to this many significant bits
+_LOG_GUARD = 32     # guard bits of a ball log summed from ln and atanh
 
 
 class NumericsError(Exception):
@@ -230,27 +233,41 @@ def cmp_abs_vs_power(a: Fraction, base: int, expo: Fraction) -> int:
 def _atanh_bracket(num: int, den: int, wp: int) -> tuple[int, int]:
     """Bracket [s, s + 2N + 3] of atanh(q) * 2**wp, q = num/den in [0, 1/2].
 
-    One chain of floors: p_0 = floor(q 2^wp), t2 = floor(q^2 2^wp),
-    p_(i+1) = floor(p_i t2 / 2^wp), and s sums floor(p_i / (2i+1)) over
-    the N indices before the first i with p_i < 2i + 1.
+    One chain of floors from p_0 = floor(q 2^wp); s sums floor(p_i/(2i+1))
+    over the N indices before the first i with p_i < 2i + 1.  For a den of
+    at most 64 bits (ln 2 = 2 atanh(1/3)) the chain is exact,
+    p_(i+1) = floor(p_i num^2 / den^2), a multiply and a division by small
+    integers, so linear in wp per term.  For a wider den (the ln kernel's
+    2^W past 63 bits, or a wide ball midpoint) the chain is
+    p_(i+1) = floor(p_i t2 / 2^wp) with t2 = floor(q^2 2^wp): one
+    full-width multiply and a shift per term, where dividing by den^2
+    would cost more.
 
     Proof.  Let P_i = q^(2i+1) 2^wp.  Then p_i <= P_i, and e_i = P_i - p_i
-    has e_0 < 1 and e_(i+1) < q^2 e_i + p_i (q^2 - t2 2^-wp) + 1
-    < e_i/4 + 1/2 + 1 <= 2, since q^2 <= 1/4 and p_i <= 2^(wp-1).  So each
-    summed term falls short of P_i/(2i+1) by less than e_i/(2i+1) + 1 <= 2,
-    which is 2N in all.  The rest of the series, from i = N on, has terms
-    falling by the factor q^2 <= 1/4, so it is below
+    has e_0 < 1.  The exact chain has e_(i+1) < q^2 e_i + 1 < 4/3; the t2
+    chain e_(i+1) < q^2 e_i + p_i (q^2 - t2 2^-wp) + 1 < e_i/4 + 1/2 + 1
+    <= 2, since q^2 <= 1/4 and p_i <= 2^(wp-1).  So each summed term falls
+    short of P_i/(2i+1) by less than e_i/(2i+1) + 1 <= 2, which is 2N in
+    all.  The rest of the series, from i = N on, has terms falling by the
+    factor q^2 <= 1/4, so it is below
     (4/3)(p_N + 2)/(2N + 1) <= (4/3)(2N + 2)/(2N + 1) < 3.
     """
     if num == 0:
         return 0, 0
     p = (num << wp) // den
-    t2 = (num * num << wp) // (den * den)
     s = n = 0
-    while p >= 2 * n + 1:
-        s += p // (2 * n + 1)
-        p = p * t2 >> wp
-        n += 1
+    if den.bit_length() <= 64:
+        n2, d2 = num * num, den * den
+        while p >= 2 * n + 1:
+            s += p // (2 * n + 1)
+            p = p * n2 // d2
+            n += 1
+    else:
+        t2 = (num * num << wp) // (den * den)
+        while p >= 2 * n + 1:
+            s += p // (2 * n + 1)
+            p = p * t2 >> wp
+            n += 1
     return s, s + 2 * n + 3
 
 
@@ -511,15 +528,33 @@ class BallReal:
     # -- certified transcendental maps -------------------------------------
 
     def log(self) -> "BallReal":
+        """ln of a certified-positive ball, bracketed at prec + 8 bits.
+
+        The lower end is ln(m - r).  For an inexact ball with r/m <= 1/16
+        the upper end is ln(m - r) + 2 atanh(r/m), which is ln(m + r)
+        exactly: (1 + q)/(1 - q) = (m + r)/(m - r) for q = r/m.  That
+        series gains at least 8 bits a term, so it takes a few terms where
+        a second ln bracket would take a whole reduction.  Both brackets
+        are summed at _LOG_GUARD bits past the working precision, where
+        their 2 + 2(2N + 3) units stay far below one unit of the working
+        precision, and the sum is floored and ceiled to it.  An exact
+        point takes one ln bracket, and a wider ball one at each end.
+        """
         m, r, e = self._m, self._r, self._e
         if m - r <= 0:
             raise NumericsError("log needs a certified-positive enclosure")
         if not r and m == 1 and not e:
             return _ball(0, 0, 0, self.prec)
         wp = self.prec + 8
-        lo, hi = _ln_bracket(m - r, e, wp)
-        if r:
-            hi = _ln_bracket(m + r, e, wp)[1]
+        if r and r << 4 <= m:
+            g = _LOG_GUARD
+            lo, hi = _ln_bracket(m - r, e, wp + g)
+            hi += 2 * _atanh_bracket(r, m, wp + g)[1]
+            lo, hi = lo >> g, -(-hi >> g)
+        else:
+            lo, hi = _ln_bracket(m - r, e, wp)
+            if r:
+                hi = _ln_bracket(m + r, e, wp)[1]
         return _span(lo, hi, -wp, self.prec)
 
     def exp(self) -> "BallReal":

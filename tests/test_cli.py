@@ -890,11 +890,17 @@ _P_CHANGES = ('{"n":1,"Q":"1","ell":["1","1"],"delta":["1","1"]}\n'
     # a MissingRecord is a KeyError, whose own str would quote the message
     (("check-siegel", "--gen", "fibonacci-golden", "--n-max", "8", "--n1",
       "1", "--n2", "3"), None, "no record with n=1"),
+    # a dash before a digit starts a value; any other dash an option
+    (_VERIFY + ("--tau", "-x", "--Q", "100", "--eps", "1/5"), None,
+     "argument --tau: expected at least one argument"),
+    (_VERIFY + ("--tau", "-1x", "--Q", "100", "--eps", "1/5"), None,
+     "argument --tau: not a rational: '-1x'"),
 ], ids=["tau-length", "Q-zero", "Q-not-int", "siegel-window",
         "params-not-object", "eps-zero", "no-basis", "p-changes",
         "n-max-with-input", "params-with-input", "siegel-prec-cap",
         "dual-tiny-eps", "verify-xi-too-many", "verify-xi-too-few",
-        "siegel-missing-record"])
+        "siegel-missing-record", "unknown-short-option",
+        "dash-digit-not-rational"])
 def test_usage_error_is_its_one_line(capsys, tmp_path, argv, text, message):
     if text is not None:
         path = tmp_path / "in.jsonl"
@@ -903,6 +909,17 @@ def test_usage_error_is_its_one_line(capsys, tmp_path, argv, text, message):
     rc, out, err = invoke(capsys, *argv)
     assert rc == 1 and out == ""
     assert err == f"latforms: error: {message}\n"
+
+
+def test_negative_fraction_is_a_value(capsys):
+    """-1/2 in a list flag is the number -1/2, as -0.5 is."""
+    argv = ("construct-dual", "--xi", "golden", "sqrt(2)", "--gamma", "0",
+            "0", "0", "--delta", "1", "1", "1", "--Q", "50", "--eps", "1/10",
+            "--tau", "3/2")
+    rc, out, err = invoke(capsys, *argv, "-1/2")
+    assert (rc, err) == (0, "")
+    assert sans_timestamp(out) == sans_timestamp(invoke(capsys, *argv,
+                                                        "-0.5")[1])
 
 
 def _flag_helps(command):
@@ -959,8 +976,7 @@ def test_construct_primal_step_with_a_label_certainly_out_is_not_unknown(
 # ---------------------------------------------------------------------------
 # seeded argv grammar: every run ends in a documented exit code
 
-# "-0.5", not "-1/2", which argparse takes for an option
-_RATS = ("0", "1", "-0.5", "1/2", "3/2", "5/4", "2", "1/10")
+_RATS = ("0", "1", "-0.5", "-1/2", "1/2", "3/2", "5/4", "2", "1/10")
 _XIS = ("golden", "sqrt(2)", "1/3", "2/7", "zeta3", "e", "0.5±0.01")
 _INPUTS = {            # generator argv and the p of its sequence
     "fibonacci-golden": ((), 2),

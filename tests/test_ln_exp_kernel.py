@@ -6,13 +6,15 @@ summed directly at r = x - k ln 2, both on Fraction endpoints, and the
 ball maps that rounded each ball end outward to wp bits first.  Every new
 bracket must contain mpmath at 4x precision, be at most 2 units wide at
 its scale, and be no wider than the oracle's by more than one unit; the
-ball maps likewise, by one ulp of the midpoint.
+ball maps likewise, by one ulp of the midpoint.  The log of a narrow ball,
+which reaches its upper end from its lower one by an atanh series, is
+also held to the log that brackets both ends.
 """
 
 import mpmath
 from fractions import Fraction
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latforms import numerics
 from latforms.numerics import BallReal, _atanh_bracket, _exp_bracket, \
@@ -277,6 +279,35 @@ def test_brackets_hold_without_guard_bits(ln_arg, exp_arg):
     assert xlo - tol <= v <= xhi + tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, (1 << 64) - 1), st.integers(0, 1 << 64),
+       st.integers(16, 8000), st.integers(1, 200))
+@example(3, 1, 16000, 1)
+def test_atanh_small_den_chain_agrees_with_t2_chain(den, num, wp, k):
+    """A den of at most 64 bits takes the exact chain; the same q with
+    den scaled past 64 bits takes the t2 chain.  The exact chain floors
+    less, so it starts no lower and runs at most one term longer."""
+    num %= den // 2 + 1                              # num/den <= 1/2
+    lo, hi = _atanh_bracket(num, den, wp)
+    sh = 65 - den.bit_length() + k
+    t_lo, t_hi = _atanh_bracket(num << sh, den << sh, wp)
+    with mpmath.workprec(4 * wp):
+        v = _frac(mpmath.atanh(_mp(Fraction(num, den))) * 2 ** wp)
+    tol = abs(v) / (1 << (4 * wp - 4))
+    assert lo - tol <= v <= hi + tol and t_lo - tol <= v <= t_hi + tol
+    assert t_lo <= lo and hi - lo <= t_hi - t_lo + 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(16, 32000))
+@example(32000)
+def test_ln2_bracket_is_at_most_two_units_wide(wp):
+    lo, hi = _ln2_bracket(wp)
+    with mpmath.workprec(4 * wp):
+        v = _frac(mpmath.log(2) * 2 ** wp)
+    assert lo <= v <= hi and hi - lo <= 2
+
+
 def test_ln2_bracket_does_not_depend_on_call_order():
     numerics._LN2_CACHE.clear()
     first = [_ln2_bracket(wp) for wp in (100, 3000, 129, 64)]
@@ -341,3 +372,49 @@ def test_ball_exp_aligns_ends_reduced_at_different_scales(monkeypatch):
     monkeypatch.setattr(numerics, "_exp_bracket", finer_upper)
     assert [b.exp() for b in balls] == want
     assert len(scales) == 2 * len(balls)
+
+
+def two_bracket_log(x):
+    """The ball log that brackets ln at each end of the ball."""
+    m, r, e, wp = x._m, x._r, x._e, x.prec + 8
+    return numerics._span(_ln_bracket(m - r, e, wp)[0],
+                          _ln_bracket(m + r, e, wp)[1], -wp, x.prec)
+
+
+@st.composite
+def narrow_balls(draw):
+    """Inexact balls with rad/mid <= 1/16, at 16 to 8,000 bits."""
+    n, e = _dyadic(draw, -5000, 5000, 300)
+    lo = n * _pow2(e)
+    width = lo * draw(st.integers(1, 1023)) * _pow2(
+        draw(st.integers(-8200, -3)) - 10)
+    x = BallReal.from_endpoints(lo, lo + width, draw(st.integers(16, 8000)))
+    assume(x._r and x._r << 4 <= x._m)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(narrow_balls())
+def test_narrow_ball_log_contains_mpmath_and_is_no_wider_than_two_brackets(x):
+    out = x.log()
+    with mpmath.workprec(4 * x.prec + 32):
+        lo = _frac(mpmath.log(_mp(x.lower)))
+        hi = _frac(mpmath.log(_mp(x.upper)))
+    tol = max(abs(lo), abs(hi)) / (1 << (4 * x.prec + 16))
+    assert out.lower - tol <= lo and hi <= out.upper + tol
+    assert out.rad <= two_bracket_log(x).rad + _mid_ulp(out)
+
+
+def test_ball_log_at_boundary_widths_is_no_wider_than_oracle():
+    """Balls at a few precisions, low ends and widths low c 2^-j, from
+    far wider than 1/16 of the midpoint to far below its last bit."""
+    for prec in (16, 64, 200, 396):
+        for low in (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(5, 4),
+                    Fraction(1 << 40)):
+            for c in (1, 3, 1000):
+                for j in (8, 20, 64, 100, 201, 300, 400):
+                    x = BallReal.from_endpoints(low, low + low * c * _pow2(-j),
+                                                prec)
+                    out = x.log()
+                    assert out.rad <= old_map(x, old_ln_bracket).rad \
+                        + _mid_ulp(out), (prec, low, c, j)
