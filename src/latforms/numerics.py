@@ -39,7 +39,12 @@ theirs in units of the last place, as the kernels' docstrings prove.
 Guard bits keep each bracket at most 2 units in its last place wide
 (2^-wp for ln, 2^(K-wp) for exp).  The log of a narrow ball m +/- r takes
 one ln bracket, at m - r, and a short atanh series for the rest:
-ln(m + r) = ln(m - r) + 2 atanh(r/m).
+ln(m + r) = ln(m - r) + 2 atanh(r/m).  An inexact ball holding h relative
+bits has its log bracketed at h + 128 bits where that is below prec + 8,
+the accuracy its radius allows (as Arb does: Johansson, "Arb: efficient
+arbitrary-precision midpoint-radius interval arithmetic", 2017).  It is
+redone at prec + 8 unless its radius is certified to be the one any finer
+bracket would round to.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ PREC_CAP = 1 << 16  # hard ceiling for precision escalation, in bits
 POWER_BITS = 1 << 24  # ceiling on the bit length of an exact power
 _RAD_BITS = 32      # radii are rounded up to this many significant bits
 _LOG_GUARD = 32     # guard bits of a ball log summed from ln and atanh
+_HELD_GUARD = 128   # bits past those an inexact ball holds, for its log
 
 
 class NumericsError(Exception):
@@ -393,6 +399,30 @@ def _exp_bracket(n: int, e: int, wp: int) -> tuple[int, int, int]:
     return z >> s, -(-(z + c) >> s), K - wp
 
 
+def _log_bracket(m: int, r: int, e: int, wp: int) -> tuple[int, int]:
+    """Bracket [lo, hi] of ln of the ball (m +/- r) 2^e, 0 <= r < m, times
+    2**wp; each end within 2 units of the true one.
+
+    The lower end is ln(m - r).  For r/m <= 1/16 (r > 0) the upper end is
+    ln(m - r) + 2 atanh(r/m), which is ln(m + r) exactly:
+    (1 + q)/(1 - q) = (m + r)/(m - r) for q = r/m.  That series gains at
+    least 8 bits a term, so it takes a few terms where a second ln bracket
+    would take a whole reduction.  Both brackets are summed at _LOG_GUARD
+    bits past wp, where their 2 + 2(2N + 3) units stay far below one unit
+    of wp, and the sum is floored and ceiled to it.  A point takes one ln
+    bracket, and a wider ball one at each end.
+    """
+    if r and r << 4 <= m:
+        g = _LOG_GUARD
+        lo, hi = _ln_bracket(m - r, e, wp + g)
+        hi += 2 * _atanh_bracket(r, m, wp + g)[1]
+        return lo >> g, -(-hi >> g)
+    lo, hi = _ln_bracket(m - r, e, wp)
+    if r:
+        hi = _ln_bracket(m + r, e, wp)[1]
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # BallReal
 # ---------------------------------------------------------------------------
@@ -528,17 +558,19 @@ class BallReal:
     # -- certified transcendental maps -------------------------------------
 
     def log(self) -> "BallReal":
-        """ln of a certified-positive ball, bracketed at prec + 8 bits.
+        """ln of a certified-positive ball, bracketed by _log_bracket.
 
-        The lower end is ln(m - r).  For an inexact ball with r/m <= 1/16
-        the upper end is ln(m - r) + 2 atanh(r/m), which is ln(m + r)
-        exactly: (1 + q)/(1 - q) = (m + r)/(m - r) for q = r/m.  That
-        series gains at least 8 bits a term, so it takes a few terms where
-        a second ln bracket would take a whole reduction.  Both brackets
-        are summed at _LOG_GUARD bits past the working precision, where
-        their 2 + 2(2N + 3) units stay far below one unit of the working
-        precision, and the sum is floored and ceiled to it.  An exact
-        point takes one ln bracket, and a wider ball one at each end.
+        An exact point is bracketed at prec + 8 bits.  An inexact ball
+        m +/- r holds about h = bitlen(m) - bitlen(r) relative bits, and
+        its log is about 2r/m, some 2^-h, wide, so it is bracketed at
+        min(prec + 8, h + _HELD_GUARD) bits: past that, more bits would
+        narrow a width of 2^-h by units far below its 32 significant bits.
+        The result is never wider than at prec + 8.  Each end of a bracket
+        lies within 2 units of the true end, so any ball of the log has a
+        radius of at least half the bracket's width less 4 units, rounded
+        up as _enclose rounds radii.  The reduced bracket's ball is kept
+        only when its radius is that bound; otherwise the bracket is redone
+        at prec + 8.
         """
         m, r, e = self._m, self._r, self._e
         if m - r <= 0:
@@ -546,15 +578,14 @@ class BallReal:
         if not r and m == 1 and not e:
             return _ball(0, 0, 0, self.prec)
         wp = self.prec + 8
-        if r and r << 4 <= m:
-            g = _LOG_GUARD
-            lo, hi = _ln_bracket(m - r, e, wp + g)
-            hi += 2 * _atanh_bracket(r, m, wp + g)[1]
-            lo, hi = lo >> g, -(-hi >> g)
-        else:
-            lo, hi = _ln_bracket(m - r, e, wp)
-            if r:
-                hi = _ln_bracket(m + r, e, wp)[1]
+        held = m.bit_length() - r.bit_length() + _HELD_GUARD if r else wp
+        if held < wp:
+            lo, hi = _log_bracket(m, r, e, held)
+            out = _span(lo, hi, -held, self.prec)
+            q, k, _ = _round(hi - lo - 4, 2, _RAD_BITS, up=True)
+            if _cmp(out._r, out._e, q, k - held) <= 0:
+                return out
+        lo, hi = _log_bracket(m, r, e, wp)
         return _span(lo, hi, -wp, self.prec)
 
     def exp(self) -> "BallReal":

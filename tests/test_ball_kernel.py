@@ -541,8 +541,12 @@ def test_ring_ops_contain_mpmath_at_four_times_precision(x, y):
 # 2^-(prec+16) wide where they were about one unit per term.  Of the 10,000 results
 # 3,873 changed: 3,221 have a smaller radius, 602 the same radius, and 50,
 # downstream of a differently rounded midpoint, a radius larger by at most
-# 0.035% of itself.
-CHAIN_SHA256 = "ba84158098dfddcf016635e8c2edf53c1ac21730d3949ed7382555e9e148f449"
+# 0.035% of itself.  It moved again, ba841580... -> 7e2b2fe2..., when the
+# log of an inexact ball came to be bracketed at the bits the ball holds:
+# of the chain's 312 logs, 276 moved their midpoint by less than
+# 2^-(h+126) with the same radius and 36 are identical; the logs feed the
+# pool, so 9,635 later results differ.
+CHAIN_SHA256 = "7e2b2fe2b02e82158571d802e523eaa16250d8affdad590a7406058018da8f48"
 
 
 def _op_chain(steps, seed=20261018):

@@ -418,3 +418,67 @@ def test_ball_log_at_boundary_widths_is_no_wider_than_oracle():
                     out = x.log()
                     assert out.rad <= old_map(x, old_ln_bracket).rad \
                         + _mid_ulp(out), (prec, low, c, j)
+
+
+# ---------------------------------------------------------------------------
+# the log at the precision a ball holds
+# ---------------------------------------------------------------------------
+
+def prec8_log(x):
+    """The ball log as it was before an inexact ball's log came to be
+    bracketed at the bits the ball holds: at prec + 8 bits, a narrow
+    ball's upper end reached by ln(m - r) + 2 atanh(r/m) summed at
+    _LOG_GUARD bits more."""
+    m, r, e, wp = x._m, x._r, x._e, x.prec + 8
+    if not r and m == 1 and not e:
+        return BallReal.exact(0, x.prec)
+    if r and r << 4 <= m:
+        g = numerics._LOG_GUARD
+        lo, hi = _ln_bracket(m - r, e, wp + g)
+        hi += 2 * _atanh_bracket(r, m, wp + g)[1]
+        lo, hi = lo >> g, -(-hi >> g)
+    else:
+        lo, hi = _ln_bracket(m - r, e, wp)
+        if r:
+            hi = _ln_bracket(m + r, e, wp)[1]
+    return numerics._span(lo, hi, -wp, x.prec)
+
+
+@st.composite
+def held_balls(draw):
+    """Inexact balls at 16 to 8,000 bits, of relative widths 2^-4 down to
+    2^-prec."""
+    prec = draw(st.integers(16, 8000))
+    n, e = _dyadic(draw, -5000, 5000, 300)
+    lo = n * _pow2(e)
+    width = lo * _pow2(-draw(st.integers(4, prec))) * Fraction(
+        draw(st.integers(1 << 10, (1 << 11) - 1)), 1 << 11)
+    return BallReal.from_endpoints(lo, lo + width, prec)
+
+
+_STRADDLE = 64923057738966655118621990 * _pow2(-126)
+
+
+@settings(max_examples=80, deadline=None)
+@given(held_balls())
+@example(BallReal.from_endpoints(
+    _STRADDLE, _STRADDLE * (1 + Fraction(97, 128) * _pow2(-167)), 296))
+def test_held_precision_log_contains_mpmath_and_keeps_the_oracle_radius(x):
+    """The log of a ball that holds h bits is bracketed at h + G bits,
+    G = _HELD_GUARD, when that is below prec + 8.  Its radius is the
+    oracle's or less, and its ends lie within 2^-(h+G-2) of the oracle's,
+    or one unit of the midpoint's last place further where the bracket
+    ends moved the midpoint across a rounding boundary at prec bits (the
+    example: 1 of 736 reduced balls in a seeded sweep)."""
+    out, old = x.log(), prec8_log(x)
+    with mpmath.workprec(4 * x.prec + 32):
+        lo = _frac(mpmath.log(_mp(x.lower)))
+        hi = _frac(mpmath.log(_mp(x.upper)))
+    tol = max(abs(lo), abs(hi)) / (1 << (4 * x.prec + 16))
+    assert out.lower - tol <= lo and hi <= out.upper + tol
+    assert out.rad <= old.rad
+    h = x._m.bit_length() - x._r.bit_length()
+    near = _pow2(2 - h - numerics._HELD_GUARD) + (
+        _mid_ulp(old) if out.mid != old.mid else 0)
+    assert abs(out.lower - old.lower) <= near
+    assert abs(out.upper - old.upper) <= near
