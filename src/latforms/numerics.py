@@ -5,11 +5,12 @@ or a ball ``mid +/- rad`` whose midpoint and radius are dyadic rationals,
 stored as integers at one power-of-two scale (mid = m 2^e, rad = r 2^e).
 Every operation (ring ops, division, sqrt, rational powers, ln and exp)
 computes exact interval endpoints as integers and only then rounds, all
-through one routine: the midpoint to the working precision (halves up), the
-radius plus that rounding error up to 32 bits.  That routine depends only on
-the values of the endpoints (see _enclose), so unreduced integers give the
-ball that reduced Fractions would, and the enclosure property "the true
-value lies inside the ball" is an invariant of construction, not a hope.
+through one routine: the midpoint to the working precision (halves to
+even, so negation is exact), the radius plus that rounding error up to 32
+bits.  That routine depends only on the values of the endpoints (see
+_enclose), so unreduced integers give the ball that reduced Fractions
+would, and the enclosure property "the true value lies inside the ball" is
+an invariant of construction, not a hope.
 Fractions appear only where values enter or leave: exact, from_endpoints,
 the mid/rad/lower/upper properties, contains, hashing, JSON and repr.
 
@@ -132,9 +133,10 @@ def _is_dyadic(q: Fraction) -> bool:
 
 def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]:
     """n/d (d >= 1) rounded to ``prec`` significant bits: (q, k, inexact),
-    q * 2**k the nearest such value with halves rounded up, or with ``up``
-    the least one >= n/d.  The bit count is taken from n/d in lowest terms,
-    which a power-of-two d needs no reduction for."""
+    q * 2**k the nearest such value with halves rounded to even q, or with
+    ``up`` the least one >= n/d.  The bit count is taken from n/d in lowest
+    terms, which a power-of-two d needs no reduction for.  Ties to even
+    round -n/d to minus the rounding of n/d, so negation is exact."""
     if d & (d - 1):
         g = math.gcd(n, d)
         n, d = n // g, d // g
@@ -143,11 +145,17 @@ def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]
         sh = k + d.bit_length() - 1
         if sh <= 0:
             return n, k - sh, False
-        q = -(-n >> sh) if up else ((n >> (sh - 1)) + 1) >> 1
-        return q, k, n & ((1 << sh) - 1) != 0
+        low = n & ((1 << sh) - 1)
+        if up:
+            return -(-n >> sh), k, low != 0
+        q = ((n >> (sh - 1)) + 1) >> 1      # halves up, then a tie to even
+        if q & 1 and low == 1 << (sh - 1):
+            q -= 1
+        return q, k, low != 0
     num, den = (n, d << k) if k >= 0 else (n << -k, d)
     q, rem = divmod(num, den)
-    if (up and rem) or (not up and 2 * rem >= den):
+    # 2 rem + (q & 1) > den: past the half, or on it with q odd
+    if rem and (up or 2 * rem + (q & 1) > den):
         q += 1
     return q, k, rem != 0
 

@@ -370,10 +370,13 @@ def test_apery_fit_pinned(apery_run):
     """Moved from 6a55a15e... to 1f4f6d58... when the log of an inexact
     ball came to be bracketed at the bits the ball holds: alpha and the
     bound keep their radii, and both ends of alpha move by -2.05e-46 and
-    of the bound by -2.92e-45; beta is unchanged."""
+    of the bound by -2.92e-45; beta is unchanged.  Moved again, to
+    2232b7de..., when midpoints came to round halves to even: the
+    midpoints of alpha, beta and the bound moved by less than 2^-1988 and
+    every radius and the tau trace are the same."""
     *_, alpha, beta, mu = apery_run
     assert _digest(alpha, beta, mu) == \
-        "1f4f6d58d2e6a01c452c84a4d118e233bc4ec629ae08f747703132a6d5cbaded"
+        "2232b7de299d76a292c0e75b422f41c7e01f392a219a98f052079cbd4a61b0db"
 
 
 def test_fit_independent_of_call_order(apery_run):
