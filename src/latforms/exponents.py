@@ -140,11 +140,12 @@ def _log_rows(seq: FormSequence, basis: Basis, i: int,
     """Per record: (n, used, ln|L_n(e_i)|, ln Q_n, note), both logs of
     balls at the precision `used` that separated L_n(e_i) from 0, or None
     with the note of a skipped record.  BallReal.log brackets ln Q_n, of an
-    exact integer, at used + 8 bits, and ln|L_n(e_i)| at the fewer bits
-    its ball holds, plus guard bits.  Built once per (basis, i, prec) in the table
-    of seq, from the last record down: the last records escalate first,
-    and RealConstant.at hands every record below a rounding of the refined
-    ball, no wider than the ball it gave before."""
+    exact integer, at used + 8 bits, and ln|L_n(e_i)| at the bits its ball
+    holds plus guard bits, where that is fewer.  Built once per
+    (basis, i, prec) in the table of seq, from the last record down: the
+    last records escalate first, and RealConstant.at hands every record
+    below a rounding of the refined ball, no wider than the ball it gave
+    before."""
     key = (basis, i, prec)
     if key not in seq._logs:
         rows = []

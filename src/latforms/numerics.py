@@ -574,11 +574,11 @@ class BallReal:
         min(prec + 8, h + _HELD_GUARD) bits: past that, more bits would
         narrow a width of 2^-h by units far below its 32 significant bits.
         The result is never wider than at prec + 8.  Each end of a bracket
-        lies within 2 units of the true end, so any ball of the log has a
-        radius of at least half the bracket's width less 4 units, rounded
-        up as _enclose rounds radii.  The reduced bracket's ball is kept
-        only when its radius is that bound; otherwise the bracket is redone
-        at prec + 8.
+        [lo, hi] lies within 2 units of the true end, so any ball of the
+        log has a radius of at least (hi - lo - 4)/2 units, rounded up as
+        _enclose rounds radii, to the same 32-bit grid at every scale.  The
+        reduced bracket's ball is kept only when its radius is at most
+        that bound; otherwise the bracket is redone at prec + 8.
         """
         m, r, e = self._m, self._r, self._e
         if m - r <= 0:
