@@ -417,11 +417,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SearchFailed as e:
         status = "unknown"
         result = {"why": str(e), "unknowns": e.unknowns}
-    except (BudgetExceeded, UncertifiedComparison) as e:
+    except (BudgetExceeded, UncertifiedComparison, RecordsExhausted) as e:
         status = "unknown"
         result = {"why": str(e)}
-    except (ValidationError, MissingRecord, RecordsExhausted, OSError,
-            ValueError, NumericsError) as e:
+    except (ValidationError, MissingRecord, OSError, ValueError,
+            NumericsError) as e:
         return _error(e)
     if status is None:
         return 0  # generate already wrote its JSONL

@@ -44,7 +44,6 @@ __all__ = [
     "gen_synthetic",
     "generate",
     "default_basis",
-    "sweep_conditions",
     "dumps_jsonl",
     "loads_jsonl",
     "export_jsonl",
@@ -299,25 +298,6 @@ def gen_synthetic(spec: GeneratorSpec) -> FormSequence:
     }
     return FormSequence(records, provenance={
         "generator": "synthetic-power", "params": canon})
-
-
-def sweep_conditions(t_grid: Sequence[Sequence], g_grid: Sequence[Sequence],
-                     prec: int = 64) -> list[tuple[tuple[Fraction, ...],
-                                                   tuple[Fraction, ...],
-                                                   ConditionReport]]:
-    """Condition reports over the (t, g) product grid.
-
-    Pure arithmetic on exponents — no integrality constraint — so the grid
-    may stand on both sides of the criterion boundary even where generation
-    itself is infeasible.
-    """
-    out = []
-    for t_raw in t_grid:
-        t = tuple(_frac(x, "t") for x in t_raw)
-        for g_raw in g_grid:
-            g = tuple(_frac(x, "g") for x in g_raw)
-            out.append((t, g, check_condition(t, g, prec)))
-    return out
 
 
 # ---------------------------------------------------------------------------

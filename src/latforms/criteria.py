@@ -1,7 +1,8 @@
 """Hypothesis checks and finite-Q conclusion verification for the
 linear-independence criteria.
 
-The pipeline: Phi maps a scale Q to the last usable record index; eps1_for
+The pipeline: Phi maps a scale Q to the last record index at or below it,
+and refuses a Q past the last record, where it is unknown; eps1_for
 picks the dyadic iteration parameter; build_iterate_matrix stacks the forms
 at the phi-iterated indices; matrix_condition_check certifies the
 factorial-ratio condition that forces invertibility; fit_recurrence /
@@ -55,7 +56,6 @@ from .model import (
 from .exponents import TauEstimate, estimate_tau, _log_ratio, _near_one
 
 __all__ = [
-    "PhiIndex",
     "IterateMatrix",
     "RecurrenceFit",
     "SiegelReport",
@@ -78,7 +78,7 @@ Rat = Union[int, Fraction]
 
 
 class RecordsExhausted(LookupError):
-    """Not enough records to complete the requested iteration."""
+    """The records end before the scale or position asked for."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -93,20 +93,19 @@ class BudgetExceeded(RuntimeError):
 # Phi and the iteration parameter
 
 
-@dataclass(frozen=True)
-class PhiIndex:
-    Q: int
-    value: int            # position into seq.records
-    truncated: bool = False  # Q past the last record: value may undercount
-
-
-def phi_of_Q(seq: FormSequence, Q: int) -> PhiIndex:
-    """Largest record position k with Q_k <= Q (positions are 0-based)."""
+def phi_of_Q(seq: FormSequence, Q: int) -> int:
+    """Phi(Q): the largest record position k with Q_k <= Q (positions are
+    0-based).  Past the last record Phi is unknown, since a later record
+    may still have Q_n <= Q, so a Q above Q_N raises RecordsExhausted."""
     qs = seq.Qs
     if Q < qs[0]:
-        raise ValidationError(f"Q={Q} below the first scale Q_0={qs[0]}")
-    k = bisect_right(qs, Q) - 1
-    return PhiIndex(Q=Q, value=k, truncated=Q > qs[-1])
+        raise ValidationError(f"Q={int_to_decimal(Q)} below the first scale "
+                              f"Q_0={int_to_decimal(qs[0])}")
+    if Q > qs[-1]:
+        raise RecordsExhausted(
+            f"Q = {int_to_decimal(Q)} is past the last record, "
+            f"Q_{seq.records[-1].n} = {int_to_decimal(qs[-1])}")
+    return bisect_right(qs, Q) - 1
 
 
 def eps1_for(eps: Rat, tau: Sequence[Rat], p: int) -> Fraction:
@@ -133,10 +132,7 @@ class IterateMatrix:
     n: int                       # starting position
     eps1: Fraction
     indices: tuple[int, ...]     # positions, strictly increasing
-    entries: tuple[tuple[BallReal, ...], ...]  # entry(i,j) below, 1-based
-
-    def entry(self, i: int, j: int) -> BallReal:
-        return self.entries[i - 1][j - 1]
+    entries: tuple[tuple[BallReal, ...], ...]  # row per position, col per e_j
 
 
 def build_iterate_matrix(seq: FormSequence, basis: Basis, n: int,
@@ -158,9 +154,8 @@ def build_iterate_matrix(seq: FormSequence, basis: Basis, n: int,
         m = positions[-1]
         Qm = seq.records[m].Q
         threshold = floor_scaled_power(Fraction(1), Qm, 1 + eps1)
-        phi = phi_of_Q(seq, threshold)
-        nxt = phi.value + 1
-        if phi.truncated or nxt >= len(seq):
+        nxt = phi_of_Q(seq, threshold) + 1
+        if nxt >= len(seq):
             raise RecordsExhausted(
                 f"phi iteration from position {m} needs records past the last one")
         positions.append(nxt)
@@ -694,6 +689,8 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
                       budget: int = 10 ** 7) -> Verdict:
     """Exhaustively test |a_1 xi_1 + ... + a_{p-1} xi_{p-1} + a_p| > Q^(-1-eps)
     over nonzero a with delta_{i,Phi(Q)} a_i integral and |a_i| <= Q^(tau_i-eps).
+    A Q past the last record raises RecordsExhausted from phi_of_Q: the
+    divisors at Phi(Q) are then unknown.
 
     This is the coordinate-frame scan over that box: prefixes (a_1..a_{p-1})
     smallest-absolute-value-first, and for each only the finitely many a_p
@@ -710,7 +707,7 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     taus = [Fraction(t) for t in tau]
     if len(taus) != p - 1:
         raise ValidationError(f"tau must have length {p - 1}")
-    delta = seq.records[phi_of_Q(seq, Q).value].delta
+    delta = seq.records[phi_of_Q(seq, Q)].delta
     witness, n = _dual_scan(basis, range(1, p), delta, taus, Q, eps, prec,
                             budget)
     diag = {"candidates_checked": n["checked"], "prefixes": n["prefixes"],

@@ -15,7 +15,6 @@ the evaluations against irrational xi go through ball enclosures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -154,15 +153,8 @@ class FormSequence:
         return n in self._by_n
 
     @property
-    def ns(self) -> tuple[int, ...]:
-        return tuple(r.n for r in self.records)
-
-    @property
     def Qs(self) -> tuple[int, ...]:
         return tuple(r.Q for r in self.records)
-
-    def lattice(self, n: int) -> "DiagonalLattice":
-        return DiagonalLattice(self.record(n).delta)
 
 
 @dataclass(frozen=True)
@@ -175,23 +167,13 @@ class DiagonalLattice:
         if any(d < 1 for d in self.delta):
             raise ValidationError("lattice divisors must be >= 1")
 
-    @property
-    def p(self) -> int:
-        return len(self.delta)
-
-    def det(self) -> int:
-        return math.prod(self.delta)
-
-    def dual_det(self) -> Fraction:
-        return Fraction(1, self.det())
-
     def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != self.p:
+        if len(vec) != len(self.delta):
             raise ValidationError("dimension mismatch")
         return all(c % d == 0 for c, d in zip(vec, self.delta))
 
     def dual_contains(self, vec: Sequence[Union[int, Fraction]]) -> bool:
-        if len(vec) != self.p:
+        if len(vec) != len(self.delta):
             raise ValidationError("dimension mismatch")
         return all((Fraction(a) * d).denominator == 1 for a, d in zip(vec, self.delta))
 
@@ -201,13 +183,6 @@ class DualPoint:
     """Rational vector a, intended to satisfy delta_i a_i in Z."""
 
     a: tuple[Fraction, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.a)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.a)
 
     def to_json(self) -> list[str]:
         return [fraction_to_str(x) for x in self.a]

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Union
@@ -204,40 +204,39 @@ def floor_root_rational(num: int, den: int, n: int) -> int:
     return nth_root_floor(num // den, n)
 
 
-def _power_check(c_bits: int, base_bits: int, expo: Fraction) -> None:
-    """Refuse the exact power c^v base^|u| (expo = u/v) past POWER_BITS,
-    given the bits of c and of base."""
-    bits = expo.denominator * c_bits + abs(expo.numerator) * base_bits
+def _power_check(c_bits: int, base_bits: int, u: int, v: int) -> None:
+    """Refuse the exact power c^v base^|u| past POWER_BITS, given the bits
+    of c and of base."""
+    bits = v * c_bits + abs(u) * base_bits
     if bits > POWER_BITS:
         raise NumericsError(f"exact power of up to {bits} bits exceeds the "
                             f"{POWER_BITS}-bit bound")
+
+
+def _scaled_power(n: int, d: int, base: int, u: int,
+                  v: int) -> tuple[int, int]:
+    """(N, D) with N/D = (n/d)^v base^u exactly, for n >= 0, d >= 1."""
+    _power_check(n.bit_length() + d.bit_length(), base.bit_length(), u, v)
+    if u >= 0:
+        return n ** v * base ** u, d ** v
+    return n ** v, d ** v * base ** -u
 
 
 def floor_scaled_power(c: Fraction, base: int, expo: Fraction) -> int:
     """floor(c * base**expo) exactly, for c >= 0, base >= 1, rational expo."""
     if c < 0 or base < 1:
         raise ValueError("floor_scaled_power needs c >= 0, base >= 1")
-    _power_check(c.numerator.bit_length() + c.denominator.bit_length(),
-                 base.bit_length(), expo)
-    u, v = expo.numerator, expo.denominator
-    cn, cd = c.numerator, c.denominator
-    if u >= 0:
-        return floor_root_rational(cn ** v * base ** u, cd ** v, v)
-    return floor_root_rational(cn ** v, cd ** v * base ** (-u), v)
+    v = expo.denominator
+    return floor_root_rational(*_scaled_power(
+        c.numerator, c.denominator, base, expo.numerator, v), v)
 
 
 def cmp_abs_vs_power(a: Fraction, base: int, expo: Fraction) -> int:
-    """Exact sign of |a| - base**expo (-1, 0, +1); base >= 1, rational expo."""
-    _power_check(a.numerator.bit_length() + a.denominator.bit_length(),
-                 base.bit_length(), expo)
-    u, v = expo.numerator, expo.denominator
-    lhs_n = abs(a.numerator) ** v
-    lhs_d = a.denominator ** v
-    if u >= 0:
-        lhs, rhs = lhs_n, lhs_d * base ** u
-    else:
-        lhs, rhs = lhs_n * base ** (-u), lhs_d
-    return (lhs > rhs) - (lhs < rhs)
+    """Exact sign of |a| - base**expo (-1, 0, +1); base >= 1, rational expo:
+    the sign of |a|^v base^-u - 1 for expo = u/v."""
+    N, D = _scaled_power(abs(a.numerator), a.denominator, base,
+                         -expo.numerator, expo.denominator)
+    return (N > D) - (N < D)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +616,8 @@ class BallReal:
         hi_r = math.isqrt(-_shift(-m - r, s)) + 1 if m + r else 0
         return _span(math.isqrt(_shift(m - r, s)), hi_r, -wp, self.prec)
 
-    def pow(self, expo: Union[int, Fraction, "BallReal"]) -> "BallReal":
-        """self**expo.  Integer/rational exponents get root-based brackets."""
-        if isinstance(expo, BallReal):
-            return (self.log() * expo).exp()
+    def pow(self, expo: Union[int, Fraction]) -> "BallReal":
+        """self**expo for an integer or rational expo, by root brackets."""
         u, v = expo.numerator, expo.denominator
         if v == 1:
             return self._int_pow(u)
@@ -628,7 +625,7 @@ class BallReal:
             raise NumericsError("rational power of an enclosure with negative part")
         wp = self.prec + 4
         top = (self._m + self._r).bit_length() + max(self._e, 0)
-        _power_check(wp, top, expo)     # top^|u| shifted left by v wp bits
+        _power_check(wp, top, u, v)     # top^|u| shifted left by v wp bits
         base = self._int_pow(abs(u))
         m, r, s = base._m, base._r, base._e + v * wp
         # rounding may leave the lower end of a power just below 0
@@ -682,8 +679,9 @@ class BallReal:
 
     def __repr__(self):
         if self.is_exact:
-            return f"BallReal({self.mid!s} exact, prec={self.prec})"
-        return f"BallReal({float(self.mid):.6g} ± {float(self.rad):.3g}, prec={self.prec})"
+            return f"BallReal({fraction_to_str(self.mid)} exact, prec={self.prec})"
+        return (f"BallReal({_sci(self._m, self._e, 6)} ± "
+                f"{_sci(self._r, self._e, 3)}, prec={self.prec})")
 
 
 _new = object.__new__
@@ -999,6 +997,15 @@ def int_to_decimal(n: int) -> str:
         return str(n)
     except ValueError:
         return str(Decimal(n))
+
+
+def _sci(n: int, e: int, digits: int) -> str:
+    """n 2^e to the given significant digits, past the range of a float."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = digits + 6, MAX_EMAX, MIN_EMIN
+        x = ctx.multiply(Decimal(n), ctx.power(2, e))
+        ctx.prec = digits
+        return f"{ctx.normalize(x):g}"   # rounded, trailing zeros dropped
 
 
 def decimal_to_int(s: str) -> int:

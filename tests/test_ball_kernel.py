@@ -341,6 +341,21 @@ def test_tri_compare_takes_rationals_as_they_are(x, y, q, n, k, t):
         assert tri_compare(v, q) is (TriBool.TRUE if v > q else TriBool.FALSE)
 
 
+@settings(max_examples=400, deadline=None)
+@given(ball_pairs(), rationals, st.integers(-80, 80), st.integers(-3, 3))
+def test_rational_against_a_ball_compares_with_its_ends(y, q, k, s):
+    """tri_compare(q, y) for a rational or int q: TRUE iff q > sup y, FALSE
+    iff q <= inf y, else UNKNOWN; q anywhere, at each end of y and beside
+    it by s 2^k / 3."""
+    b, _ = y
+    step = s * _pow2(k) / 3
+    for v in (q, round(q), b.lower, b.upper, b.mid, b.lower + step,
+              b.upper + step):
+        got = tri_compare(v, b)
+        assert (got is TriBool.TRUE) == (v > b.upper)
+        assert (got is TriBool.FALSE) == (v <= b.lower)
+
+
 @settings(max_examples=300, deadline=None)
 @given(ball_pairs(), st.integers(16, 2000), rationals, rationals, st.booleans())
 def test_rounding_and_comparisons_identical_to_fraction_oracle(x, prec, p, q, strict):
@@ -638,8 +653,9 @@ def _op_chain(steps, seed=20261018):
                 expo = rng.choice([-3, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3),
                                    Fraction(3, 2), None])
                 if expo is None and abs(b.mid) + b.rad < 8:
-                    expo = b
-                out = abs(a).pow(2 if expo is None else expo)
+                    out = (abs(a).log() * b).exp()      # a ball exponent
+                else:
+                    out = abs(a).pow(2 if expo is None else expo)
         except NumericsError as exc:
             yield type(exc).__name__
             pool[rng.randrange(len(pool))] = fresh()

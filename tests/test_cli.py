@@ -720,10 +720,11 @@ def test_malformed_params_are_one_line_without_traceback(command, gen, params,
                                         ("1e-12", (1,))])
 def test_verify_at_a_tiny_eps_ends(eps, codes):
     """eps = 1/100000 builds exact powers of about 10^7 bits and returns a
-    verdict; eps = 1e-12 would need Q^(10^12+1) and exits 1 at once."""
+    verdict; eps = 1e-12 would need Q^(10^12+1) and exits 1 at once.  The
+    records run to F_12 = 144, past Q = 100."""
     proc = subprocess.run(
         [sys.executable, "-m", "latforms", "verify", "--gen",
-         "fibonacci-golden", "--n-max", "10", "--tau", "1", "--Q", "100",
+         "fibonacci-golden", "--n-max", "12", "--tau", "1", "--Q", "100",
          "--eps", eps], capture_output=True, text=True, timeout=240)
     assert proc.returncode in codes
     if proc.returncode == 1:
@@ -823,29 +824,57 @@ def test_construct_primal_names_a_gamma_of_the_wrong_length(capsys, gamma):
     assert err == f"latforms: error: gamma needs length 2, got {len(gamma)}\n"
 
 
-def test_budget_estimate_past_the_digit_limit_is_unknown(capsys):
+def _records_to(tmp_path, Q):
+    """An --input file of records at the scales 1 and Q, with divisors
+    (1, 1)."""
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(
+        f'{{"n":{n},"Q":"{q}","ell":["1","1"],"delta":["1","1"]}}\n'
+        for n, q in ((1, 1), (2, Q))))
+    return str(path)
+
+
+def test_budget_estimate_past_the_digit_limit_is_unknown(capsys, tmp_path):
     # R = floor(Q^(tau - eps)) = 10^5400 at Q = 10^3000, tau = 2, eps = 1/5
-    rc, out, err = invoke(capsys, "verify", "--gen", "fibonacci-golden",
-                          "--n-max", "60", "--tau", "2",
-                          "--Q", "1" + "0" * 3000, "--eps", "1/5")
+    rc, out, err = invoke(capsys, "verify", "--xi", "golden", "--input",
+                          _records_to(tmp_path, "2" + "0" * 3000),
+                          "--tau", "2", "--Q", "1" + "0" * 3000, "--eps", "1/5")
     assert rc == 3, err
     assert report_of(out)["result"]["why"] == \
         f"estimated 2{'0' * 5399}1 candidates exceeds budget 10000000"
 
 
 @pytest.mark.parametrize("zeros", [4400, 5500])
-def test_Q_past_the_digit_limit_is_parsed_and_echoed(capsys, zeros):
+def test_Q_past_the_digit_limit_is_parsed_and_echoed(capsys, tmp_path, zeros):
     # R = floor(Q^(4/5)) = 10^(4 zeros / 5), 2 R + 1 candidates
     Q = "1" + "0" * zeros
-    rc, out, err = invoke(capsys, "verify", "--gen", "fibonacci-golden",
-                          "--n-max", "20", "--tau", "1", "--Q", Q,
-                          "--eps", "1/5", "--budget", "1")
+    rc, out, err = invoke(capsys, "verify", "--xi", "golden", "--input",
+                          _records_to(tmp_path, "2" + "0" * zeros),
+                          "--tau", "1", "--Q", Q, "--eps", "1/5",
+                          "--budget", "1")
     assert rc == 3, err
     rep = report_of(out)
     assert rep["config"]["Q"] == [Q] and rep["config"]["budget"] == 1
     assert rep["result"]["why"] == \
         f"estimated 2{'0' * (4 * zeros // 5 - 1)}1 candidates exceeds budget 1"
 
+
+@pytest.mark.parametrize("zeros", [50, 5000])
+def test_verify_past_the_last_record_is_unknown(capsys, zeros):
+    """Phi(Q) past the last record is unknown, and so are the divisors
+    there: the run answers unknown, naming Q and the last Q_n, also past
+    the int/str digit cap and when another Q is within the records."""
+    Q = "1" + "0" * zeros
+    last = gen_apery_zeta3(5).records[-1]
+    assert last.n == 5
+    rc, out, err = invoke(capsys, "verify", "--gen", "apery-zeta3",
+                          "--n-max", "5", "--tau", "1/10", "--Q", "100", Q,
+                          "--eps", "1/2")
+    assert rc == 3, err
+    rep = report_of(out)
+    assert rep["status"] == "unknown"
+    assert rep["result"] == {"why": f"Q = {Q} is past the last record, "
+                                    f"Q_5 = {last.Q}"}
 
 
 _VERIFY = ("verify", "--gen", "fibonacci-golden", "--n-max", "20")

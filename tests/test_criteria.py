@@ -17,6 +17,7 @@ from latforms.model import (
     Basis,
     Bound,
     ConvexBody,
+    DiagonalLattice,
     DualPoint,
     FormRecord,
     FormSequence,
@@ -69,13 +70,19 @@ def flat_seq(qs, p=2):
 
 def test_phi_scan_and_boundaries():
     seq = flat_seq([2, 4, 16, 256])
-    assert phi_of_Q(seq, 100).value == 2
-    assert phi_of_Q(seq, 2).value == 0
-    assert phi_of_Q(seq, 256).value == 3          # <= is inclusive
-    assert not phi_of_Q(seq, 256).truncated
-    assert phi_of_Q(seq, 300).truncated
+    assert phi_of_Q(seq, 100) == 2
+    assert phi_of_Q(seq, 2) == 0
+    assert phi_of_Q(seq, 256) == 3          # <= is inclusive
+    with pytest.raises(RecordsExhausted) as e:
+        phi_of_Q(seq, 300)
+    assert str(e.value) == "Q = 300 is past the last record, Q_3 = 256"
     with pytest.raises(ValidationError):
         phi_of_Q(seq, 1)
+    # both messages write Q and Q_n past the int/str digit cap
+    with pytest.raises(ValidationError) as e:
+        phi_of_Q(flat_seq([10 ** 5000]), 10 ** 4400)
+    assert str(e.value) == f"Q=1{'0' * 4400} below the first scale " \
+        f"Q_0=1{'0' * 5000}"
 
 
 def test_phi_monotone_property():
@@ -84,10 +91,38 @@ def test_phi_monotone_property():
     seq = flat_seq(qs)
     prev = 0
     for Q in range(qs[0], 10**6, 9973):
-        k = phi_of_Q(seq, Q).value
+        if Q > qs[-1]:
+            with pytest.raises(RecordsExhausted):
+                phi_of_Q(seq, Q)
+            continue
+        k = phi_of_Q(seq, Q)
         assert qs[k] <= Q
         assert k >= prev
         prev = k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12, unique=True),
+       st.integers(1, 10 ** 6 + 1))
+def test_phi_is_the_last_record_at_or_below_Q_and_raises_past_the_end(qs, Q):
+    """Phi(Q) is the last k with Q_k <= Q; a Q above Q_N raises, in
+    phi_of_Q and in verify_conclusion alike."""
+    qs = sorted(qs)
+    seq = flat_seq(qs)
+    if Q < qs[0]:
+        with pytest.raises(ValidationError):
+            phi_of_Q(seq, Q)
+    elif Q > qs[-1]:
+        for call in (lambda: phi_of_Q(seq, Q),
+                     lambda: verify_conclusion(seq, Basis((parse_real("1/3"),)),
+                                               [1], Q, Fraction(1, 2))):
+            with pytest.raises(RecordsExhausted) as e:
+                call()
+            assert str(e.value) == (f"Q = {Q} is past the last record, "
+                                    f"Q_{len(qs) - 1} = {qs[-1]}")
+    else:
+        k = phi_of_Q(seq, Q)
+        assert qs[k] <= Q and (k + 1 == len(qs) or qs[k + 1] > Q)
 
 
 # -- eps1 --------------------------------------------------------------------
@@ -130,7 +165,7 @@ def test_iterate_indices_hand_scan():
     assert M.indices == (0, 2, 4)
     assert all(a < b for a, b in zip(M.indices, M.indices[1:]))
     # entries match direct evaluation: L(e_1) = ell_1 - ell_3/3 = 1/3
-    v = M.entry(1, 1)
+    v = M.entries[0][0]
     assert v.contains(Fraction(1, 3)) and v.rad < Fraction(1, 2**50)
 
 
@@ -582,7 +617,7 @@ def test_verify_witness_rechecks():
     v = verify_conclusion(seq, third_fifth, [1, 1], 8, Fraction(1, 2))
     assert v.status == "violated"
     a = v.witness
-    assert dual_membership(a, seq.lattice(2))
+    assert dual_membership(a, DiagonalLattice(seq.record(2).delta))
     val = a.a[0] * Fraction(1, 3) + a.a[1] * Fraction(2, 5) + a.a[2]
     assert cmp_abs_vs_power(val, 8, Fraction(-3, 2)) <= 0
     assert any(x != 0 for x in a.a)
@@ -599,7 +634,7 @@ def test_verify_irrational_ball_mode_agrees_with_scan():
 def test_verify_golden_large_Q_in_few_prefixes():
     """At Q = 10^30 the box has 2 * 10^24 + 1 prefixes; the convergent
     steps visit the Fibonacci numbers up to 10^24 and the zero prefix."""
-    v = verify_conclusion(fib_seq(60), GOLDEN, [1], 10 ** 30, Fraction(1, 5),
+    v = verify_conclusion(fib_seq(146), GOLDEN, [1], 10 ** 30, Fraction(1, 5),
                           budget=10 ** 40)
     assert v.status == "holds"
     assert v.diagnostics["budget_estimate"] == 2 * 10 ** 24 + 1
@@ -643,7 +678,7 @@ def test_verify_agrees_with_enumeration_oracle():
         tau_pool = [Fraction(i, 4) for i in range(1, 6 if p == 2 else 4)]
         taus = [rng.choice(tau_pool) for _ in range(p - 1)]
         delta = tuple(rng.choice([1, 2, 4, 8]) for _ in range(p))
-        seq = FormSequence([FormRecord(n=1, Q=1, ell=delta, delta=delta)])
+        seq = FormSequence([FormRecord(n=1, Q=Q, ell=delta, delta=delta)])
         v = verify_conclusion(seq, basis, taus, Q, eps)
         body = _power_of_two_box(basis, taus, Q, eps)
         first, unknowns, _ = enumerate_lattice_points(body, delta, basis,
@@ -665,7 +700,7 @@ def test_verify_agrees_with_enumeration_oracle():
         basis = Basis(tuple(xi), 256)
         taus = [rng.choice([Fraction(1, 4), Fraction(1, 2)]) for _ in xi]
         delta = tuple(rng.choice([1, 2, 4]) for _ in range(3))
-        seq = FormSequence([FormRecord(n=1, Q=1, ell=delta, delta=delta)])
+        seq = FormSequence([FormRecord(n=1, Q=16, ell=delta, delta=delta)])
         v = verify_conclusion(seq, basis, taus, 16, Fraction(1, 4))
         first, unknowns, _ = enumerate_lattice_points(
             _power_of_two_box(basis, taus, 16, Fraction(1, 4)), delta, basis)

@@ -457,19 +457,24 @@ def held_balls(draw):
 
 
 _STRADDLE = 64923057738966655118621990 * _pow2(-126)
+_STRADDLE_BIG = 5003120229309602662697647 * _pow2(3804)
 
 
 @settings(max_examples=80, deadline=None)
 @given(held_balls())
 @example(BallReal.from_endpoints(
     _STRADDLE, _STRADDLE * (1 + Fraction(97, 128) * _pow2(-167)), 296))
+@example(BallReal.from_endpoints(
+    _STRADDLE_BIG, _STRADDLE_BIG * (1 + Fraction(1075, 2048) * _pow2(-308)),
+    446))
 def test_held_precision_log_contains_mpmath_and_keeps_the_oracle_radius(x):
     """The log of a ball that holds h bits is bracketed at h + G bits,
     G = _HELD_GUARD, when that is below prec + 8.  Its radius is the
     oracle's or less, and its ends lie within 2^-(h+G-2) of the oracle's,
     or one unit of the midpoint's last place further where the bracket
     ends moved the midpoint across a rounding boundary at prec bits (the
-    example: 1 of 736 reduced balls in a seeded sweep)."""
+    examples are two such balls, near 7.6e-13 and near 6.6e1169; the
+    second is past the range of a float)."""
     out, old = x.log(), prec8_log(x)
     with mpmath.workprec(4 * x.prec + 32):
         lo = _frac(mpmath.log(_mp(x.lower)))

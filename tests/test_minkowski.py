@@ -305,7 +305,7 @@ def test_dual_verifier_coherence():
     assert verdict.status == "violated"
     # the verifier's own witness re-checks too (may differ from ours)
     w = verdict.witness
-    assert w is not None and not w.is_zero()
+    assert w is not None and any(w.a)
     assert out.point.a != () and dual_membership(w, DiagonalLattice((1, 1)))
 
 

@@ -67,7 +67,7 @@ def test_sequence_q_strictly_increasing():
         FormSequence([r1, r2])
     r3 = FormRecord(n=2, Q=3, ell=(2, 1), delta=(1, 1))
     seq = FormSequence([r3, r1])  # sorts by n
-    assert seq.ns == (1, 2)
+    assert tuple(r.n for r in seq) == (1, 2)
     assert seq.Qs == (2, 3)
 
 
@@ -96,8 +96,6 @@ def test_sequence_lookup():
 
 def test_lattice_membership():
     lat = DiagonalLattice((2, 6))
-    assert lat.det() == 12
-    assert lat.dual_det() == Fraction(1, 12)
     assert lattice_membership((4, -12), lat)
     assert not lattice_membership((4, -3), lat)
     with pytest.raises(ValidationError):
@@ -323,12 +321,10 @@ def _mp_xi(expr):
 @pytest.mark.parametrize("prec", [16, 64, 200])
 def test_sheared_constraint_matches_its_old_branch(xi, prec):
     """Each sheared constraint is the one evaluator's |L(e_j)| or an exact
-    |x_p|.  Its radius is the old branch's, unless the value straddles zero
-    (then both are [0, sup]), and both balls hold the value mpmath gives at
-    4x the precision.  The midpoint may move by one rounding step, since
-    x_j - x_p xi_j is rounded where x_p xi_j - x_j was and halves round
-    up; so contains answers as the old branch did, unless a bound lies
-    between an end of the new ball and the same end of the old one."""
+    |x_p|, and both balls hold the value mpmath gives at 4x the precision.
+    x_j - x_p xi_j is rounded where the old branch rounded x_p xi_j - x_j;
+    halves round to even, so negation is exact and the two balls are equal
+    bit for bit, and contains answers as the old branch did."""
     rng = random.Random(f"{xi}{prec}")
     basis = Basis(tuple(parse_real(x, prec) for x in xi))
     p = basis.p
@@ -349,13 +345,10 @@ def test_sheared_constraint_matches_its_old_branch(xi, prec):
                                              Fraction(rng.randrange(64), 16)]),
                                  256), rng.random() < 0.5) for v in old))
         new = [body.constraint_value(k, point, basis, prec) for k in range(p)]
-        if body.contains(point, basis, prec) is not \
-                _old_contains(body, point, basis, prec):
-            assert any(min(e) <= b.value.mid <= max(e)
-                       for b, g, w in zip(body.bounds, new, old)
-                       for e in ((g.lower, w.lower), (g.upper, w.upper)))
+        assert body.contains(point, basis, prec) is \
+            _old_contains(body, point, basis, prec)
         for k, (got, want) in enumerate(zip(new, old)):
-            assert got.rad == want.rad or got.lower == want.lower == 0
+            assert got == want
             if k < p - 1 and x[k] is None:
                 continue
             with mpmath.workprec(4 * prec):

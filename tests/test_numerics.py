@@ -308,6 +308,24 @@ def test_log_of_huge_integer_is_cheap_and_tight():
     assert lg.rad < Fraction(1, 2**80)
 
 
+def test_repr_past_the_float_range():
+    """A ball's repr is written from its integers, so it needs no float:
+    balls past 2^1024 and below 2^-1074 have one, and an exact ball past
+    the int/str digit cap is written in full."""
+    big = 5003120229309602662697647 * Fraction(2) ** 3804
+    x = BallReal.from_endpoints(big, big * (1 + Fraction(1075, 2048)
+                                            * Fraction(1, 2 ** 308)), 446)
+    assert repr(x) == "BallReal(6.56666e+1169 ± 3.3e+1076, prec=446)"
+    assert repr(-x) == "BallReal(-6.56666e+1169 ± 3.3e+1076, prec=446)"
+    tiny = BallReal.from_endpoints(Fraction(1, 2 ** 5000),
+                                   Fraction(3, 2 ** 5000), 64)
+    assert repr(tiny) == "BallReal(1.41596e-1505 ± 7.08e-1506, prec=64)"
+    assert repr(BallReal.from_endpoints(Fraction(1, 3), Fraction(1, 2), 64)) \
+        == "BallReal(0.416667 ± 0.0833, prec=64)"
+    assert repr(BallReal.exact(10 ** 5000, 64)) == \
+        f"BallReal(1{'0' * 5000} exact, prec=64)"
+
+
 def test_pow_rational_and_ball_exponents():
     mp.prec = 300
     b = BallReal.exact(2, 128)
@@ -317,7 +335,7 @@ def test_pow_rational_and_ball_exponents():
     true = mpf(10) ** mpf(-1.5)
     assert _mp(d.lower) <= true <= _mp(d.upper)
     expo = BallReal.exact(Fraction(1, 2), 128)
-    c2 = b.pow(expo)
+    c2 = (b.log() * expo).exp()         # a ball exponent, by exp and log
     assert contains_close(c2, SQRT2, Fraction(1, 2**100))
 
 
