@@ -5,8 +5,11 @@ The pipeline: Phi maps a scale Q to the last record index at or below it,
 and refuses a Q past the last record, where it is unknown; eps1_for
 picks the dyadic iteration parameter; build_iterate_matrix stacks the forms
 at the phi-iterated indices; matrix_condition_check certifies the
-factorial-ratio condition that forces invertibility; fit_recurrence /
-check_siegel handle the recurrence-based variant; verify_conclusion
+factorial-ratio condition that forces invertibility, exactly on the
+integer ends of the entries' magnitudes and from the adjacent 2 x 2
+minors when they suffice; fit_recurrence / check_siegel handle the
+recurrence-based variant, with integer residuals and a ball determinant
+whose minors are memoised; verify_conclusion
 exhaustively tests the lower bound |a_1 xi_1 + ... + a_p| > Q^(-1-eps) over
 the admissible dual points at one concrete Q through _dual_scan, as
 minkowski's dual witness does: the one coordinate-frame scan
@@ -34,6 +37,7 @@ from typing import Optional, Sequence, Union
 from .numerics import (
     BallReal,
     TriBool,
+    _cmp,
     cmp_abs_le,
     cmp_abs_vs_power,
     escalate,
@@ -41,7 +45,6 @@ from .numerics import (
     int_to_decimal,
     jsonable,
     tri_all,
-    tri_compare,
 )
 from .model import (
     Basis,
@@ -170,21 +173,64 @@ def build_iterate_matrix(seq: FormSequence, basis: Basis, n: int,
 def matrix_condition_check(M: Sequence[Sequence[BallReal]]) -> TriBool:
     """Certified check of |m_i'j m_ij'| <= |m_ij m_i'j'|/(p+1)! for all
     i<i', j<j' of the p x p matrix M.  False dominates Unknown; an entry
-    enclosure containing 0 is a precondition failure, not an Unknown."""
+    enclosure containing 0 is a precondition failure, not an Unknown.
+
+    Decided exactly: an entry m 2^e +/- r 2^e with r < |m| has |entry| in
+    [|m| - r, |m| + r] 2^e, so each minor compares integer products of
+    those ends (_minors); nothing is rounded.
+
+    Adjacent minors first.  With x_ij = ln|m_ij|, the excess D(i,i';j,j')
+    = x_ij + x_i'j' - x_i'j - x_ij' of a rectangle is the sum of D over its
+    (i'-i)(j'-j) unit cells, which telescope.  So if every adjacent minor
+    (i, i+1; j, j+1) holds at every point of the balls, then at every
+    point D >= (i'-i)(j'-j) ln (p+1)! >= ln (p+1)! on every rectangle: the
+    classic reduction of a Monge array to its adjacent 2 x 2 conditions
+    (Burkard, Klinz & Rudolf, "Perspectives of Monge properties in
+    optimization", 1996).  So the (p-1)^2 adjacent minors decide first:
+    all TRUE certifies TRUE, and one FALSE is a FALSE of the whole
+    matrix.  Only where they leave UNKNOWN are all C(p,2)^2 minors
+    decided, so that FALSE still dominates UNKNOWN."""
     p = len(M)
     if any(len(row) != p for row in M):
         raise ValidationError("matrix must be p x p")
+    ends = []
     for i, row in enumerate(M):
-        for j, m in enumerate(row):
-            if m.contains_zero():
+        ends.append([])
+        for j, x in enumerate(row):
+            if x.contains_zero():
                 raise ValidationError(
                     f"entry ({i + 1},{j + 1}) enclosure does not exclude 0")
+            m, r = abs(x._m), x._r
+            ends[-1].append((m - r, m + r, x._e))
     fact = factorial(p + 1)
-    pairs = list(itertools.combinations(range(p), 2))
-    # a pair fails where cross (p+1)! > diag is certified
-    return tri_all(~tri_compare(abs(M[i2][j1] * M[i1][j2]) * fact,
-                                abs(M[i1][j1] * M[i2][j2]))
-                   for i1, i2 in pairs for j1, j2 in pairs)
+    out = _minors(ends, fact, [(i, i + 1) for i in range(p - 1)])
+    if out is not TriBool.UNKNOWN:
+        return out
+    return _minors(ends, fact, list(itertools.combinations(range(p), 2)))
+
+
+def _minors(ends: list[list[tuple[int, int, int]]], fact: int,
+            pairs: Sequence[tuple[int, int]]) -> TriBool:
+    """Kleene AND of cross fact <= diag over the minors (i, i'; j, j')
+    with (i, i') and (j, j') in pairs, the magnitudes of the entries in
+    the exact ranges ends[i][j] = (lo, hi, e), [lo, hi] 2^e: FALSE where
+    inf(cross) fact > sup(diag), TRUE where sup(cross) fact <= inf(diag),
+    else UNKNOWN."""
+    out = TriBool.TRUE
+    for i1, i2 in pairs:
+        top, bottom = ends[i1], ends[i2]
+        for j1, j2 in pairs:
+            # diag m_ij m_i'j' = a b, cross m_i'j m_ij' = c d
+            a_lo, a_hi, a_e = top[j1]
+            b_lo, b_hi, b_e = bottom[j2]
+            c_lo, c_hi, c_e = bottom[j1]
+            d_lo, d_hi, d_e = top[j2]
+            ce, de = c_e + d_e, a_e + b_e
+            if _cmp(c_lo * d_lo * fact, ce, a_hi * b_hi, de) > 0:
+                return TriBool.FALSE
+            if _cmp(c_hi * d_hi * fact, ce, a_lo * b_lo, de) > 0:
+                out = TriBool.UNKNOWN
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +310,12 @@ def _fit(seq: FormSequence, n: int
         rest = sum(row[k] * rev[k] for k in range(c + 1, p))
         rev[c] = Fraction(row[p] - rest) / row[c]
     alpha = tuple(reversed(rev))
-    ok = all(recs[p].ell[i] == sum(alpha[j] * recs[j].ell[i] for j in range(p))
+    # the residual on ints: D ell_{n+p} = sum (D alpha_j) ell_{n+j}, D the
+    # lcm of the alpha denominators
+    D = math.lcm(*(a.denominator for a in alpha))
+    scaled = [a.numerator * (D // a.denominator) for a in alpha]
+    ok = all(D * recs[p].ell[i] == sum(scaled[j] * recs[j].ell[i]
+                                       for j in range(p))
              for i in range(p))
     return RecurrenceFit(n=n, alpha=alpha, residual=ok,
                          alpha0_zero=alpha[0] == 0,
@@ -272,11 +323,20 @@ def _fit(seq: FormSequence, n: int
 
 
 def _ball_det(M: Sequence[Sequence[BallReal]]) -> BallReal:
-    """Enclosure of det M by cofactor expansion along the first row."""
-    if len(M) == 1:
-        return M[0][0]
-    return sum((-1) ** j * m * _ball_det([r[:j] + r[j + 1:] for r in M[1:]])
-               for j, m in enumerate(M[0]))
+    """Enclosure of det M by cofactor expansion along the first row, each
+    minor computed once: a minor is named by its tuple of remaining
+    columns (its rows are the last ones), so the expansion costs O(p 2^p)
+    ring ops, not O(p!)."""
+    p = len(M)
+
+    @functools.cache
+    def minor(cols: tuple[int, ...]) -> BallReal:
+        row = M[p - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        return sum((-1) ** j * row[c] * minor(cols[:j] + cols[j + 1:])
+                   for j, c in enumerate(cols))
+    return minor(tuple(range(p)))
 
 
 @dataclass

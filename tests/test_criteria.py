@@ -12,7 +12,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latforms.numerics import BallReal, TriBool, cmp_abs_vs_power, parse_real, tri_compare
+from latforms.numerics import (BallReal, TriBool, cmp_abs_vs_power, parse_real,
+                               tri_all, tri_compare)
 from latforms.model import (
     Basis,
     Bound,
@@ -206,6 +207,117 @@ def test_matrix_condition_unknown():
     b = BallReal.from_endpoints(Fraction(397, 1000), Fraction(419, 1000), 96)
     M = [[BallReal.exact(1, 96), b], [b, BallReal.exact(1, 96)]]
     assert matrix_condition_check(M) is TriBool.UNKNOWN
+
+
+def _rounded_condition(M):
+    """matrix_condition_check as it was before it read exact endpoints:
+    every minor rounds three ball products and compares them."""
+    p = len(M)
+    fact = factorial(p + 1)
+    pairs = list(itertools.combinations(range(p), 2))
+    return tri_all(~tri_compare(abs(M[i2][j1] * M[i1][j2]) * fact,
+                                abs(M[i1][j1] * M[i2][j2]))
+                   for i1, i2 in pairs for j1, j2 in pairs)
+
+
+_WIDTHS = (0, Fraction(1, 10 ** 9), Fraction(1, 10 ** 6), Fraction(1, 1000),
+           Fraction(1, 100), Fraction(1, 10))
+
+
+@st.composite
+def _ball_matrix(draw, p, eighths=(4, 24)):
+    """p x p balls around +/- u_ij G^((i+1)(j+1)), u_ij in [1, 2), so that
+    each adjacent minor's diag/cross ratio is G times a ratio of the u; G
+    is (p+1)! times eighths/8, so verdicts mix.  Each ball has a relative
+    width from _WIDTHS and the matrix one precision of 24, 64 or 96 bits."""
+    G = factorial(p + 1) * Fraction(draw(st.integers(*eighths)), 8)
+    prec = draw(st.sampled_from([24, 64, 96]))
+    rows = []
+    for i in range(p):
+        row = []
+        for j in range(p):
+            x = (draw(st.sampled_from([-1, 1]))
+                 * (1 + Fraction(draw(st.integers(0, 999)), 1000))
+                 * G ** ((i + 1) * (j + 1)))
+            w = draw(st.sampled_from(_WIDTHS))
+            lo, hi = sorted((x * (1 - w), x * (1 + w)))
+            row.append(BallReal.from_endpoints(lo, hi, prec))
+        rows.append(row)
+    return rows
+
+
+def _abs_ends(x):
+    return sorted((abs(x.lower), abs(x.upper)))
+
+
+def _fraction_condition(M):
+    """Every minor decided on the Fraction ends of the entries'
+    magnitudes: FALSE if some minor fails at every point of the balls,
+    else TRUE if every minor holds at every point, else UNKNOWN."""
+    p = len(M)
+    fact = factorial(p + 1)
+    ends = [[_abs_ends(x) for x in row] for row in M]
+    pairs = list(itertools.combinations(range(p), 2))
+    out = TriBool.TRUE
+    for i1, i2 in pairs:
+        for j1, j2 in pairs:
+            (a, A), (b, B) = ends[i1][j1], ends[i2][j2]
+            (c, C), (d, D) = ends[i2][j1], ends[i1][j2]
+            if c * d * fact > A * B:
+                return TriBool.FALSE
+            if C * D * fact > a * b:
+                out = TriBool.UNKNOWN
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(_ball_matrix))
+def test_matrix_condition_agrees_with_the_oracles(M):
+    """The check is the Fraction decision of every minor.  It decides
+    wherever the rounded products did, the same way, and may also decide
+    where the rounding left UNKNOWN."""
+    got = matrix_condition_check(M)
+    assert got is _fraction_condition(M)
+    want = _rounded_condition(M)
+    if want is not TriBool.UNKNOWN:
+        assert got is want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda p: _ball_matrix(p, (8, 64))),
+       st.randoms(use_true_random=False))
+def test_adjacent_minors_certify_every_minor(M, rnd):
+    """Where every adjacent minor holds over the whole balls (decided here
+    on Fractions), the check says TRUE, and exact points sampled in the
+    balls satisfy every minor, adjacent or not."""
+    p = len(M)
+    fact = factorial(p + 1)
+    ends = [[_abs_ends(x) for x in row] for row in M]
+    if not all(ends[i + 1][j][1] * ends[i][j + 1][1] * fact
+               <= ends[i][j][0] * ends[i + 1][j + 1][0]
+               for i in range(p - 1) for j in range(p - 1)):
+        return
+    assert matrix_condition_check(M) is TriBool.TRUE
+    pairs = list(itertools.combinations(range(p), 2))
+    for _ in range(5):
+        X = [[x.lower + (x.upper - x.lower)
+              * Fraction(rnd.choice((0, 1024, rnd.randrange(1025))), 1024)
+              for x in row] for row in M]
+        for i1, i2 in pairs:
+            for j1, j2 in pairs:
+                assert (abs(X[i2][j1] * X[i1][j2]) * fact
+                        <= abs(X[i1][j1] * X[i2][j2]))
+
+
+def test_matrix_condition_false_past_undecided_adjacent_minors():
+    """Ones, but for a wide centre: each adjacent minor holds m_11, so
+    each is undecided, while the corner minor 1 * 1 < 24 * 1 * 1 fails
+    for certain.  All minors are then decided, and FALSE dominates."""
+    M = _exact_matrix([[1] * 3] * 3)
+    M[1][1] = BallReal.from_endpoints(Fraction(1, 10 ** 6), Fraction(10 ** 6),
+                                      96)
+    assert _rounded_condition(M) is TriBool.FALSE
+    assert matrix_condition_check(M) is TriBool.FALSE
 
 
 def _det_exact(rows):
@@ -492,6 +604,22 @@ def test_check_siegel_det_and_ranks_match_each_window(case):
     assert rep.det_consistent is TriBool.TRUE
 
 
+def _cofactor_det(M):
+    """_ball_det before its minors were memoised: the cofactor recursion
+    along the first row, which recomputes each minor."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * m * _cofactor_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j, m in enumerate(M[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(_ball_matrix))
+def test_ball_det_memoised_is_the_recursion_bit_for_bit(M):
+    got, want = criteria._ball_det(M), _cofactor_det(M)
+    assert (got.mid, got.rad, got.prec) == (want.mid, want.rad, want.prec)
+
+
 def _permutation_det(M):
     """_ball_det before the cofactor expansion: the sum over all p!
     permutations, each signed by counting its inversions."""
@@ -523,6 +651,7 @@ def test_ball_det_contains_the_exact_determinant(M, prec):
     exact = _leibniz_det(M)
     assert criteria._ball_det(balls).contains(exact)
     assert _permutation_det(balls).contains(exact)
+    assert criteria._ball_det(balls) == _cofactor_det(balls)
 
 
 def test_det_consistent_across_sequences_and_bases():
@@ -537,6 +666,21 @@ def test_det_consistent_across_sequences_and_bases():
             for n2 in range(n1, seq.records[-1].n - seq.p + 2):
                 rep = check_siegel(seq, b, n1, n2)
                 assert rep.det_consistent is TriBool.TRUE, (b, n2)
+
+
+def test_check_siegel_at_p10():
+    """A p = 10 synthetic family: the Delta window at n2 = 1 has full rank,
+    and the 10 x 10 ball determinant certifies it against the basis.  The
+    memoised minors take a fraction of a second here; the cofactor
+    recursion recomputed each minor, 10! products, for about a minute."""
+    from latforms.corpus import GeneratorSpec, default_basis, gen_synthetic
+    p = 10
+    spec = GeneratorSpec("synthetic-power", 30, {
+        "B": 2, "xi": [f"1/{k}" for k in range(2, p + 1)],
+        "t": [f"-{i}/{p}" for i in range(1, p)], "g": [0] * p})
+    rep = check_siegel(gen_synthetic(spec), default_basis(spec), 1, 1)
+    assert rep.p == p and rep.ranks[0] == (1, p)
+    assert rep.det_nonzero and rep.det_consistent is TriBool.TRUE
 
 
 # -- hypothesis report -------------------------------------------------------
