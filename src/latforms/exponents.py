@@ -18,10 +18,7 @@ exact integer per (x, prec), whose ratios ln x / ln Q_n _log_ratio gives
 the gamma, growth and norm traces, and per (basis, i, prec) one row per
 record of ln|L_n(e_i)| and ln Q_n at the escalated precision (_log_rows).
 estimate_tau, fit_alpha_beta, estimate_gamma_growth and check_nesterenko
-read it, so each log is computed once.  The rows are built from the
-last record down: built first to last, the records below the first
-escalation would read the xi handle before it was refined, and the fit
-would differ from a fit made after the escalations.
+read it, so each log is computed once.
 """
 
 from __future__ import annotations
@@ -142,14 +139,11 @@ def _log_rows(seq: FormSequence, basis: Basis, i: int,
     with the note of a skipped record.  BallReal.log brackets ln Q_n, of an
     exact integer, at used + 8 bits, and ln|L_n(e_i)| at the bits its ball
     holds plus guard bits, where that is fewer.  Built once per
-    (basis, i, prec) in the table of seq, from the last record down: the
-    last records escalate first, and RealConstant.at hands every record
-    below a rounding of the refined ball, no wider than the ball it gave
-    before."""
+    (basis, i, prec) in the table of seq."""
     key = (basis, i, prec)
     if key not in seq._logs:
         rows = []
-        for rec in reversed(seq.records):
+        for rec in seq.records:
             if rec.Q == 1:
                 rows.append((rec.n, prec, None, None,
                              "Q=1: log scale vanishes"))
@@ -161,7 +155,7 @@ def _log_rows(seq: FormSequence, basis: Basis, i: int,
             else:
                 rows.append((rec.n, used, ball.log(), _ln(seq, rec.Q, used),
                              ""))
-        seq._logs[key] = rows[::-1]
+        seq._logs[key] = rows
     return seq._logs[key]
 
 

@@ -167,16 +167,6 @@ class DiagonalLattice:
         if any(d < 1 for d in self.delta):
             raise ValidationError("lattice divisors must be >= 1")
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        if len(vec) != len(self.delta):
-            raise ValidationError("dimension mismatch")
-        return all(c % d == 0 for c, d in zip(vec, self.delta))
-
-    def dual_contains(self, vec: Sequence[Union[int, Fraction]]) -> bool:
-        if len(vec) != len(self.delta):
-            raise ValidationError("dimension mismatch")
-        return all((Fraction(a) * d).denominator == 1 for a, d in zip(vec, self.delta))
-
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -196,14 +186,19 @@ class DualPoint:
 
 def lattice_membership(vec: Sequence[int], lattice: DiagonalLattice) -> bool:
     """Exact check that an integer vector lies in the diagonal sublattice."""
-    return lattice.contains(vec)
+    if len(vec) != len(lattice.delta):
+        raise ValidationError("dimension mismatch")
+    return all(c % d == 0 for c, d in zip(vec, lattice.delta))
 
 
 def dual_membership(point: Union[DualPoint, Sequence[Fraction]],
                     lattice: DiagonalLattice) -> bool:
     """Exact check that delta_i * a_i is an integer for every coordinate."""
     vec = point.a if isinstance(point, DualPoint) else tuple(point)
-    return lattice.dual_contains(vec)
+    if len(vec) != len(lattice.delta):
+        raise ValidationError("dimension mismatch")
+    return all((Fraction(a) * d).denominator == 1
+               for a, d in zip(vec, lattice.delta))
 
 
 def divisor_chain_check(seq: FormSequence) -> list[tuple[int, int]]:

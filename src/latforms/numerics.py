@@ -936,9 +936,11 @@ def _series_const(bracket: Callable[[int], tuple[int, int]]
 class RealConstant:
     """Refinable handle for a real number.
 
-    ``at(prec)`` returns a BallReal enclosure; repeated calls at increasing
-    precision give nested enclosures (new results are intersected with the
-    best known one).  Exact rationals short-circuit.
+    ``at(prec)`` returns a BallReal enclosure that depends on prec alone,
+    whatever was asked before: an exact rational rounded to prec, a fixed
+    ball at no less than its own precision, or a computed ball taken at 64
+    guard bits and rounded to prec.  The handle keeps one memo, keyed by
+    precision.
     """
 
     def __init__(self, expr: str, *, exact: Optional[Fraction] = None,
@@ -948,30 +950,23 @@ class RealConstant:
         self.exact = exact
         self._compute = compute
         self._fixed = fixed
-        self._best: Optional[BallReal] = None
+        self._memo: dict[int, BallReal] = {}
 
     def at(self, prec: int) -> BallReal:
-        if prec < MIN_PREC:
-            raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
-        if prec > PREC_CAP:
-            raise PrecisionCapExceeded(f"{prec} bits exceeds cap {PREC_CAP}")
-        if self.exact is not None:
-            return BallReal.exact(self.exact, prec)
-        if self._fixed is not None:
-            return self._fixed.round_to(max(prec, self._fixed.prec))
-        best = self._best
-        if best is not None and best.prec >= prec and _cmp(best._r, best._e, 1, -prec) <= 0:
-            return best.round_to(prec) if best.prec > prec else best
-        ball = self._compute(prec)
-        if best is not None:
-            e = min(ball._e, best._e)
-            s, t = ball._e - e, best._e - e
-            lo = max((ball._m - ball._r) << s, (best._m - best._r) << t)
-            hi = min((ball._m + ball._r) << s, (best._m + best._r) << t)
-            if lo <= hi:
-                ball = _span(lo, hi, e, prec)
-        if best is None or _cmp(ball._r, ball._e, best._r, best._e) < 0 or ball.prec > best.prec:
-            self._best = ball
+        ball = self._memo.get(prec)
+        if ball is None:
+            if prec < MIN_PREC:
+                raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
+            if prec > PREC_CAP:
+                raise PrecisionCapExceeded(f"{prec} bits exceeds cap {PREC_CAP}")
+            if self.exact is not None:
+                ball = BallReal.exact(self.exact, prec)
+            elif self._fixed is not None:
+                ball = self._fixed.round_to(max(prec, self._fixed.prec))
+            else:
+                # at 64 guard bits its radius is below one radius step
+                ball = self._compute(prec + 2 * _RAD_BITS).round_to(prec)
+            self._memo[prec] = ball
         return ball
 
     def __repr__(self):
@@ -1081,9 +1076,7 @@ def parse_real(expr: str, prec: int = 64) -> RealConstant:
         raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
     expr = expr.strip()
     if expr in _NAMED:
-        h = RealConstant(expr, compute=_NAMED[expr])
-        h.at(prec)
-        return h
+        return RealConstant(expr, compute=_NAMED[expr])
     m = _SQRT_RE.match(expr)
     if m:
         k = int(m.group(1))
@@ -1092,9 +1085,7 @@ def parse_real(expr: str, prec: int = 64) -> RealConstant:
         r = math.isqrt(k)
         if r * r == k:
             return RealConstant(expr, exact=Fraction(r))
-        h = RealConstant(expr, compute=_sqrt_const(k))
-        h.at(prec)
-        return h
+        return RealConstant(expr, compute=_sqrt_const(k))
     m = _RAT_RE.match(expr)
     if m:
         num, den = int(m.group(1)), int(m.group(2))

@@ -4,17 +4,20 @@
 before its midpoint and radius became integers at a shared power-of-two
 scale: exact endpoints as Fractions, then the midpoint rounded to ``prec``
 significant bits (halves to even) and the radius plus the rounding error
-rounded up to 32 bits.  ``old_sqrt``, ``old_pow`` and ``OldConstant`` keep the
-Fraction-endpoint sqrt, rational power and RealConstant.at memo that the
-integer ends replaced.  Every op must give the same (mid, rad, prec) as its
-oracle, bit for bit, and ring ops must contain the mpmath result at 4x
-precision.
+rounded up to 32 bits.  ``old_sqrt`` and ``old_pow`` keep the
+Fraction-endpoint sqrt and rational power that the integer ends replaced.
+Every op must give the same (mid, rad, prec) as its oracle, bit for bit,
+and ring ops must contain the mpmath result at 4x precision.  A named or
+sqrt(k) constant's ball at a precision must be the same whatever was asked
+of the handle before, contain mpmath at 4x precision, and be no wider than
+a rounded ball the handle gave when it kept its best ball so far.
 A seeded chain of mixed ops, transcendental ones included, is pinned by the
 sha256 of its ``to_json`` output; ``PYTHONPATH=src python3
 tests/test_ball_kernel.py`` prints it.  The ln and exp kernels set its low
 bits, so a change to them moves the pin.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +31,6 @@ from hypothesis import assume, given, settings, strategies as st
 from latforms.numerics import (
     BallReal,
     NumericsError,
-    RealConstant,
     TriBool,
     _enclose,
     _span,
@@ -394,7 +396,7 @@ def test_eq_and_hash_agree_with_fraction_oracle(x, y, how):
 
 
 # ---------------------------------------------------------------------------
-# division, sqrt, rational pow and RealConstant.at against their Fraction code
+# division, sqrt and rational pow against their Fraction code
 # ---------------------------------------------------------------------------
 
 def _o(x):
@@ -424,23 +426,6 @@ def old_pow(x, expo):
     hi_r = floor_root_rational(hi.numerator << (v * wp), hi.denominator, v) + 1
     out = _span(lo_r, hi_r, -wp, x.prec)
     return Oracle(1, 0, x.prec) / _o(out) if u < 0 else out
-
-
-class OldConstant(RealConstant):
-    """RealConstant with the memo and intersection on Fraction endpoints."""
-
-    def at(self, prec):
-        best = self._best
-        if best is not None and best.prec >= prec and best.rad <= _pow2(-prec):
-            return best.round_to(prec) if best.prec > prec else best
-        ball = self._compute(prec)
-        if best is not None:
-            lo = max(ball.lower, best.lower)
-            hi = min(ball.upper, best.upper)
-            if lo <= hi:
-                ball = BallReal.from_endpoints(lo, hi, prec)
-        self._best = ball if best is None or ball.rad < best.rad or ball.prec > best.prec else best
-        return ball
 
 
 @st.composite
@@ -490,51 +475,6 @@ def test_division_pins(num, den, prec):
         assert (a / b).is_exact and (a / b).mid == q
 
 
-def _wobbly(seed, value):
-    """compute(prec) of an unrounded ball near the dyadic value, seeded per
-    precision: some miss value, some end at it (so two of them touch), some
-    are tight enough to be memoised, some are wide."""
-    def compute(prec):
-        rng = random.Random(seed * 1_000_003 + prec)
-        lo = value - Fraction(rng.randrange(1 << 20), 1 << (prec + rng.randint(-8, 24)))
-        hi = value + Fraction(rng.randrange(1 << 20), 1 << (prec + rng.randint(-8, 24)))
-        how = rng.randrange(6)
-        if how == 0:
-            lo, hi = hi, hi + (hi - lo)
-        elif how in (1, 2):
-            lo, hi = (lo, value) if how == 1 else (value, hi)
-        return _ball((lo + hi) / 2, (hi - lo) / 2, prec)
-    return compute
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(16, 700), min_size=1, max_size=12),
-       st.sampled_from(["rising", "falling", "mixed"]),
-       st.sampled_from(["golden", "zeta3", "zeta2", "e", "sqrt(7)", "wobbly"]),
-       st.integers(0, 10 ** 6), st.integers(-(10 ** 12), 10 ** 12),
-       st.integers(0, 60))
-def test_constant_memo_identical_to_fraction_endpoints(precs, order, name, seed,
-                                                       a, b):
-    if order != "mixed":
-        precs = sorted(precs, reverse=order == "falling")
-    compute = (_wobbly(seed, Fraction(a, 1 << b)) if name == "wobbly"
-               else parse_real(name, 16)._compute)
-    new, old = RealConstant(name, compute=compute), OldConstant(name, compute=compute)
-    for prec in precs:
-        _same(new.at(prec), old.at(prec))
-        _same(new._best, old._best)
-
-
-def test_constant_intersection_of_touching_balls_is_their_common_end():
-    v, w = Fraction(3, 4), Fraction(1, 16)
-    balls = {20: _ball(v - w, w, 20), 30: _ball(v + w, w, 30)}
-    new = RealConstant("x", compute=balls.get)
-    old = OldConstant("x", compute=balls.get)
-    for prec in (20, 30):
-        _same(new.at(prec), old.at(prec))
-    assert new.at(30).is_exact and new.at(30).mid == v
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-(10 ** 30), 10 ** 30), st.integers(0, 10 ** 30),
        st.integers(1, 10 ** 30), st.integers(1, 10 ** 6), st.integers(0, 40),
@@ -576,6 +516,51 @@ def test_ring_ops_contain_mpmath_at_four_times_precision(x, y):
             assert ball.lower - tol <= r <= ball.upper + tol
 
 
+_CONSTANTS = {"golden": lambda: +mpmath.phi, "zeta3": lambda: mpmath.zeta(3),
+              "zeta2": lambda: mpmath.zeta(2), "e": lambda: +mpmath.e}
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_constant(name):
+    """The constant by mpmath at 4 x 2000 bits, a Fraction."""
+    with mpmath.workprec(8000):
+        if name in _CONSTANTS:
+            return _mpf_fraction(_CONSTANTS[name]())
+        return _mpf_fraction(mpmath.sqrt(int(name[5:-1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(16, 2000), min_size=1, max_size=8),
+       st.sampled_from(["rising", "falling", "mixed"]),
+       st.one_of(st.sampled_from(sorted(_CONSTANTS)),
+                 st.integers(2, 10 ** 6).filter(
+                     lambda k: math.isqrt(k) ** 2 != k).map(
+                     lambda k: f"sqrt({k})")),
+       st.integers(1, 256))
+def test_constant_ball_depends_on_precision_alone(precs, order, name, extra):
+    if order != "mixed":
+        precs = sorted(precs, reverse=order == "falling")
+    handle = parse_real(name)
+    ref = _mp_constant(name)
+    for prec in precs:
+        ball = handle.at(prec)
+        assert ball == parse_real(name).at(prec)
+        assert ball.prec == prec
+        tol = ref / (1 << (8000 - 2))       # mpmath's own rounding
+        assert ball.lower - tol <= ref <= ball.upper + tol
+        # the radius is the rounding error bound h at prec bits and one
+        # step of the 32-bit radius grid, which absorbs the guard-bit
+        # ball's own radius
+        h = _round_frac(ref, prec)[1]
+        assert ball.rad == h + h / (1 << 32)
+        # no wider than a ball the best-ball memo could hand out at prec,
+        # save one whose midpoint fell on the prec-bit grid and so took no
+        # rounding error
+        for other in (handle._compute(prec),
+                      handle._compute(prec + extra).round_to(prec)):
+            assert ball.rad <= other.rad or other.rad < h
+
+
 # ---------------------------------------------------------------------------
 # a seeded chain of mixed ops, pinned by the digest of its output
 # ---------------------------------------------------------------------------
@@ -593,8 +578,13 @@ def test_ring_ops_contain_mpmath_at_four_times_precision(x, y):
 # 5b50764d..., when midpoints came to round halves to even: 2,444 results
 # changed, the first at step 241, none to or from an error; 553 have a
 # smaller radius, 1,386 the same and 505, downstream of a moved midpoint,
-# a larger one by at most 4.4% of itself.
-CHAIN_SHA256 = "5b50764d2f3d651910347570c59c4f31fb115fcd239c71e44b83e55551b944d3"
+# a larger one by at most 4.4% of itself.  It moved again, 5b50764d... ->
+# ea1dafd3..., when a constant's ball came to be computed at 64 guard bits
+# and rounded to the precision asked: the chain's constants are no wider,
+# but their midpoints moved, so 7,090 results changed, the first at step 2,
+# none to or from an error; 2,289 have a smaller radius, 3,284 the same and
+# 1,517 a larger one by at most 3.2e-7 of itself.
+CHAIN_SHA256 = "ea1dafd310fcd8deaccadb8c0af1f8f353ec81dcd55b8e2ffba8256b23cd24b9"
 
 
 def _op_chain(steps, seed=20261018):

@@ -336,8 +336,15 @@ def test_verify_report_identical(capsys):
 # 3e-25; the records, the gamma and growth balls and the trace lengths are
 # the same.  It moved again, a6c8e322... -> a6b81a6f..., when the log of
 # an inexact ball came to be bracketed at the bits the ball holds: the
-# oscillation fell by 4.9e-62 and every other value is the same.  The
-# verify-golden and primal-golden work digests moved when
+# oscillation fell by 4.9e-62 and every other value is the same.  It
+# moved again, a6b81a6f... -> f11627db..., when a constant's ball came to
+# be computed at 64 guard bits and rounded to the precision asked: the tau
+# radius fell from 3.08790e-19 to 3.08782e-19 and the oscillation by
+# 7.1e-27, with the same tau midpoint, gamma and growth balls.  The
+# nesterenko-fib outcome digest moved at the same change, 363afffd... ->
+# aea58368...: the tau radius fell from 8.17e-5 to 7.95e-5, its midpoint
+# moved by -3.3e-9 and the oscillation by -2.2e-6, with the same statuses.
+# The verify-golden and primal-golden work digests moved when
 # the single-label scans came to visit only the convergent denominators:
 # prefixes 10001 -> 20 and scanned 378 -> 14, with the same outcomes.
 WORK_KEYS = frozenset({"candidates_checked", "prefixes", "budget_estimate",
@@ -372,11 +379,11 @@ PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
         "30c9cc6dcc0f0ebb3f286ea5d6ab62bbe7536cf812ff80057d6d3a95da7df8ad"),
     "estimate-apery": (
         ("estimate", "--gen", "apery-zeta3", "--n-max", "20"),
-        "a6b81a6ff4477df205df5c4f2699298bdf3ccdccb530b877d15a50b1f875516e",
+        "f11627db0f1c7cad67928289074f67be712f18feabceb8db7b9ece8329a14788",
         "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "nesterenko-fib": (
         ("check-nesterenko", "--gen", "fibonacci-golden", "--n-max", "40"),
-        "363afffd905ed941cc48c1b2f1b137cf0cd2319a8a3f55444ac79bf2da6c5596",
+        "aea58368167b3cacbaf30aa316506f3f4efba43d35e0e252d9b707eb0219865b",
         "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "siegel-apery": (
         ("check-siegel", "--gen", "apery-zeta3", "--n-max", "30", "--n1", "2",
@@ -440,7 +447,10 @@ def test_result_digest_pinned(name):
 # which does not escalate, stopped taking --prec-cap: its config echo no
 # longer has prec_cap.  The estimate-apery digest moved, d6efcf5b... ->
 # e722d166..., with its outcome digest, when ball logs came to be taken at
-# the bits a ball holds.
+# the bits a ball holds, and again, to fb80b04f..., with its outcome digest
+# when a constant's ball came to depend on its precision alone; the
+# nesterenko-fib digest moved with its outcome digest then too, 017ecd68...
+# -> 4034a1bd....
 _SYNTH_P3 = '{"B":2,"xi":["1/3","2/5"],"t":["-1/2",null],"g":["0","0","1"]}'
 
 
@@ -476,7 +486,7 @@ PINNED_DIGESTS = {
     "dual-half":
         "ed43318414d0de636db1029097e099119f8aaf4fc7565be91713fa2bfeeb2e43",
     "estimate-apery":
-        "e722d1664ea1015f1aab6ff4902236deea6e55ec1f77b7a68e97125b3ac976da",
+        "fb80b04f42bfc55d7269f8ef1aa8c623d1367b77af270d2a04293363bdcdf805",
     "estimate-input-no-n-max":
         "51dcc7b20adcb3b7b0b2cc765f6caf7bf4affcf2e3600d88abfc91b10cded0db",
     "generate-apery-zeta2":
@@ -488,7 +498,7 @@ PINNED_DIGESTS = {
     "generate-synthetic-power":
         "7ec673218e3388d8b65e157268e419f79bf59ddc05f1f0d65d8624f7610dbeef",
     "nesterenko-fib":
-        "017ecd687aa977dadd0e7a329b49c55968bb535bafe269e5a568001f615f423a",
+        "4034a1bd9b1eef4690de19478dfb22ff3edf97b67d9c74d1d03a8b6831fdabf6",
     "primal-golden":
         "0b98f8970c4b1fb70d03861e0e8c22bd8c8173a51fa942bb2d74a7aa263f8ae6",
     "roundtrip-crlf":

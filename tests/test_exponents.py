@@ -17,7 +17,7 @@ from latforms.numerics import (
     parse_real,
 )
 from latforms.model import Basis, FormRecord, FormSequence, ValidationError
-from latforms.corpus import gen_apery_zeta3
+from latforms.corpus import gen_apery_zeta3, gen_fibonacci
 from latforms.criteria import check_nesterenko
 from latforms.exponents import (
     TauEstimate,
@@ -373,10 +373,15 @@ def test_apery_fit_pinned(apery_run):
     of the bound by -2.92e-45; beta is unchanged.  Moved again, to
     2232b7de..., when midpoints came to round halves to even: the
     midpoints of alpha, beta and the bound moved by less than 2^-1988 and
-    every radius and the tau trace are the same."""
+    every radius and the tau trace are the same.  Moved again, to
+    4d182f64..., when a constant's ball came to be computed at 64 guard
+    bits and rounded: alpha's midpoint moved by less than 2^-2120, beta
+    and the bound are the same, every radius is the same, and the tau
+    entries of records 197 to 200, at 4000 bits, are narrower by 0.002% to
+    0.003% of their radius."""
     *_, alpha, beta, mu = apery_run
     assert _digest(alpha, beta, mu) == \
-        "2232b7de299d76a292c0e75b422f41c7e01f392a219a98f052079cbd4a61b0db"
+        "4d182f6443d321dcc0844775db75a5b2970cfd3fce93dcba5c93f3b651a8bb30"
 
 
 def test_fit_independent_of_call_order(apery_run):
@@ -385,6 +390,17 @@ def test_fit_independent_of_call_order(apery_run):
     seq, _, alpha, beta, _ = apery_run
     fresh = fit_alpha_beta(seq, Basis((parse_real("zeta3"),)), 1, prec=2000)
     assert _digest(*fresh) == _digest(alpha, beta)
+
+
+def test_tau_independent_of_earlier_reads_of_xi():
+    """A golden basis read at 1024 bits first gives the tau trace of a
+    fresh one: a constant's ball depends on the precision asked alone."""
+    fresh = estimate_tau(gen_fibonacci(60), Basis((parse_real("golden"),)),
+                         1, prec=64)
+    read = Basis((parse_real("golden"),))
+    read.xi[0].at(1024)
+    again = estimate_tau(gen_fibonacci(60), read, 1, prec=64)
+    assert again.trace == fresh.trace and again.final == fresh.final
 
 
 def _interval(ball):
@@ -418,31 +434,27 @@ def _mp_tau(rec, xi, prec):
     return Fraction(man if val >= 0 else -man) * Fraction(2) ** exp
 
 
-def _assert_no_wider_than_forward(seq, est, oracle, xi):
+def _assert_matches_forward(seq, est, oracle, xi):
+    assert est.trace == oracle.trace
     assert est.final == oracle.final
     assert est.precision_used == oracle.precision_used
     assert est.consistent is oracle.consistent
-    assert len(est.trace) == len(oracle.trace)
-    for new, old, rec in zip(est.trace, oracle.trace, seq):
-        assert (new.n, new.note) == (old.n, old.note) and new.n == rec.n
-        if old.value is None:
-            assert new.value is None
+    assert len(est.trace) == len(seq)
+    for entry, rec in zip(est.trace, seq):
+        assert entry.n == rec.n
+        if entry.value is None:
             continue
-        assert new.value.rad <= old.value.rad
         # the entry's precision, not prec: an escalated entry cancels more
-        w = new.value.prec
+        w = entry.value.prec
         t = _mp_tau(rec, xi, w)
         slack = Fraction(1, 2 ** (2 * w))
-        assert new.value.lower - slack <= t <= new.value.upper + slack
+        assert entry.value.lower - slack <= t <= entry.value.upper + slack
 
 
 def test_tau_matches_forward_oracle_apery(apery_run):
     seq, est, *_ = apery_run
     oracle = forward_tau(seq, Basis((parse_real("zeta3"),)), 1, 2000)
-    _assert_no_wider_than_forward(seq, est, oracle, lambda: mpmath.zeta(3))
-    narrower = sum(new.value.rad < old.value.rad
-                   for new, old in zip(est.trace, oracle.trace))
-    assert 0 < narrower < len(est.trace)
+    _assert_matches_forward(seq, est, oracle, lambda: mpmath.zeta(3))
 
 
 def _rational_seq():
@@ -462,7 +474,7 @@ def _rational_seq():
 def test_tau_matches_forward_oracle(seq, xi, mp_xi, prec):
     est = estimate_tau(seq, Basis((parse_real(xi),)), 1, prec=prec)
     oracle = forward_tau(seq, Basis((parse_real(xi),)), 1, prec)
-    _assert_no_wider_than_forward(seq, est, oracle, mp_xi)
+    _assert_matches_forward(seq, est, oracle, mp_xi)
 
 
 def test_log_table_computes_each_log_once(monkeypatch):
