@@ -49,6 +49,7 @@ from .numerics import (
     NumericsError,
     TriBool,
     UncertifiedComparison,
+    check_literal,
     decimal_to_int,
     jsonable,
     parse_real,
@@ -79,7 +80,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(text: str) -> Fraction:
     try:
+        check_literal(text)
         return Fraction(text)
+    except NumericsError as e:
+        raise argparse.ArgumentTypeError(str(e))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 

@@ -31,8 +31,8 @@ from typing import IO, Callable, Optional, Sequence, Union
 
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError, _form
-from .numerics import (TriBool, cmp_abs_le, decimal_to_int, int_to_decimal,
-                       parse_real)
+from .numerics import (NumericsError, TriBool, check_literal, cmp_abs_le,
+                       decimal_to_int, int_to_decimal, parse_real)
 
 __all__ = [
     "GENERATORS",
@@ -201,8 +201,13 @@ def gen_apery_zeta2(n_max: int, prec: int = 64) -> FormSequence:
 
 
 def _frac(x, what: str) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     try:
-        return x if isinstance(x, Fraction) else Fraction(str(x))
+        check_literal(str(x))
+        return Fraction(str(x))
+    except NumericsError as e:
+        raise ValidationError(f"{what}: {e}") from e
     except (ValueError, ZeroDivisionError) as e:
         raise ValidationError(f"{what}: cannot parse {x!r} as a rational") from e
 

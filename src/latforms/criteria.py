@@ -8,8 +8,9 @@ at the phi-iterated indices; matrix_condition_check certifies the
 factorial-ratio condition that forces invertibility, exactly on the
 integer ends of the entries' magnitudes and from the adjacent 2 x 2
 minors when they suffice; fit_recurrence / check_siegel handle the
-recurrence-based variant, with integer residuals and a ball determinant
-whose minors are memoised; verify_conclusion
+recurrence-based variant, with integer residuals, wide windows certified
+modulo a prime and a ball determinant whose minors are memoised;
+verify_conclusion
 exhaustively tests the lower bound |a_1 xi_1 + ... + a_p| > Q^(-1-eps) over
 the admissible dual points at one concrete Q through _dual_scan, as
 minkowski's dual witness does: the one coordinate-frame scan
@@ -288,14 +289,23 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     return fit if seq.has(n + seq.p) else seq.record(n + seq.p)  # raises
 
 
-def _fit(seq: FormSequence, n: int
-         ) -> tuple[Optional[RecurrenceFit], int, int]:
+def _fit(seq: FormSequence, n: int, mods: Optional[dict] = None
+         ) -> tuple[Optional[RecurrenceFit], int, Optional[int]]:
     """fit_recurrence(seq, n) and the rank and determinant of the Delta
     window at n, which its system holds with the columns reversed, also
     where the fit is None: the system is inconsistent, or the window is
-    the last one and has no record after it."""
+    the last one and has no record after it.
+
+    Given mods, each record's ell reduced mod _P keyed by its n, the window
+    first takes the modular route (_mod_fit), which certifies a full-rank
+    window without its determinant: det is then None.  A window the route
+    does not certify is eliminated exactly."""
     p = seq.p
     recs = [seq.record(n + j) for j in range(p + seq.has(n + p))]
+    if mods is not None:
+        out = _mod_fit(recs, [mods[r.n] for r in recs])
+        if out is not None:
+            return out
     # unknowns alpha_j; columns reversed so pivots prefer high lags, and
     # the record after the window, if any, rides along
     rows = [[r.ell[i] for r in recs[p - 1::-1] + recs[p:]] for i in range(p)]
@@ -314,12 +324,91 @@ def _fit(seq: FormSequence, n: int
     # lcm of the alpha denominators
     D = math.lcm(*(a.denominator for a in alpha))
     scaled = [a.numerator * (D // a.denominator) for a in alpha]
-    ok = all(D * recs[p].ell[i] == sum(scaled[j] * recs[j].ell[i]
-                                       for j in range(p))
-             for i in range(p))
+    ok = _substitutes(recs, D, scaled)
     return RecurrenceFit(n=n, alpha=alpha, residual=ok,
                          alpha0_zero=alpha[0] == 0,
                          non_unique=rank < p), rank, det
+
+
+def _substitutes(recs, D: int, scaled: Sequence[int]) -> bool:
+    """D ell_{i,n+p} = sum_j scaled_j ell_{i,n+j} for every i, exactly:
+    small-by-big products only."""
+    p = len(scaled)
+    return all(D * recs[p].ell[i] == sum(scaled[j] * recs[j].ell[i]
+                                         for j in range(p))
+               for i in range(p))
+
+
+# The modular route of a Siegel window.  _P is prime, so a window whose
+# determinant is nonzero mod _P has a nonzero determinant over Z: rank p
+# and one solution.  A candidate rebuilt from the solution mod _P that
+# substitutes back exactly is therefore that solution.  2^255 - 19 rebuilds
+# every Apery fit up to n = 3,000 (2^127 - 1 fails from n = 1,450 on).
+_P = 2 ** 255 - 19
+_HALF = math.isqrt(_P // 2)   # Wang's bound on numerators and denominators
+# The route pays for entries of this many bits and more: below, its fixed
+# cost (an inverse and a rebuild mod _P) exceeds Bareiss on the window.
+_MOD_BITS = 4096
+
+
+def _mod_p(ell: Sequence[int]) -> tuple[int, ...]:
+    return tuple(x % _P for x in ell)
+
+
+def _mod_fit(recs, mods):
+    """_fit's (fit, rank, det) of the window at recs[0].n, whose records'
+    ell reduced mod _P are mods, certified through _P with det None; or
+    None where the route does not certify it: the determinant is 0 mod
+    _P, a coefficient is not rebuilt within _HALF, or the rebuilt ones do
+    not substitute back."""
+    p = len(mods[0])
+    x = _mod_solve([[m[i] for m in mods] for i in range(p)], p)
+    if x is None:
+        return None
+    if len(recs) == p:                  # the last window: no fit
+        return None, p, None
+    # rebuild alpha_j = u_j / D from x_j (Wang 1981): the extended Euclid
+    # of (_P, D x_j) stops at the first remainder within _HALF
+    D, us = 1, []
+    for xj in x:
+        r0, r1, t0, t1 = _P, xj * D % _P, 0, 1
+        while r1 > _HALF:
+            q, r = divmod(r0, r1)
+            r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+        if abs(t1) > _HALF:
+            return None
+        us = [u * t1 for u in us] + [r1]    # D x_j = r1 / t1 (mod _P)
+        D *= t1
+    if not _substitutes(recs, D, us):
+        return None
+    alpha = tuple(Fraction(u, D) for u in us)
+    return RecurrenceFit(n=recs[0].n, alpha=alpha, residual=True,
+                         alpha0_zero=alpha[0] == 0, non_unique=False), p, None
+
+
+def _mod_solve(rows: list[list[int]], p: int) -> Optional[list[int]]:
+    """x with sum_j rows[i][j] x_j = rows[i][p] (mod _P) for i < p, or
+    None if the leading p x p block is singular mod _P; with no column p,
+    an empty x for a nonsingular block.  Division-free Gauss-Jordan, so
+    the one inverse is of the product of the pivots."""
+    for c in range(p):
+        piv = next((k for k in range(c, p) if rows[k][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        t = top[c]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if k != c and f:
+                rows[k] = [(t * a - f * b) % _P for a, b in zip(row, top)]
+    if len(rows[0]) == p:
+        return []
+    # row c reads d_c x_c = b_c
+    d = [row[c] for c, row in enumerate(rows)]
+    w = pow(math.prod(d) % _P, -1, _P)
+    return [row[p] * w * math.prod(d[:c] + d[c + 1:]) % _P
+            for c, row in enumerate(rows)]
 
 
 def _ball_det(M: Sequence[Sequence[BallReal]]) -> BallReal:
@@ -372,12 +461,25 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
                  prec: int = 64) -> SiegelReport:
     """Recurrence-based hypothesis report: exact fits with alpha_0(n) != 0
     over [n1, last-p], exact det of the Delta window at n2, observed rank
-    propagation, and a determinant cross-check against the basis values."""
+    propagation, and a determinant cross-check against the basis values.
+
+    The n2 window is eliminated exactly (Bareiss).  Where some entry of
+    the records from n1 on has _MOD_BITS bits or more, each record is
+    reduced mod the prime _P once and every other window is certified
+    modulo _P, in time linear in its bits: det != 0 mod _P proves rank p,
+    and alpha rebuilt from the solution mod _P that substitutes back
+    exactly is the one solution.  A window singular mod _P, or whose
+    alpha is not rebuilt or does not substitute back, is eliminated
+    exactly, so the report is the one elimination of every window gives."""
     p = seq.p
     last = seq.records[-1].n
     if not (n1 <= n2 <= last - p + 1):
         raise ValidationError(f"need n1 <= n2 <= {last - p + 1}")
-    windows = {n: _fit(seq, n) for n in range(n1, last - p + 2)}
+    recs = [r for r in seq.records if r.n >= n1]
+    wide = max(x.bit_length() for r in recs for x in r.ell) >= _MOD_BITS
+    mods = {r.n: _mod_p(r.ell) for r in recs} if wide else None
+    windows = {n: _fit(seq, n, None if n == n2 else mods)
+               for n in range(n1, last - p + 2)}
     # the last window has no record after it, hence no fit
     fits = {n: f for n, (f, _, _) in windows.items() if n + p <= last}
     ranks = [(n, rank) for n, (_, rank, _) in windows.items()]

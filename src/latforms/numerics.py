@@ -77,6 +77,7 @@ __all__ = [
     "jsonable",
     "PREC_CAP",
     "POWER_BITS",
+    "check_literal",
     "MIN_PREC",
 ]
 
@@ -984,6 +985,7 @@ _SQRT_RE = re.compile(r"^sqrt\((\d+)\)$")
 _RAT_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _DEC_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 _DIGITS_RE = re.compile(r"[+-]?[0-9]+")
+_EXP_RE = re.compile(r"[eE]([+-]?\d+)\s*$")
 
 
 def int_to_decimal(n: int) -> str:
@@ -1021,7 +1023,21 @@ def fraction_to_str(q: Fraction) -> str:
     return f"{num}/{int_to_decimal(q.denominator)}"
 
 
+def check_literal(s: str) -> None:
+    """Refuse a decimal literal whose exact value may need more than
+    POWER_BITS bits, before anything builds it: Fraction("1e99999999")
+    builds 10^99999999.  n characters with exponent e need at most
+    (n + |e|) log2(10) bits."""
+    m = _EXP_RE.search(s)
+    e = m.group(1).lstrip("+-").lstrip("0") if m else ""
+    if len(e) > 9 or (len(s) + int(e or 0)) * math.log2(10) > POWER_BITS:
+        shown = s if len(s) <= 40 else f"{s[:20]}...{s[-12:]}"
+        raise NumericsError(f"decimal literal {shown!r} exceeds the "
+                            f"{POWER_BITS}-bit bound on an exact value")
+
+
 def decimal_to_fraction(s: str) -> Fraction:
+    check_literal(s)
     return Fraction(Decimal(s))
 
 

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,9 @@ PINNED_RUNS = {  # name: (argv, input file text or None, JSONL output)
        for name, (argv, _, _) in PINNED_RESULTS.items()},
     "roundtrip-crlf": (("roundtrip", "--input", "in.jsonl"), _crlf_input,
                        False),
+    # entries up to 5,608 bits: the windows take criteria's modular route
+    "siegel-apery-wide": (("check-siegel", "--gen", "apery-zeta3", "--n-max",
+                           "600", "--n1", "2", "--n2", "5"), None, False),
     "estimate-input-no-n-max": (("estimate", "--input", "in.jsonl"),
                                 _input_without_n_max, False),
     **{f"generate-{gen}": (("generate", "--gen", gen, "--n-max", "12",
@@ -505,6 +509,8 @@ PINNED_DIGESTS = {
         "c232b83f63fb19a6f7a58d633b9b055598f8bd435aad876690b15c854e09dd13",
     "siegel-apery":
         "3007519c6515bdb8aaa97e63970bd3451e2eba15596ba38e5d3e6e168a0eaa64",
+    "siegel-apery-wide":
+        "79e1be8300ab07a3bc8a98f7694b67cc24802b7f16cab0549b4501d6563cc9f5",
     "verify-golden":
         "635a63f1af6e93c8a2f4630d4e561b703b79cd0f8b7b9acca23cc3982a9f73b6",
     "verify-undecided":
@@ -1017,11 +1023,31 @@ def test_construct_primal_step_with_a_label_certainly_out_is_not_unknown(
         == (13, 0)
 
 
+@pytest.mark.parametrize("flag, literal", [
+    ("--xi", "1e99999999"), ("--xi", "0.5e-99999999"),
+    ("--xi", "0.5±1e-99999999"), ("--tau", "1e99999999")])
+def test_huge_decimal_literal_is_a_usage_error(capsys, flag, literal):
+    """A literal past POWER_BITS exits 1 at once with one error line that
+    names it and the bound; building 10^99999999 ran for minutes."""
+    argv = {"--xi": "1/2", "--tau": "1"}
+    argv[flag] = literal
+    start = time.perf_counter()
+    rc, out, err = invoke(capsys, "construct-primal", "--xi", argv["--xi"],
+                          "--tau", argv["--tau"], "--delta", "1", "1",
+                          "--Q", "100")
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("latforms: error: ")
+    assert literal.split("±")[-1] in err and "16777216-bit bound" in err
+
+
 # ---------------------------------------------------------------------------
 # seeded argv grammar: every run ends in a documented exit code
 
-_RATS = ("0", "1", "-0.5", "-1/2", "1/2", "3/2", "5/4", "2", "1/10")
-_XIS = ("golden", "sqrt(2)", "1/3", "2/7", "zeta3", "e", "0.5±0.01")
+_RATS = ("0", "1", "-0.5", "-1/2", "1/2", "3/2", "5/4", "2", "1/10",
+         "1e99999999")
+_XIS = ("golden", "sqrt(2)", "1/3", "2/7", "zeta3", "e", "0.5±0.01",
+        "1e99999999", "0.5e-99999999")
 _INPUTS = {            # generator argv and the p of its sequence
     "fibonacci-golden": ((), 2),
     "apery-zeta3": ((), 2),

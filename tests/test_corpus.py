@@ -350,6 +350,11 @@ def test_synthetic_structural_validation():
         GeneratorSpec("no-such-generator", 5)
     with pytest.raises(ValidationError):
         GeneratorSpec("fibonacci-golden", 2)
+    # refused from its text: Fraction("1e99999999") builds 10^99999999
+    with pytest.raises(ValidationError, match="xi: .*1e99999999.*-bit bound"):
+        gen_synthetic(GeneratorSpec("synthetic-power", 5,
+                                    {"B": 2, "xi": ["1e99999999"],
+                                     "t": ["0"], "g": ["0", "0"]}))
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,166 @@ def test_check_siegel_det_and_ranks_match_each_window(case):
     assert rep.det_consistent is TriBool.TRUE
 
 
+# -- the modular route of check_siegel -----------------------------------------
+
+def _wide(rng, bits):
+    """A random integer of exactly `bits` bits, of either sign."""
+    return rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+def _wide_seq(ells):
+    p = len(ells[0])
+    return FormSequence([FormRecord(n=n, Q=n + 2, ell=tuple(e),
+                                    delta=(1,) * p)
+                         for n, e in enumerate(ells)])
+
+
+def _combination(cs, ells):
+    return [sum(c * e[i] for c, e in zip(cs, ells)) for i in range(len(ells[0]))]
+
+
+def _multiple_of_P(rng, cols, bits):
+    """A wide record v that makes the window of columns cols + [v] have
+    a determinant divisible by criteria._P: the determinant is linear in
+    v, so one coordinate of v is moved by the residue that cancels it."""
+    p = len(cols) + 1
+    P = criteria._P
+
+    def det(v):
+        return _leibniz_det([[c[i] for c in cols + [v]] for i in range(p)])
+    v = [_wide(rng, bits) for _ in range(p)]
+    for i in range(p):
+        e = [int(k == i) for k in range(p)]
+        if det(e) % P:
+            v[i] -= det(v) * pow(det(e), -1, P) % P
+            break
+    return v
+
+
+@st.composite
+def _wide_input(draw):
+    """p = 2..5 and records of 4,096 to 6,000 bits: p random ones, then
+    each a combination of the p before it with small coefficients, or one
+    that the modular route must hand back to elimination: coefficients
+    above its rebuilding bound, a singular window (consistent or not), a
+    window whose determinant is a multiple of P, or a fresh record."""
+    p = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bits = draw(st.integers(criteria._MOD_BITS, 6000))
+    ells = [[_wide(rng, bits) for _ in range(p)] for _ in range(p)]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("small", "small", "tall", "singular",
+                                     "multiple", "fresh")))
+        if kind == "small":
+            cs = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+        elif kind == "tall":
+            cs = [_wide(rng, draw(st.integers(100, 250))) for _ in range(p)]
+        elif kind == "singular":           # the window ending here
+            cs = [0] + draw(st.lists(st.integers(-3, 3), min_size=p - 1,
+                                     max_size=p - 1))
+        if kind == "multiple":
+            ells.append(_multiple_of_P(rng, ells[1 - p:], bits))
+        elif kind == "fresh":
+            ells.append([_wide(rng, bits) for _ in range(p)])
+        else:
+            ells.append(_combination(cs, ells[-p:]))
+    top = len(ells) - p
+    n1 = draw(st.integers(0, top))
+    n2 = draw(st.sampled_from([n1, top, draw(st.integers(n1, top))]))
+    return _wide_seq(ells), n1, n2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_input())
+def test_modular_route_reports_what_elimination_reports(case):
+    """Wide windows take the modular route: their fits, ranks, det_n2 and
+    report bytes are those of eliminating every window on its own."""
+    seq, n1, n2 = case
+    basis = Basis(tuple(parse_real(f"1/{k + 2}") for k in range(seq.p - 1)))
+    rep, oracle = _siegel_by_windows(seq, basis, n1, n2, 64)
+    assert rep.fits == oracle.fits
+    assert rep.ranks == oracle.ranks
+    assert rep.det_n2 == oracle.det_n2
+    assert json.dumps(rep.to_json()) == json.dumps(oracle.to_json())
+
+
+def _route(seq, n):
+    """criteria._mod_fit on the window at n, as check_siegel calls it."""
+    p = seq.p
+    recs = [seq.record(n + j) for j in range(p + seq.has(n + p))]
+    return criteria._mod_fit(recs, [criteria._mod_p(r.ell) for r in recs])
+
+
+def test_modular_route_hands_back_each_window_it_cannot_certify(monkeypatch):
+    """Each fallback, forced on 5,000-bit windows at p = 2 and checked
+    against elimination: a determinant 3 P, singular windows (consistent,
+    inconsistent, and the last one), and integer coefficients of 200
+    bits, which are rebuilt wrongly and fail the substitution, or are not
+    rebuilt within the bound.  A full-rank last window is certified with
+    no fit."""
+    rng = random.Random(25)
+    P, bits = criteria._P, 5000
+    b, c = _wide(rng, bits), _wide(rng, bits)
+    cases = {
+        # columns (1, b), (c, bc + 3P): det 3P
+        "multiple of P": [[1, b], [c, b * c + 3 * P], [1 + 2 * c,
+                                                     b + 2 * (b * c + 3 * P)]],
+        "singular, consistent": [[b, c], [3 * b, 3 * c], [5 * b, 5 * c]],
+        "singular, inconsistent": [[b, c], [3 * b, 3 * c], [c, b]],
+        "singular last window": [[c, b], [b, c], [3 * b, 3 * c]],
+    }
+    for name, ells in cases.items():
+        # n2, eliminated in any case, is the other window
+        n, n2 = (1, 0) if name == "singular last window" else (0, 1)
+        seq = _wide_seq(ells)
+        assert _route(seq, n) is None, name
+        rep, oracle = _siegel_by_windows(seq, GOLDEN, 0, n2, 64)
+        assert json.dumps(rep.to_json()) == json.dumps(oracle.to_json())
+        assert rep.ranks == oracle.ranks, name
+    assert _echelon([[1, c], [b, b * c + 3 * P]], 2)[1] == 3 * P
+    # the full-rank last window: rank 2, no fit, no elimination
+    assert _route(_wide_seq([[b, c], [c, b]]), 0) == (None, 2, None)
+    # 200-bit integer coefficients: both ways of failing occur
+    subs = []
+    substitutes = criteria._substitutes
+    monkeypatch.setattr(criteria, "_substitutes", lambda *a:
+                        subs.append(substitutes(*a)) or subs[-1])
+    outcomes = set()
+    for _ in range(12):
+        ells = [[_wide(rng, bits) for _ in range(2)] for _ in range(2)]
+        cs = [_wide(rng, 200), _wide(rng, 200)]
+        seq = _wide_seq(ells + [_combination(cs, ells)])
+        subs.clear()
+        assert _route(seq, 0) is None
+        outcomes.add(tuple(subs))
+        assert fit_recurrence(seq, 0).alpha == tuple(map(Fraction, cs))
+    assert outcomes == {(), (False,)}
+
+
+def test_check_siegel_wide_apery_eliminates_only_the_n2_window(monkeypatch):
+    """gen_apery_zeta3(1400), entries up to 13,101 bits: one elimination,
+    of the n2 window, each record reduced mod P once, and no fallback; the
+    report is the one elimination of every window gives."""
+    from latforms.corpus import gen_apery_zeta3
+    seq = gen_apery_zeta3(1400)
+    basis = Basis((parse_real("zeta3"),))
+    calls, reduced = [], []
+    echelon, mod_p = criteria._echelon, criteria._mod_p
+    monkeypatch.setattr(criteria, "_echelon", lambda rows, ncols:
+                        calls.append(len(rows)) or echelon(rows, ncols))
+    monkeypatch.setattr(criteria, "_mod_p", lambda ell:
+                        reduced.append(ell) or mod_p(ell))
+    rep = check_siegel(seq, basis, 2, 5)
+    assert len(calls) == 1
+    assert sorted(map(id, reduced)) == sorted(id(r.ell) for r in seq.records
+                                              if r.n >= 2)
+    monkeypatch.setattr(criteria, "_MOD_BITS", float("inf"))
+    calls.clear()
+    exact = check_siegel(seq, basis, 2, 5)
+    assert len(calls) == len(rep.ranks)
+    assert rep == exact
+
+
 def _cofactor_det(M):
     """_ball_det before its minors were memoised: the cofactor recursion
     along the first row, which recomputes each minor."""

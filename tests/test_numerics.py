@@ -22,6 +22,7 @@ from latforms.numerics import (
     TriBool,
     PREC_CAP,
     POWER_BITS,
+    check_literal,
     cmp_abs_vs_power,
     decimal_to_int,
     dyadic_to_decimal,
@@ -98,6 +99,38 @@ def test_parse_errors():
             parse_real(bad, 64)
     with pytest.raises(ValueError):
         parse_real("golden", 8)  # below minimum precision
+
+
+@pytest.mark.parametrize("bad", [
+    "1e99999999", "0.5e-99999999", "1.5E+6000000", "-2e-5100000",
+    "1e999999999999999999999999999999", "1" * 5_100_000],
+    ids=lambda s: s if len(s) < 40 else f"{len(s)} digits")
+def test_huge_decimal_literal_refused_before_it_is_built(bad):
+    """A literal whose exact value may need more than POWER_BITS bits is
+    refused from its text, in every form that reads one; building it
+    took minutes (10^99999999) or raised InvalidOperation (an exponent
+    past Decimal's range)."""
+    for read in (decimal_to_fraction,
+                 lambda s: parse_real(s, 64),
+                 lambda s: parse_real(f"{s}±1", 64),
+                 lambda s: parse_real(f"1±{s}", 64),
+                 lambda s: BallReal.from_json({"mid": s, "rad": "0",
+                                               "prec": 64}),
+                 lambda s: BallReal.from_json({"mid": "0", "rad": s,
+                                               "prec": 64})):
+        with pytest.raises(NumericsError, match=f"{POWER_BITS}-bit bound"):
+            read(bad)
+
+
+def test_decimal_literal_under_the_bound_is_exact():
+    # the bound falls between 10^5,050,000 and 10^5,050,500
+    check_literal("1e5050000")
+    check_literal("1e-0000000000005")
+    with pytest.raises(NumericsError):
+        check_literal("1e5050500")
+    assert decimal_to_fraction("1e-100000") == Fraction(1, 10 ** 100_000)
+    assert decimal_to_fraction("2.5e3") == 2500
+    assert parse_real("0.5e-3±1e-4", 64).at(64).contains(Fraction(1, 2000))
 
 
 def test_refine_nesting_and_cap():
