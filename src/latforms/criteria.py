@@ -19,9 +19,9 @@ label every scan walks the steps of _walk: 0 and the convergent
 denominators certified across the xi enclosure, then every step from the
 first one it may miss or from just after the first undecided one.
 
-Everything that can be decided in exact integer/rational arithmetic is;
-irrational data goes through certified balls with precision escalation, and
-undecided comparisons surface as Unknown rather than being rounded away.
+Everything decidable in exact integer/rational arithmetic is decided so,
+an exact-interval input once; computed constants go through certified
+balls with precision escalation; what stays undecided surfaces as Unknown.
 """
 
 from __future__ import annotations
@@ -645,22 +645,19 @@ def _convergents(basis: Basis, j: int, ratio: Fraction, R: int,
                  work: int) -> tuple[list[int], int, int]:
     """The convergent denominators <= R of x = xi_j * ratio, the first step
     they may miss (_cf_denominators) and the precision that gave them:
-    work for rational xi_j (exact Euclid), else the enclosure of xi_j
-    escalated from work to basis.cap while a step is missed, stopping at
-    the last precision that narrowed it (a fixed-width handle does not)."""
+    work for an exact interval xi_j (exact Euclid at its ends), else the
+    enclosure of xi_j escalated from work to basis.cap while one is missed."""
     handle = basis.xi[j - 1]
-    if handle.exact is not None:
-        x = handle.exact * ratio
-        return (*_cf_denominators(x, x, R), work)
-    out = rad = None
+    if handle.interval is not None:
+        lo, hi = handle.interval
+        x = lo * ratio
+        return (*_cf_denominators(x, x if lo == hi else hi * ratio, R), work)
+    out = None
 
     def decide(w: int):
-        nonlocal out, rad
+        nonlocal out
         ball = handle.at(w)
-        if rad is not None and ball.rad >= rad:
-            return None
         out = (*_cf_denominators(ball.lower * ratio, ball.upper * ratio, R), w)
-        rad = ball.rad
         return TriBool.UNKNOWN if out[1] <= R else None
     escalate(decide, work, basis.cap)
     return out
@@ -727,10 +724,10 @@ def _power_bracket(Q: int, expo: Fraction, bits: int) -> tuple[Fraction, Fractio
 
 def _threshold(Q: int, eps: Fraction, work: int):
     """The test |v| <= Q^-(1+eps) as inside(v, w), and the upper end of the
-    threshold's bracket at work bits, which bounds the candidates.  Rational
-    v is decided exactly; a ball at w bits against the bracket at w bits,
-    which is exact when Q^(1+eps) is an integer and is otherwise computed
-    once per precision."""
+    threshold's bracket at work bits, which bounds the candidates.  An exact
+    interval v = (lo, hi) is decided exactly, UNKNOWN where it straddles
+    the threshold; a ball at w bits against the bracket at w bits, exact
+    when Q^(1+eps) is an integer and otherwise computed once per precision."""
     expo = 1 + eps
     root = Fraction(floor_scaled_power(Fraction(1), Q, expo))
     exact = 1 / root if cmp_abs_vs_power(root, Q, expo) == 0 else None
@@ -743,9 +740,13 @@ def _threshold(Q: int, eps: Fraction, work: int):
         return 1 / q_hi, 1 / q_lo
 
     def inside(v, w: int) -> TriBool:
-        if isinstance(v, Fraction):
-            return TriBool.TRUE if cmp_abs_vs_power(v, Q, -expo) <= 0 \
-                else TriBool.FALSE
+        if isinstance(v, tuple):
+            lo, hi = v
+            top = hi if lo is hi else max(hi, -lo)  # a point (q, q): q, as is
+            if cmp_abs_vs_power(top, Q, -expo) <= 0:
+                return TriBool.TRUE
+            far = lo is hi or cmp_abs_vs_power(max(lo, -hi, 0), Q, -expo) > 0
+            return TriBool.FALSE if far else TriBool.UNKNOWN
         return cmp_abs_le(v, *bracket(w))
     return inside, bracket(work)[1]
 
@@ -759,15 +760,14 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
     elsewhere for which inside(v, w) certifies v = sum a_j xi_j + a_p.
 
     Each prefix sum is bracketed by integers at the scale D*S, with D the
-    lcm of the deltas and S = 2^bits (for rational xi, the lcm of the
-    denominators, which makes the bracket exact).  Only the kp with |v| <=
-    t_hi possible are candidates, in ascending order, kp > 0 for the zero
-    prefix.  inside decides each on v exactly for rational xi, else on an
+    lcm of the deltas and S = 2^bits (for exact-interval xi, the lcm of the
+    ends' denominators: the bracket is exact).  Only the kp with |v| <= t_hi
+    possible are candidates, ascending, kp > 0 for the zero prefix.  inside
+    decides each once on the exact interval of v for such xi, else on an
     enclosure at w bits escalated from work to basis.cap; a None from it
-    (no precision can decide the candidate) counts as unknown at once.
-    Returns the point (or None) and the counts: estimate (the budget
-    estimate), prefixes, checked, escalations (steps past work) and
-    unknowns.
+    (no precision can decide the candidate) is an unknown at once.  Returns
+    the point (or None) and the counts: estimate (the budget estimate),
+    prefixes, checked, escalations (steps past work) and unknowns.
 
     With one label j the prefixes are the _walk of j, at whose precision
     the sums are bracketed (bits = work otherwise): m passes iff
@@ -782,13 +782,12 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
         walk, bits = _walk(basis, labels[0], delta, ranges[0], work,
                            lambda: unknowns, ranges[0])
         steps = ((m,) for m in walk)
-    exact_xi = basis.exact_xi
-    if exact_xi is None:
+    ends = [h.interval for h in basis.xi]
+    if exact := None not in ends:
+        S = math.lcm(*(e.denominator for j in labels for e in ends[j - 1]))
+    else:
         S = 1 << bits
         ends = [(x.lower, x.upper) for x in basis.xi_balls(bits)]
-    else:
-        S = math.lcm(*(exact_xi[j - 1].denominator for j in labels))
-        ends = [(x, x) for x in exact_xi]
     D = math.lcm(dp, *(delta[j - 1] for j in labels))
     X = []                              # brackets of (D/delta_j) xi_j S
     for j in labels:
@@ -822,8 +821,10 @@ def _coordinate_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
         kmax = (T - s_lo) // step
         for kp in range(kmin if any(prefix) else max(kmin, 1), kmax + 1):
             checked += 1
-            if exact_xi is not None:
-                ok = inside(Fraction(s_lo + kp * step, D * S), work)
+            if exact:
+                lo = Fraction(s_lo + kp * step, D * S)
+                hi = lo if s_hi == s_lo else Fraction(s_hi + kp * step, D * S)
+                ok = inside((lo, hi), work)
             else:
                 ok = escalate(decide, work, basis.cap)[0]
             if ok is TriBool.TRUE:
@@ -857,7 +858,7 @@ def verify_conclusion(seq: FormSequence, basis: Basis, tau: Sequence[Rat],
     This is the coordinate-frame scan over that box: prefixes (a_1..a_{p-1})
     smallest-absolute-value-first, and for each only the finitely many a_p
     within Q^(-1-eps) of -sum a_i xi_i, all others certified in bulk.
-    Rational bases are decided exactly; irrational ones via balls with
+    Exact-interval bases are decided exactly, computed ones via balls with
     precision escalation, leaving any stubborn candidate as unknown (a
     certified violation found later still dominates).
     """

@@ -212,8 +212,8 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
 
     def nearest(point: list, j: int, k: int) -> TriBool:
         """|x_p xi_j - x_j| <= b_k for the multiple x_j of delta_j nearest
-        x_p xi_j, both taken at the precision that decides the check; x_j
-        is written into the point."""
+        x_p xi_j, both at the precision that decides the check (at once at
+        the cap for a fixed width); x_j is written into the point."""
         xp = point[p - 1]
 
         def decide(w: int) -> TriBool:
@@ -221,7 +221,8 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
             d = delta[j - 1]
             point[j - 1] = _round_half_to_zero(target.mid / d) * d
             return cmp_abs_le(target - point[j - 1], *brackets[k])
-        return escalate(decide, prec, basis.cap)[0]
+        fixed = basis.xi[j - 1].exact is None and basis.xi[j - 1].interval
+        return escalate(decide, basis.cap if fixed else prec, basis.cap)[0]
 
     for scanned, step in enumerate(steps, 1):
         xp = step * dp
@@ -273,7 +274,7 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
     t_lo, t_hi = t.value.lower, t.value.upper
 
     def inside(v, w):
-        ball = v if isinstance(v, BallReal) else BallReal.exact(v, w)
+        ball = v if isinstance(v, BallReal) else BallReal.from_endpoints(*v, w)
         out = cmp_abs_le(ball, t_lo, t_hi, t.strict)
         if (out is TriBool.UNKNOWN
                 and cmp_abs_le(ball, t_lo, t_lo) is TriBool.FALSE

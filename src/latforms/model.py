@@ -70,7 +70,7 @@ class Basis:
 
     @property
     def exact_xi(self) -> Optional[tuple[Fraction, ...]]:
-        """All-rational xi as exact fractions, or None if any is irrational."""
+        """The xi as exact fractions when every one is rational, else None."""
         vals = tuple(h.exact for h in self.xi)
         return vals if all(v is not None for v in vals) else None
 

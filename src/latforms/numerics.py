@@ -827,7 +827,7 @@ def escalate(decide: Callable[[int], Any], prec: int,
     ... until it returns something other than TriBool.UNKNOWN or w has
     reached cap.  Returns the last answer and the precision that gave it;
     a decide that knows no precision can help returns None, which stops
-    the loop at once."""
+    the loop at once; an exact interval (RealConstant) never enters it."""
     w = prec
     while True:
         out = decide(w)
@@ -935,22 +935,21 @@ def _series_const(bracket: Callable[[int], tuple[int, int]]
 
 
 class RealConstant:
-    """Refinable handle for a real number.
+    """Refinable handle for a real number: an exact rational interval, or a
+    computed constant.  interval is (q, q) for a rational, whose exact is q,
+    and its fixed ball's ends for a mid±rad literal; it cannot narrow, so
+    checks decide it on its ends.  ``at(prec)`` is a BallReal that depends on
+    prec alone (one memo): the interval's ball at prec, at no fewer bits than
+    the handle was built with, or a computed ball at 64 guard bits, rounded."""
 
-    ``at(prec)`` returns a BallReal enclosure that depends on prec alone,
-    whatever was asked before: an exact rational rounded to prec, a fixed
-    ball at no less than its own precision, or a computed ball taken at 64
-    guard bits and rounded to prec.  The handle keeps one memo, keyed by
-    precision.
-    """
-
-    def __init__(self, expr: str, *, exact: Optional[Fraction] = None,
+    def __init__(self, expr: str, *, interval: Optional[tuple] = None,
                  compute: Optional[Callable[[int], BallReal]] = None,
-                 fixed: Optional[BallReal] = None):
+                 prec: int = MIN_PREC):
         self.expr = expr
-        self.exact = exact
+        self.interval = iv = interval
+        self.exact = iv[0] if iv and iv[0] == iv[1] else None
         self._compute = compute
-        self._fixed = fixed
+        self._prec = prec
         self._memo: dict[int, BallReal] = {}
 
     def at(self, prec: int) -> BallReal:
@@ -960,10 +959,9 @@ class RealConstant:
                 raise ValueError(f"precision {prec} below minimum {MIN_PREC}")
             if prec > PREC_CAP:
                 raise PrecisionCapExceeded(f"{prec} bits exceeds cap {PREC_CAP}")
-            if self.exact is not None:
-                ball = BallReal.exact(self.exact, prec)
-            elif self._fixed is not None:
-                ball = self._fixed.round_to(max(prec, self._fixed.prec))
+            if self.interval is not None:
+                ball = BallReal.from_endpoints(*self.interval,
+                                               max(prec, self._prec))
             else:
                 # at 64 guard bits its radius is below one radius step
                 ball = self._compute(prec + 2 * _RAD_BITS).round_to(prec)
@@ -1100,14 +1098,14 @@ def parse_real(expr: str, prec: int = 64) -> RealConstant:
             raise ValueError("sqrt argument must be positive")
         r = math.isqrt(k)
         if r * r == k:
-            return RealConstant(expr, exact=Fraction(r))
+            return RealConstant(expr, interval=(Fraction(r),) * 2)
         return RealConstant(expr, compute=_sqrt_const(k))
     m = _RAT_RE.match(expr)
     if m:
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             raise ValueError("zero denominator")
-        return RealConstant(expr, exact=Fraction(num, den))
+        return RealConstant(expr, interval=(Fraction(num, den),) * 2)
     for sep in ("±", "+-"):
         if sep in expr:
             mid_s, rad_s = expr.split(sep, 1)
@@ -1117,10 +1115,10 @@ def parse_real(expr: str, prec: int = 64) -> RealConstant:
             rad = decimal_to_fraction(rad_s.strip())
             if rad < 0:
                 raise ValueError("negative uncertainty")
-            ball = BallReal.from_endpoints(mid - rad, mid + rad, prec)
-            return RealConstant(expr, fixed=ball)
+            b = BallReal.from_endpoints(mid - rad, mid + rad, prec)
+            return RealConstant(expr, interval=(b.lower, b.upper), prec=prec)
     if _DEC_RE.match(expr):
-        return RealConstant(expr, exact=decimal_to_fraction(expr))
+        return RealConstant(expr, interval=(decimal_to_fraction(expr),) * 2)
     raise ValueError(f"unknown real expression: {expr!r}")
 
 

@@ -20,7 +20,7 @@ from latforms.cli import build_parser, run
 from latforms.corpus import (GENERATORS, GeneratorSpec, dumps_jsonl,
                              gen_apery_zeta3, gen_fibonacci, gen_synthetic)
 from latforms.criteria import verify_conclusion
-from latforms.model import Basis
+from latforms.model import Basis, FormRecord, FormSequence
 from latforms.numerics import BallReal, PrecisionCapExceeded, parse_real
 
 F = Fraction
@@ -275,12 +275,10 @@ def test_construct_dual_names_the_argument_of_the_wrong_length(
 
 
 def test_construct_dual_search_failure_is_unknown(capsys):
-    # a fixed-width xi leaves every candidate near the threshold undecided;
-    # the low cap keeps each from escalating to the default 65,536 bits
+    # a fixed-width xi leaves every candidate near the threshold undecided
     rc, out, _ = invoke(capsys, "construct-dual", "--xi", "0.5±0.01",
                         "--tau", "3/2", "--gamma", "0", "0",
-                        "--delta", "1", "1", "--Q", "100", "--eps", "1/20",
-                        "--prec-cap", "128")
+                        "--delta", "1", "1", "--Q", "100", "--eps", "1/20")
     rep = report_of(out)
     assert rc == 3 and rep["status"] == "unknown"
     assert rep["result"] == {"why": "no certified witness in the K_Q scan",
@@ -362,7 +360,7 @@ PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
     "verify-undecided": (
         UNDECIDED_VERIFY,
         "89ac3924008934b24d005025bd2b2c05b88f0a7539985a008708cbfd2ad448c5",
-        "568eb7e060c160b3705ddd2a5728a2513963419c26b0935b09037d74909e94f6"),
+        "fe7e5ce3400a4edc1008d01733cc4bd636988f120bd5cf42bb13819ea38ef2d9"),
     "primal-golden": (
         ("construct-primal", "--xi", "golden", "--tau", "1", "--delta", "1",
          "1", "--Q", "987"),
@@ -514,7 +512,7 @@ PINNED_DIGESTS = {
     "verify-golden":
         "635a63f1af6e93c8a2f4630d4e561b703b79cd0f8b7b9acca23cc3982a9f73b6",
     "verify-undecided":
-        "02d497b8bb32bb3b442ce2998edd5306c5f6b87c7b1f8de8fc9f9310b4099633",
+        "082546db5e0ceafd08065048f1409b000b3fcb1354da5582c584bcde98433f42",
 }
 
 
@@ -594,23 +592,26 @@ def test_env_var_sets_default_precision(capsys, monkeypatch):
     assert rc == 1 and "LATFORMS_PREC" in err
 
 
-def test_prec_cap_flag_bounds_escalation_without_leaking(capsys):
-    """--prec-cap bounds the doubling from 96 bits (9 candidates x 6 steps
-    to 4096 against 9 x 10 to 65536), and a capped run leaves the library
-    default untouched for later callers in the same process."""
-    rc, out, _ = invoke(capsys, *UNDECIDED_VERIFY, "--prec-cap", "4096")
-    assert rc == 3
-    assert report_of(out)["result"]["verdicts"][0]["diagnostics"][
-        "escalations"] == 9 * 6
-    rc, rep = cli_report(UNDECIDED_VERIFY)
-    assert rc == 3
-    assert rep["result"]["verdicts"][0]["diagnostics"]["escalations"] == 9 * 10
-    # Q^(1+eps) = 32 is exact, so each open candidate escalates cheaply
-    basis = Basis((parse_real("0.5±0.1"),))
-    v = verify_conclusion(gen_fibonacci(30), basis, [F(1)], 16, F(1, 4))
-    assert v.status == "unknown"
-    assert v.diagnostics["unknown_candidates"] == 8
-    assert v.diagnostics["escalations"] == 8 * 10
+def test_prec_cap_flag_bounds_escalation_without_leaking(capsys, tmp_path):
+    """--prec-cap bounds the doubling from 96 bits (2 steps to 256, 6 to
+    4096, 10 to 65536), and a capped run leaves the library default
+    untouched for later callers in the same process.  The candidate
+    a = (1/4, 0) has |sqrt(2)/4| = 2^(-3/2) = Q^-(1+eps), exactly the
+    threshold, so no precision decides it."""
+    path = tmp_path / "sqrt2.jsonl"
+    path.write_text('{"n": 1, "Q": 2, "ell": [4, 1], "delta": [4, 1]}\n')
+    argv = ("verify", "--input", str(path), "--xi", "sqrt(2)", "--tau", "1",
+            "--Q", "2", "--eps", "1/2")
+    for cap, steps in (("256", 2), ("4096", 6), (None, 10)):
+        rc, out, _ = invoke(capsys, *argv,
+                            *(("--prec-cap", cap) if cap else ()))
+        diag = report_of(out)["result"]["verdicts"][0]["diagnostics"]
+        assert rc == 2
+        assert (diag["escalations"], diag["unknown_candidates"]) == (steps, 1)
+    seq = FormSequence([FormRecord(n=1, Q=2, ell=(4, 1), delta=(4, 1))])
+    v = verify_conclusion(seq, Basis((parse_real("sqrt(2)"),)), [F(1)], 2,
+                          F(1, 2))
+    assert v.diagnostics["escalations"] == 10
 
 
 @pytest.mark.parametrize("argv, env", [

@@ -1018,12 +1018,16 @@ def test_verify_agrees_with_enumeration_oracle():
 
 
 def test_threshold_decides_a_rational_exactly():
-    """Rational v is compared with Q^-(1+eps) exactly, on both signs:
-    2^(-3/2) = 0.35355..."""
+    """An exact interval is compared with Q^-(1+eps) exactly, on both
+    signs: 2^(-3/2) = 0.35355...  A point is one rational; an interval
+    straddling the threshold is UNKNOWN."""
     inside, _ = criteria._threshold(2, Fraction(1, 2), 96)
-    assert inside(Fraction(3536, 10000), 96) is TriBool.FALSE
-    assert inside(Fraction(-3536, 10000), 96) is TriBool.FALSE
-    assert inside(Fraction(3535, 10000), 96) is TriBool.TRUE
+    T, F, U = TriBool.TRUE, TriBool.FALSE, TriBool.UNKNOWN
+    for v, out in (((3536, 3536), F), ((-3536, -3536), F), ((3535, 3535), T),
+                   ((-3535, 3535), T), ((3536, 3600), F), ((-3600, -3536), F),
+                   ((3535, 3536), U), ((-3536, -3535), U), ((-3536, 0), U)):
+        lo, hi = (Fraction(x, 10000) for x in v)
+        assert inside((lo, hi), 96) is out, v
 
 
 def _old_prefix_ball(basis, prefix, labels, delta, prec):
@@ -1230,8 +1234,9 @@ def test_cf_denominators_hold_across_the_interval():
 
 def test_convergents_escalate_and_refuse_a_fixed_width():
     """golden's convergents up to 10^20 need more than the 96 start bits
-    and are certified at 192; a fixed-width handle is asked twice, does not
-    narrow, and gives the partial list of its 96-bit enclosure."""
+    and are certified at 192; a fixed-width handle is read from its exact
+    interval, never asked for a ball, and gives the partial list of its
+    ends."""
     golden = parse_real("golden")
     asked = []
     at = golden.at
@@ -1248,4 +1253,4 @@ def test_convergents_escalate_and_refuse_a_fixed_width():
     fixed.at = lambda prec: asked.append(prec) or at_fixed(prec)
     assert criteria._convergents(Basis((fixed,), 65536), 1, Fraction(1),
                                  10 ** 6, 96) == ([1], 1, 96)
-    assert asked == [96, 192]
+    assert asked == []

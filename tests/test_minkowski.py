@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latforms.numerics import (PREC_CAP, BallReal, TriBool, cmp_abs_le,
-                               cmp_abs_vs_power, parse_real, tri_compare)
+from latforms.numerics import (PREC_CAP, BallReal, RealConstant, TriBool,
+                               cmp_abs_le, cmp_abs_vs_power, parse_real,
+                               tri_compare)
 from latforms.model import (
     Basis,
     Bound,
@@ -600,6 +601,63 @@ def test_convergent_primal_matches_linear_scan(monkeypatch):
         assert fast == slow, (xi, delta, tau, Q)
         seen.add(fast[0])
     assert "found" in seen
+
+
+def _escalating(expr):
+    """The fixed ball of a mid±rad literal as a computed handle, which
+    takes the escalating ball path, not the exact interval: the same ball
+    at every precision from 64 bits on."""
+    ball = parse_real(expr).at(64)
+    return RealConstant(expr, compute=lambda prec: ball)
+
+
+_DECIMAL = st.integers(-25000, 25000).map(
+    lambda k: f"{'-' * (k < 0)}{abs(k) // 10000}.{abs(k) % 10000:04d}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mids=st.lists(_DECIMAL, min_size=1, max_size=2),
+       rads=st.lists(st.sampled_from(["0.0001", "0.003", "0.01", "0.05"]),
+                     min_size=2, max_size=2),
+       delta=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+       taus=st.lists(st.sampled_from([F(1, 4), F(1, 2), F(1)]), min_size=2,
+                     max_size=2),
+       Q=st.integers(2, 40), eps=st.sampled_from([F(1, 20), F(1, 8)]))
+def test_interval_route_is_the_escalating_routes_limit(mids, rads, delta,
+                                                        taus, Q, eps):
+    """A fixed-width xi read from its exact interval gives what the same
+    ball gives on the escalating path at cap 256: the same verdict,
+    witness, point and convergents, and no more unknowns (fewer only where
+    the exact ends decide what the rounded balls leave open)."""
+    exprs = [f"{m}±{r}" for m, r in zip(mids, rads)]
+    p = len(exprs) + 1
+    delta = tuple(delta[:p])
+    exact = Basis(tuple(parse_real(e) for e in exprs), 256)
+    balls = Basis(tuple(_escalating(e) for e in exprs), 256)
+    assert None not in (h.interval for h in exact.xi)
+    seq = FormSequence([FormRecord(n=1, Q=Q, ell=delta, delta=delta)])
+    taus = taus[:p - 1]
+    a, b = (verify_conclusion(seq, basis, taus, Q, eps)
+            for basis in (exact, balls))
+    assert (a.status, a.witness) == (b.status, b.witness)
+    assert a.diagnostics["escalations"] == 0
+    assert a.diagnostics["unknown_candidates"] <= \
+        b.diagnostics["unknown_candidates"]
+    gamma = [0] * p
+    for build in (lambda xi: construct_dual_witness(
+                      xi, [F(3, 2 * (p - 1))] * (p - 1), gamma, delta, Q,
+                      eps),
+                  lambda xi: construct_primal_form(xi, taus, delta, Q,
+                                                   slack=eps)):
+        (sa, pa, ua), (sb, pb, ub) = (_outcome(lambda: build(xi))
+                                      for xi in (exact, balls))
+        assert (sa, pa) == (sb, pb)
+        assert ua is ub is None or ua <= ub
+    for j in range(1, p):
+        ratio = F(delta[-1], delta[j - 1])
+        qa, qb = (criteria._convergents(xi, j, ratio, 10 ** 6, 96)
+                  for xi in (exact, balls))
+        assert qa[:2] == qb[:2]
 
 
 @pytest.mark.parametrize("xi", ["0.3±0.001", "0.5±0.01"])
