@@ -29,13 +29,17 @@ evaluation of series of rational numbers", 1998): the first N terms become
 one exact fraction T/Q at O(M(wp) log wp) cost, floored once, and each
 constant's docstring proves the tail bound that sets N.  ln and exp
 reduce their argument first (Brent, "Fast multiple-precision evaluation of
-elementary functions", JACM 1976).  With k about sqrt(wp)/4:
-ln x = 2^(k+1) atanh(t) + E ln 2, for t = (y - 1)/(y + 1) and y the 2^k-th
-root of x/2^E, taken by k floor isqrt steps; exp x = exp(r/2^(2k))^(2^(2k))
-2^K for r = x - K ln 2, by 2k squarings.  Each atanh term then gains about
-2k + 4 bits and each exp term at least 2k, where the unreduced series
-gained 4.6.  Each series keeps one chain of floors whose upper end adds an
-error bound that counts its terms; the roots, squarings and reduction add
+elementary functions", JACM 1976).  ln by shift-and-add (Muller,
+"Elementary Functions: Algorithms and Implementation"): factors 1 + 2^-j,
+j <= J, chosen on the leading bits of m = x/2^E bring r = m prod(1 + 2^-j)
+within 2^-(J-1) of 1, and
+ln x = 2 atanh(t) - sum ln(1 + 2^-j) + E ln 2 for t = (r - 1)/(r + 1),
+with ln 2 and each ln(1 + 2^-j) from one table per precision class.  exp,
+with k about sqrt(wp)/4: exp x = exp(r/2^(2k))^(2^(2k)) 2^K for
+r = x - K ln 2, by 2k squarings.  Each atanh term then gains about 2J bits
+and each exp term at least 2k, where the unreduced series gained 4.6.
+Each series keeps one chain of floors whose upper end adds an error bound
+that counts its terms; the reduction, the table and the squarings add
 theirs in units of the last place, as the kernels' docstrings prove.
 Guard bits keep each bracket at most 2 units in its last place wide
 (2^-wp for ln, 2^(K-wp) for exp).  The log of a narrow ball m +/- r takes
@@ -249,10 +253,11 @@ def _atanh_bracket(num: int, den: int, wp: int) -> tuple[int, int]:
 
     One chain of floors from p_0 = floor(q 2^wp); s sums floor(p_i/(2i+1))
     over the N indices before the first i with p_i < 2i + 1.  For a den of
-    at most 64 bits (ln 2 = 2 atanh(1/3)) the chain is exact,
+    at most 64 bits (the ln table's ln(1 + 2^-j) = 2 atanh(1/(2^(j+1) + 1))
+    for j <= 62, ln 2 at j = 0) the chain is exact,
     p_(i+1) = floor(p_i num^2 / den^2), a multiply and a division by small
     integers, so linear in wp per term.  For a wider den (the ln kernel's
-    2^W past 63 bits, or a wide ball midpoint) the chain is
+    Y + 2^W past 63 bits, or a wide ball midpoint) the chain is
     p_(i+1) = floor(p_i t2 / 2^wp) with t2 = floor(q^2 2^wp): one
     full-width multiply and a shift per term, where dividing by den^2
     would cost more.
@@ -286,80 +291,121 @@ def _atanh_bracket(num: int, den: int, wp: int) -> tuple[int, int]:
 
 
 def _steps(wp: int) -> int:
-    """k, the number of square roots the reduced ln series takes at wp
-    bits: about sqrt(wp)/4, 0 below 16 bits.  exp, whose terms gain fewer
-    bits each, squares 2k times."""
+    """Half the number of squarings _exp_bracket takes at wp bits: about
+    sqrt(wp)/4, 0 below 16 bits.  It serves _exp_bracket only; ln reduces
+    its argument by the table of _table instead."""
     return math.isqrt(wp) // 4
 
 
 def _guard(wp: int) -> int:
     """Guard bits of the ln and exp kernels: 2^guard > 16 wp, so their
-    error bounds, a few wp units at most once scaled by 2^k, stay below a
-    quarter of a unit of 2^-wp."""
+    error bounds, a few wp units at most, stay below a quarter of a unit
+    of 2^-wp."""
     return wp.bit_length() + 4
 
 
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
+_LN_TABLE: dict[int, dict[int, tuple[int, int]]] = {}
+
+
+def _table(wp: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(top, memo) for wp bits: top is wp's precision class, the least
+    2^a or 3 2^(a-1) >= wp, and memo maps j to the bracket of
+    ln(1 + 2^-j) * 2**top, at most 2 wide, filled as each j is first
+    asked for.  j = 0 is ln 2.  Each entry is 2 atanh(1/(2^(j+1) + 1))
+    summed at top plus guard bits, so it depends on (top, j) alone."""
+    a = (wp - 1).bit_length()
+    top = 3 << a >> 2
+    if top < wp:
+        top = 1 << a
+    return top, _LN_TABLE.setdefault(top, {})
+
+
+def _ln1p(top: int, memo: dict[int, tuple[int, int]],
+          j: int) -> tuple[int, int]:
+    """Fill memo[j] of the class top, the bracket of ln(1 + 2^-j)."""
+    g = top.bit_length() + 2
+    lo, hi = _atanh_bracket(1, (2 << j) + 1, top + g)
+    br = memo[j] = 2 * lo >> g, -(-2 * hi >> g)
+    return br
 
 
 def _ln2_bracket(wp: int) -> tuple[int, int]:
-    """Bracket of ln(2) * 2**wp, at most 2 wide.  ln 2 = 2 atanh(1/3),
-    summed at the next multiple of 64 bits plus guard bits, memoised
-    there, and floored and ceiled down to wp."""
-    top = -(-wp // 64) * 64
-    br = _LN2_CACHE.get(top)
-    if br is None:
-        g = top.bit_length() + 2
-        lo, hi = _atanh_bracket(1, 3, top + g)
-        br = _LN2_CACHE[top] = 2 * lo >> g, -(-2 * hi >> g)
+    """Bracket of ln(2) * 2**wp, at most 2 wide: the j = 0 entry of the
+    table of wp's precision class, floored and ceiled down to wp."""
+    top, memo = _table(wp)
+    lo, hi = memo.get(0) or _ln1p(top, memo, 0)
     s = top - wp
-    return br[0] >> s, -(-br[1] >> s)
+    return lo >> s, -(-hi >> s)
 
 
 def _ln_bracket(n: int, e: int, wp: int) -> tuple[int, int]:
     """Bracket [lo, hi] of ln(n 2^e) * 2**wp for n >= 1; hi - lo <= 2 in
     practice (the guard bits make the error below one ulp at wp).
 
-    Write x = m 2^E with m in [3/4, 3/2).  With k = _steps(wp) and
-    W = wp + k + guard bits, ln m = 2^(k+1) atanh(t) for y = m^(1/2^k)
-    and t = (y - 1)/(y + 1), so |t| <= 1/5 and about 2^-(k+2).
+    Write x = m 2^E: m = 1 when n is a power of two, so x gets exactly the
+    bracket of E ln 2, and m = n/2^b in (1/2, 1) otherwise.  With
+    W = wp + guard bits and g the bit length of |E|, the parts are summed
+    at top bits, the precision class of W + g (see _table).  Shift-and-add
+    reduction: with J = max(8, min(62, 3 top/64)), each factor 1 + 2^-j,
+    j = 1..J in turn, is chosen when it keeps m times the factors chosen
+    so far at most 1.  The choice reads the leading J + 24 bits of m only,
+    and leaves r = m P/2^S, P = prod(2^j + 1) and S = sum(j) over the
+    chosen j, within 2^-(J-1) of 1: as 1 + 2^-j <= prod(1 + 2^-i, i > j),
+    after step j the reciprocal of m times the factors chosen so far is at
+    most prod(1 + 2^-i, i > j) < exp(2^-j), and the floors of the J + 24
+    bits let r pass 1 by less than 2^-(J+16).
+    Then
+    ln m = 2 atanh(t) - sum ln(1 + 2^-j) for t = (r - 1)/(r + 1), and as
+    |t| < 2^-J the atanh series takes about W/2J terms.  J stops at 62 so
+    that every table entry is summed by the exact chain of _atanh_bracket.
 
-    Proof of the bracket, all values in units of 2^-W:
-    * M = floor(m 2^W) has m 2^W in [M, M + 1].
-    * Each root M' = isqrt(M 2^W) adds at most one unit: if y 2^W is in
-      [M, M + c] then sqrt(y) 2^W lies within
-      sqrt((M + c) 2^W) - sqrt(M 2^W) <= c 2^W / (2 sqrt(M 2^W)) <= c
-      of sqrt(M 2^W) (as M >= 2^(W-2): y >= 3/4), which is within 1 of
-      M'.  So after k roots y 2^W is in [M, M + c] with c = k + 1.
-    * T = floor((M - 2^W) 2^W / (M + 2^W)) has t 2^W in [T, T + c + 1]:
-      t is increasing in y with slope 2/(y + 1)^2 < 1 for y >= 3/4.
-    * atanh(T 2^-W) 2^W is in the _atanh_bracket of |T| (negated for
-      T < 0), and atanh has slope 1/(1 - t^2) < 2 for |t| <= 1/5, so
-      atanh(t) 2^W exceeds it by at most 2(c + 1).
-    * ln x = 2^(k+1) atanh(t) + E ln 2, with ln 2 bracketed at W + g
-      bits, g the bit length of |E|; the sum is floored and ceiled to wp.
+    Proof of the bracket, in units of 2^-W:
+    * M = floor(m 2^W) has m 2^W in [M, M + 1], so Y = floor(M P/2^S) has
+      r 2^W in [Y, Y + c], c = 2 + floor(P/2^S): M's unit becomes P/2^S
+      units in the product, and its one rounding adds one more.
+    * t is increasing in r with slope 2/(r + 1)^2 < 1 for r > 1/2, so
+      t 2^W lies in [q 2^W, q 2^W + c] for q = (Y - 2^W)/(Y + 2^W).
+    * atanh(|q|) 2^W is in the _atanh_bracket of |Y - 2^W| over
+      Y + 2^W (negated for Y < 2^W), and atanh has slope
+      1/(1 - t^2) < 2 for |t| <= 1/5, so atanh(t) 2^W exceeds it by at
+      most 2c.
+    Then in units of 2^-top: 2 atanh(t) is shifted up exactly, and each
+    ln(1 + 2^-j) and ln 2 is the memo's bracket, at most 2 wide, so the
+    summed table brackets add at most 2 units per chosen j, and E ln 2 at
+    most 2|E|.  The sum is floored and ceiled to wp once; as
+    top >= wp + guard + g, the table's share stays under the guard bits.
     """
     b = n.bit_length()
-    B = b if b > 1 and n >> (b - 2) == 3 else b - 1   # m = n / 2^B
-    E = e + B
-    k = _steps(wp)
-    W = wp + k + _guard(wp)
-    M = _shift(n, W - B)
-    one = 1 << W
-    for _ in range(k):
-        M = math.isqrt(M << W)
-    T = ((M - one) << W) // (M + one)
-    lo, hi = _atanh_bracket(abs(T), one, W)
-    if T < 0:
-        lo, hi = -hi, -lo
-    hi += 2 * (k + 2)
+    exact = n == 1 << (b - 1)           # m = 1
+    E = e + b - exact
+    W = wp + _guard(wp)
     g = abs(E).bit_length()
-    l2_lo, l2_hi = _ln2_bracket(W + g)
-    if E < 0:
-        l2_lo, l2_hi = l2_hi, l2_lo
-    lo = (lo << (k + 1 + g)) + E * l2_lo
-    hi = (hi << (k + 1 + g)) + E * l2_hi
-    s = W + g - wp
+    top, memo = _table(W + g)
+    lo, hi = memo.get(0) or _ln1p(top, memo, 0)
+    lo, hi = (E * lo, E * hi) if E >= 0 else (E * hi, E * lo)
+    if not exact:                       # m = n / 2^b in (1/2, 1)
+        J = max(8, min(62, 3 * top >> 6))
+        L = J + 24
+        v, lim = _shift(n, L - b), 1 << L
+        P, S = 1, 0
+        for j in range(1, J + 1):
+            w = v + (v >> j)
+            if w <= lim:
+                v = w
+                P += P << j
+                S += j
+                br = memo.get(j) or _ln1p(top, memo, j)
+                lo -= br[1]
+                hi -= br[0]
+        one = 1 << W
+        Y = _shift(n, W - b) * P >> S
+        a_lo, a_hi = _atanh_bracket(abs(Y - one), Y + one, W)
+        if Y < one:
+            a_lo, a_hi = -a_hi, -a_lo
+        a_hi += 2 * (2 + (P >> S))
+        lo += a_lo << (top - W + 1)
+        hi += a_hi << (top - W + 1)
+    s = top - wp
     return lo >> s, -(-hi >> s)
 
 

@@ -378,10 +378,14 @@ def test_apery_fit_pinned(apery_run):
     bits and rounded: alpha's midpoint moved by less than 2^-2120, beta
     and the bound are the same, every radius is the same, and the tau
     entries of records 197 to 200, at 4000 bits, are narrower by 0.002% to
-    0.003% of their radius."""
+    0.003% of their radius.  Moved again, to 62a1ddc0..., when ln came
+    to be reduced by a table of ln(1 + 2^-j): alpha and the tau trace are
+    the same, beta keeps its midpoint and both its ends move inward by
+    1.46e-606 (its radius, 5.672e-598, narrows), and the bound keeps its
+    radius while its midpoint moves by -3.33e-615."""
     *_, alpha, beta, mu = apery_run
     assert _digest(alpha, beta, mu) == \
-        "4d182f6443d321dcc0844775db75a5b2970cfd3fce93dcba5c93f3b651a8bb30"
+        "62a1ddc068d2861287ed6d35eb2fd3b47dbded4a642dd3082268d904e7102cc3"
 
 
 def test_fit_independent_of_call_order(apery_run):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
 from latforms import numerics
+from latforms.corpus import gen_apery_zeta3
 from latforms.numerics import BallReal, _atanh_bracket, _exp_bracket, \
     _ln2_bracket, _ln_bracket
 
@@ -170,6 +171,18 @@ def _mid_ulp(ball):
                  - ball.prec + 1) if m else Fraction(0)
 
 
+def _examples(*args):
+    """@example(arg) for each arg."""
+    def deco(test):
+        for arg in args:
+            test = example(arg)(test)
+        return test
+    return deco
+
+
+_Q1000 = gen_apery_zeta3(1000).records[-1].Q          # 9,384 bits
+
+
 def _dyadic(draw, lo_exp, hi_exp, max_bits):
     """n 2^e with n of 1..max_bits bits and |n 2^e| in [2^lo_exp, 2^hi_exp]."""
     bits = draw(st.integers(1, max_bits))
@@ -220,10 +233,22 @@ def test_atanh_bracket_contains_mpmath(num, den, wp):
 
 @settings(max_examples=60, deadline=None)
 @given(ln_args())
+@example(((1, 0), 16))
 @example(((1, 5000), 8000))
 @example(((1, -5000), 8000))
 @example((((1 << 9000) - 1, -14000), 8000))
 @example(((3, -2), 16))
+# x = 1 +/- 2^-j at j = 1, J and J + 1: the table runs to J = 8 at 16
+# bits and to J = 62 at 2,008 bits
+@_examples(*[(((1 << j) + s, -j), wp)
+             for wp, js in ((16, (1, 8, 9)), (2008, (1, 62, 63)))
+             for j in js for s in (1, -1)])
+# wp at each side of a precision class edge: wp + guard bits is 128, 512
+# and 2,048 at the lower one; J grows across the first two (8 to 9 and
+# 24 to 36) and stays at 62 across the third
+@_examples(*[((3, -2), wp) for wp in (117, 118, 499, 500, 2033, 2034)])
+@example(((_Q1000, 0), 2008))
+@example(((_Q1000, 0), 8008))
 def test_ln_bracket_contains_mpmath_and_is_no_wider_than_oracle(arg):
     (n, e), wp = arg
     lo, hi = _ln_bracket(n, e, wp)
@@ -309,15 +334,33 @@ def test_ln2_bracket_is_at_most_two_units_wide(wp):
 
 
 def test_ln2_bracket_does_not_depend_on_call_order():
-    numerics._LN2_CACHE.clear()
+    numerics._LN_TABLE.clear()
     first = [_ln2_bracket(wp) for wp in (100, 3000, 129, 64)]
-    numerics._LN2_CACHE.clear()
+    numerics._LN_TABLE.clear()
     again = [_ln2_bracket(wp) for wp in (64, 129, 3000, 100)][::-1]
     assert first == again
     for wp, (lo, hi) in zip((100, 3000, 129, 64), first):
         with mpmath.workprec(4 * wp):
             assert lo <= _frac(mpmath.log(2) * 2 ** wp) <= hi
         assert hi - lo <= 2
+
+
+def test_ln_bracket_does_not_depend_on_call_order():
+    """Each precision class fills its table as its entries are first asked
+    for, so a bracket is the same whatever was bracketed before it.  The
+    filled tables are compared too: a table picked by what was asked
+    before, not by wp, changes a bracket only in rare roundings."""
+    args = [(3, -2, 16), (_Q1000, 0, 100), ((1 << 9000) - 1, -14000, 499),
+            (5, 7, 500), (_Q1000, -9384, 2008), (7, -3, 3000),
+            (1, 5000, 129), ((1 << 63) + 1, -63, 2008)]
+    numerics._LN_TABLE.clear()
+    first = [_ln_bracket(*a) for a in args]
+    tables = {top: dict(memo) for top, memo in numerics._LN_TABLE.items()}
+    assert len(tables) >= 4
+    numerics._LN_TABLE.clear()
+    again = [_ln_bracket(*a) for a in reversed(args)][::-1]
+    assert first == again
+    assert numerics._LN_TABLE == tables
 
 
 # ---------------------------------------------------------------------------
