@@ -170,14 +170,15 @@ def _spec_from_args(args) -> GeneratorSpec:
     return GeneratorSpec(args.gen, args.n_max, params)
 
 
-def _load_sequence(args):
+def _load(args):
+    """The sequence of --input or --gen, and its basis from _basis_for."""
     if bool(args.input) == bool(args.gen):
         raise _UsageError("exactly one of --input / --gen is required")
-    if args.input:
-        if args.n_max is not None or args.params is not None:
-            raise _UsageError("--n-max and --params need --gen, not --input")
-        return import_jsonl(args.input)
-    return generate(_spec_from_args(args))
+    if args.input and (args.n_max is not None or args.params is not None):
+        raise _UsageError("--n-max and --params need --gen, not --input")
+    seq = (import_jsonl(args.input) if args.input
+           else generate(_spec_from_args(args)))
+    return seq, _basis_for(args, seq)
 
 
 def _basis_for(args, seq) -> Basis:
@@ -225,13 +226,12 @@ def _cmd_roundtrip(args):
     # canonical input is certified line by line as it is parsed, so it is
     # neither dumped nor parsed again; other input is dumped, and of a
     # re-dump of equal records only the header line can differ
-    if already:
-        canonical, again = original, seq
-    else:
+    canonical, lossless = original, True
+    if not already:
         canonical = dumps_jsonl(seq)
         again = loads_jsonl(canonical)
-    lossless = (again.records == seq.records
-                and again.provenance == seq.provenance)
+        lossless = (again.records == seq.records
+                    and again.provenance == seq.provenance)
     if args.output:
         _write(canonical, args.output)
     status = "success" if lossless else "violated"
@@ -245,8 +245,7 @@ def _cmd_roundtrip(args):
 
 
 def _cmd_estimate(args):
-    seq = _load_sequence(args)
-    basis = _basis_for(args, seq)
+    seq, basis = _load(args)
     prof = profile(seq, basis, args.prec, args.tol)
     # gamma and growth end at records with Q >= 2, so only tau can be None
     decided = all(b is not None for b in prof.tau)
@@ -255,8 +254,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_check_nesterenko(args):
-    seq = _load_sequence(args)
-    basis = _basis_for(args, seq)
+    seq, basis = _load(args)
     rep = check_nesterenko(seq, basis, args.prec, args.tol)
     status = {TriBool.TRUE: "holds", TriBool.FALSE: "violated",
               TriBool.UNKNOWN: "unknown"}[rep.consistent]
@@ -264,8 +262,7 @@ def _cmd_check_nesterenko(args):
 
 
 def _cmd_check_siegel(args):
-    seq = _load_sequence(args)
-    basis = _basis_for(args, seq)
+    seq, basis = _load(args)
     rep = check_siegel(seq, basis, args.n1, args.n2, args.prec)
     ok = (rep.alpha0_ok and rep.det_nonzero and rep.rank_propagates
           and rep.det_consistent is not TriBool.FALSE)
@@ -273,8 +270,7 @@ def _cmd_check_siegel(args):
 
 
 def _cmd_verify(args):
-    seq = _load_sequence(args)
-    basis = _basis_for(args, seq)
+    seq, basis = _load(args)
     verdicts = [verify_conclusion(seq, basis, args.tau, Q, args.eps,
                                   args.prec, args.budget)
                 for Q in args.Q]

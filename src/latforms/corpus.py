@@ -279,9 +279,7 @@ def gen_synthetic(spec: GeneratorSpec) -> FormSequence:
         raise InfeasibleSpec(
             f"g_{p} = {g[-1]} > 1: delta_{p} would not divide ell_{p}", report)
 
-    V = 1
-    for x in xi:
-        V = V * x.denominator // math.gcd(V, x.denominator)
+    V = math.lcm(*(x.denominator for x in xi))
     c = tuple((V // x.denominator) * x.numerator for x in xi)
 
     records = []

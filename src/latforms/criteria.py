@@ -700,9 +700,9 @@ def _dual_point(p: int, labels, prefix, delta, kp: int) -> DualPoint:
     return DualPoint(tuple(a))
 
 
-def _scan_prec(prec: int) -> int:
-    """Base precision of the lattice scans: prec, but at least 96 bits."""
-    return max(prec, 96)
+def _scan_prec(prec: int, cap: int) -> int:
+    """Base precision of the lattice scans: max(prec, 96), at most cap."""
+    return min(max(prec, 96), cap)
 
 
 def _box_ranges(delta: Sequence[int], labels: Sequence[int],
@@ -839,8 +839,8 @@ def _dual_scan(basis: Basis, labels: Sequence[int], delta: Sequence[int],
                budget: int) -> tuple[Optional[DualPoint], dict]:
     """The coordinate-frame scan of the dual box at Q, |a_j| <=
     Q^(tau_j-eps) on the labels and a_j = 0 off them and p, against the
-    threshold Q^-(1+eps) from the base precision _scan_prec(prec)."""
-    work = _scan_prec(prec)
+    threshold Q^-(1+eps) from the base precision _scan_prec."""
+    work = _scan_prec(prec, basis.cap)
     inside, t_hi = _threshold(Q, eps, work)
     return _coordinate_scan(basis, labels, delta,
                             _box_ranges(delta, labels, taus, Q, eps), budget,

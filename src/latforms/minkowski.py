@@ -120,15 +120,13 @@ def check_condition(tau: Sequence[Num], gamma: Sequence[Num],
     """Membership in J by the sign of tau_j+gamma_j (boundary zero stays in
     J), then lhs = gamma_p + sum_J (tau_j+gamma_j) compared against 1.
 
-    All-rational input is decided exactly; input with a ball has every
-    rational coerced at prec, and a straddling entry forces Unknown.
+    Rationals stay exact, so only a ball entry can leave a sign or the
+    comparison Unknown; a still-rational lhs is reported as a ball at prec.
     """
     p = len(gamma)
     if len(tau) != p - 1:
         raise ValidationError(f"tau must have length {p - 1}")
-    exact = not any(isinstance(x, BallReal) for x in (*tau, *gamma))
-    taus, gammas = ([Fraction(x) if exact else x if isinstance(x, BallReal)
-                     else BallReal.exact(Fraction(x), prec) for x in v]
+    taus, gammas = ([x if isinstance(x, BallReal) else Fraction(x) for x in v]
                     for v in (tau, gamma))
     J, unknown, lhs = [], [], gammas[p - 1]
     for j in range(p - 1):
@@ -141,7 +139,8 @@ def check_condition(tau: Sequence[Num], gamma: Sequence[Num],
             unknown.append(j + 1)
     rel = TriBool.UNKNOWN if unknown else tri_compare(lhs, 1)
     return ConditionReport(J=tuple(J), relation=rel, unknown_j=tuple(unknown),
-                           lhs=BallReal.exact(lhs, prec) if exact else lhs)
+                           lhs=lhs if isinstance(lhs, BallReal)
+                           else BallReal.exact(lhs, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
     scanned = unknowns = 0
     steps = range(R + 1)
     if len(labels) == 1:
-        steps = _walk(basis, labels[0], delta, R, _scan_prec(prec),
+        steps = _walk(basis, labels[0], delta, R, _scan_prec(prec, basis.cap),
                       lambda: unknowns, sure)[0]
 
     def nearest(point: list, j: int, k: int) -> TriBool:
@@ -222,7 +221,8 @@ def directed_search_sheared(body: ConvexBody, delta: Sequence[int],
             point[j - 1] = _round_half_to_zero(target.mid / d) * d
             return cmp_abs_le(target - point[j - 1], *brackets[k])
         fixed = basis.xi[j - 1].exact is None and basis.xi[j - 1].interval
-        return escalate(decide, basis.cap if fixed else prec, basis.cap)[0]
+        return escalate(decide, basis.cap if fixed else min(prec, basis.cap),
+                        basis.cap)[0]
 
     for scanned, step in enumerate(steps, 1):
         xp = step * dp
@@ -282,7 +282,7 @@ def directed_search_coordinate(body: ConvexBody, delta: Sequence[int],
             return None                 # t_lo < |v| < t_hi: undecidable
         return out
     point, n = _coordinate_scan(basis, labels, delta, ranges, budget,
-                                _scan_prec(prec), t_hi, inside)
+                                _scan_prec(prec, basis.cap), t_hi, inside)
     return point, {"checked": n["checked"], "unknowns": n["unknowns"]}
 
 
@@ -330,7 +330,7 @@ def construct_primal_form(xi: Basis, tau: Sequence[Rat], delta_n: Sequence[int],
         raise Refusal("condition not certified <= 1", report)
     J = list(report.J)
     tau_J = sum((taus[j - 1] for j in J), Fraction(0))
-    wp = _scan_prec(prec)
+    wp = _scan_prec(prec, xi.cap)
     expo = 1 - tau_J + (len(J) + 1) * slack
     det, vol = _volume(delta_n, J, Q_n, expo, wp)
     Qb = BallReal.exact(Q_n, wp)
@@ -416,7 +416,7 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
         raise Refusal(f"margin not certified above (|J|+2) eps (need > {need})",
                       report)
     expo = sum((taus[j - 1] for j in J), Fraction(0)) - 1 - (len(J) + 1) * eps
-    wp = _scan_prec(prec)
+    wp = _scan_prec(prec, xi.cap)
     det, vol = _volume(delta_PhiQ, J, Q, expo, wp)
     if cmp_abs_vs_power(Fraction(1, det), Q, expo) >= 0:  # Q^expo det <= 1
         raise Refusal("volume certificate fails: Q too small", report,
@@ -495,7 +495,7 @@ def enumerate_lattice_points(body: ConvexBody, delta: Sequence[int],
     p = basis.p
     labels = body.coords[:-1]
     dp = delta[p - 1]
-    wp = _scan_prec(prec)
+    wp = _scan_prec(prec, basis.cap)
     tested = 0
     unknowns = 0
 

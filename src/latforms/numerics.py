@@ -181,6 +181,8 @@ def nth_root_floor(x: int, n: int) -> int:
         raise ValueError("nth_root_floor needs x >= 0, n >= 1")
     if x == 0:
         return 0
+    if n >= x.bit_length():             # 1 <= x < 2^n
+        return 1
     if n == 1:
         return x
     if n == 2:
@@ -288,13 +290,6 @@ def _atanh_bracket(num: int, den: int, wp: int) -> tuple[int, int]:
             p = p * t2 >> wp
             n += 1
     return s, s + 2 * n + 3
-
-
-def _steps(wp: int) -> int:
-    """Half the number of squarings _exp_bracket takes at wp bits: about
-    sqrt(wp)/4, 0 below 16 bits.  It serves _exp_bracket only; ln reduces
-    its argument by the table of _table instead."""
-    return math.isqrt(wp) // 4
 
 
 def _guard(wp: int) -> int:
@@ -413,8 +408,9 @@ def _exp_bracket(n: int, e: int, wp: int) -> tuple[int, int, int]:
     """(lo, hi, s) with lo 2^s <= exp(n 2^e) <= hi 2^s, lo of wp + 1 bits
     and hi - lo <= 2 in practice.
 
-    Write x = K ln 2 + r with 0 <= r < ln 2 + 2^-W.  With k = 2 _steps(wp)
-    and W = wp + k + guard bits, exp(r) = exp(u)^(2^k) for u = r/2^k.
+    Write x = K ln 2 + r with 0 <= r < ln 2 + 2^-W.  With
+    k = 2 floor(isqrt(wp)/4) squarings (0 below 16 bits) and W = wp + k +
+    guard bits, exp(r) = exp(u)^(2^k) for u = r/2^k.
 
     Proof of the bracket, all values in units of 2^-W (2^-S for X, L):
     * X = floor(x 2^S) and ln 2 in [L_lo, L_hi] at S = W + g bits, g
@@ -431,7 +427,7 @@ def _exp_bracket(n: int, e: int, wp: int) -> tuple[int, int, int]:
       floor((2Z + c) c / 2^W) + 2: (Z + c)^2 - Z^2 = (2Z + c) c.
     * exp(x) = exp(r) 2^K, floored and ceiled to wp + 1 bits.
     """
-    k = 2 * _steps(wp)
+    k = 2 * (math.isqrt(wp) // 4)
     W = wp + k + _guard(wp)
     S = W + max(n.bit_length() + e, 0) + 2
     X = _shift(n, e + S)

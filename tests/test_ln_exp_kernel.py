@@ -11,9 +11,11 @@ which reaches its upper end from its lower one by an atanh series, is
 also held to the log that brackets both ends.
 """
 
-import mpmath
+import random
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from latforms import numerics
@@ -531,3 +533,43 @@ def test_held_precision_log_contains_mpmath_and_keeps_the_oracle_radius(x):
         near += _mid_ulp(old)
     assert abs(out.lower - old.lower) <= near
     assert abs(out.upper - old.upper) <= near
+
+
+def _tight(f, wp):
+    """floor(f 2^wp) and one more, from mpmath at 4 wp + 64 bits: a
+    bracket one unit wide with no slack of its own."""
+    with mpmath.workprec(4 * wp + 64):
+        lo = int(mpmath.floor(f() * mpmath.mpf(2) ** wp))
+    return lo, lo + 1
+
+
+@pytest.mark.parametrize("wp", [24, 32, 64, 128, 256])
+def test_ln_bracket_rounding_slack_is_needed_and_enough(monkeypatch, wp):
+    """_ln_bracket's own rounding slack, the term 2 (2 + P/2^S) added to
+    the atanh bracket, seen alone: atanh and the table come back one unit
+    wide from mpmath, there are no guard bits and no precision classes,
+    and x = n/2^b lies in (1/2, 1), so E = 0 and no ln 2 is added.  The
+    bracket must still contain ln x; without the slack it misses for
+    one x of these in 13 (wp = 32) to one in 270 (wp = 256)."""
+    memo = {}
+
+    def atanh(num, den, w):
+        return _tight(lambda: mpmath.atanh(mpmath.mpf(num) / den), w)
+
+    def ln1p(top, memo, j):
+        memo[j] = _tight(lambda: mpmath.log1p(mpmath.mpf(2) ** -j), top)
+        return memo[j]
+
+    monkeypatch.setattr(numerics, "_atanh_bracket", atanh)
+    monkeypatch.setattr(numerics, "_ln1p", ln1p)
+    monkeypatch.setattr(numerics, "_guard", lambda w: 0)
+    monkeypatch.setattr(numerics, "_table", lambda w: (w, memo))
+    rng = random.Random(wp)
+    for _ in range(500):
+        b = rng.randint(2, 2 * wp)
+        n = rng.randint((1 << (b - 1)) + 1, (1 << b) - 1)
+        lo, hi = _ln_bracket(n, -b, wp)
+        with mpmath.workprec(4 * wp + 64):
+            v = _frac(mpmath.log(mpmath.mpf(n) / mpmath.mpf(2) ** b)
+                      * mpmath.mpf(2) ** wp)
+        assert lo <= v <= hi, (n, b)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latforms.numerics import (PREC_CAP, BallReal, RealConstant, TriBool,
                                cmp_abs_le, cmp_abs_vs_power, parse_real,
@@ -131,6 +131,70 @@ def test_condition_on_rationals_matches_the_fraction_branch(tg, prec):
     r = check_condition(tau, gamma, prec)
     J, lhs, rel = _fraction_condition(tau, gamma, prec)
     assert (r.J, r.lhs, r.relation, r.unknown_j) == (J, lhs, rel, ())
+
+
+def _coerced_condition(tau, gamma, prec):
+    """check_condition's former mode once any entry is a ball: every
+    rational coerced to a ball at prec, then the loop on balls.  Returns
+    each j's status (True in J, False out, None unknown) and the relation."""
+    taus, gammas = ([x if isinstance(x, BallReal) else BallReal.exact(F(x), prec)
+                     for x in v] for v in (tau, gamma))
+    status, lhs = [], gammas[-1]
+    for t, g in zip(taus, gammas):
+        s = t + g
+        out = tri_compare(-s, 0)
+        status.append(None if out is TriBool.UNKNOWN else out is TriBool.FALSE)
+        if out is TriBool.FALSE:
+            lhs = lhs + s
+    rel = TriBool.UNKNOWN if None in status else tri_compare(lhs, 1)
+    return status, rel
+
+
+@st.composite
+def _conditions_with_one_ball(draw):
+    """Rational tau and gamma with the entry at k of tau + gamma replaced
+    by a ball, and that ball's value enclosed (as a ball at 4 prec bits
+    for a surrogate gamma, exactly for a coerced non-dyadic rational)."""
+    p = draw(st.integers(1, 4))
+    tau = draw(st.lists(_small_rationals, min_size=p - 1, max_size=p - 1))
+    gamma = draw(st.lists(_small_rationals, min_size=p, max_size=p))
+    prec = draw(st.sampled_from([16, 64, 200]))
+    if draw(st.booleans()):
+        d, Q = draw(st.integers(2, 50)), draw(st.integers(2, 10 ** 6))
+        ball = surrogate_gamma([d], Q, prec)[0]
+        value = surrogate_gamma([d], Q, 4 * prec)[0]
+    else:
+        value = draw(st.fractions(-2, 2, max_denominator=12).filter(
+            lambda q: q.denominator & (q.denominator - 1)))
+        ball = BallReal.exact(value, prec)
+    k = draw(st.integers(0, 2 * p - 2))
+    entries = [*tau, *gamma]
+    entries[k] = ball
+    return entries[:p - 1], entries[p - 1:], prec, k, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conditions_with_one_ball())
+@example(([F(1, 3)], [F(-1, 3), BallReal.exact(F(1, 3), 64)], 64, 2, F(1, 3)))
+def test_condition_with_one_ball_keeps_rationals_exact(case):
+    """Mixed input: every index and relation the coerced oracle decides
+    comes out the same, a rational boundary zero tau_j = -gamma_j is in J,
+    and lhs contains gamma_p + sum_J (tau_j + gamma_j)."""
+    tau, gamma, prec, k, value = case
+    p = len(gamma)
+    r = check_condition(tau, gamma, prec)
+    status, rel = _coerced_condition(tau, gamma, prec)
+    for j, known in enumerate(status, 1):
+        if known is not None:
+            assert (j in r.J) is known and j not in r.unknown_j
+        if k not in (j - 1, p - 1 + j - 1) and tau[j - 1] + gamma[j - 1] == 0:
+            assert j in r.J
+    if rel is not TriBool.UNKNOWN:
+        assert r.relation is rel
+    exact = [value if i == k else F(x) for i, x in enumerate([*tau, *gamma])]
+    total = exact[-1] + sum((exact[j - 1] + exact[p - 1 + j - 1] for j in r.J),
+                            F(0))
+    assert r.lhs.contains(total)
 
 
 # -- primal construction -----------------------------------------------------
@@ -834,6 +898,34 @@ def test_capped_basis_bounds_the_coordinate_search():
         lambda b: directed_search_coordinate(body, [1, 1], b)) == [
             (384, (DualPoint((F(3), F(-5))), {"checked": 1, "unknowns": 0})),
             (128, (None, {"checked": 1, "unknowns": 1}))]
+
+
+def test_no_scan_reads_golden_past_a_cap_below_96_bits():
+    """The scans start at 96 bits, but never past the basis cap: at cap 64
+    each of them reads golden at 64 bits at most and gives the answer it
+    gives uncapped."""
+    f = _fib(30)
+    seq = FormSequence([FormRecord(n=n, Q=f[n], ell=(f[n + 1], f[n]),
+                                   delta=(1, 1)) for n in range(2, 26)])
+    body = ConvexBody(frame="coordinate", coords=(1, 2), bounds=(
+        Bound(BallReal.exact(40, 64), strict=False),
+        Bound(BallReal.exact(F(1, 50), 64), strict=False)))
+    runs = [
+        (lambda b: verify_conclusion(seq, b, [1], 10 ** 4, F(1, 5)).status,
+         "holds"),
+        (lambda b: construct_dual_witness(b, [F(3, 2)], [0, 0], [1, 1], 1000,
+                                          F(1, 10)).point,
+         DualPoint((F(987), F(-1597)))),
+        (lambda b: construct_primal_form(b, [F(1)], [1, 1], 987).point,
+         (610, 377)),
+        (lambda b: directed_search_coordinate(body, [1, 1], b)[0],
+         DualPoint((F(34), F(-55))))]
+    for run, want in runs:
+        golden = parse_real("golden")
+        asked = []
+        golden.at = lambda prec, at=golden.at: asked.append(prec) or at(prec)
+        assert run(Basis((golden,), 64)) == want == run(GOLDEN)
+        assert asked and max(asked) <= 64
 
 
 def test_capped_basis_bounds_the_reciprocal_construction():

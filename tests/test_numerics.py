@@ -404,6 +404,19 @@ def test_nth_root_floor_brackets_the_root(x, n, d, near_power):
     assert r ** n <= x < (r + 1) ** n
 
 
+@pytest.mark.parametrize("x", [1, 2, 3, 100, 2 ** 64 - 1, 3 ** 200])
+def test_nth_root_floor_of_a_huge_index_is_one_at_once(x):
+    """For n >= x.bit_length() the root is 1 since x < 2^n: it is returned
+    without building r^(n-1), so n = 10^12 costs nothing; at the edge, and
+    one bit below it, it still brackets the root."""
+    assert nth_root_floor(x, 10 ** 12) == 1
+    for n in (x.bit_length() - 1, x.bit_length()):
+        if n >= 1:
+            r = nth_root_floor(x, n)
+            assert r ** n <= x < (r + 1) ** n
+    assert nth_root_floor(0, 10 ** 12) == 0
+
+
 def test_exact_powers_past_the_bound_refuse():
     """Q^(10^12 + 1) is never built: floor_scaled_power and
     cmp_abs_vs_power refuse it at once, and accept a power below the
