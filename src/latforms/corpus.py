@@ -15,8 +15,8 @@ with integers as decimal strings (records can exceed JSON number ranges).
 Export is canonical (sorted keys, compact separators), so canonical files
 round-trip byte-identically.  Import certifies that a text is canonical as
 it parses it, without encoding Q, ell or delta back (_parse_jsonl), so a
-round trip of canonical input is one parse.  Export and import each convert a
-distinct integer of a record once.
+round trip of canonical input is one parse.  Each distinct integer of a
+record is converted once; a generated Apery sequence prints from Decimal.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, Rounded,
+                     localcontext)
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Callable, Optional, Sequence, Union
@@ -32,7 +34,8 @@ from typing import IO, Callable, Optional, Sequence, Union
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError, _form
 from .numerics import (NumericsError, TriBool, check_literal, cmp_abs_le,
-                       decimal_to_int, int_to_decimal, parse_real)
+                       decimal_to_int, fraction_to_str, int_to_decimal,
+                       parse_real)
 
 __all__ = [
     "GENERATORS",
@@ -99,12 +102,12 @@ def gen_fibonacci(n_max: int) -> FormSequence:
         "generator": "fibonacci-golden", "params": {"n_max": n_max}})
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
+def _exact_div(num, den, what: str):
+    q, r = divmod(num, den)     # not /: a Decimal non-multiple fills MAX_PREC
     if r:
-        raise AssertionError(
-            f"integrality failed for {what}: {Fraction(num, den)} is not an "
-            "integer (generator bug)")
+        x = fraction_to_str(Fraction(int(num), int(den)))
+        raise AssertionError(f"integrality failed for {what}: {x} is not an "
+                             "integer (generator bug)")
     return q
 
 
@@ -121,37 +124,48 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
     nonzero remainder of that division is a failed integrality assertion.
     The sanity check runs on the last (ell_1, ell_2) before any record is
     built, so that a refusal does not pay for the records' validation.
+    The printer reruns the loop over exact Decimal: linear per digit string.
     """
     if n_max < 3:
         raise ValidationError("n_max must be >= 3")
     if not isinstance(prec, int):
         raise ValidationError(f"{name} prec = {prec!r} is not an integer")
-    a_prev, a_cur = front, front * a1       # d_0 = d_1 = 1
-    b_prev, b_cur = 0, front * b1
-    d = ratio = 1
-    scale = front
-    rows = []
-    for n in range(1, n_max + 1):
-        rows.append((b_cur, a_cur, scale))
-        if n == n_max:
-            break
-        step = (n + 1) // math.gcd(d, n + 1)
-        d *= step
-        g1 = step ** power
-        c1, c0 = poly(n) * g1, sign * (n * ratio) ** power * g1
-        den = (n + 1) ** power
-        at = f"{name} n={n + 1}"
-        b_prev, b_cur = b_cur, _exact_div(c1 * b_cur + c0 * b_prev, den,
-                                          f"{at} ell_1")
-        a_prev, a_cur = a_cur, _exact_div(c1 * a_cur + c0 * a_prev, den,
-                                          f"{at} ell_2")
-        scale *= g1
-        ratio = step
-    _apery_sanity(n_max, b_cur, a_cur, const, prec, name)
+
+    def run(num):
+        a_prev, a_cur = num(front), num(front * a1)     # d_0 = d_1 = 1
+        b_prev, b_cur = num(0), num(front * b1)
+        d, ratio, scale = 1, 1, num(front)
+        for n in range(1, n_max + 1):
+            yield b_cur, a_cur, scale
+            if n == n_max:
+                break
+            step = (n + 1) // math.gcd(d, n + 1)
+            d *= step
+            g1 = step ** power
+            c1, c0 = poly(n) * g1, sign * (n * ratio) ** power * g1
+            den = (n + 1) ** power
+            b_prev, b_cur = b_cur, _exact_div(c1 * b_cur + c0 * b_prev, den,
+                                              f"{name} n={n + 1} ell_1")
+            a_prev, a_cur = a_cur, _exact_div(c1 * a_cur + c0 * a_prev, den,
+                                              f"{name} n={n + 1} ell_2")
+            scale *= g1
+            ratio = step
+
+    def print_lines() -> list[str]:
+        with localcontext() as ctx:     # exact: a rounding traps
+            ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+            ctx.traps[Inexact] = ctx.traps[Rounded] = True
+            return [_record_line(n, str(abs(a)), (str(b), str(a)),
+                                 (str(front), str(s)))
+                    for n, (b, a, s) in enumerate(run(Decimal), 1)]
+    rows = list(run(int))
+    _apery_sanity(n_max, *rows[-1][:2], const, prec, name)
     records = [FormRecord(n=n, Q=abs(a), ell=(b, a), delta=(front, scale))
                for n, (b, a, scale) in enumerate(rows, 1)]
-    return FormSequence(records, provenance={
+    seq = FormSequence(records, provenance={
         "generator": name, "params": {"n_max": n_max}})
+    seq._printer = print_lines
+    return seq
 
 
 def _apery_sanity(n: int, ell_1: int, ell_2: int, const: str, prec: int,
@@ -370,14 +384,14 @@ def _record_line(n: int, Q: str, ell: Sequence[str],
 
 def dumps_jsonl(seq: FormSequence) -> str:
     """Canonical JSONL text: header line (when provenance exists), then
-    records ordered by n, integers as decimal strings.  Each distinct
-    integer of a record is encoded once (Apery records have Q == ell_p)."""
+    records ordered by n, integers as decimal strings: seq._printer's lines,
+    else each distinct integer of a record encoded once (often Q == ell_p)."""
     header = _jsonl_header(seq.provenance)
     lines = [] if header is None else [header]
+    if seq._printer is not None:
+        return "\n".join(lines + seq._printer()) + "\n"
     for r in seq.records:
-        dec = dict.fromkeys((r.Q, *r.ell, *r.delta))
-        for x in dec:
-            dec[x] = int_to_decimal(x)
+        dec = {x: int_to_decimal(x) for x in {r.Q, *r.ell, *r.delta}}
         lines.append(_record_line(r.n, dec[r.Q], [dec[x] for x in r.ell],
                                   [dec[x] for x in r.delta]))
     return "\n".join(lines) + "\n"

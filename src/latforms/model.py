@@ -136,6 +136,7 @@ class FormSequence:
         self._by_n = {r.n: r for r in recs}
         # the certified logs read off this sequence (exponents._log_rows)
         self._logs: dict = {}
+        self._printer = None    # its generator's printer of its record lines
 
     def __len__(self) -> int:
         return len(self.records)

@@ -9,13 +9,15 @@ import json
 import math
 import re
 import time
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 import mpmath
 from hypothesis import given, settings, strategies as st
 
-from latforms.numerics import PrecisionCapExceeded, TriBool, parse_real
+from latforms.numerics import (PrecisionCapExceeded, TriBool, int_to_decimal,
+                               parse_real)
 from latforms.model import (
     Basis,
     DiagonalLattice,
@@ -269,6 +271,75 @@ def test_apery_refusal_builds_no_record(monkeypatch):
                        match=r"^66066 bits exceeds cap 65536$"):
         gen_apery_zeta3(7000)
     assert built == []
+
+
+def _encoded_lines(seq):
+    """The record lines of seq from its ints, one int_to_decimal each."""
+    return [corpus._record_line(r.n, int_to_decimal(r.Q),
+                                [int_to_decimal(x) for x in r.ell],
+                                [int_to_decimal(x) for x in r.delta])
+            for r in seq]
+
+
+@pytest.mark.parametrize("name", sorted(APERY_GENS))
+@pytest.mark.parametrize("n_max", [3, 4, 12, 200, 1700])
+def test_decimal_printer_matches_the_int_encoding(name, n_max):
+    """The lines a generated Apery sequence prints from its Decimal run are
+    those of its ints, past the 4300-digit limit too (n = 1700); the same
+    text parsed back has no printer and encodes its ints to the same
+    bytes."""
+    seq = APERY_GENS[name][0](n_max)
+    lines = seq._printer()
+    assert lines == _encoded_lines(seq)
+    text = dumps_jsonl(seq)
+    assert text.splitlines()[1:] == lines
+    back = loads_jsonl(text)
+    assert back._printer is None
+    assert dumps_jsonl(back) == text
+
+
+def test_failed_division_is_a_generator_bug_in_both_rings():
+    """A remainder is the same AssertionError over int and over Decimal,
+    in an exact Decimal context and past the 4300-digit limit too."""
+    big = 10 ** 5000 + 1                      # 2 mod 3
+    for num, den, shown in ((7, 2, "7/2"), (big, 3, None)):
+        msgs = []
+        for ring in (int, Decimal):
+            with localcontext() as ctx:
+                ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+                with pytest.raises(AssertionError) as err:
+                    corpus._exact_div(ring(num), ring(den), "x n=5 ell_1")
+            msgs.append(str(err.value))
+        assert msgs[0] == msgs[1]
+        assert msgs[0].startswith("integrality failed for x n=5 ell_1: ")
+        assert msgs[0].endswith(" is not an integer (generator bug)")
+        if shown is not None:
+            assert f": {shown} is not" in msgs[0]
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        assert corpus._exact_div(Decimal(big - 1), Decimal(10), "x") \
+            == Decimal((big - 1) // 10)
+
+
+def _no_decimal_work(m):
+    def boom(*args, **kwargs):
+        raise RuntimeError("Decimal work")
+    m.setattr(corpus, "localcontext", boom)
+    m.setattr(corpus, "Decimal", boom)
+
+
+def test_generation_and_refusal_do_no_decimal_work(monkeypatch):
+    """The printer runs only when the sequence is dumped: building the
+    apery-zeta3 workload's n = 200 and refusing n = 7000 at the precision
+    cap never touch Decimal."""
+    with monkeypatch.context() as m:
+        _no_decimal_work(m)
+        seq = gen_apery_zeta3(200)
+        with pytest.raises(PrecisionCapExceeded):
+            gen_apery_zeta3(7000)
+        with pytest.raises(RuntimeError, match="Decimal work"):
+            dumps_jsonl(seq)
+    assert dumps_jsonl(seq).splitlines()[1:] == _encoded_lines(seq)
 
 
 # ---------------------------------------------------------------------------
