@@ -49,8 +49,9 @@ from .numerics import (
     NumericsError,
     TriBool,
     UncertifiedComparison,
-    check_literal,
+    decimal_to_fraction,
     decimal_to_int,
+    int_to_decimal,
     jsonable,
     parse_real,
 )
@@ -80,8 +81,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(text: str) -> Fraction:
     try:
-        check_literal(text)
-        return Fraction(text)
+        return decimal_to_fraction(text)
     except NumericsError as e:
         raise argparse.ArgumentTypeError(str(e))
     except (ValueError, ZeroDivisionError):
@@ -101,12 +101,13 @@ def _posint(text: str) -> int:
 def _bits(text: str) -> int:
     """A precision in bits: an integer in MIN_PREC..PREC_CAP."""
     try:
-        v = int(text, 10)
+        v = decimal_to_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if not MIN_PREC <= v <= PREC_CAP:
         raise argparse.ArgumentTypeError(
-            f"precision {v} is outside {MIN_PREC}..{PREC_CAP} bits")
+            f"precision {int_to_decimal(v)} is outside "
+            f"{MIN_PREC}..{PREC_CAP} bits")
     return v
 
 
@@ -161,7 +162,7 @@ def _spec_from_args(args) -> GeneratorSpec:
     params = {}
     if args.params:
         try:
-            params = json.loads(args.params)
+            params = json.loads(args.params, parse_int=decimal_to_int)
         except json.JSONDecodeError as e:
             raise _UsageError(f"--params is not valid JSON: {e.msg}")
         if not isinstance(params, dict):

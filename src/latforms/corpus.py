@@ -33,9 +33,9 @@ from typing import IO, Callable, Optional, Sequence, Union
 
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError, _form
-from .numerics import (NumericsError, TriBool, check_literal, cmp_abs_le,
-                       decimal_to_int, fraction_to_str, int_to_decimal,
-                       parse_real)
+from .numerics import (NumericsError, RealConstant, TriBool, cmp_abs_le,
+                       decimal_to_fraction, decimal_to_int, fraction_to_str,
+                       int_to_decimal, parse_real)
 
 __all__ = [
     "GENERATORS",
@@ -215,15 +215,15 @@ def gen_apery_zeta2(n_max: int, prec: int = 64) -> FormSequence:
 
 
 def _frac(x, what: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    try:
-        check_literal(str(x))
-        return Fraction(str(x))
-    except NumericsError as e:
-        raise ValidationError(f"{what}: {e}") from e
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"{what}: cannot parse {x!r} as a rational") from e
+    """A string as decimal_to_fraction reads it, a number as it is."""
+    if isinstance(x, (str, int, float, Fraction)) and not isinstance(x, bool):
+        try:
+            return decimal_to_fraction(x) if isinstance(x, str) else Fraction(x)
+        except NumericsError as e:
+            raise ValidationError(f"{what}: {e}") from e
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValidationError(f"{what}: cannot parse {x!r} as a rational")
 
 
 def gen_synthetic(spec: GeneratorSpec) -> FormSequence:
@@ -275,23 +275,25 @@ def gen_synthetic(spec: GeneratorSpec) -> FormSequence:
     for i, ti in enumerate(t, start=1):
         if ti is not None and ti > 0:
             raise InfeasibleSpec(
-                f"t_{i} = {ti} > 0: a nonzero integer-form error against "
-                f"fixed rational xi_{i} is at least 1/denominator and cannot "
-                "decay; use the fibonacci/apery generators for positive "
-                "decay exponents", report)
+                f"t_{i} = {fraction_to_str(ti)} > 0: a nonzero integer-form "
+                f"error against fixed rational xi_{i} is at least 1/"
+                "denominator and cannot decay; use the fibonacci/apery "
+                "generators for positive decay exponents", report)
     for i, gi in enumerate(g, start=1):
         if gi < 0:
-            raise InfeasibleSpec(f"g_{i} = {gi} < 0: divisors must be >= 1",
-                                 report)
+            raise InfeasibleSpec(f"g_{i} = {fraction_to_str(gi)} < 0: "
+                                 "divisors must be >= 1", report)
     for i, (ti, gi) in enumerate(zip(t, g), start=1):
         cap = Fraction(1) if ti is None else min(-ti, Fraction(1))
         if gi > cap:
             raise InfeasibleSpec(
-                f"g_{i} = {gi} > {cap}: delta_{i} = B^floor(g_{i} n) would "
-                f"not divide ell_{i}", report)
+                f"g_{i} = {fraction_to_str(gi)} > {fraction_to_str(cap)}: "
+                f"delta_{i} = B^floor(g_{i} n) would not divide ell_{i}",
+                report)
     if g[-1] > 1:
         raise InfeasibleSpec(
-            f"g_{p} = {g[-1]} > 1: delta_{p} would not divide ell_{p}", report)
+            f"g_{p} = {fraction_to_str(g[-1])} > 1: delta_{p} would not "
+            f"divide ell_{p}", report)
 
     V = math.lcm(*(x.denominator for x in xi))
     c = tuple((V // x.denominator) * x.numerator for x in xi)
@@ -309,9 +311,9 @@ def gen_synthetic(spec: GeneratorSpec) -> FormSequence:
     canon = {
         "B": B,
         "n_max": spec.n_max,
-        "xi": [str(x) for x in xi],
-        "t": [None if x is None else str(x) for x in t],
-        "g": [str(x) for x in g],
+        "xi": [fraction_to_str(x) for x in xi],
+        "t": [None if x is None else fraction_to_str(x) for x in t],
+        "g": [fraction_to_str(x) for x in g],
     }
     return FormSequence(records, provenance={
         "generator": "synthetic-power", "params": canon})
@@ -348,7 +350,8 @@ def default_basis(spec: GeneratorSpec) -> Basis:
         raise ValidationError("synthetic-power spec has no xi")
     if not isinstance(xi, (list, tuple)):
         raise ValidationError(f"synthetic-power xi = {xi!r} is not a list")
-    return Basis(tuple(parse_real(str(_frac(x, "xi"))) for x in xi))
+    return Basis(tuple(RealConstant(fraction_to_str(q), interval=(q, q))
+                       for q in (_frac(x, "xi") for x in xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +477,19 @@ def _parse_jsonl(text: str,
     decided without encoding Q, ell or delta back; without certify the
     flag is False and costs nothing (only roundtrip reads it).
 
-    text is canonical when every line break is a single "\n", one ends
-    the text, no line is blank, a header line is _jsonl_header of the
-    provenance it gives and every record line passes
-    _canonical_record_line.  The layout is checked on counts, without a
-    second copy of the text: the len(text) - sum(len(line)) characters that
-    splitlines drops are its line terminators.  Each "\n" is a terminator or
-    ends "\r\n", so when text holds len(lines) of them there are at least
-    len(lines) terminators, one of them after the last line; when the
-    dropped characters number len(lines) too, each terminator is one "\n".
+    Lines end at LF, CRLF or CR, and nowhere else: JSON strings may hold a
+    raw U+2028, but no raw CR or LF.  text is canonical when it holds no CR,
+    ends with "\n" and no line is blank, a header line is _jsonl_header of
+    the provenance it gives and every record line passes
+    _canonical_record_line.
     """
     provenance = None
     records: list[FormRecord] = []
     prev: Optional[FormRecord] = None
-    lines = text.splitlines()
-    canonical = (certify and text.count("\n") == len(lines)
-                 and len(text) == sum(map(len, lines)) + len(lines))
+    canonical = certify and "\r" not in text and text.endswith("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -517,8 +517,8 @@ def _parse_jsonl(text: str,
         if prev is not None:
             if rec.n <= prev.n:
                 raise ValidationError(
-                    f"line {lineno}: n={rec.n} not greater than previous "
-                    f"n={prev.n}")
+                    f"line {lineno}: n={int_to_decimal(rec.n)} not greater "
+                    f"than previous n={int_to_decimal(prev.n)}")
             if rec.Q <= prev.Q:
                 raise ValidationError(
                     f"line {lineno}: Q={int_to_decimal(rec.Q)} not greater "

@@ -474,7 +474,8 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
     p = seq.p
     last = seq.records[-1].n
     if not (n1 <= n2 <= last - p + 1):
-        raise ValidationError(f"need n1 <= n2 <= {last - p + 1}")
+        raise ValidationError(
+            f"need n1 <= n2 <= {int_to_decimal(last - p + 1)}")
     recs = [r for r in seq.records if r.n >= n1]
     wide = max(x.bit_length() for r in recs for x in r.ell) >= _MOD_BITS
     mods = {r.n: _mod_p(r.ell) for r in recs} if wide else None

@@ -35,6 +35,7 @@ from .numerics import (
     cmp_abs_le,
     cmp_abs_vs_power,
     escalate,
+    fraction_to_str,
     int_to_decimal,
     jsonable,
     tri_all,
@@ -413,8 +414,8 @@ def construct_dual_witness(xi: Basis, tau: Sequence[Rat], gamma: Sequence[Num],
     J = list(report.J)
     need = 1 + (len(J) + 2) * eps
     if tri_compare(report.lhs, need) is not TriBool.TRUE:
-        raise Refusal(f"margin not certified above (|J|+2) eps (need > {need})",
-                      report)
+        raise Refusal("margin not certified above (|J|+2) eps (need > "
+                      f"{fraction_to_str(need)})", report)
     expo = sum((taus[j - 1] for j in J), Fraction(0)) - 1 - (len(J) + 1) * eps
     wp = _scan_prec(prec, xi.cap)
     det, vol = _volume(delta_PhiQ, J, Q, expo, wp)

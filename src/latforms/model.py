@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .numerics import (BallReal, MIN_PREC, PREC_CAP, RealConstant, TriBool,
-                       cmp_abs_le, decimal_to_int, fraction_to_str,
+                       cmp_abs_le, decimal_to_fraction, fraction_to_str,
                        int_to_decimal, tri_all)
 
 __all__ = [
@@ -87,19 +87,22 @@ class FormRecord:
 
     def __post_init__(self):
         if self.Q < 1:
-            raise ValidationError(f"record n={self.n}: Q must be >= 1")
+            raise ValidationError(f"{self._name()}: Q must be >= 1")
         if len(self.ell) != len(self.delta):
-            raise ValidationError(f"record n={self.n}: ell/delta length mismatch")
+            raise ValidationError(f"{self._name()}: ell/delta length mismatch")
         if len(self.ell) < 2:
-            raise ValidationError(f"record n={self.n}: need p >= 2 coefficients")
+            raise ValidationError(f"{self._name()}: need p >= 2 coefficients")
         for i, d in enumerate(self.delta, start=1):
             if d < 1:
-                raise ValidationError(f"record n={self.n}: delta_{i} = "
+                raise ValidationError(f"{self._name()}: delta_{i} = "
                                       f"{int_to_decimal(d)} < 1")
             if self.ell[i - 1] % d != 0:
                 raise ValidationError(
-                    f"record n={self.n}: delta_{i} = {int_to_decimal(d)} does "
+                    f"{self._name()}: delta_{i} = {int_to_decimal(d)} does "
                     f"not divide ell_{i} = {int_to_decimal(self.ell[i - 1])}")
+
+    def _name(self) -> str:
+        return f"record n={int_to_decimal(self.n)}"
 
     @property
     def p(self) -> int:
@@ -122,12 +125,13 @@ class FormSequence:
         last_q = 0
         for r in recs:
             if r.p != p:
-                raise ValidationError(f"record n={r.n}: p={r.p} differs from {p}")
+                raise ValidationError(f"{r._name()}: p={r.p} differs from {p}")
             if r.n == last_n:
-                raise ValidationError(f"duplicate record index n={r.n}")
+                raise ValidationError(f"duplicate record index n="
+                                      f"{int_to_decimal(r.n)}")
             if r.Q <= last_q:
                 raise ValidationError(
-                    f"record n={r.n}: Q={int_to_decimal(r.Q)} not strictly "
+                    f"{r._name()}: Q={int_to_decimal(r.Q)} not strictly "
                     f"greater than previous Q={int_to_decimal(last_q)}")
             last_n, last_q = r.n, r.Q
         self.records: tuple[FormRecord, ...] = tuple(recs)
@@ -145,10 +149,9 @@ class FormSequence:
         return iter(self.records)
 
     def record(self, n: int) -> FormRecord:
-        try:
-            return self._by_n[n]
-        except KeyError:
-            raise MissingRecord(f"no record with n={n}") from None
+        if n not in self._by_n:
+            raise MissingRecord(f"no record with n={int_to_decimal(n)}")
+        return self._by_n[n]
 
     def has(self, n: int) -> bool:
         return n in self._by_n
@@ -181,8 +184,7 @@ class DualPoint:
     @staticmethod
     def from_json(items: Sequence[str]) -> "DualPoint":
         """Inverse of to_json, past the int/str digit cap too."""
-        return DualPoint(tuple(Fraction(*map(decimal_to_int, s.split("/")))
-                               for s in items))
+        return DualPoint(tuple(map(decimal_to_fraction, items)))
 
 
 def lattice_membership(vec: Sequence[int], lattice: DiagonalLattice) -> bool:

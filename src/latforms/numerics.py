@@ -1024,7 +1024,9 @@ _NAMED: dict[str, Callable[[int], BallReal]] = {
 _SQRT_RE = re.compile(r"^sqrt\((\d+)\)$")
 _RAT_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 _DEC_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
-_DIGITS_RE = re.compile(r"[+-]?[0-9]+")
+# int(s, 10)'s grammar: blanks (but U+001C..U+001F) around a sign and
+# digits of any script, with single underscores between digits
+_INT_RE = re.compile(r"[^\S\x1c-\x1f]*([+-]?\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 _EXP_RE = re.compile(r"[eE]([+-]?\d+)\s*$")
 
 
@@ -1046,13 +1048,13 @@ def _sci(n: int, e: int, digits: int) -> str:
 
 
 def decimal_to_int(s: str) -> int:
-    """int(s, 10), and past the digit cap [+-]?[0-9]+ through Decimal."""
+    """int(s, 10) at any size: past the digit cap _INT_RE through Decimal."""
     try:
         return int(s, 10)
     except ValueError:
-        if not _DIGITS_RE.fullmatch(s):
+        if not (m := _INT_RE.fullmatch(s)):
             raise
-    return int(Decimal(s))
+    return int(Decimal(m[1].replace("_", "")))
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -1077,7 +1079,13 @@ def check_literal(s: str) -> None:
 
 
 def decimal_to_fraction(s: str) -> Fraction:
+    """Fraction(s) in parse_real's grammar (_RAT_RE, _DEC_RE), at any size."""
+    s = s.strip()
     check_literal(s)
+    if m := _RAT_RE.match(s):
+        return Fraction(decimal_to_int(m[1]), decimal_to_int(m[2]))
+    if not _DEC_RE.match(s):
+        raise ValueError(f"not a rational literal: {s!r}")
     return Fraction(Decimal(s))
 
 
@@ -1098,7 +1106,7 @@ def jsonable(x):
     """x as JSON data, the one encoding every report uses: a ball as its
     64-bit {mid, rad, prec}, a TriBool by name, a rational as "p/q", an int
     past the int/str digit cap as a decimal string, containers element by
-    element, and any other object by its to_json."""
+    element, and any other object by its to_json, JSON data as it is."""
     if isinstance(x, BallReal):
         return x.round_to(64).to_json()
     if isinstance(x, TriBool):
@@ -1117,7 +1125,7 @@ def jsonable(x):
     if isinstance(x, (int, str, bool)) or x is None:
         return x
     if hasattr(x, "to_json"):
-        return jsonable(x.to_json())
+        return x.to_json()
     return str(x)
 
 
@@ -1135,35 +1143,31 @@ def parse_real(expr: str, prec: int = 64) -> RealConstant:
         return RealConstant(expr, compute=_NAMED[expr])
     m = _SQRT_RE.match(expr)
     if m:
-        k = int(m.group(1))
+        k = decimal_to_int(m.group(1))
         if k <= 0:
             raise ValueError("sqrt argument must be positive")
         r = math.isqrt(k)
         if r * r == k:
             return RealConstant(expr, interval=(Fraction(r),) * 2)
         return RealConstant(expr, compute=_sqrt_const(k))
-    m = _RAT_RE.match(expr)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise ValueError("zero denominator")
-        return RealConstant(expr, interval=(Fraction(num, den),) * 2)
     for sep in ("±", "+-"):
         if sep in expr:
-            mid_s, rad_s = expr.split(sep, 1)
-            if not (_DEC_RE.match(mid_s.strip()) and _DEC_RE.match(rad_s.strip())):
+            mid_s, rad_s = (x.strip() for x in expr.split(sep, 1))
+            if not (_DEC_RE.match(mid_s) and _DEC_RE.match(rad_s)):
                 raise ValueError(f"malformed uncertain literal: {expr!r}")
-            mid = decimal_to_fraction(mid_s.strip())
-            rad = decimal_to_fraction(rad_s.strip())
+            mid, rad = decimal_to_fraction(mid_s), decimal_to_fraction(rad_s)
             if rad < 0:
                 raise ValueError("negative uncertainty")
             b = BallReal.from_endpoints(mid - rad, mid + rad, prec)
             return RealConstant(expr, interval=(b.lower, b.upper), prec=prec)
-    if _DEC_RE.match(expr):
+    if not (_RAT_RE.match(expr) or _DEC_RE.match(expr)):
+        raise ValueError(f"unknown real expression: {expr!r}")
+    try:
         return RealConstant(expr, interval=(decimal_to_fraction(expr),) * 2)
-    raise ValueError(f"unknown real expression: {expr!r}")
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def refine(handle: RealConstant, prec: int) -> BallReal:
-    """Enclosure of the handle's value at the requested precision (capped)."""
+    """Enclosure of the handle's value at prec; past PREC_CAP it raises."""
     return handle.at(prec)

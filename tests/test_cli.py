@@ -973,6 +973,99 @@ def test_negative_fraction_is_a_value(capsys):
                                                         "-0.5")[1])
 
 
+# numbers past the 4,300-digit int/str limit, in every flag that reads one
+_Z = "0" * 4400
+_DUAL = ("construct-dual", "--xi", "golden", "--gamma", "0", "0", "--delta",
+         "1", "1", "--eps", "1/20")
+
+
+def test_rational_flag_past_the_digit_limit_is_its_value():
+    """3 10^4400 / (2 10^4400) is 3/2: the dual-golden pinned report."""
+    argv = _DUAL + ("--tau", f"3{_Z}/2{_Z}", "--Q", "1000")
+    rc, rep = cli_report(argv)
+    assert rc == 0
+    del rep["timestamp"]
+    assert digest(rep) == PINNED_DIGESTS["dual-golden"]
+
+
+def test_rational_xi_past_the_digit_limit(capsys):
+    rc, out, err = invoke(capsys, "construct-primal", "--xi", f"1{_Z}/3",
+                          "--tau", "1", "--delta", "1", "1", "--Q", "100")
+    assert (rc, err) == (0, "")
+
+
+def test_sqrt_xi_past_the_digit_limit(capsys):
+    rc, out, err = invoke(capsys, "verify", "--gen", "fibonacci-golden",
+                          "--n-max", "20", "--xi", f"sqrt(2{_Z}1)", "--tau",
+                          "1", "--Q", "100", "--eps", "1/5")
+    assert (rc, err) == (0, "") and report_of(out)["status"] == "holds"
+
+
+def _synthetic(capsys, tmp_path, t):
+    params = json.dumps({"B": 2, "xi": [f"1/1{_Z}"], "t": [t], "g": [0, 0]})
+    return invoke(capsys, "generate", "--gen", "synthetic-power", "--n-max",
+                  "3", "--params", params, "--output",
+                  str(tmp_path / "s.jsonl"))
+
+
+def test_synthetic_params_past_the_digit_limit(capsys, tmp_path):
+    assert _synthetic(capsys, tmp_path, "-1") == (0, "", "")
+    rc, out, err = invoke(capsys, "roundtrip", "--input",
+                          str(tmp_path / "s.jsonl"))
+    result = report_of(out)["result"]
+    assert rc == 0 and result["lossless"] and result["already_canonical"]
+
+
+def test_infeasible_param_past_the_digit_limit_is_refused(capsys, tmp_path):
+    rc, out, err = _synthetic(capsys, tmp_path, f"1{_Z}/3")
+    assert (rc, err) == (2, "")
+    rep = report_of(out)
+    assert rep["status"] == "refused"
+    assert rep["result"]["why"].startswith(f"t_1 = 1{_Z}/3 > 0: a nonzero")
+
+
+def test_record_n_past_the_digit_limit_is_named(capsys, tmp_path):
+    n = "1" * 5000
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"Q":"0","delta":["1","1"],"ell":["2","1"],"n":'
+                    + n + "}\n")
+    rc, out, err = invoke(capsys, "estimate", "--input", str(path), "--xi",
+                          "golden")
+    assert (rc, out) == (1, "")
+    assert err == f"latforms: error: line 1: record n={n}: Q must be >= 1\n"
+
+
+def test_siegel_window_past_the_digit_limit_is_named(capsys, tmp_path):
+    head = "1" + "0" * 4998               # records n = 10^4999 and 10^4999 + 1
+    path = tmp_path / "in.jsonl"
+    path.write_text("".join(
+        f'{{"Q":"{k + 1}","delta":["1","1"],"ell":["{k + 2}","{k + 1}"],'
+        f'"n":{head}{k}}}\n' for k in (0, 1)))
+    rc, out, err = invoke(capsys, "check-siegel", "--input", str(path),
+                          "--xi", "golden", "--n1", "1", "--n2", head + "2")
+    assert (rc, out) == (1, "")
+    assert err == f"latforms: error: need n1 <= n2 <= {head}0\n"
+
+
+@pytest.mark.parametrize("tau, code", [("10/3", 0), ("1_0/3", 1),
+                                       ("1 / 3", 1), (" 10/3 ", 0)])
+def test_rational_grammar_is_the_same_on_every_python(capsys, tau, code):
+    """Fraction(text) took "1_0/3" on 3.11+ only, and "1 / 3" on 3.12+."""
+    rc, out, err = invoke(capsys, *_DUAL, "--tau", tau, "--Q", "100")
+    assert rc == code, err
+    if code:
+        assert err == f"latforms: error: argument --tau: not a rational: " \
+                      f"{tau!r}\n"
+
+
+def test_precision_past_the_digit_limit_is_out_of_range(capsys):
+    rc, out, err = invoke(capsys, "estimate", "--gen", "fibonacci-golden",
+                          "--n-max", "5", "--prec", f"1{_Z}1")
+    assert (rc, out) == (1, "")
+    assert err == (f"latforms: error: argument --prec: precision 1{_Z}1 is "
+                   "outside 16..65536 bits\n")
+
+
 def _flag_helps(command):
     """The help text of each flag of a subcommand, by its dest."""
     sub = next(a for a in build_parser()._actions

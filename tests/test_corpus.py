@@ -638,6 +638,24 @@ def test_canonical_flag_on_hand_made_inputs(text, canonical):
     assert _certified_as_the_redump_finds(text) is canonical
 
 
+def test_lines_end_only_at_lf_crlf_and_cr():
+    """A JSON string may hold a raw U+2028, U+2029 or U+0085, so those do
+    not end a line; nor do \\v, \\f or U+001C..U+001E."""
+    for sep in ("\u2028", "\u2029", "\x85"):
+        text = '{"generator":"fib' + sep + 'x","params":{}}\n' + _ONE + "\n"
+        seq = loads_jsonl(text)
+        assert seq.provenance == {"generator": f"fib{sep}x", "params": {}}
+        assert _certified_as_the_redump_finds(text) is False  # "\\u2028"
+    for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e"):
+        with pytest.raises(ValidationError, match="line 1: invalid JSON"):
+            loads_jsonl(_ONE + sep + _TWO + "\n")
+    for sep in ("\r\n", "\r"):
+        text = _ONE + sep + _TWO + sep
+        assert loads_jsonl(text).records == loads_jsonl(
+            text.replace(sep, "\n")).records
+        assert _certified_as_the_redump_finds(text) is False
+
+
 def test_only_roundtrip_pays_for_the_canonical_flag(monkeypatch):
     """loads_jsonl never checks a record line for canonical form; the
     parse roundtrip makes checks each one."""
@@ -666,7 +684,7 @@ def test_jsonl_past_the_int_str_digit_limit():
     with pytest.raises(ValidationError, match="line 2: expected an object"):
         loads_jsonl(text + q + "\n")
     with pytest.raises(ValidationError, match="line 1: Q = .* not a decimal"):
-        loads_jsonl(text.replace('"Q":"', '"Q":"1_', 1))
+        loads_jsonl(text.replace('"Q":"', '"Q":"_', 1))
 
 
 def test_file_and_stream_io(tmp_path):

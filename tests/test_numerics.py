@@ -7,10 +7,11 @@ mpmath, which is also used directly for randomized cross-checks).
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf
 import mpmath
 
@@ -30,12 +31,14 @@ from latforms.numerics import (
     int_to_decimal,
     floor_root_rational,
     floor_scaled_power,
+    fraction_to_str,
     nth_root_floor,
     parse_real,
     refine,
     tri_all,
     tri_compare,
 )
+from latforms import numerics
 
 # frozen independent oracles (50 decimal digits)
 ZETA3 = Fraction("1.20205690315959428539973816151144999076498629234049")
@@ -170,10 +173,108 @@ def test_int_decimal_codec_past_the_digit_limit():
     for bad in ("", " ", "+", "1e5", "1.0", "0x10", "NaN"):
         with pytest.raises(ValueError):
             decimal_to_int(bad)
-    # ... and past it only plain ASCII digits are accepted
-    for bad in ("1_0" * 3000, " " + "1" * 5000, "١" * 5000, "1" * 5000 + "e1"):
+    # ... and past it too: blanks, underscores and digits of any script
+    assert decimal_to_int("1_0" * 3000) == 10 * (10 ** 6000 - 1) // 99
+    assert decimal_to_int(" " + "1" * 5000 + "\n") == (10 ** 5000 - 1) // 9
+    assert decimal_to_int("١" * 5000) == (10 ** 5000 - 1) // 9
+    for bad in ("1" * 5000 + "e1", "1__0" * 2000, "_" + "1" * 5000,
+                "1" * 5000 + "_", "\x1c" + "1" * 5000, "- " + "1" * 5000):
         with pytest.raises(ValueError):
             decimal_to_int(bad)
+
+
+# digit counts log-uniform in 1..10^5, so most examples stay cheap
+_DIGITS = st.integers(1, 5).flatmap(lambda k: st.integers(10 ** (k - 1),
+                                                          10 ** k))
+
+
+def _of_digits(digits: int, seed: int) -> int:
+    return random.Random(seed).randrange(10 ** (digits - 1), 10 ** digits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DIGITS, st.integers(0, 2 ** 32), st.booleans())
+def test_int_codec_round_trips_at_any_size(digits, seed, negative):
+    n = _of_digits(digits, seed) * (-1 if negative else 1)
+    assert decimal_to_int(int_to_decimal(n)) == n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_DIGITS, _DIGITS, st.integers(0, 2 ** 32), st.booleans())
+def test_fraction_codec_round_trips_at_any_size(num, den, seed, negative):
+    q = Fraction(_of_digits(num, seed), _of_digits(den, seed + 1))
+    q = -q if negative else q
+    assert decimal_to_fraction(fraction_to_str(q)) == q
+
+
+@pytest.fixture
+def unlimited():
+    """call(f, s): f(s), or the class of its ValueError or
+    ZeroDivisionError, with the int/str digit limit lifted by
+    sys.set_int_max_str_digits(0); the limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+
+    def call(f, s):
+        sys.set_int_max_str_digits(0)
+        try:
+            return _outcome(f, s)
+        finally:
+            sys.set_int_max_str_digits(limit)
+    yield call
+    sys.set_int_max_str_digits(limit)
+
+
+def _outcome(f, s):
+    try:
+        return f(s)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+_BLANKS = [" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2028",
+           "\u3000"]
+_DIGIT_CHARS = ["0", "1", "7", "9", "٣", "߀", "𝟗"]
+_RUNS = ["7" * 4301, "1" * 4400, "٣" * 4301, "1_0" * 2200]
+# free strings over the grammar's characters, and strings shaped as blanks,
+# a sign, digit groups joined by "_", "/", "." or "e", and blanks
+_PIECE = st.sampled_from(_BLANKS + _DIGIT_CHARS + _RUNS
+                         + ["+", "-", "_", "/", ".", "e", "E"])
+_GROUP = st.lists(st.sampled_from(_DIGIT_CHARS + _RUNS[:3]), min_size=1,
+                  max_size=3).map("".join)
+_SHAPED = st.builds(
+    lambda a, sign, groups, seps, b: a + sign + "".join(
+        g + sep for g, sep in zip(groups, seps + [""] * len(groups))) + b,
+    st.sampled_from([""] + _BLANKS), st.sampled_from(["", "+", "-"]),
+    st.lists(_GROUP, min_size=1, max_size=3),
+    st.lists(st.sampled_from(["_", "__", "/", ".", "e", "e-", " "]),
+             max_size=2),
+    st.sampled_from([""] + _BLANKS))
+_TEXT = st.lists(_PIECE, max_size=8).map("".join) | _SHAPED
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_TEXT)
+def test_decimal_to_int_reads_what_int_reads(unlimited, s):
+    """The same value or refusal as int(s, 10) with no digit limit."""
+    assert _outcome(decimal_to_int, s) == unlimited(lambda t: int(t, 10), s)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_TEXT)
+def test_decimal_to_fraction_reads_what_fraction_reads(unlimited, s):
+    """Fraction(s) with no digit limit, on every s parse_real's two
+    regexes accept; a refusal on every other s."""
+    t = s.strip()
+    try:
+        got = _outcome(decimal_to_fraction, s)
+    except NumericsError:
+        return      # refused from its length before it is built
+    if numerics._RAT_RE.match(t) or numerics._DEC_RE.match(t):
+        assert got == unlimited(Fraction, s)
+    else:
+        assert got is ValueError
 
 
 def test_dyadic_to_decimal_past_the_digit_limit():
