@@ -27,6 +27,7 @@ from .corpus import (
     InfeasibleSpec,
     default_basis,
     dumps_jsonl,
+    export_jsonl,
     generate,
     import_jsonl,
     loads_jsonl,
@@ -216,7 +217,7 @@ def _write(text: str, path: Optional[str]) -> None:
 
 def _cmd_generate(args):
     seq = generate(_spec_from_args(args))
-    _write(dumps_jsonl(seq), args.output)
+    export_jsonl(seq, args.output or sys.stdout)
     return None, None
 
 

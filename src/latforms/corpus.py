@@ -26,10 +26,10 @@ import math
 import re
 from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, Rounded,
-                     localcontext)
+                     getcontext, localcontext)
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Optional, Sequence, Union
+from typing import IO, Callable, Iterator, Optional, Sequence, Union
 
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError, _form
@@ -151,13 +151,19 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
             scale *= g1
             ratio = step
 
-    def print_lines() -> list[str]:
-        with localcontext() as ctx:     # exact: a rounding traps
-            ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
-            ctx.traps[Inexact] = ctx.traps[Rounded] = True
-            return [_record_line(n, str(abs(a)), (str(b), str(a)),
-                                 (str(front), str(s)))
-                    for n, (b, a, s) in enumerate(run(Decimal), 1)]
+    def print_lines() -> Iterator[str]:
+        # one line at a time, each step in an exact context (a rounding
+        # traps) entered around it, so the caller never runs inside it
+        ctx = getcontext().copy()
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = ctx.traps[Rounded] = True
+        steps = run(Decimal)
+        for n in range(1, n_max + 1):
+            with localcontext(ctx):
+                b, a, s = next(steps)
+                line = _record_line(n, str(abs(a)), (str(b), str(a)),
+                                    (str(front), str(s)))
+            yield line
     rows = list(run(int))
     _apery_sanity(n_max, *rows[-1][:2], const, prec, name)
     records = [FormRecord(n=n, Q=abs(a), ell=(b, a), delta=(front, scale))
@@ -359,7 +365,17 @@ def default_basis(spec: GeneratorSpec) -> Basis:
 
 
 def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")) of JSON data,
+    with an int of any size written as an integer literal, which loads_jsonl
+    reads back through decimal_to_int."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + _canon(v)
+                              for k, v in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_canon, obj)) + "]"
+    if obj.__class__ is int:
+        return int_to_decimal(obj)
+    return json.dumps(obj)
 
 
 def _jsonl_header(prov) -> Optional[str]:
@@ -385,19 +401,26 @@ def _record_line(n: int, Q: str, ell: Sequence[str],
             + int_to_decimal(n) + "}")
 
 
-def dumps_jsonl(seq: FormSequence) -> str:
-    """Canonical JSONL text: header line (when provenance exists), then
-    records ordered by n, integers as decimal strings: seq._printer's lines,
-    else each distinct integer of a record encoded once (often Q == ell_p)."""
+def _jsonl_lines(seq: FormSequence) -> Iterator[str]:
+    """The lines of the canonical JSONL text, without their "\\n", made one
+    at a time: header line (when provenance exists), then records ordered by
+    n, integers as decimal strings: seq._printer's lines, else each distinct
+    integer of a record encoded once (often Q == ell_p)."""
     header = _jsonl_header(seq.provenance)
-    lines = [] if header is None else [header]
+    if header is not None:
+        yield header
     if seq._printer is not None:
-        return "\n".join(lines + seq._printer()) + "\n"
+        yield from seq._printer()
+        return
     for r in seq.records:
         dec = {x: int_to_decimal(x) for x in {r.Q, *r.ell, *r.delta}}
-        lines.append(_record_line(r.n, dec[r.Q], [dec[x] for x in r.ell],
-                                  [dec[x] for x in r.delta]))
-    return "\n".join(lines) + "\n"
+        yield _record_line(r.n, dec[r.Q], [dec[x] for x in r.ell],
+                           [dec[x] for x in r.delta])
+
+
+def dumps_jsonl(seq: FormSequence) -> str:
+    """Canonical JSONL text: the lines of _jsonl_lines, each ended by "\\n"."""
+    return "\n".join(_jsonl_lines(seq)) + "\n"
 
 
 _RECORD_KEYS = {"n", "Q", "ell", "delta"}
@@ -486,8 +509,11 @@ def _parse_jsonl(text: str,
     provenance = None
     records: list[FormRecord] = []
     prev: Optional[FormRecord] = None
-    canonical = certify and "\r" not in text and text.endswith("\n")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    cr = "\r" in text
+    canonical = certify and not cr and text.endswith("\n")
+    if cr:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
@@ -547,12 +573,13 @@ def loads_jsonl(text: str) -> FormSequence:
 
 def export_jsonl(seq: FormSequence,
                  target: Union[str, Path, IO[str]]) -> None:
-    text = dumps_jsonl(seq)
+    """Write dumps_jsonl(seq) to a path (UTF-8, "\\n" line ends) or a text
+    stream, a line at a time: the whole text is never held at once."""
     if hasattr(target, "write"):
-        target.write(text)
+        target.writelines(line + "\n" for line in _jsonl_lines(seq))
     else:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            export_jsonl(seq, fh)
 
 
 def import_jsonl(source: Union[str, Path, IO[str]]) -> FormSequence:

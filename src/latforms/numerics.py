@@ -5,12 +5,13 @@ or a ball ``mid +/- rad`` whose midpoint and radius are dyadic rationals,
 stored as integers at one power-of-two scale (mid = m 2^e, rad = r 2^e).
 Every operation (ring ops, division, sqrt, rational powers, ln and exp)
 computes exact interval endpoints as integers and only then rounds, all
-through one routine: the midpoint to the working precision (halves to
-even, so negation is exact), the radius plus that rounding error up to 32
-bits.  That routine depends only on the values of the endpoints (see
-_enclose), so unreduced integers give the ball that reduced Fractions
-would, and the enclosure property "the true value lies inside the ball" is
-an invariant of construction, not a hope.
+through one routine, on a grid set by each value as MPFR sets it: the
+midpoint to the working precision (halves to even, so negation is exact),
+the radius plus that rounding error up to 32 bits.  That routine depends
+only on the values of the endpoints (see _enclose), so unreduced integers
+give the ball that reduced Fractions would, and the enclosure property
+"the true value lies inside the ball" is an invariant of construction, not
+a hope.
 Fractions appear only where values enter or leave: exact, from_endpoints,
 the mid/rad/lower/upper properties, contains, hashing, JSON and repr.
 
@@ -88,7 +89,7 @@ __all__ = [
 MIN_PREC = 16
 PREC_CAP = 1 << 16  # hard ceiling for precision escalation, in bits
 POWER_BITS = 1 << 24  # ceiling on the bit length of an exact power
-_RAD_BITS = 32      # radii are rounded up to this many significant bits
+_RAD_BITS = 32      # a radius r rounds up to the grid 2**(floor(log2 r) - 32)
 _LOG_GUARD = 32     # guard bits of a ball log summed from ln and atanh
 _HELD_GUARD = 128   # bits past those an inexact ball holds, for its log
 
@@ -137,19 +138,21 @@ def _is_dyadic(q: Fraction) -> bool:
 
 
 def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]:
-    """n/d (d >= 1) rounded to ``prec`` significant bits: (q, k, inexact),
-    q * 2**k the nearest such value with halves rounded to even q, or with
-    ``up`` the least one >= n/d.  The bit count is taken from n/d in lowest
-    terms, which a power-of-two d needs no reduction for.  Ties to even
-    round -n/d to minus the rounding of n/d, so negation is exact."""
-    if d & (d - 1):
-        g = math.gcd(n, d)
-        n, d = n // g, d // g
-    k = abs(n).bit_length() - d.bit_length() - prec
+    """n/d (d >= 1) rounded to ``prec`` + 1 significant bits: (q, k, inexact),
+    q * 2**k the nearest value on the grid 2**k with halves rounded to even
+    q, or with ``up`` the least one >= n/d.  The grid is chosen by the value
+    (as MPFR chooses it): k = floor(log2|n/d|) - prec, read off the bit
+    lengths of n and d and, for a d that is not a power of two, one
+    comparison; n/d is never reduced.  So (q, k) depends on n/d alone, the
+    rounding is monotone in n/d, and rounding q * 2**k again gives it back.
+    Ties to even round -n/d to minus the rounding of n/d, so negation is
+    exact."""
+    a = abs(n)
+    k = a.bit_length() - d.bit_length() - prec
     if not d & (d - 1):     # n / 2**t: shift by k + t
         sh = k + d.bit_length() - 1
         if sh <= 0:
-            return n, k - sh, False
+            return n << -sh, k, False
         low = n & ((1 << sh) - 1)
         if up:
             return -(-n >> sh), k, low != 0
@@ -157,6 +160,9 @@ def _round(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int, bool]
         if q & 1 and low == 1 << (sh - 1):
             q -= 1
         return q, k, low != 0
+    s = k + prec            # floor(log2|n/d|) is s, or s - 1 if |n| < d 2**s
+    if (a >> s if s >= 0 else a << -s) < d:
+        k -= 1
     num, den = (n, d << k) if k >= 0 else (n << -k, d)
     q, rem = divmod(num, den)
     # 2 rem + (q & 1) > den: past the half, or on it with q odd
@@ -750,13 +756,14 @@ def _ball(m: int, r: int, e: int, prec: int) -> BallReal:
 
 def _enclose(n: int, r: int, d: int, prec: int, e: int = 0) -> BallReal:
     """The ball of the exact interval (n +/- r)/d * 2**e, d >= 1, r >= 0:
-    the midpoint rounded to ``prec`` bits, the radius plus the rounding
-    error rounded up to _RAD_BITS bits.  A dyadic point stays exact.
-    Only the values n/d 2**e and r/d 2**e matter: a point is tested for
-    being dyadic on its value, _round reduces n/d by its gcd before it
-    counts bits, the rounding error is added to r/d as a value, and _ball
-    canonicalises.  So (k n, k r, k d) gives the ball of (n, r, d), as does
-    (n, r, 2 d) at e + 1, and integer ends the ball of reduced Fractions."""
+    the midpoint rounded by _round at ``prec``, the radius plus the
+    rounding error rounded up by _round at _RAD_BITS.  A dyadic point stays
+    exact.  Only the values n/d 2**e and r/d 2**e matter: a point is tested
+    for being dyadic on its value, _round takes each grid from a value and
+    never reduces n/d, the rounding error is added to r/d as a value, and
+    _ball canonicalises.  So (k n, k r, k d) gives the ball of (n, r, d), as
+    does (n, r, 2 d) at e + 1, and integer ends the ball of reduced
+    Fractions."""
     if not r:
         t = (d & -d).bit_length() - 1
         if not n % (d >> t):    # a dyadic point stays exact

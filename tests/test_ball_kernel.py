@@ -2,10 +2,12 @@
 
 ``Oracle`` below keeps the rational-endpoint ring code that BallReal used
 before its midpoint and radius became integers at a shared power-of-two
-scale: exact endpoints as Fractions, then the midpoint rounded to ``prec``
-significant bits (halves to even) and the radius plus the rounding error
-rounded up to 32 bits.  ``old_sqrt`` and ``old_pow`` keep the
-Fraction-endpoint sqrt and rational power that the integer ends replaced.
+scale: exact endpoints as Fractions, then the midpoint rounded on the grid
+2^(floor(log2|mid|) - prec) (halves to even) and the radius plus the
+rounding error rounded up on the grid 2^(floor(log2 rad) - 32), each grid
+set by the value alone, as the kernel's ``_round`` sets it.  ``old_sqrt``
+and ``old_pow`` keep the Fraction-endpoint sqrt and rational power that the
+integer ends replaced.
 Every op must give the same (mid, rad, prec) as its oracle, bit for bit,
 and ring ops must contain the mpmath result at 4x precision.  A named or
 sqrt(k) constant's ball at a precision must be the same whatever was asked
@@ -26,13 +28,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latforms.numerics import (
     BallReal,
     NumericsError,
     TriBool,
     _enclose,
+    _round,
     _span,
     cmp_abs_le,
     dyadic_to_decimal,
@@ -57,11 +60,17 @@ def _is_dyadic(q):
     return d & (d - 1) == 0
 
 
+def _log2_floor(x):
+    """floor(log2|x|) for a nonzero Fraction x, by comparing with a power."""
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    return e if abs(x) >= _pow2(e) else e - 1
+
+
 def _round_frac(x, prec):
     if not x:
         return _ZERO, _ZERO
     n, d = x.numerator, x.denominator
-    s = prec - (abs(n).bit_length() - d.bit_length())
+    s = prec - _log2_floor(x)
     if s >= 0:
         q, r = divmod(n << s, d)
         den = d
@@ -79,7 +88,7 @@ def _round_up(x, bits=32):
     if not x:
         return _ZERO
     n, d = x.numerator, x.denominator
-    s = bits - (n.bit_length() - d.bit_length())
+    s = bits - _log2_floor(x)
     if s >= 0:
         return Fraction(-((-n << s) // d), 1 << s)
     return Fraction(-(-n // (d << -s)) << -s)
@@ -489,6 +498,67 @@ def test_enclose_depends_only_on_values(n, r, d, k, t, prec, e):
 
 
 # ---------------------------------------------------------------------------
+# _round's laws: the grid is set by the value of n/d
+# ---------------------------------------------------------------------------
+
+# denominators that are not a power of two, and powers of two
+_DENS = st.integers(1, 10 ** 30) | st.integers(0, 120).map(lambda t: 1 << t)
+
+
+@st.composite
+def quotients(draw):
+    """(n, d): n/d anywhere, or within a few units of d 2^s of a binade's
+    lower end, where a grid taken from bit lengths can jump."""
+    d = draw(_DENS)
+    if draw(st.booleans()):
+        return draw(st.integers(-(10 ** 40), 10 ** 40)), d
+    s = draw(st.integers(0, 40))
+    n = (d << s) + draw(st.integers(-4, 4))
+    return draw(st.sampled_from([1, -1])) * n, d
+
+
+def _value(q, k):
+    return q * _pow2(k)
+
+
+@settings(max_examples=500, deadline=None)
+@given(quotients(), quotients(), st.integers(1, 200), st.booleans())
+@example((39283754069, 416619), (39283754070, 416619), 4, False)
+@example((39283754069, 416619), (39283754070, 416619), 4, True)
+def test_round_is_monotone(x, y, prec, up):
+    if Fraction(*x) > Fraction(*y):
+        x, y = y, x
+    qx, kx, _ = _round(*x, prec, up)
+    qy, ky, _ = _round(*y, prec, up)
+    assert _value(qx, kx) <= _value(qy, ky)
+
+
+@settings(max_examples=500, deadline=None)
+@given(quotients(), st.integers(1, 200), st.booleans(),
+       st.integers(1, 10 ** 6), st.integers(0, 40))
+@example((39283754069, 416619), 4, False, 1, 0)
+@example((39283754070, 416619), 4, False, 1, 0)
+def test_round_laws(x, prec, up, c, t):
+    """Rounding a rounded value again changes nothing, nearest rounding of
+    -n/d is the negation, and (q, k) depends on the value n/d alone (for
+    n != 0: a zero's k is immaterial, as _ball canonicalises it)."""
+    n, d = x
+    f = Fraction(n, d)
+    q, k, inexact = _round(n, d, prec, up)
+    v = _value(q, k)
+    assert inexact == (v != f)
+    again = _round(v.numerator, v.denominator, prec, up)
+    assert _value(*again[:2]) == v and not again[2]
+    if not up:
+        assert _round(-n, d, prec) == (-q, k, inexact)
+    if n:
+        for nd in ((f.numerator, f.denominator), (c * n, c * d),
+                   (n << t, d << t)):
+            assert _round(*nd, prec, up) == (q, k, inexact)
+        assert 1 << prec <= abs(q) <= 1 << (prec + 1)
+
+
+# ---------------------------------------------------------------------------
 # enclosure against mpmath at 4x precision
 # ---------------------------------------------------------------------------
 
@@ -583,8 +653,14 @@ def test_constant_ball_depends_on_precision_alone(precs, order, name, extra):
 # and rounded to the precision asked: the chain's constants are no wider,
 # but their midpoints moved, so 7,090 results changed, the first at step 2,
 # none to or from an error; 2,289 have a smaller radius, 3,284 the same and
-# 1,517 a larger one by at most 3.2e-7 of itself.
-CHAIN_SHA256 = "ea1dafd310fcd8deaccadb8c0af1f8f353ec81dcd55b8e2ffba8256b23cd24b9"
+# 1,517 a larger one by at most 3.2e-7 of itself.  It moved again,
+# ea1dafd3... -> 91accdea..., when rounding came to take its grid from the
+# value of a quotient, not its lowest terms: 8,719 results changed, the
+# first at step 3, none to or from an error; 5,564 have a smaller radius,
+# 2,582 the same and 573 a larger one, 570 of them by at most 3.6e-6 of
+# itself and 3 by 1/6 to 3/10: a sum or a square root of inputs rounded a
+# bit finer, whose result then rounds in a higher binade.
+CHAIN_SHA256 = "91accdeaa7ee396882443f33df43059b49b75c4f569aa75f1ebb527047984b2c"
 
 
 def _op_chain(steps, seed=20261018):

@@ -343,6 +343,14 @@ def test_verify_report_identical(capsys):
 # nesterenko-fib outcome digest moved at the same change, 363afffd... ->
 # aea58368...: the tau radius fell from 8.17e-5 to 7.95e-5, its midpoint
 # moved by -3.3e-9 and the oscillation by -2.2e-6, with the same statuses.
+# Three outcome digests moved, with their work digests, statuses and exit
+# codes the same, when rounding came to take its grid from the value of a
+# quotient, not its lowest terms: estimate-apery f11627db... -> 59df0f35...
+# (the gamma radii fell from 4.02347e-22 to 2.96468e-22 and from
+# 2.73169e-20 to 2.05406e-20, the tau radius by 5.0e-29), nesterenko-fib
+# aea58368... -> 666c0cdc... (the oscillation fell by 1.1e-19) and
+# dual-half c6e151f2... -> 77eb3bca... (the lattice determinant's radius
+# fell by 7.9e-31).
 # The verify-golden and primal-golden work digests moved when
 # the single-label scans came to visit only the convergent denominators:
 # prefixes 10001 -> 20 and scanned 378 -> 14, with the same outcomes.
@@ -374,15 +382,15 @@ PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
     "dual-half": (
         ("construct-dual", "--xi", "1/2", "--tau", "3/2", "--gamma", "0", "0",
          "--delta", "2", "3", "--Q", "1000", "--eps", "1/20"),
-        "c6e151f2421f74de9e414b4a8bc25895e987a6025aed5547a9ce617bea10bfb6",
+        "77eb3bca82d8cc321625d20a87201525eedbabf3710c859c26f4213f725f2425",
         "30c9cc6dcc0f0ebb3f286ea5d6ab62bbe7536cf812ff80057d6d3a95da7df8ad"),
     "estimate-apery": (
         ("estimate", "--gen", "apery-zeta3", "--n-max", "20"),
-        "f11627db0f1c7cad67928289074f67be712f18feabceb8db7b9ece8329a14788",
+        "59df0f35547d4b91b1416cbbb3a86f3895ef442ca2380f03317ea6ca60cad939",
         "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "nesterenko-fib": (
         ("check-nesterenko", "--gen", "fibonacci-golden", "--n-max", "40"),
-        "aea58368167b3cacbaf30aa316506f3f4efba43d35e0e252d9b707eb0219865b",
+        "666c0cdcc11d260549fc923882aaee1321237464d3f0220ab5d3ffa999e5cded",
         "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "siegel-apery": (
         ("check-siegel", "--gen", "apery-zeta3", "--n-max", "30", "--n1", "2",
@@ -449,7 +457,10 @@ def test_result_digest_pinned(name):
 # the bits a ball holds, and again, to fb80b04f..., with its outcome digest
 # when a constant's ball came to depend on its precision alone; the
 # nesterenko-fib digest moved with its outcome digest then too, 017ecd68...
-# -> 4034a1bd....
+# -> 4034a1bd....  At the change that took rounding's grid from the value
+# of a quotient, the digests of those three runs moved with their outcome
+# digests, and estimate-input-no-n-max, 51dcc7b2... -> 4d0772bd..., as its
+# tau radius fell by 6.3e-30 and its oscillation by 4.1e-20.
 _SYNTH_P3 = '{"B":2,"xi":["1/3","2/5"],"t":["-1/2",null],"g":["0","0","1"]}'
 
 
@@ -486,11 +497,11 @@ PINNED_DIGESTS = {
     "dual-golden":
         "ecff4787585ec38d000a67fcf6f8b1323af73c6f58a9b962d0c831affacb42ea",
     "dual-half":
-        "ed43318414d0de636db1029097e099119f8aaf4fc7565be91713fa2bfeeb2e43",
+        "3570bce3807a92bfeac214a3cefc1225fdee44ff43d0b1cc7c02657985f7877f",
     "estimate-apery":
-        "fb80b04f42bfc55d7269f8ef1aa8c623d1367b77af270d2a04293363bdcdf805",
+        "9e2baf7d96fad844c2d08ef055bfc690160ffbd02a58d6473cde31c5dda8e62f",
     "estimate-input-no-n-max":
-        "51dcc7b20adcb3b7b0b2cc765f6caf7bf4affcf2e3600d88abfc91b10cded0db",
+        "4d0772bd9c7280592362471db8c29d4b95cf1732ca84934762b9ae48e44ed377",
     "generate-apery-zeta2":
         "d4a3dcad45e64a29976d96ba7db5c17d84b49d8637c3431e052fca140f12f7e7",
     "generate-apery-zeta3":
@@ -500,7 +511,7 @@ PINNED_DIGESTS = {
     "generate-synthetic-power":
         "7ec673218e3388d8b65e157268e419f79bf59ddc05f1f0d65d8624f7610dbeef",
     "nesterenko-fib":
-        "4034a1bd9b1eef4690de19478dfb22ff3edf97b67d9c74d1d03a8b6831fdabf6",
+        "2dbe6eca43a3a8038393d4c86b5cc4ec2a717dff8675fdd5b0f12340290cc379",
     "primal-golden":
         "0b98f8970c4b1fb70d03861e0e8c22bd8c8173a51fa942bb2d74a7aa263f8ae6",
     "roundtrip-crlf":
@@ -555,7 +566,7 @@ def test_trace_spread_is_false_only_when_certainly_past_tol(capsys):
     assert rc == 3 and rep["status"] == "unknown"
     tau = rep["result"]["tau"][0]
     assert tau["consistent"] == "UNKNOWN"
-    assert tau["oscillation"] == "2855338211/34359738368"
+    assert tau["oscillation"] == "1427669105/17179869184"
     rc, out, _ = invoke(capsys, *ball[:5], "--xi", "golden")
     assert rc == 0 and report_of(out)["result"]["tau"][0]["consistent"] \
         == "TRUE"
@@ -1012,6 +1023,20 @@ def test_synthetic_params_past_the_digit_limit(capsys, tmp_path):
     assert _synthetic(capsys, tmp_path, "-1") == (0, "", "")
     rc, out, err = invoke(capsys, "roundtrip", "--input",
                           str(tmp_path / "s.jsonl"))
+    result = report_of(out)["result"]
+    assert rc == 0 and result["lossless"] and result["already_canonical"]
+
+
+def test_synthetic_base_past_the_digit_limit(capsys, tmp_path):
+    # the header writes B as a JSON integer literal of 4,401 digits
+    path = str(tmp_path / "b.jsonl")
+    params = '{"B": 1' + _Z + ', "xi": ["1/3"], "t": ["-1"], "g": [0, 0]}'
+    assert invoke(capsys, "generate", "--gen", "synthetic-power", "--n-max",
+                  "3", "--params", params, "--output", path) == (0, "", "")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline().startswith(
+            '{"generator":"synthetic-power","params":{"B":1' + _Z + ',')
+    rc, out, err = invoke(capsys, "roundtrip", "--input", path)
     result = report_of(out)["result"]
     assert rc == 0 and result["lossless"] and result["already_canonical"]
 

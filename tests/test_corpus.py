@@ -9,7 +9,8 @@ import json
 import math
 import re
 import time
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, localcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact,
+                     getcontext, localcontext)
 from fractions import Fraction
 
 import pytest
@@ -289,7 +290,7 @@ def test_decimal_printer_matches_the_int_encoding(name, n_max):
     text parsed back has no printer and encodes its ints to the same
     bytes."""
     seq = APERY_GENS[name][0](n_max)
-    lines = seq._printer()
+    lines = list(seq._printer())
     assert lines == _encoded_lines(seq)
     text = dumps_jsonl(seq)
     assert text.splitlines()[1:] == lines
@@ -696,6 +697,28 @@ def test_file_and_stream_io(tmp_path):
     export_jsonl(seq, buf)
     assert import_jsonl(io.StringIO(buf.getvalue())).records == seq.records
     assert buf.getvalue() == dumps_jsonl(seq)
+
+
+def test_export_streams_lines_in_their_own_context():
+    """A generated Apery sequence prints one line at a time and export_jsonl
+    writes each as it comes; the exact Decimal context is entered around
+    each step only, so between lines the caller's context is its own."""
+    seq = gen_apery_zeta3(12)
+
+    class Sink(io.StringIO):
+        def write(self, s):
+            assert getcontext().prec == 7 and not getcontext().traps[Inexact]
+            assert Decimal(1) / 3 == Decimal("0.3333333")
+            self.sizes.append(len(s))
+            return super().write(s)
+
+    sink = Sink()
+    sink.sizes = []
+    with localcontext() as ctx:
+        ctx.prec = 7
+        export_jsonl(seq, sink)
+    assert sink.getvalue() == dumps_jsonl(seq)
+    assert len(sink.sizes) == len(seq) + 1      # the header, then a record
 
 
 def test_bulk_roundtrip_is_fast():
