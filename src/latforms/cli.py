@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import re
+import shutil
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -32,6 +34,7 @@ from .corpus import (
     import_jsonl,
     loads_jsonl,
     _parse_jsonl,
+    _utf8_text,
 )
 from .criteria import (
     BudgetExceeded,
@@ -221,28 +224,47 @@ def _cmd_generate(args):
     return None, None
 
 
+def _copy(src, path: str) -> None:
+    """Copy the binary file src, read to its end, from its start to path,
+    unless path is src itself."""
+    try:
+        same = os.path.samestat(os.fstat(src.fileno()), os.stat(path))
+    except OSError:             # no such path, or src is held in memory
+        same = False
+    if not same:
+        src.seek(0)
+        with open(path, "wb") as out:
+            shutil.copyfileobj(src, out)
+
+
 def _cmd_roundtrip(args):
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:  # keep CRs
-        original = fh.read()
-    seq, already = _parse_jsonl(original)
-    # canonical input is certified line by line as it is parsed, so it is
-    # neither dumped nor parsed again; other input is dumped, and of a
-    # re-dump of equal records only the header line can differ
-    canonical, lossless = original, True
+    with open(args.input, "rb") as fh:
+        # a pipe cannot be read twice: its bytes are held, to copy from
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        seq, already = _parse_jsonl(_utf8_text(src))
+        # canonical input is certified line by line as it is parsed, so it
+        # is copied, neither dumped nor parsed again
+        if already:
+            if args.output:
+                _copy(src, args.output)
+            size = src.tell()           # at the end of what was read
+    lossless = True
     if not already:
+        # of a re-dump of equal records only the header line can differ
         canonical = dumps_jsonl(seq)
         again = loads_jsonl(canonical)
         lossless = (again.records == seq.records
                     and again.provenance == seq.provenance)
-    if args.output:
-        _write(canonical, args.output)
+        if args.output:
+            _write(canonical, args.output)
+        size = len(canonical)
     status = "success" if lossless else "violated"
     return status, {
         "lossless": lossless,
         "already_canonical": already,
         "records": len(seq),
         "p": seq.p,
-        "canonical_bytes": len(canonical),   # canonical text is ASCII
+        "canonical_bytes": size,   # canonical text is ASCII
     }
 
 

@@ -13,14 +13,17 @@ followed by one record per line
     {"n": int, "Q": "dec", "ell": ["dec", ...], "delta": ["dec", ...]}
 with integers as decimal strings (records can exceed JSON number ranges).
 Export is canonical (sorted keys, compact separators), so canonical files
-round-trip byte-identically.  Import certifies that a text is canonical as
-it parses it, without encoding Q, ell or delta back (_parse_jsonl), so a
-round trip of canonical input is one parse.  Each distinct integer of a
-record is converted once; a generated Apery sequence prints from Decimal.
+round-trip byte-identically.  Import reads a text, a text stream or a file
+one line at a time, so it never holds the whole text, and certifies that
+the text is canonical as it parses it, without encoding Q, ell or delta
+back (_parse_jsonl): a round trip of canonical input is one parse.  Each
+distinct integer of a record, or of the record before it, is converted
+once; a generated Apery sequence prints from Decimal.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import re
@@ -29,7 +32,8 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, Rounded,
                      getcontext, localcontext)
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional, Sequence, Union
+from typing import (IO, Callable, Iterable, Iterator, Optional, Sequence,
+                    Union)
 
 from .minkowski import ConditionReport, check_condition
 from .model import Basis, FormRecord, FormSequence, ValidationError, _form
@@ -444,9 +448,12 @@ def _line_int(v, lineno: int, what: str) -> int:
         f"line {lineno}: {what} = {v!r} is not a decimal integer")
 
 
-def _line_record(obj: dict, lineno: int) -> FormRecord:
-    """The record of one parsed line; each distinct string is decoded once
-    (Apery records have Q == ell_p)."""
+def _line_record(obj: dict, lineno: int,
+                 prev: dict) -> tuple[FormRecord, dict]:
+    """The record of one parsed line, and the integers of its strings.
+    Each distinct string is decoded once, and one the previous record's
+    strings (prev) hold is not decoded again: Apery records have Q == ell_p,
+    and most share delta_2 = 2 d_n^3 with the record before."""
     keys = set(obj)
     if keys != _RECORD_KEYS:
         extra = sorted(keys - _RECORD_KEYS)
@@ -464,7 +471,7 @@ def _line_record(obj: dict, lineno: int) -> FormRecord:
         if not isinstance(v, str):
             return _line_int(v, lineno, what)
         if v not in decoded:
-            decoded[v] = _line_int(v, lineno, what)
+            decoded[v] = prev[v] if v in prev else _line_int(v, lineno, what)
         return decoded[v]
 
     n = value(obj["n"], "n")
@@ -478,7 +485,7 @@ def _line_record(obj: dict, lineno: int) -> FormRecord:
     delta = tuple(value(v, f"delta[{k}]")
                   for k, v in enumerate(obj["delta"], start=1))
     try:
-        return FormRecord(n=n, Q=Q, ell=ell, delta=delta)
+        return FormRecord(n=n, Q=Q, ell=ell, delta=delta), decoded
     except ValidationError as e:
         raise ValidationError(f"line {lineno}: {e}") from None
 
@@ -494,29 +501,85 @@ def _canonical_record_line(raw: str, obj: dict) -> bool:
             and raw == _record_line(n, Q, ell, delta))
 
 
-def _parse_jsonl(text: str,
-                 certify: bool = True) -> tuple[FormSequence, bool]:
-    """loads_jsonl(text), and whether text == dumps_jsonl of the result,
-    decided without encoding Q, ell or delta back; without certify the
-    flag is False and costs nothing (only roundtrip reads it).
+_BLOCK = 1 << 14                # bytes read from a file at a time
 
-    Lines end at LF, CRLF or CR, and nowhere else: JSON strings may hold a
-    raw U+2028, but no raw CR or LF.  text is canonical when it holds no CR,
-    ends with "\n" and no line is blank, a header line is _jsonl_header of
-    the provenance it gives and every record line passes
+
+def _lines(source: Union[str, Iterable[str]]) -> Iterator[tuple[str, bool]]:
+    """The lines of a text, or of the text a stream iterates in pieces,
+    without their ends, each with False where the line has no end or the
+    text read with it holds a CR (either makes the text not canonical).
+
+    Lines end at LF, CRLF or CR, and nowhere else, wherever the pieces are
+    cut (a CRLF may be cut in two) and whatever newline mode a stream was
+    opened in: JSON strings may hold a raw U+2028, but no raw CR or LF.
+    A line waits for the piece that ends it, and a CR that ends a piece for
+    the next piece.
+    """
+    rest: list[str] = []        # the pieces of a line not ended yet
+    cr = False                  # whether a CR ends them
+    for piece in (source,) if isinstance(source, str) else source:
+        rest.append(piece)
+        if not cr and "\n" not in piece and "\r" not in piece:
+            continue
+        text = "".join(rest)
+        plain = "\r" not in text
+        if not plain:
+            cr = text.endswith("\r")           # may be half of a CRLF
+            if cr:
+                text = text[:-1]
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        start = 0
+        while (end := text.find("\n", start)) >= 0:
+            yield text[start:end], plain
+            start = end + 1
+        rest = [text[start:] + "\r" * cr]
+    text = "".join(rest)
+    if text:
+        yield text.removesuffix("\r"), False
+
+
+def _utf8_text(fh: IO[bytes]) -> Iterator[str]:
+    """The text of a binary stream of UTF-8, decoded a block at a time.  A
+    byte that is not UTF-8 is a ValidationError that names its offset in
+    the stream, not in the block it came in."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0                                  # of the block at hand
+    while True:
+        block = fh.read(_BLOCK)
+        held = len(decoder.getstate()[0])       # bytes of a split character
+        try:
+            text = decoder.decode(block, final=not block)
+        except UnicodeDecodeError as e:
+            raise ValidationError(
+                f"byte {offset - held + e.start}: not UTF-8 "
+                f"({e.reason})") from None
+        if not block:
+            return
+        yield text
+        offset += len(block)
+
+
+def _parse_jsonl(source: Union[str, Iterable[str]],
+                 certify: bool = True) -> tuple[FormSequence, bool]:
+    """loads_jsonl of a text, or of the text a stream iterates, and whether
+    that text == dumps_jsonl of the result, decided without encoding Q, ell
+    or delta back; without certify the flag is False and costs nothing
+    (only roundtrip reads it).
+
+    The text is read one line at a time (_lines), so only the records and
+    the line at hand are held.  It is canonical when it holds no CR, ends
+    with "\n" and no line is blank, a header line is _jsonl_header of the
+    provenance it gives and every record line passes
     _canonical_record_line.
     """
     provenance = None
     records: list[FormRecord] = []
     prev: Optional[FormRecord] = None
-    cr = "\r" in text
-    canonical = certify and not cr and text.endswith("\n")
-    if cr:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    for lineno, raw in enumerate(lines, start=1):
+    decoded: dict[str, int] = {}
+    canonical = certify
+    lineno = 0
+    for lineno, (raw, plain) in enumerate(_lines(source), start=1):
+        canonical = canonical and plain
         line = raw.strip()
         if not line:
             canonical = False
@@ -539,7 +602,7 @@ def _parse_jsonl(text: str,
             provenance = {"generator": obj["generator"], "params": params}
             canonical = canonical and raw == _jsonl_header(provenance)
             continue
-        rec = _line_record(obj, lineno)
+        rec, decoded = _line_record(obj, lineno, decoded)
         if prev is not None:
             if rec.n <= prev.n:
                 raise ValidationError(
@@ -557,7 +620,7 @@ def _parse_jsonl(text: str,
         records.append(rec)
         prev = rec
     if not records:
-        raise ValidationError(f"line {len(lines) + 1}: no records in input")
+        raise ValidationError(f"line {lineno + 1}: no records in input")
     return FormSequence(records, provenance=provenance), canonical
 
 
@@ -583,9 +646,9 @@ def export_jsonl(seq: FormSequence,
 
 
 def import_jsonl(source: Union[str, Path, IO[str]]) -> FormSequence:
+    """loads_jsonl of a text stream, or of a UTF-8 file at a path, read a
+    line at a time: the whole text is never held at once."""
     if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return loads_jsonl(text)
+        return _parse_jsonl(source, False)[0]
+    with open(source, "rb") as fh:
+        return _parse_jsonl(_utf8_text(fh), False)[0]

@@ -179,6 +179,54 @@ def test_roundtrip_sees_line_ends(tmp_path, capsys, newline):
     assert dst.read_bytes() == canonical.encode()
 
 
+def test_roundtrip_copies_canonical_input(tmp_path, capsys):
+    """Canonical input is copied to --output byte for byte; an --output
+    that names the input itself, by its path or through a link, leaves the
+    file as it was, where opening it for writing first would empty it."""
+    data = dumps_jsonl(gen_apery_zeta3(150)).encode()   # past a read block
+    src, dst, link = (tmp_path / name for name in ("in", "out", "link"))
+    src.write_bytes(data)
+    dst.write_bytes(data + data)                        # longer: truncated
+    link.symlink_to(src)
+    for out in (dst, src, link):
+        rc, rep, _ = invoke(capsys, "roundtrip", "--input", str(src),
+                            "--output", str(out))
+        res = report_of(rep)["result"]
+        assert rc == 0 and res["lossless"] and res["already_canonical"]
+        assert res["canonical_bytes"] == len(data) and res["records"] == 150
+        assert out.read_bytes() == data and src.read_bytes() == data
+
+
+def test_roundtrip_copies_canonical_input_from_a_pipe(tmp_path):
+    """A pipe cannot be read twice, so its bytes are held to be copied."""
+    data = dumps_jsonl(gen_apery_zeta3(150)).encode()
+    dst = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latforms", "roundtrip", "--input",
+         "/dev/stdin", "--output", str(dst)],
+        input=data, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    res = report_of(proc.stdout)["result"]
+    assert res["already_canonical"] and res["canonical_bytes"] == len(data)
+    assert dst.read_bytes() == data
+
+
+@pytest.mark.parametrize("argv", [
+    ("roundtrip",), ("check-siegel", "--n1", "2", "--n2", "5")])
+def test_a_byte_not_utf8_is_one_line_naming_its_offset(tmp_path, capsys,
+                                                       argv):
+    """The input is decoded a block at a time; the error names the bad
+    byte's offset in the file, not in its block."""
+    data = bytearray(dumps_jsonl(gen_apery_zeta3(150)).encode())
+    data[100_000] = 0xFF
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    rc, out, err = invoke(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert rc == 1 and out == ""
+    assert err == ("latforms: error: byte 100000: not UTF-8 (invalid start "
+                   "byte)\n")
+
+
 # ---------------------------------------------------------------------------
 # estimate / check commands
 
