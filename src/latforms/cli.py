@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import io
+import itertools
 import json
 import os
 import re
@@ -28,12 +29,12 @@ from .corpus import (
     GeneratorSpec,
     InfeasibleSpec,
     default_basis,
-    dumps_jsonl,
     export_jsonl,
     generate,
     import_jsonl,
-    loads_jsonl,
+    _jsonl_lines,
     _parse_jsonl,
+    _read_jsonl,
     _utf8_text,
 )
 from .criteria import (
@@ -237,6 +238,25 @@ def _copy(src, path: str) -> None:
             shutil.copyfileobj(src, out)
 
 
+def _redump(seq, path: Optional[str]) -> tuple[int, bool]:
+    """Write the canonical JSONL of seq to path, if any, a line at a time,
+    and read each line back as it goes: the text's size in bytes, and
+    whether every record and the provenance read back equal."""
+    size, found = 0, {}
+    with open(path or os.devnull, "w", encoding="utf-8", newline="\n") as fh:
+        def lines():
+            nonlocal size
+            for line in _jsonl_lines(seq):
+                line += "\n"
+                size += len(line)       # canonical text is ASCII
+                fh.write(line)
+                yield line
+        # every line is written, whatever the records read back
+        differ = sum(a != b for a, b in itertools.zip_longest(
+            _read_jsonl(lines(), False, found), seq.records))
+    return size, not differ and found["provenance"] == seq.provenance
+
+
 def _cmd_roundtrip(args):
     with open(args.input, "rb") as fh:
         # a pipe cannot be read twice: its bytes are held, to copy from
@@ -250,14 +270,7 @@ def _cmd_roundtrip(args):
             size = src.tell()           # at the end of what was read
     lossless = True
     if not already:
-        # of a re-dump of equal records only the header line can differ
-        canonical = dumps_jsonl(seq)
-        again = loads_jsonl(canonical)
-        lossless = (again.records == seq.records
-                    and again.provenance == seq.provenance)
-        if args.output:
-            _write(canonical, args.output)
-        size = len(canonical)
+        size, lossless = _redump(seq, args.output)
     status = "success" if lossless else "violated"
     return status, {
         "lossless": lossless,

@@ -161,12 +161,17 @@ def _gen_apery(n_max: int, prec: int, *, power: int, front: int,
         ctx = getcontext().copy()
         ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
         ctx.traps[Inexact] = ctx.traps[Rounded] = True
-        steps = run(Decimal)
+        # each distinct number is printed once: Q is |ell_2|, and the
+        # scale is most often the one before
+        steps, front_s, scale = run(Decimal), str(front), None
         for n in range(1, n_max + 1):
             with localcontext(ctx):
                 b, a, s = next(steps)
-                line = _record_line(n, str(abs(a)), (str(b), str(a)),
-                                    (str(front), str(s)))
+                if s != scale:
+                    scale, scale_s = s, str(s)
+                ell_2 = str(a)
+                line = _record_line(n, ell_2.removeprefix("-"),
+                                    (str(b), ell_2), (front_s, scale_s))
             yield line
     rows = list(run(int))
     _apery_sanity(n_max, *rows[-1][:2], const, prec, name)
@@ -564,16 +569,25 @@ def _parse_jsonl(source: Union[str, Iterable[str]],
     """loads_jsonl of a text, or of the text a stream iterates, and whether
     that text == dumps_jsonl of the result, decided without encoding Q, ell
     or delta back; without certify the flag is False and costs nothing
-    (only roundtrip reads it).
+    (only roundtrip reads it)."""
+    found: dict = {}
+    records = list(_read_jsonl(source, certify, found))
+    return FormSequence(records, provenance=found["provenance"]), \
+        found["canonical"]
 
-    The text is read one line at a time (_lines), so only the records and
-    the line at hand are held.  It is canonical when it holds no CR, ends
-    with "\n" and no line is blank, a header line is _jsonl_header of the
-    provenance it gives and every record line passes
-    _canonical_record_line.
+
+def _read_jsonl(source: Union[str, Iterable[str]], certify: bool,
+                found: dict) -> Iterator[FormRecord]:
+    """The records of a JSONL text, or of the text a stream iterates, each
+    checked against the one before, made one at a time: only the line at
+    hand is held (_lines).  found["provenance"] is set before the first
+    record, and found["canonical"] once the text is read.
+
+    The text is canonical when it holds no CR, ends with "\n" and no line
+    is blank, a header line is _jsonl_header of the provenance it gives and
+    every record line passes _canonical_record_line.
     """
-    provenance = None
-    records: list[FormRecord] = []
+    found["provenance"] = provenance = None
     prev: Optional[FormRecord] = None
     decoded: dict[str, int] = {}
     canonical = certify
@@ -594,12 +608,13 @@ def _parse_jsonl(source: Union[str, Iterable[str]],
                                   "deeply") from None
         if not isinstance(obj, dict):
             raise ValidationError(f"line {lineno}: expected an object")
-        if provenance is None and not records and "generator" in obj:
+        if provenance is None and prev is None and "generator" in obj:
             params = obj.get("params", {})
             if not isinstance(params, dict):
                 raise ValidationError(f"line {lineno}: params must be an "
                                       "object")
-            provenance = {"generator": obj["generator"], "params": params}
+            found["provenance"] = provenance = {"generator": obj["generator"],
+                                                "params": params}
             canonical = canonical and raw == _jsonl_header(provenance)
             continue
         rec, decoded = _line_record(obj, lineno, decoded)
@@ -617,11 +632,11 @@ def _parse_jsonl(source: Union[str, Iterable[str]],
                     f"line {lineno}: p={rec.p} differs from previous "
                     f"p={prev.p}")
         canonical = canonical and _canonical_record_line(raw, obj)
-        records.append(rec)
+        yield rec
         prev = rec
-    if not records:
+    if prev is None:
         raise ValidationError(f"line {lineno + 1}: no records in input")
-    return FormSequence(records, provenance=provenance), canonical
+    found["canonical"] = canonical
 
 
 def loads_jsonl(text: str) -> FormSequence:

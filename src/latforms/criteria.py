@@ -8,8 +8,9 @@ at the phi-iterated indices; matrix_condition_check certifies the
 factorial-ratio condition that forces invertibility, exactly on the
 integer ends of the entries' magnitudes and from the adjacent 2 x 2
 minors when they suffice; fit_recurrence / check_siegel handle the
-recurrence-based variant, with integer residuals, wide windows certified
-modulo a prime and a ball determinant whose minors are memoised;
+recurrence-based variant, with integer residuals, windows certified from
+one guessed recurrence and ranked by the Casoratian, the rest modulo a
+prime or by elimination, and a ball determinant whose minors are memoised;
 verify_conclusion
 exhaustively tests the lower bound |a_1 xi_1 + ... + a_p| > Q^(-1-eps) over
 the admissible dual points at one concrete Q through _dual_scan, as
@@ -289,21 +290,21 @@ def fit_recurrence(seq: FormSequence, n: int) -> Optional[RecurrenceFit]:
     return fit if seq.has(n + seq.p) else seq.record(n + seq.p)  # raises
 
 
-def _fit(seq: FormSequence, n: int, mods: Optional[dict] = None
+def _fit(seq: FormSequence, n: int, mods=None
          ) -> tuple[Optional[RecurrenceFit], int, Optional[int]]:
     """fit_recurrence(seq, n) and the rank and determinant of the Delta
     window at n, which its system holds with the columns reversed, also
     where the fit is None: the system is inconsistent, or the window is
     the last one and has no record after it.
 
-    Given mods, each record's ell reduced mod _P keyed by its n, the window
+    Given mods, which maps n to record n's ell reduced mod _P, the window
     first takes the modular route (_mod_fit), which certifies a full-rank
     window without its determinant: det is then None.  A window the route
     does not certify is eliminated exactly."""
     p = seq.p
     recs = [seq.record(n + j) for j in range(p + seq.has(n + p))]
     if mods is not None:
-        out = _mod_fit(recs, [mods[r.n] for r in recs])
+        out = _mod_fit(recs, [mods(r.n) for r in recs])
         if out is not None:
             return out
     # unknowns alpha_j; columns reversed so pivots prefer high lags, and
@@ -367,8 +368,27 @@ def _mod_fit(recs, mods):
         return None
     if len(recs) == p:                  # the last window: no fit
         return None, p, None
-    # rebuild alpha_j = u_j / D from x_j (Wang 1981): the extended Euclid
-    # of (_P, D x_j) stops at the first remainder within _HALF
+    rebuilt = _rebuild(x)
+    fit = rebuilt and _checked_fit(recs, *rebuilt)
+    return (fit, p, None) if fit else None
+
+
+def _checked_fit(recs, D: int, scaled: Sequence[int]
+                 ) -> Optional[RecurrenceFit]:
+    """The fit alpha_j = scaled_j / D of the window at recs[0].n if it
+    substitutes back exactly, else None: the one solution, where the
+    window has rank p."""
+    if not D or not _substitutes(recs, D, scaled):
+        return None
+    alpha = tuple(Fraction(u, D) for u in scaled)
+    return RecurrenceFit(n=recs[0].n, alpha=alpha, residual=True,
+                         alpha0_zero=alpha[0] == 0, non_unique=False)
+
+
+def _rebuild(x: Sequence[int]) -> Optional[tuple[int, list[int]]]:
+    """D and the u_j with x_j = u_j / D (mod _P), each fraction rebuilt by
+    Wang's method (1981): the extended Euclid of (_P, D x_j) stops at the
+    first remainder within _HALF; None if a denominator is not within it."""
     D, us = 1, []
     for xj in x:
         r0, r1, t0, t1 = _P, xj * D % _P, 0, 1
@@ -379,29 +399,37 @@ def _mod_fit(recs, mods):
             return None
         us = [u * t1 for u in us] + [r1]    # D x_j = r1 / t1 (mod _P)
         D *= t1
-    if not _substitutes(recs, D, us):
-        return None
-    alpha = tuple(Fraction(u, D) for u in us)
-    return RecurrenceFit(n=recs[0].n, alpha=alpha, residual=True,
-                         alpha0_zero=alpha[0] == 0, non_unique=False), p, None
+    return D, us
+
+
+def _mod_eliminate(rows: list[list[int]], m: int) -> list[int]:
+    """Division-free Gauss-Jordan mod _P over the first m columns, in
+    place: the pivot columns.  Row k then reads d_k x_(pivot k) + (terms
+    in the columns that are not pivots) = its trailing entries."""
+    pivots: list[int] = []
+    for c in range(m):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        t = top[c]
+        for k, row in enumerate(rows):
+            f = row[c]
+            if k != r and f:
+                rows[k] = [(t * a - f * b) % _P for a, b in zip(row, top)]
+        pivots.append(c)
+    return pivots
 
 
 def _mod_solve(rows: list[list[int]], p: int) -> Optional[list[int]]:
     """x with sum_j rows[i][j] x_j = rows[i][p] (mod _P) for i < p, or
     None if the leading p x p block is singular mod _P; with no column p,
-    an empty x for a nonsingular block.  Division-free Gauss-Jordan, so
-    the one inverse is of the product of the pivots."""
-    for c in range(p):
-        piv = next((k for k in range(c, p) if rows[k][c]), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        top = rows[c]
-        t = top[c]
-        for k, row in enumerate(rows):
-            f = row[c]
-            if k != c and f:
-                rows[k] = [(t * a - f * b) % _P for a, b in zip(row, top)]
+    an empty x for a nonsingular block.  The one inverse is of the
+    product of the pivots."""
+    if len(_mod_eliminate(rows, p)) < p:
+        return None
     if len(rows[0]) == p:
         return []
     # row c reads d_c x_c = b_c
@@ -409,6 +437,81 @@ def _mod_solve(rows: list[list[int]], p: int) -> Optional[list[int]]:
     w = pow(math.prod(d) % _P, -1, _P)
     return [row[p] * w * math.prod(d[:c] + d[c + 1:]) % _P
             for c, row in enumerate(rows)]
+
+
+def _mod_kernel(rows: list[list[int]], m: int) -> Optional[list[int]]:
+    """The x with x_f = 1 at the one column f that is not a pivot and
+    sum_j rows[i][j] x_j = 0 (mod _P) for every i, when the kernel has
+    dimension 1; else None."""
+    pivots = _mod_eliminate(rows, m)
+    free = [c for c in range(m) if c not in pivots]
+    if len(free) != 1:
+        return None
+    x = [1] * m
+    for row, c in zip(rows, pivots):
+        x[c] = -row[free[0]] * pow(row[c], -1, _P) % _P
+    return x
+
+
+# The Siegel recurrence sum_{k=0..p} c_k(n) u_{n+k} = 0 on the unscaled
+# u_n = ell_n / delta_{p,n}, the c_k integer polynomials of degree at most
+# _DEG: guessed once from the fits of the first windows, with _SPARE
+# windows beyond those its unknowns need, in the manner of Salvy &
+# Zimmermann's gfun (1994).  A guess proves nothing: each window's alpha
+# from it is substituted back exactly.
+_DEG = 6
+_SPARE = 2
+
+
+def _guess(seq: FormSequence, solve, ns) -> Optional[list[list[int]]]:
+    """c_0 .. c_p, each as its coefficients from the constant term up, at
+    the least degree d <= _DEG where the one-solution fits of the first
+    windows of ns (solve(n) is the window's (fit, rank, det)) leave a
+    one-dimensional kernel mod _P that rebuilds to integers; or None."""
+    p = seq.p
+    fits, ns = [], iter(ns)
+    for d in range(_DEG + 1):
+        m = (p + 1) * (d + 1)           # the unknown coefficients
+        while len(fits) < -(-(m - 1) // p) + _SPARE:
+            n = next(ns, None)
+            if n is None:
+                return None
+            fit = solve(n)[0]
+            if fit is not None and fit.residual and not fit.non_unique:
+                fits.append(fit)
+        rows = []
+        for f in fits:
+            # alpha_j = u/v gives v delta_{p,n+p} c_j(n) + u delta_{p,n+j}
+            # c_p(n) = 0, one row per j
+            top = seq.record(f.n + p).delta[-1]
+            powers = [pow(f.n, e, _P) for e in range(d + 1)]
+            for j, a in enumerate(f.alpha):
+                u = a.numerator * seq.record(f.n + j).delta[-1] % _P
+                v = a.denominator * top % _P
+                rows.append([(v if k == j else u if k == p else 0) * x % _P
+                             for k in range(p + 1) for x in powers])
+        x = _mod_kernel(rows, m)
+        rebuilt = x and _rebuild(x)
+        if rebuilt:
+            return [rebuilt[1][k:k + d + 1] for k in range(0, m, d + 1)]
+    return None
+
+
+def _candidate(seq: FormSequence, c: list[list[int]], n: int
+               ) -> Optional[RecurrenceFit]:
+    """_checked_fit of alpha_j(n) = -c_j(n)/c_p(n) delta_{p,n+p} /
+    delta_{p,n+j} at n, or None where a delta quotient is not exact."""
+    p = seq.p
+    recs = [seq.record(n + j) for j in range(p + 1)]
+    cs = [functools.reduce(lambda v, a: v * n + a, reversed(ck), 0)
+          for ck in c]
+    top, scaled = recs[p].delta[-1], []
+    for j in range(p):
+        q, r = divmod(top, recs[j].delta[-1])
+        if r:
+            return None
+        scaled.append(-cs[j] * q)
+    return _checked_fit(recs, cs[p], scaled)
 
 
 def _ball_det(M: Sequence[Sequence[BallReal]]) -> BallReal:
@@ -463,27 +566,63 @@ def check_siegel(seq: FormSequence, basis: Basis, n1: int, n2: int,
     over [n1, last-p], exact det of the Delta window at n2, observed rank
     propagation, and a determinant cross-check against the basis values.
 
-    The n2 window is eliminated exactly (Bareiss).  Where some entry of
-    the records from n1 on has _MOD_BITS bits or more, each record is
-    reduced mod the prime _P once and every other window is certified
-    modulo _P, in time linear in its bits: det != 0 mod _P proves rank p,
-    and alpha rebuilt from the solution mod _P that substitutes back
-    exactly is the one solution.  A window singular mod _P, or whose
-    alpha is not rebuilt or does not substitute back, is eliminated
-    exactly, so the report is the one elimination of every window gives."""
+    The n2 window is eliminated exactly (Bareiss).  The other windows
+    are certified in three steps:
+
+    1. The recurrence.  The first windows are solved one by one (step 3),
+       and _guess reads one order-p recurrence off their fits.  For each
+       later window, alpha_j(n) = -c_j(n)/c_p(n) delta_{p,n+p} /
+       delta_{p,n+j} is a candidate, kept only if it substitutes back
+       exactly.
+    2. The Casoratian.  A fit alpha at n gives det Delta_{n+1} =
+       (-1)^(p-1) alpha_0(n) det Delta_n.  So after a window of rank p
+       whose fit has alpha_0 != 0 the next one has rank p too, and its
+       candidate is its one solution: no reduction mod _P, no
+       elimination.  The run starts at the first windows, or at any
+       window solved with rank p.
+    3. The fallback, for the first windows and for every window that the
+       recurrence does not certify or no such run reaches.  Where some
+       entry of the records from n1 on has _MOD_BITS bits or more, the
+       window's records are reduced mod the prime _P once and the window
+       is certified modulo _P, in time linear in its bits: det != 0 mod
+       _P proves rank p, and alpha rebuilt from the solution mod _P that
+       substitutes back exactly is the one solution.  Narrower windows,
+       and those singular mod _P or whose alpha is not rebuilt or does
+       not substitute back, are eliminated exactly.
+
+    So the report is the one elimination of every window gives."""
     p = seq.p
     last = seq.records[-1].n
-    if not (n1 <= n2 <= last - p + 1):
+    top = last - p + 1                  # the last window: no fit
+    if not (n1 <= n2 <= top):
         raise ValidationError(
-            f"need n1 <= n2 <= {int_to_decimal(last - p + 1)}")
-    recs = [r for r in seq.records if r.n >= n1]
+            f"need n1 <= n2 <= {int_to_decimal(top)}")
+    # MissingRecord at the first gap, as the windows in order would raise
+    recs = [seq.record(n) for n in range(n1, last + 1)]
     wide = max(x.bit_length() for r in recs for x in r.ell) >= _MOD_BITS
-    mods = {r.n: _mod_p(r.ell) for r in recs} if wide else None
-    windows = {n: _fit(seq, n, None if n == n2 else mods)
-               for n in range(n1, last - p + 2)}
-    # the last window has no record after it, hence no fit
-    fits = {n: f for n, (f, _, _) in windows.items() if n + p <= last}
-    ranks = [(n, rank) for n, (_, rank, _) in windows.items()]
+    mods = functools.cache(lambda n: _mod_p(seq.record(n).ell)) \
+        if wide else None
+    windows: dict[int, tuple] = {}
+
+    def solve(n: int) -> tuple:
+        if n not in windows:
+            windows[n] = _fit(seq, n, None if n == n2 else mods)
+        return windows[n]
+    solve(n2)
+    c = _guess(seq, solve, range(n1, top))
+    full = False                        # det Delta_n != 0 is proven
+    for n in range(n1, top + 1):
+        if n not in windows:
+            fit = _candidate(seq, c, n) if full and c and n < top else None
+            if fit or full and n == top:
+                windows[n] = fit, p, None
+            else:
+                solve(n)
+        fit, rank, _ = windows[n]
+        # at rank p the fit is the one solution, which substitutes back
+        full = rank == p and fit is not None and not fit.alpha0_zero
+    fits = {n: windows[n][0] for n in range(n1, top)}
+    ranks = [(n, windows[n][1]) for n in range(n1, top + 1)]
     det2_int = windows[n2][2]
     bad = [n for n, f in fits.items()
            if f is None or f.alpha0_zero or not f.residual]

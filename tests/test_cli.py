@@ -145,14 +145,14 @@ def test_roundtrip_parses_and_dumps_once_more_at_most(tmp_path, capsys,
                                                       monkeypatch, text,
                                                       canonical):
     """Canonical input is parsed once and never dumped; other input is
-    parsed, dumped, and parsed again from the canonical text.  Both are
-    reported lossless."""
+    parsed, then dumped a line at a time and read back as it is written.
+    Both are reported lossless."""
     import latforms.cli as cli
     calls = []
-    for name in ("_parse_jsonl", "loads_jsonl", "dumps_jsonl"):
+    for name in ("_parse_jsonl", "_jsonl_lines", "_read_jsonl"):
         fn = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda x, fn=fn, name=name:
-                            calls.append(name) or fn(x))
+        monkeypatch.setattr(cli, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
     src = tmp_path / "in.jsonl"
     src.write_text(text)
     rc, out, _ = invoke(capsys, "roundtrip", "--input", str(src))
@@ -160,7 +160,7 @@ def test_roundtrip_parses_and_dumps_once_more_at_most(tmp_path, capsys,
     assert rc == 0 and res["lossless"]
     assert res["already_canonical"] is canonical
     assert calls == ["_parse_jsonl"] + \
-        ([] if canonical else ["dumps_jsonl", "loads_jsonl"])
+        ([] if canonical else ["_read_jsonl", "_jsonl_lines"])
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"],
@@ -177,6 +177,27 @@ def test_roundtrip_sees_line_ends(tmp_path, capsys, newline):
     assert rc == 0 and res["lossless"]
     assert res["already_canonical"] is (newline == "\n")
     assert dst.read_bytes() == canonical.encode()
+
+
+def test_roundtrip_reports_a_line_that_does_not_read_back(tmp_path, capsys,
+                                                          monkeypatch):
+    """Each line of the re-dump is read back and compared with the record
+    it was made from: a line that reads back as another record makes the
+    roundtrip violated (exit 2), and every line is still written."""
+    import latforms.cli as cli
+    lines = cli._jsonl_lines
+    monkeypatch.setattr(cli, "_jsonl_lines", lambda seq: (
+        line.replace('"ell":["3"', '"ell":["4"') for line in lines(seq)))
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_bytes(dumps_jsonl(gen_fibonacci(5)).replace("\n", "\r\n")
+                    .encode())
+    rc, out, _ = invoke(capsys, "roundtrip", "--input", str(src),
+                        "--output", str(dst))
+    res = report_of(out)["result"]
+    assert rc == 2 and report_of(out)["status"] == "violated"
+    assert not res["lossless"] and res["records"] == 4
+    assert len(dst.read_bytes()) == res["canonical_bytes"]
+    assert dst.read_text().count("\n") == 5
 
 
 def test_roundtrip_copies_canonical_input(tmp_path, capsys):

@@ -869,6 +869,30 @@ def test_import_holds_a_line_at_a_time(tmp_path):
     assert peak < size / 2, (peak, size)
 
 
+def test_roundtrip_of_crlf_input_holds_a_line_at_a_time(tmp_path, capsys):
+    """roundtrip of non-canonical input (a CRLF copy) writes the canonical
+    text a line at a time and reads each line back as it goes: it holds
+    the records and a line or two, never the whole text and a second
+    record set.  The traced peak is under three quarters of the file's
+    size (about 0.57 times it), where it was 2.9 times."""
+    from latforms.cli import run
+    src, dst = tmp_path / "crlf.jsonl", tmp_path / "out.jsonl"
+    export_jsonl(gen_apery_zeta3(600), dst)
+    src.write_bytes(dst.read_bytes().replace(b"\n", b"\r\n"))
+    size = src.stat().st_size                           # 1,786,166 bytes
+    tracemalloc.start()
+    try:
+        rc = run(["roundtrip", "--input", str(src), "--output", str(dst)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert rc == 0 and result["lossless"] and not result["already_canonical"]
+    assert dst.read_bytes() == src.read_bytes().replace(b"\r\n", b"\n")
+    assert result["canonical_bytes"] == dst.stat().st_size
+    assert peak < 3 * size / 4, (peak, size)
+
+
 def test_bulk_roundtrip_is_fast():
     recs = [FormRecord(n=k, Q=k, ell=(k + 1, k), delta=(1, 1))
             for k in range(1, 10_001)]

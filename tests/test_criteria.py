@@ -2,11 +2,12 @@
 condition, recurrence fits, Siegel reports, and the finite-Q verifier."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import mpmath
 import pytest
@@ -554,16 +555,17 @@ def test_check_siegel_ranks_from_fits_match_every_window(case):
 
 
 def test_check_siegel_eliminates_each_window_once(monkeypatch):
-    """Windows 2..19 of fib_seq(20): 18 eliminations wherever n2 lies, the
-    n2 window's determinant taken from its fit."""
+    """Windows 2..19 of fib_seq(20): the first three are eliminated, to
+    guess u_(n+2) = u_(n+1) + u_n, and so is the n2 window; the recurrence
+    certifies the others, the last window included."""
     calls = []
     echelon = criteria._echelon
     monkeypatch.setattr(criteria, "_echelon", lambda rows, ncols:
                         calls.append(len(rows)) or echelon(rows, ncols))
-    for n2 in (2, 5, 18, 19):
+    for n2, eliminated in ((2, 3), (5, 4), (18, 4), (19, 4)):
         calls.clear()
         rep = check_siegel(fib_seq(20), GOLDEN, 2, n2)
-        assert len(calls) == 18
+        assert len(calls) == eliminated
         assert rep.det_n2 == (-1) ** n2           # Cassini
 
 
@@ -742,8 +744,10 @@ def test_modular_route_hands_back_each_window_it_cannot_certify(monkeypatch):
 
 def test_check_siegel_wide_apery_eliminates_only_the_n2_window(monkeypatch):
     """gen_apery_zeta3(1400), entries up to 13,101 bits: one elimination,
-    of the n2 window, each record reduced mod P once, and no fallback; the
-    report is the one elimination of every window gives."""
+    of the n2 window, and ten records reduced mod P, those of the first
+    eight windows, which the recurrence is guessed from; the recurrence
+    certifies the 1,389 others.  Without the modular route the eight
+    windows are eliminated, and the report is the same."""
     from latforms.corpus import gen_apery_zeta3
     seq = gen_apery_zeta3(1400)
     basis = Basis((parse_real("zeta3"),))
@@ -755,13 +759,167 @@ def test_check_siegel_wide_apery_eliminates_only_the_n2_window(monkeypatch):
                         reduced.append(ell) or mod_p(ell))
     rep = check_siegel(seq, basis, 2, 5)
     assert len(calls) == 1
-    assert sorted(map(id, reduced)) == sorted(id(r.ell) for r in seq.records
-                                              if r.n >= 2)
+    assert sorted(map(id, reduced)) == sorted(id(seq.record(n).ell)
+                                              for n in range(2, 12))
     monkeypatch.setattr(criteria, "_MOD_BITS", float("inf"))
     calls.clear()
+    reduced.clear()
     exact = check_siegel(seq, basis, 2, 5)
-    assert len(calls) == len(rep.ranks)
+    assert (len(calls), len(reduced)) == (8, 0)
     assert rep == exact
+
+
+# -- the Siegel recurrence ------------------------------------------------------
+
+def _p_recursive(cs, u, jumps, chain=True):
+    """Records 0 .. len(jumps) - 1 of the vectors u_n that continue the p
+    given ones by sum_(k=0..p) c_k(n) u_(n+k) = 0, c_k(n) = sum_e cs[k][e]
+    n^e and c_p a constant +-1, so that the last component stays an
+    integer when it starts as one.  delta_(p,n) is the lcm of every
+    denominator times jumps[0] ... jumps[n], a chain with jumps, or with
+    chain False times jumps[n] alone; the other divisors are 1."""
+    p = len(cs) - 1
+
+    def at(ck, n):
+        return sum(a * n ** e for e, a in enumerate(ck))
+    u = [[Fraction(x) for x in v] for v in u]
+    while len(u) < len(jumps):
+        n = len(u) - p
+        u.append([-sum(at(cs[k], n) * u[n + k][i] for k in range(p))
+                  / at(cs[p], n) for i in range(p)])
+    den, scale, records = lcm(*(x.denominator for v in u for x in v)), 1, []
+    for n, (v, jump) in enumerate(zip(u, jumps)):
+        scale = scale * jump if chain else jump
+        d = den * scale
+        records.append(FormRecord(n=n, Q=n + 1,
+                                  ell=tuple(int(x * d) for x in v),
+                                  delta=(1,) * (p - 1) + (d,)))
+    return FormSequence(records)
+
+
+def _altered(seq, m, k):
+    """seq with ell_(1,m) moved by k delta_(1,m): still a valid record."""
+    return FormSequence(dataclasses.replace(
+        r, ell=(r.ell[0] + k * r.delta[0],) + r.ell[1:]) if r.n == m else r
+        for r in seq.records)
+
+
+def _same_report(seq, basis, n1, n2):
+    rep, oracle = _siegel_by_windows(seq, basis, n1, n2, 64)
+    assert rep.fits == oracle.fits
+    assert rep.ranks == oracle.ranks
+    assert rep.det_n2 == oracle.det_n2
+    assert json.dumps(rep.to_json()) == json.dumps(oracle.to_json())
+    return rep
+
+
+@st.composite
+def _recurrence_input(draw):
+    """A sequence of order p = 2..4 from _p_recursive: c_0 .. c_(p-1) of
+    degree up to 2, rational starts (an integer last component), delta_p a
+    chain with jumps or not a chain (a delta quotient with a remainder);
+    in half the draws one record is altered."""
+    p = draw(st.integers(2, 4))
+    d = draw(st.integers(0, 2))
+    poly = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    cs = [draw(poly) for _ in range(p)] + [[draw(st.sampled_from((1, -1)))]]
+    ratio = st.fractions(-5, 5, max_denominator=4)
+    u = [draw(st.lists(ratio, min_size=p - 1, max_size=p - 1))
+         + [draw(st.integers(-5, 5))] for _ in range(p)]
+    size = draw(st.integers(p + 6, p + 18))
+    jumps = draw(st.lists(st.sampled_from((1, 1, 1, 2, 3)), min_size=size,
+                          max_size=size))
+    seq = _p_recursive(cs, u, jumps, draw(st.booleans()))
+    if draw(st.booleans()):
+        seq = _altered(seq, draw(st.integers(0, size - 1)),
+                       draw(st.sampled_from((-2, -1, 1, 2))))
+    top = size - p
+    n1 = draw(st.integers(0, top))
+    n2 = draw(st.sampled_from([n1, top, draw(st.integers(n1, top))]))
+    return seq, n1, n2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recurrence_input())
+def test_recurrence_route_reports_what_elimination_reports(case):
+    """Windows certified by the guessed recurrence and ranked by the
+    Casoratian: the fits, ranks, det_n2 and report bytes of eliminating
+    every window on its own, one record altered or not."""
+    seq, n1, n2 = case
+    basis = Basis(tuple(parse_real(f"1/{k + 2}") for k in range(seq.p - 1)))
+    _same_report(seq, basis, n1, n2)
+
+
+@functools.cache
+def _named_siegel(name):
+    """The sequence and basis of a _siegel_cases entry, or of a wide Apery
+    sequence: entries past criteria._MOD_BITS."""
+    from latforms.corpus import gen_apery_zeta2, gen_apery_zeta3
+    wide = {"apery-zeta3 wide": (gen_apery_zeta3, 600, "zeta3"),
+            "apery-zeta2 wide": (gen_apery_zeta2, 720, "zeta2")}
+    if name in wide:
+        gen, size, const = wide[name]
+        return gen(size), Basis((parse_real(const),))
+    return _siegel_cases()[name][:2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("apery-zeta3", "apery-zeta3 wide", "apery-zeta2",
+                        "apery-zeta2 wide", "fibonacci", "synthetic p=3")),
+       st.data())
+def test_recurrence_route_on_the_generators(name, data):
+    """The generators' sequences, n1 and n2 anywhere: wide Apery windows
+    from n1 on take the modular route until the recurrence is guessed."""
+    seq, basis = _named_siegel(name)
+    top = seq.records[-1].n - seq.p + 1
+    n1 = data.draw(st.integers(seq.records[0].n, top))
+    n2 = data.draw(st.integers(n1, top))
+    if name.endswith("wide"):
+        assert max(x.bit_length() for x in seq.records[-1].ell) \
+            >= criteria._MOD_BITS
+    _same_report(seq, basis, n1, n2)
+
+
+def test_c0_root_breaks_the_casoratian_chain(monkeypatch):
+    """u_(n+2) = u_(n+1) + (n - 9) u_n: alpha_0(9) = 0, so det Delta_10 =
+    0, and so are the determinants after it.  The chain ranks windows 0 to
+    9 and the rest are solved: the five windows the recurrence is guessed
+    from, the n2 window and windows 10 to 28, ranked 1 by elimination."""
+    seq = _p_recursive([[-9, 1], [1], [-1]], [[Fraction(1, 2), 1], [1, 3]],
+                       [1, 1, 2, 1, 1, 3, 1, 1, 1, 1, 2] + [1] * 19)
+    solved = []
+    fit = criteria._fit
+    monkeypatch.setattr(criteria, "_fit", lambda seq, n, mods=None:
+                        solved.append(n) or fit(seq, n, mods))
+    check_siegel(seq, GOLDEN, 0, 5)
+    assert sorted(solved) == list(range(6)) + list(range(10, 29))
+    monkeypatch.undo()
+    rep = _same_report(seq, GOLDEN, 0, 5)
+    assert rep.fits[9].alpha[0] == 0 and rep.bad_ns[0] == 9
+    assert rep.ranks == [(n, 2 if n <= 9 else 1) for n in range(29)]
+
+
+def test_wide_perturbed_apery_reaches_the_modular_route(monkeypatch):
+    """gen_apery_zeta3(700) with ell_1 at n = 400 moved by 2: the
+    recurrence fails on the windows at 398, 399 and 400, which take the
+    modular route after the seven guessing windows it took; their alpha
+    has no small rebuild, so they are eliminated, and the chain carries on
+    from them to the last window."""
+    from latforms.corpus import gen_apery_zeta3
+    seq = _altered(gen_apery_zeta3(700), 400, 1)
+    routed, calls = [], []
+    mod_fit, echelon = criteria._mod_fit, criteria._echelon
+    monkeypatch.setattr(criteria, "_mod_fit", lambda recs, mods:
+                        routed.append(recs[0].n) or mod_fit(recs, mods))
+    monkeypatch.setattr(criteria, "_echelon", lambda rows, ncols:
+                        calls.append(len(rows)) or echelon(rows, ncols))
+    basis = Basis((parse_real("zeta3"),))
+    check_siegel(seq, basis, 2, 5)
+    assert routed == [2, 3, 4, 6, 7, 8, 9, 398, 399, 400]
+    assert len(calls) == 4
+    monkeypatch.undo()
+    rep = _same_report(seq, basis, 2, 5)
+    assert rep.bad_ns == [] and rep.rank_propagates
 
 
 def _cofactor_det(M):
