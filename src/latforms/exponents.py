@@ -16,9 +16,11 @@ not assumed.
 Each sequence keeps one table of the certified logs read off it: ln of an
 exact integer per (x, prec), whose ratios ln x / ln Q_n _log_ratio gives
 the gamma, growth and norm traces, and per (basis, i, prec) one row per
-record of ln|L_n(e_i)| and ln Q_n at the escalated precision (_log_rows).
-estimate_tau, fit_alpha_beta, estimate_gamma_growth and check_nesterenko
-read it, so each log is computed once.
+record of ln|L_n(e_i)| and ln Q_n at the precision asked for, whatever
+precision separated L_n(e_i) from 0 (_log_rows).  ln Q_n in a row is the
+table's entry (Q_n, prec), the one _log_ratio reads.  estimate_tau,
+fit_alpha_beta, estimate_gamma_growth and check_nesterenko read it, so
+each log is computed once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .numerics import (
     BallReal,
     TriBool,
     UncertifiedComparison,
+    _enclose,
     escalate,
     jsonable,
     tri_compare,
@@ -134,12 +137,17 @@ def _log_ratio(seq: FormSequence, x: int, Q: int,
 
 def _log_rows(seq: FormSequence, basis: Basis, i: int,
               prec: int) -> list[tuple]:
-    """Per record: (n, used, ln|L_n(e_i)|, ln Q_n, note), both logs of
-    balls at the precision `used` that separated L_n(e_i) from 0, or None
-    with the note of a skipped record.  BallReal.log brackets ln Q_n, of an
-    exact integer, at used + 8 bits, and ln|L_n(e_i)| at the bits its ball
-    holds plus guard bits, where that is fewer.  Built once per
-    (basis, i, prec) in the table of seq."""
+    """Per record: (n, used, ln|L_n(e_i)|, ln Q_n, note), or None for both
+    logs with the note of a skipped record; `used` is the precision that
+    separated L_n(e_i) from 0.  Both logs are taken at prec, whatever
+    `used` is: ln Q_n, of an exact integer, is the table's (Q_n, prec)
+    entry, and ln|L_n(e_i)| the log of the separated ball rounded to prec
+    (BallReal.log brackets it at the bits that ball holds plus guard bits,
+    where that is below prec + 8).  Where that rounding would take the
+    ball back to 0, as it can when its radius is within a relative
+    2^-min(prec, 31) or so of its midpoint, the unrounded ball's log is
+    rounded to prec instead.  Built once per (basis, i, prec) in the
+    table of seq."""
     key = (basis, i, prec)
     if key not in seq._logs:
         rows = []
@@ -152,9 +160,11 @@ def _log_rows(seq: FormSequence, basis: Basis, i: int,
             if ball is None:
                 rows.append((rec.n, used, None, None,
                              "enclosure of L_n(e_i) contains 0"))
-            else:
-                rows.append((rec.n, used, ball.log(), _ln(seq, rec.Q, used),
-                             ""))
+                continue
+            rounded = ball.round_to(prec)
+            ln_l = (rounded.log() if rounded.sign() == 1
+                    else ball.log().round_to(prec))
+            rows.append((rec.n, used, ln_l, _ln(seq, rec.Q, prec), ""))
         seq._logs[key] = rows
     return seq._logs[key]
 
@@ -235,25 +245,37 @@ def fit_alpha_beta(seq: FormSequence, basis: Basis, i: int = 1,
                    prec: int = 64) -> tuple[BallReal, BallReal]:
     """Fit |L_n(e_i)| ~ alpha^n and Q_n ~ beta^n by log-linear least squares.
 
-    The regression slope is an exact-rational-weighted sum of certified log
-    enclosures, so the returned (alpha, beta) are themselves certified balls
-    for the fitted values.  Records with Q=1 or with enclosures not separable
-    from zero are dropped from the fit.
+    With N usable records and integer weights k_n = N n - sum n, the
+    regression slope of the logs y_n is N sum k_n y_n / sum k_n^2.  Each
+    slope is that exact function of certified log enclosures, rounded
+    once (_slope), so the returned (alpha, beta) are themselves certified
+    balls for the fitted values.  Records with Q=1 or with enclosures not
+    separable from zero are dropped from the fit.
     """
     usable = [(n, ln_l, ln_q) for n, _, ln_l, ln_q, _ in
               _log_rows(seq, basis, i, prec) if ln_l is not None]
-    xs = [n for n, _, _ in usable]
-    if len(xs) < 2:
+    if len(usable) < 2:
         raise ValidationError("fewer than 2 usable records for the fit")
-    mean = Fraction(sum(xs), len(xs))
-    s2 = sum((Fraction(x) - mean) ** 2 for x in xs)
-    slope_l = BallReal.exact(0, prec)
-    slope_q = BallReal.exact(0, prec)
-    for x, yl, yq in usable:
-        w = (Fraction(x) - mean) / s2
-        slope_l = slope_l + yl * w
-        slope_q = slope_q + yq * w
-    return slope_l.exp(), slope_q.exp()
+    ns, ln_ls, ln_qs = zip(*usable)
+    N, sx = len(ns), sum(ns)
+    ks = [N * n - sx for n in ns]
+    den = sum(k * k for k in ks)
+    return (_slope(ks, ln_ls, N, den, prec).exp(),
+            _slope(ks, ln_qs, N, den, prec).exp())
+
+
+def _slope(ks: Sequence[int], ys: Sequence[BallReal], N: int, den: int,
+           prec: int) -> BallReal:
+    """N sum k y / den: the midpoints and radii of the balls y summed
+    exactly as integers at their least exponent (|k| weighting a radius),
+    then rounded and divided once."""
+    e = min(y._e for y in ys)
+    m = r = 0
+    for k, y in zip(ks, ys):
+        s = y._e - e
+        m += k * y._m << s
+        r += abs(k) * y._r << s
+    return _enclose(N * m, N * r, den, prec, e)
 
 
 def _require_alpha_beta(alpha: BallReal, beta: BallReal) -> None:

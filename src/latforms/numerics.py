@@ -1090,7 +1090,10 @@ def decimal_to_fraction(s: str) -> Fraction:
     s = s.strip()
     check_literal(s)
     if m := _RAT_RE.match(s):
-        return Fraction(decimal_to_int(m[1]), decimal_to_int(m[2]))
+        num, den = decimal_to_int(m[1]), decimal_to_int(m[2])
+        if not den:     # Fraction's own message prints num, past the digit cap
+            raise ZeroDivisionError("zero denominator")
+        return Fraction(num, den)
     if not _DEC_RE.match(s):
         raise ValueError(f"not a rational literal: {s!r}")
     return Fraction(Decimal(s))

@@ -419,7 +419,12 @@ def test_verify_report_identical(capsys):
 # 2.73169e-20 to 2.05406e-20, the tau radius by 5.0e-29), nesterenko-fib
 # aea58368... -> 666c0cdc... (the oscillation fell by 1.1e-19) and
 # dual-half c6e151f2... -> 77eb3bca... (the lattice determinant's radius
-# fell by 7.9e-31).
+# fell by 7.9e-31).  The estimate-apery outcome digest moved, 59df0f35...
+# -> e7d762fa..., when both logs of a tau row came to be taken at the
+# precision asked for, not the one that separated L_n from 0: the tau
+# radius went from 3.0878e-19 to 3.1423e-19 and the oscillation by
+# +5.9e-21, with the same tau midpoint, gamma and growth balls, statuses
+# and work.
 # The verify-golden and primal-golden work digests moved when
 # the single-label scans came to visit only the convergent denominators:
 # prefixes 10001 -> 20 and scanned 378 -> 14, with the same outcomes.
@@ -455,7 +460,7 @@ PINNED_RESULTS = {  # name: (argv, outcome digest, work digest)
         "30c9cc6dcc0f0ebb3f286ea5d6ab62bbe7536cf812ff80057d6d3a95da7df8ad"),
     "estimate-apery": (
         ("estimate", "--gen", "apery-zeta3", "--n-max", "20"),
-        "59df0f35547d4b91b1416cbbb3a86f3895ef442ca2380f03317ea6ca60cad939",
+        "e7d762faee3b85b26a06d4faaa011ec21749f0f846158cfba8bb1b6f9a902e4d",
         "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
     "nesterenko-fib": (
         ("check-nesterenko", "--gen", "fibonacci-golden", "--n-max", "40"),
@@ -529,7 +534,10 @@ def test_result_digest_pinned(name):
 # -> 4034a1bd....  At the change that took rounding's grid from the value
 # of a quotient, the digests of those three runs moved with their outcome
 # digests, and estimate-input-no-n-max, 51dcc7b2... -> 4d0772bd..., as its
-# tau radius fell by 6.3e-30 and its oscillation by 4.1e-20.
+# tau radius fell by 6.3e-30 and its oscillation by 4.1e-20.  The
+# estimate-apery digest moved, 9e2baf7d... -> be68699d..., with its outcome
+# digest when both logs of a tau row came to be taken at the precision
+# asked for.
 _SYNTH_P3 = '{"B":2,"xi":["1/3","2/5"],"t":["-1/2",null],"g":["0","0","1"]}'
 
 
@@ -568,7 +576,7 @@ PINNED_DIGESTS = {
     "dual-half":
         "3570bce3807a92bfeac214a3cefc1225fdee44ff43d0b1cc7c02657985f7877f",
     "estimate-apery":
-        "9e2baf7d96fad844c2d08ef055bfc690160ffbd02a58d6473cde31c5dda8e62f",
+        "be68699d8be39fd777b6681e916885015600eac2c87b81c7739f562409e723ea",
     "estimate-input-no-n-max":
         "4d0772bd9c7280592362471db8c29d4b95cf1732ca84934762b9ae48e44ed377",
     "generate-apery-zeta2":

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 import mpmath
 
+from latforms import exponents, numerics
 from latforms.numerics import (
     BallReal,
     TriBool,
@@ -23,6 +24,7 @@ from latforms.exponents import (
     TauEstimate,
     TraceEntry,
     _certified_nonzero_eval,
+    _log_rows,
     _oscillation,
     dimension_bound,
     estimate_gamma_growth,
@@ -324,25 +326,28 @@ def test_report_json_at_high_precision():
 
 def forward_tau(seq, basis, i, prec, tol=Fraction(1, 20)):
     """Oracle: estimate_tau as one loop over the records, first to last,
-    each record evaluated and logged on its own."""
-    trace = []
-    max_prec = prec
+    each record evaluated and logged on its own.  Returns the estimate and
+    the precision that separated each record's L_n(e_i) from 0."""
+    trace, precs = [], []
     for rec in seq:
         if rec.Q == 1:
             trace.append(TraceEntry(rec.n, None, "Q=1: log scale vanishes"))
+            precs.append(prec)
             continue
         ball, used = _certified_nonzero_eval(seq, basis, rec.n, i, prec)
-        max_prec = max(max_prec, used)
+        precs.append(used)
         if ball is None:
             trace.append(TraceEntry(rec.n, None,
                                     "enclosure of L_n(e_i) contains 0"))
             continue
-        lnq = BallReal.exact(rec.Q, used).log()
-        trace.append(TraceEntry(rec.n, -(ball.log() / lnq)))
+        # both logs at prec, whatever precision separated L_n from 0
+        lnq = BallReal.exact(rec.Q, prec).log()
+        trace.append(TraceEntry(rec.n, -(ball.round_to(prec).log() / lnq)))
     final = trace[-1].value if trace else None
     oscillation, consistent = _oscillation(trace, tol)
     return TauEstimate(i=i, trace=trace, final=final, oscillation=oscillation,
-                       consistent=consistent, precision_used=max_prec)
+                       consistent=consistent,
+                       precision_used=max(precs, default=prec)), precs
 
 
 def _digest(*balls):
@@ -388,10 +393,18 @@ def test_apery_fit_pinned(apery_run):
     beta's narrows from 5.6716e-598 to 5.6095e-598 with its midpoint moved
     by -5.2e-1200, and alpha's midpoint moves by 1.28e-603 and the bound's
     by -1.38e-608; 86 of the 200 tau entries narrow, by up to 0.47% of
-    their radius."""
+    their radius.  Moved again, to a095d241..., when both logs of a row
+    came to be taken at the precision asked for and the fit came to sum
+    with integer weights, rounding once: alpha's radius narrows by
+    1.7e-16 (from 2.5143e-7) and the bound's by 7.1e-15 (from 9.848e-6),
+    their midpoints moving by -6.98e-23 and -1.02e-20; beta's radius
+    narrows from 5.6095e-598 to 3.6128e-599, its midpoint moved by
+    -2.26e-599.  Only the tau entries of records 197 to 200, separated at
+    4000 bits, move: the final one widens by 7.2e-604 (from 4.6924e-596),
+    its midpoint moved by -4.3e-604."""
     *_, alpha, beta, mu = apery_run
     assert _digest(alpha, beta, mu) == \
-        "c4bf31037c72a08bee12c806a3630a872d915eaeffe9168ac53d9bef495e2009"
+        "a095d241070a88d81e7e5598c3bc57d8945b7e0697696ee91db19bdea5e74d92"
 
 
 def test_fit_independent_of_call_order(apery_run):
@@ -435,36 +448,40 @@ def test_apery_within_perfbench_window_of_the_prec8_log(apery_run,
         assert ref_lo - margin <= lo and hi <= ref_hi + margin
 
 
-def _mp_tau(rec, xi, prec):
-    """-ln|l_1 - l_2 xi| / ln Q_n by mpmath at 4 prec bits, a Fraction."""
-    with mpmath.workprec(4 * prec):
-        val = -mpmath.log(abs(rec.ell[0] - rec.ell[1] * xi())) \
-            / mpmath.log(rec.Q)
-        man, exp = val.man_exp    # man is |mantissa|
+def _mp_fraction(val):
+    """An mpmath number as the Fraction it is."""
+    man, exp = val.man_exp    # man is |mantissa|
     return Fraction(man if val >= 0 else -man) * Fraction(2) ** exp
 
 
-def _assert_matches_forward(seq, est, oracle, xi):
+def _mp_tau(rec, xi, prec):
+    """-ln|l_1 - l_2 xi| / ln Q_n by mpmath at 4 prec bits, a Fraction."""
+    with mpmath.workprec(4 * prec):
+        return _mp_fraction(-mpmath.log(abs(rec.ell[0] - rec.ell[1] * xi()))
+                            / mpmath.log(rec.Q))
+
+
+def _assert_matches_forward(seq, est, oracle, precs, xi):
     assert est.trace == oracle.trace
     assert est.final == oracle.final
     assert est.precision_used == oracle.precision_used
     assert est.consistent is oracle.consistent
     assert len(est.trace) == len(seq)
-    for entry, rec in zip(est.trace, seq):
+    for entry, rec, used in zip(est.trace, seq, precs):
         assert entry.n == rec.n
         if entry.value is None:
             continue
-        # the entry's precision, not prec: an escalated entry cancels more
-        w = entry.value.prec
-        t = _mp_tau(rec, xi, w)
-        slack = Fraction(1, 2 ** (2 * w))
+        # the precision that separated the record, not the entry's: an
+        # escalated entry cancels more bits than prec holds
+        t = _mp_tau(rec, xi, used)
+        slack = Fraction(1, 2 ** (2 * used))
         assert entry.value.lower - slack <= t <= entry.value.upper + slack
 
 
 def test_tau_matches_forward_oracle_apery(apery_run):
     seq, est, *_ = apery_run
-    oracle = forward_tau(seq, Basis((parse_real("zeta3"),)), 1, 2000)
-    _assert_matches_forward(seq, est, oracle, lambda: mpmath.zeta(3))
+    oracle, precs = forward_tau(seq, Basis((parse_real("zeta3"),)), 1, 2000)
+    _assert_matches_forward(seq, est, oracle, precs, lambda: mpmath.zeta(3))
 
 
 def _rational_seq():
@@ -483,8 +500,8 @@ def _rational_seq():
 ])
 def test_tau_matches_forward_oracle(seq, xi, mp_xi, prec):
     est = estimate_tau(seq, Basis((parse_real(xi),)), 1, prec=prec)
-    oracle = forward_tau(seq, Basis((parse_real(xi),)), 1, prec)
-    _assert_matches_forward(seq, est, oracle, mp_xi)
+    oracle, precs = forward_tau(seq, Basis((parse_real(xi),)), 1, prec)
+    _assert_matches_forward(seq, est, oracle, precs, mp_xi)
 
 
 def test_log_table_computes_each_log_once(monkeypatch):
@@ -510,6 +527,103 @@ def test_log_table_computes_each_log_once(monkeypatch):
     assert count(estimate_tau, seq, basis, 1, prec=192) > 0
     assert count(estimate_tau, seq, Basis((parse_real("golden"),)), 1,
                  prec=128) > 0
+    # Apery at 64 bits, where most records separate only at 128 to 1024
+    # bits: their logs are still taken at 64, so the gamma, growth and
+    # sup-norm traces find every ln Q_n in the table
+    apery = gen_apery_zeta3(60)
+    zeta3 = Basis((parse_real("zeta3"),))
+    calls.clear()
+    est = estimate_tau(apery, zeta3, 1, prec=64)
+    rows = _log_rows(apery, zeta3, 1, 64)
+    assert sum(used > 64 for _, used, *_ in rows) > len(rows) // 2
+    assert all(e.value.prec == 64 for e in est.trace)
+    assert {b.prec for b in calls} == {64}
+    scales = {rec.Q for rec in apery}
+    for fn, args in ((estimate_gamma_growth, ()), (check_nesterenko, (zeta3,))):
+        calls.clear()
+        fn(apery, *args, prec=64)
+        assert not [b for b in calls if b.is_exact and b.mid in scales]
+
+
+def test_apery_logs_fill_no_table_class_past_prec(monkeypatch):
+    """At n = 200 and 2000 bits the last records separate only at 4000
+    bits, but the pipeline takes every log at 2000: from an empty ln table
+    it fills no precision class past 3072 bits, where ln Q_n at 4008 bits
+    filled the 4096 class."""
+    monkeypatch.setattr(numerics, "_LN_TABLE", {})
+    _, est, *_ = run_apery()
+    assert est.precision_used == 4000
+    assert max(numerics._LN_TABLE) <= 3072
+
+
+def test_log_rows_keep_a_ball_that_rounding_would_take_to_zero(monkeypatch):
+    """The ball 1 + 2^-100 +/- 1, separated from 0 at 256 bits, contains 0
+    once its midpoint is rounded to 64 bits: its row takes the log of the
+    unrounded ball, rounded to 64 bits."""
+    tight = BallReal.from_endpoints(Fraction(1, 2 ** 100),
+                                    2 + Fraction(1, 2 ** 100), 256)
+    assert tight.sign() == 1 and tight.round_to(64).sign() is None
+    monkeypatch.setattr(exponents, "_certified_nonzero_eval",
+                        lambda *args: (tight, 256))
+    for n, used, ln_l, ln_q, _ in _log_rows(fib_seq(6), GOLDEN, 1, 64)[1:]:
+        assert used == 256 and ln_l.prec == ln_q.prec == 64
+        # ln 2^-100 = -69.3147... and ln 2 = 0.6931...
+        assert ln_l.lower < Fraction(-69314, 1000)
+        assert ln_l.upper > Fraction(693, 1000)
+
+
+def _fraction_weight_fit(seq, basis, prec):
+    """Oracle: the fit as it was summed before integer weights, each
+    record's weight (n - mean)/s2 a Fraction, multiplied and added to the
+    slope as a ball at prec."""
+    usable = [(n, ln_l, ln_q) for n, _, ln_l, ln_q, _ in
+              _log_rows(seq, basis, 1, prec) if ln_l is not None]
+    mean = Fraction(sum(n for n, _, _ in usable), len(usable))
+    s2 = sum((n - mean) ** 2 for n, _, _ in usable)
+    slope_l = slope_q = BallReal.exact(0, prec)
+    for n, yl, yq in usable:
+        w = (n - mean) / s2
+        slope_l = slope_l + yl * w
+        slope_q = slope_q + yq * w
+    return slope_l.exp(), slope_q.exp()
+
+
+def _mp_fit(seq, xi, prec):
+    """exp of the least-squares slopes of ln|l_1 - l_2 xi| and ln Q_n
+    against n over the records with Q_n > 1, by mpmath at 4 prec bits."""
+    recs = [rec for rec in seq if rec.Q > 1]
+    with mpmath.workprec(4 * prec):
+        x = xi()
+        mean = mpmath.mpf(sum(rec.n for rec in recs)) / len(recs)
+        s2 = sum((rec.n - mean) ** 2 for rec in recs)
+        return [_mp_fraction(mpmath.exp(
+                    sum((rec.n - mean) * y(rec) for rec in recs) / s2))
+                for y in (lambda rec: mpmath.log(abs(rec.ell[0]
+                                                     - rec.ell[1] * x)),
+                          lambda rec: mpmath.log(rec.Q))]
+
+
+def _assert_fit(seq, basis, xi, prec, fit):
+    slack = Fraction(1, 2 ** (2 * prec))
+    for ball, true in zip(fit, _mp_fit(seq, xi, prec)):
+        assert ball.prec == prec
+        assert ball.lower - slack <= true <= ball.upper + slack
+    for new, old in zip(fit, _fraction_weight_fit(seq, basis, prec)):
+        assert new.lower <= old.upper and old.lower <= new.upper
+        unit = Fraction(2) ** (math.floor(math.log2(new.mid)) - prec)
+        assert new.rad <= old.rad + unit
+
+
+def test_fit_contains_mpmath_least_squares_fibonacci():
+    seq = fib_seq(50)
+    fit = fit_alpha_beta(seq, GOLDEN, 1, prec=128)
+    _assert_fit(seq, GOLDEN, lambda: mpmath.phi, 128, fit)
+
+
+def test_fit_contains_mpmath_least_squares_apery(apery_run):
+    seq, _, alpha, beta, _ = apery_run
+    _assert_fit(seq, Basis((parse_real("zeta3"),)), lambda: mpmath.zeta(3),
+                2000, (alpha, beta))
 
 
 def _asked(handle):

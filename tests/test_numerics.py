@@ -277,6 +277,17 @@ def test_decimal_to_fraction_reads_what_fraction_reads(unlimited, s):
         assert got is ValueError
 
 
+def test_zero_denominator_past_the_digit_limit():
+    """p/0 with p past the 4,300-digit limit is a zero denominator, as it
+    is for a short p, not the digit limit's error: Fraction's own
+    ZeroDivisionError message would print p."""
+    for s in ("7/0", "7" * 4400 + "/0"):
+        with pytest.raises(ZeroDivisionError):
+            decimal_to_fraction(s)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_real(s)
+
+
 def test_dyadic_to_decimal_past_the_digit_limit():
     q = Fraction(3 ** 9100 + 2, 1 << 40)        # 4342 digits over 2^40
     assert decimal_to_fraction(dyadic_to_decimal(q)) == q
